@@ -271,7 +271,8 @@ def _exp_weights_check(ctx: RunContext) -> ExperimentResult:
 
 def _exp_bloom_verify(ctx: RunContext) -> ExperimentResult:
     rep = bloom_sandwich_report(ctx.mu, ctx.lam, ctx.setup)
-    rows = [(*_cube_key(c), float(r)) for c, r in zip(rep.cubes, rep.ratios)]
+    rows = [(gen, "_".join(str(i) for i in index), r)
+            for (_, gen, *index), r in zip(rep.cubes.tolist(), rep.ratios.tolist())]
     summary_rows = [(rep.min_ratio, rep.max_ratio, rep.upper, rep.s,
                      rep.intermediate_characteristic, rep.intermediate_bound)]
     assertions = [
@@ -489,10 +490,10 @@ def _exp_vmo_witness(ctx: RunContext) -> ExperimentResult:
                                  int(core.size), float(osc)))
         assertions.append(
             _assertion(f"witness-oscillation:{sid}",
-                       all(o >= witness.threshold * (1.0 - HARD_TOL)
+                       all(o >= witness.threshold / 2.0 * (1.0 - HARD_TOL)
                            for o in witness.oscillations),
-                       detail=f"{len(witness)} pairs at threshold "
-                              f"{witness.threshold:.6g} in mode {witness.mode}")
+                       detail=f"{len(witness)} pairs at or above c0/2 = "
+                              f"{witness.threshold / 2.0:.6g} in mode {witness.mode}")
         )
     return ExperimentResult(
         tables={

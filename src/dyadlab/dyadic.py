@@ -13,6 +13,14 @@ Generations run j = 0 (whole domain) through j = m (single cells).
 Canonical-grid cubes are lattice-aligned boxes; shifted cubes generally
 are not, and integrals over them use the exact fractional-cell queries
 from the lattice module.
+
+A canonical cube family is held as its per-generation tables: entry
+[index] of the generation-j table belongs to cube (j, index), and no
+DyadicCube is built per cube.  Family reports name their cubes by key
+rows (grid_id, generation, index...), one integer row per cube in
+enumerate_cubes order (family_keys); a DyadicCube is built from a single
+row (key_cube) where one is needed, such as the argmax.  Shifted-grid
+and explicit families keep the per-cube path through cube_average.
 """
 
 from __future__ import annotations
@@ -211,42 +219,47 @@ def canonical_grid(domain: LatticeDomain) -> DyadicGrid:
     return grids(domain)[0]
 
 
-def enumerate_cubes(
-    grid: DyadicGrid,
-    ell_min: float | None = None,
-    ell_max: float | None = None,
-    dist_min: float | None = None,
-    dist_max: float | None = None,
-    ancestor: DyadicCube | None = None,
-) -> list[DyadicCube]:
-    """All cubes of a grid passing the filters, ordered by (generation, index)."""
-    dom = grid.domain
-    if ancestor is not None and ancestor.grid != grid:
-        raise ValueError("ancestor must belong to the same grid")
-    out = []
-    for j in range(dom.m + 1):
-        ell = grid.sidelength(j)
-        if ell_min is not None and ell < ell_min - 1e-12 * dom.h:
-            continue
-        if ell_max is not None and ell > ell_max + 1e-12 * dom.h:
-            continue
-        if ancestor is not None:
-            if j < ancestor.generation:
-                continue
-            gap = j - ancestor.generation
-            ranges = [range(k * 2**gap, (k + 1) * 2**gap) for k in ancestor.index]
-        else:
-            ranges = [range(2**j)] * dom.d
-        for idx in itertools.product(*ranges):
-            cube = grid.cube(j, idx)
-            if dist_min is not None or dist_max is not None:
-                dist = cube.dist_to_origin()
-                if dist_min is not None and dist < dist_min:
-                    continue
-                if dist_max is not None and dist > dist_max:
-                    continue
-            out.append(cube)
-    return out
+def enumerate_cubes(grid: DyadicGrid) -> list[DyadicCube]:
+    """All cubes of a grid as objects, ordered by (generation, index)."""
+    return [
+        grid.cube(j, idx)
+        for j in range(grid.domain.m + 1)
+        for idx in itertools.product(range(2**j), repeat=grid.domain.d)
+    ]
+
+
+def _grid_keys(domain: LatticeDomain, grid_id: int) -> np.ndarray:
+    rows = []
+    for j in range(domain.m + 1):
+        index = np.indices((2**j,) * domain.d).reshape(domain.d, -1).T
+        head = np.broadcast_to(np.array([grid_id, j]), (index.shape[0], 2))
+        rows.append(np.hstack([head, index]))
+    return np.concatenate(rows)
+
+
+def family_keys(domain: LatticeDomain, family) -> tuple[np.ndarray, str]:
+    """Key rows (grid_id, generation, index...) of a cube family, plus its
+    descriptor "canonical", "all-grids" or "explicit".
+
+    Rows follow enumerate_cubes order grid by grid, so a canonical family's
+    rows line up with the raveled per-generation tables, coarse to fine."""
+    if isinstance(family, str):
+        if family == "canonical":
+            return _grid_keys(domain, 0), "canonical"
+        if family == "all-grids":
+            keys = [_grid_keys(domain, grid.grid_id) for grid in grids(domain)]
+            return np.concatenate(keys), "all-grids"
+        raise ValueError(f"unknown family descriptor {family!r}")
+    rows = [(cube.grid.grid_id, cube.generation, *cube.index) for cube in family]
+    if not rows:
+        raise ValueError("cube family is empty")
+    return np.array(rows, dtype=np.int64), "explicit"
+
+
+def key_cube(domain: LatticeDomain, key) -> DyadicCube:
+    """The cube of one key row (grid_id, generation, index...)."""
+    grid_id, generation, *index = (int(k) for k in key)
+    return grids(domain)[grid_id].cube(generation, tuple(index))
 
 
 def enclosing_cube(domain: LatticeDomain, box: Box) -> DyadicCube:
@@ -286,15 +299,17 @@ def cube_integral(f: SampledFunction, cube: DyadicCube) -> complex:
     return out
 
 
-def cube_integral_abs(f: SampledFunction, cube: DyadicCube) -> float:
-    out = 0.0
-    for lo, hi in cube.pieces():
-        out += f.interval_integral_abs(lo, hi)
-    return out
-
-
 def cube_average(f: SampledFunction, cube: DyadicCube) -> complex:
     return cube_integral(f, cube) / cube.volume
+
+
+def _generation_mean(dom: LatticeDomain, arr: np.ndarray, generation: int) -> np.ndarray:
+    """Table of the means of a cell array over the canonical generation-j cubes."""
+    cells = 2 ** (dom.m - generation)
+    if dom.d == 1:
+        return arr.reshape(2**generation, cells).mean(axis=1)
+    g = 2**generation
+    return arr.reshape(g, cells, g, cells).mean(axis=(1, 3))
 
 
 def generation_averages(f: SampledFunction, generation: int, absolute: bool = False) -> np.ndarray:
@@ -302,12 +317,7 @@ def generation_averages(f: SampledFunction, generation: int, absolute: bool = Fa
     dom = f.domain
     if not (0 <= generation <= dom.m):
         raise ValueError(f"generation must be in [0, {dom.m}]")
-    cells = 2 ** (dom.m - generation)
-    v = np.abs(f.values) if absolute else f.values
-    if dom.d == 1:
-        return v.reshape(2**generation, cells).mean(axis=1)
-    g = 2**generation
-    return v.reshape(g, cells, g, cells).mean(axis=(1, 3))
+    return _generation_mean(dom, np.abs(f.values) if absolute else f.values, generation)
 
 
 def _broadcast_generation(dom: LatticeDomain, table: np.ndarray, generation: int) -> np.ndarray:

@@ -23,9 +23,8 @@ Conventions shared by every module in the package:
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -37,8 +36,6 @@ _ALIGN_TOL = 1e-9
 # Extended-precision accumulators for prefix builds (80-bit on x86).
 _ACC_REAL = np.longdouble
 _ACC_COMPLEX = np.clongdouble
-
-_CACHE_SCHEMA = 1
 
 
 @dataclass(frozen=True)
@@ -197,7 +194,6 @@ class SampledFunction:
         self.domain = domain
         self.values = values.astype(dtype)
         self._prefix = None
-        self._abs_prefix = None
 
     @property
     def is_complex(self) -> bool:
@@ -219,16 +215,10 @@ class SampledFunction:
                 self._prefix = _padded_prefix_2d(self.values)
         return self._prefix
 
-    def _abs_tables(self):
-        if self._abs_prefix is None:
-            av = np.abs(self.values)
-            if self.domain.d == 1:
-                self._abs_prefix = (_padded_prefix_1d(av),)
-            else:
-                self._abs_prefix = _padded_prefix_2d(av)
-        return self._abs_prefix
+    # -- queries -----------------------------------------------------------
 
-    def _interval_integral(self, lo, hi, tables) -> complex:
+    def interval_integral(self, lo, hi) -> complex:
+        """Exact integral of the piecewise-constant function over a box."""
         dom = self.domain
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -242,16 +232,16 @@ class SampledFunction:
         ends = [( _split_coord(dom, lo[ax]), _split_coord(dom, hi[ax])) for ax in range(dom.d)]
         if dom.d == 1:
             (i0, t0), (i1, t1) = ends[0]
-            p = tables[0]
-            v = self.values if tables is self._prefix else np.abs(self.values)
+            p = self._tables()[0]
+            v = self.values
             out = p[i1] - p[i0]
             if t1 > 0.0:
                 out = out + t1 * v[i1]
             if t0 > 0.0:
                 out = out - t0 * v[i0]
             return out * dom.h
-        full, row, col = tables
-        v = self.values if tables is self._prefix else np.abs(self.values)
+        full, row, col = self._tables()
+        v = self.values
 
         def corner(i, s, j, t):
             # Integral over [0, i+s) x [0, j+t) in cell units.
@@ -274,27 +264,11 @@ class SampledFunction:
         )
         return total * dom.h**2
 
-    # -- queries -----------------------------------------------------------
-
-    def interval_integral(self, lo, hi) -> complex:
-        """Exact integral of the piecewise-constant function over a box."""
-        return self._interval_integral(lo, hi, self._tables())
-
-    def interval_integral_abs(self, lo, hi) -> float:
-        out = self._interval_integral(lo, hi, self._abs_tables())
-        return float(np.real(out))
-
     def box_integral(self, box: Box) -> complex:
         spans = self.domain.cell_span(box)
         lo = [-self.domain.L + s[0] * self.domain.h for s in spans]
         hi = [-self.domain.L + s[1] * self.domain.h for s in spans]
-        return self._interval_integral(lo, hi, self._tables())
-
-    def box_integral_abs(self, box: Box) -> float:
-        spans = self.domain.cell_span(box)
-        lo = [-self.domain.L + s[0] * self.domain.h for s in spans]
-        hi = [-self.domain.L + s[1] * self.domain.h for s in spans]
-        return float(np.real(self._interval_integral(lo, hi, self._abs_tables())))
+        return self.interval_integral(lo, hi)
 
     def box_average(self, box: Box) -> complex:
         return self.box_integral(box) / box.volume
@@ -303,62 +277,6 @@ class SampledFunction:
         lo = [-self.domain.L] * self.domain.d
         hi = [self.domain.L] * self.domain.d
         return self.interval_integral(lo, hi)
-
-    def mask_integral(self, mask: np.ndarray) -> complex:
-        """Integral over an arbitrary cell set (flat indices or boolean mask)."""
-        flat = self.values.reshape(-1)
-        if mask.dtype == bool:
-            sel = flat[mask.reshape(-1)]
-        else:
-            sel = flat[mask]
-        return complex(sel.sum()) * self.domain.cell_volume
-
-    # -- persistence -------------------------------------------------------
-
-    def export_csv(self, path) -> None:
-        dom = self.domain
-        mids = dom.midpoints()
-        flat = self.values.reshape(-1)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            header = ["cell"] + [f"x{ax}" for ax in range(dom.d)] + ["re", "im"]
-            writer.writerow(header)
-            coords = [m.reshape(-1) for m in mids]
-            for idx in range(flat.size):
-                rowvals = [str(idx)]
-                rowvals += [format(c[idx], ".17g") for c in coords]
-                rowvals += [format(flat[idx].real, ".17g"), format(flat[idx].imag, ".17g")]
-                writer.writerow(rowvals)
-
-    def save_cache(self, path) -> None:
-        """Dump values plus prefix tables; format is private and versioned."""
-        tables = self._tables()
-        payload = {f"prefix{i}": t for i, t in enumerate(tables)}
-        np.savez(
-            path,
-            schema=np.int64(_CACHE_SCHEMA),
-            d=np.int64(self.domain.d),
-            m=np.int64(self.domain.m),
-            L=np.float64(self.domain.L),
-            values=self.values,
-            **payload,
-        )
-
-    @staticmethod
-    def load_cache(path) -> "SampledFunction":
-        with np.load(path, allow_pickle=False) as data:
-            if int(data["schema"]) != _CACHE_SCHEMA:
-                raise ValueError(f"unsupported cache schema {int(data['schema'])}")
-            dom = LatticeDomain(int(data["d"]), int(data["m"]), float(data["L"]))
-            f = SampledFunction(dom, data["values"])
-            tables = []
-            i = 0
-            while f"prefix{i}" in data:
-                tables.append(data[f"prefix{i}"])
-                i += 1
-            if tables:
-                f._prefix = tuple(tables)
-        return f
 
 
 def indicator(domain: LatticeDomain, box: Box) -> SampledFunction:

@@ -337,8 +337,8 @@ def decompose(kernel: KernelSpec, domain: LatticeDomain, eps: float):
     the annulus [phi(S) - phi(r)](|x - y|), then chi again.  The residual
     collects the four complementary terms.  Because the annulus window is
     exactly 1 wherever both chi factors are nonzero and |x - y| <= S/2, the
-    two parts sum back to the unwindowed matrix; that identity is asserted
-    entrywise.
+    two parts sum back to the unwindowed matrix; that identity is checked
+    entrywise and raises ArithmeticError when it breaks.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("need 0 < eps < 1")
@@ -363,7 +363,8 @@ def decompose(kernel: KernelSpec, domain: LatticeDomain, eps: float):
     )
     scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
     gap = float(np.max(np.abs(compact + residual - a))) if a.size else 0.0
-    assert gap <= 1e-12 * scale, f"splitting identity broke: {gap:g}"
+    if gap > 1e-12 * scale:
+        raise ArithmeticError(f"splitting identity broke: {gap:g}")
     t_c = OperatorMatrix(domain, compact, kernel, f"compact(eps={eps:g})")
     t_eps = OperatorMatrix(domain, residual, kernel, f"residual(eps={eps:g})")
     return t_c, t_eps

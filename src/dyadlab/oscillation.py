@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from dyadlab import dyadic
+from dyadlab.dyadic import _broadcast_generation, _generation_mean
 from dyadlab.lattice import Box, LatticeDomain, SampledFunction
 from dyadlab.weights import ExponentSetup, Weight
 
@@ -137,26 +138,11 @@ def oscillation(
 @dataclass
 class OscillationReport:
     values: np.ndarray
-    cubes: list
+    cubes: np.ndarray  # key rows (dyadic.family_keys), one per value
     supremum: float
     argmax_cube: object
     mode: str
     flags: set = field(default_factory=set)
-
-
-def _gen_mean(dom: LatticeDomain, arr: np.ndarray, generation: int) -> np.ndarray:
-    cells = 2 ** (dom.m - generation)
-    if dom.d == 1:
-        return arr.reshape(2**generation, cells).mean(axis=1)
-    g = 2**generation
-    return arr.reshape(g, cells, g, cells).mean(axis=(1, 3))
-
-
-def _broadcast(dom: LatticeDomain, table: np.ndarray, generation: int) -> np.ndarray:
-    cells = 2 ** (dom.m - generation)
-    if dom.d == 1:
-        return np.repeat(table, cells)
-    return np.repeat(np.repeat(table, cells, axis=0), cells, axis=1)
 
 
 def _generation_oscillations(
@@ -169,17 +155,17 @@ def _generation_oscillations(
     """Vectorized osc_r over all canonical generation-j cubes."""
     dom = b.domain
     vol = (dom.width * 2.0**-generation) ** dom.d
-    mean = _broadcast(dom, _gen_mean(dom, b.values, generation), generation)
+    mean = _broadcast_generation(dom, _generation_mean(dom, b.values, generation), generation)
     dev = np.abs(b.values - mean)
     if nu is None:
         nu_mass = np.full((2**generation,) * dom.d, vol)
-        inner_avg = _gen_mean(dom, dev if r == 1.0 else dev**r, generation)
+        inner_avg = _generation_mean(dom, dev if r == 1.0 else dev**r, generation)
     else:
-        nu_mass = _gen_mean(dom, nu.values, generation) * vol
+        nu_mass = _generation_mean(dom, nu.values, generation) * vol
         if r == 1.0:
-            inner_avg = _gen_mean(dom, dev, generation)
+            inner_avg = _generation_mean(dom, dev, generation)
         else:
-            inner_avg = _gen_mean(dom, (dev / nu.values) ** r * nu.values, generation)
+            inner_avg = _generation_mean(dom, (dev / nu.values) ** r * nu.values, generation)
     integral = inner_avg * vol
     if r == 1.0:
         inner = integral / nu_mass
@@ -193,10 +179,10 @@ def _generation_two_weight(
 ) -> np.ndarray:
     dom = b.domain
     vol = (dom.width * 2.0**-generation) ** dom.d
-    mean = _broadcast(dom, _gen_mean(dom, b.values, generation), generation)
-    dev_int = _gen_mean(dom, np.abs(b.values - mean), generation) * vol
-    mu_mass = _gen_mean(dom, mu.power(setup.p).values, generation) * vol
-    lam_mass = _gen_mean(dom, lam.power(-setup.q_prime).values, generation) * vol
+    mean = _broadcast_generation(dom, _generation_mean(dom, b.values, generation), generation)
+    dev_int = _generation_mean(dom, np.abs(b.values - mean), generation) * vol
+    mu_mass = _generation_mean(dom, mu.power(setup.p).values, generation) * vol
+    lam_mass = _generation_mean(dom, lam.power(-setup.q_prime).values, generation) * vol
     return dev_int / (mu_mass ** (1.0 / setup.p) * lam_mass ** (1.0 / setup.q_prime))
 
 
@@ -234,23 +220,19 @@ def bmo_norm(
             nu = bloom_weight(mu, lam, setup)
         if alpha is None:
             alpha = setup.alpha if setup is not None else 0.0
-    if isinstance(family, str) and family == "canonical":
-        cubes = dyadic.enumerate_cubes(dyadic.canonical_grid(dom))
-        values = np.empty(len(cubes))
-        tables = {}
+    keys, descriptor = dyadic.family_keys(dom, family)
+    if descriptor == "canonical":
+        tables = []
         for j in range(dom.m + 1):
             if mode == "fractional":
-                tables[j] = _generation_oscillations(b, j, nu, alpha, r)
+                tables.append(_generation_oscillations(b, j, nu, alpha, r))
             else:
-                tables[j] = _generation_two_weight(b, j, mu, lam, setup)
-        for i, cube in enumerate(cubes):
-            values[i] = tables[cube.generation][cube.index]
+                tables.append(_generation_two_weight(b, j, mu, lam, setup))
+        values = np.concatenate([t.ravel() for t in tables])
     else:
-        cubes = list(family)
-        if not cubes:
-            raise ValueError("cube family is empty")
-        values = np.empty(len(cubes))
-        for i, cube in enumerate(cubes):
+        values = np.empty(len(keys))
+        for i, key in enumerate(keys):
+            cube = dyadic.key_cube(dom, key)
             if mode == "fractional":
                 values[i] = oscillation(b, cube, nu=nu, alpha=alpha, r=r)
             else:
@@ -268,9 +250,9 @@ def bmo_norm(
     sup_idx = int(np.argmax(values))
     return OscillationReport(
         values=values,
-        cubes=cubes,
+        cubes=keys,
         supremum=float(values[sup_idx]),
-        argmax_cube=cubes[sup_idx],
+        argmax_cube=dyadic.key_cube(dom, keys[sup_idx]),
         mode=mode,
     )
 
@@ -533,6 +515,18 @@ class JNReport:
     membership: dict
 
 
+def _subtree_sup(b, nu, alpha, r, root) -> float:
+    """Max of osc_r over root and its dyadic subcubes, read off the
+    generation tables sliced to root's subtree."""
+    best = -math.inf
+    for j in range(root.generation, b.domain.m + 1):
+        gap = j - root.generation
+        window = tuple(slice(k << gap, (k + 1) << gap) for k in root.index)
+        table = _generation_oscillations(b, j, nu, alpha, r)
+        best = max(best, float(np.max(table[window])))
+    return best
+
+
 def jn_verify(
     b: SampledFunction,
     w: Weight,
@@ -556,11 +550,8 @@ def jn_verify(
         raise ValueError(f"need 1 <= r <= p' = {p_prime}, got r={r}")
     if not root.grid.is_canonical:
         raise ValueError("root cube must be canonical")
-    subcubes = dyadic.enumerate_cubes(root.grid, ancestor=root)
-    r_vals = np.array([oscillation(b, Q, nu=w, alpha=alpha, r=r) for Q in subcubes])
-    one_vals = np.array([oscillation(b, Q, nu=w, alpha=alpha, r=1.0) for Q in subcubes])
-    r_norm = float(np.max(r_vals))
-    one_norm = float(np.max(one_vals))
+    r_norm = _subtree_sup(b, w, alpha, r, root)
+    one_norm = _subtree_sup(b, w, alpha, 1.0, root)
     family = sparse_mod.cz_augment(b, root)
     exponent = 1.0 + alpha * r / dom.d
     w_flat = w.values.reshape(-1)

@@ -76,28 +76,6 @@ class SparseFamily:
     def cubes(self) -> list:
         return [e.cube for e in self.entries]
 
-    def dump_lines(self) -> list[str]:
-        """One line per entry: grid, generation, index, |E|/|Q|, core RLE."""
-        lines = []
-        for e in self.entries:
-            runs = []
-            core = e.core
-            start = prev = int(core[0])
-            for c in core[1:]:
-                c = int(c)
-                if c == prev + 1:
-                    prev = c
-                    continue
-                runs.append(f"{start}:{prev - start + 1}")
-                start = prev = c
-            runs.append(f"{start}:{prev - start + 1}")
-            idx = ",".join(str(k) for k in np.atleast_1d(e.cube.index))
-            lines.append(
-                f"{self.grid_id} {e.cube.generation} ({idx}) "
-                f"{e.core_fraction:.6f} {';'.join(runs)}"
-            )
-        return lines
-
 
 @dataclass
 class SparseVerdict:
@@ -137,13 +115,13 @@ def cz_augment(b: SampledFunction, root: dyadic.DyadicCube) -> SparseFamily:
         raise ValueError("cz_augment needs a canonical root cube")
     m = b.domain.m
     b_flat = b.values.reshape(-1)
+    dev = np.empty(b_flat.size)  # |b - <b>_Q|, refilled on each Q's cells
     entries = []
     queue = deque([root])
     while queue:
         cube = queue.popleft()
         cells = cube.flat_cells()
-        mean = b_flat[cells].mean()
-        dev = np.abs(b_flat - mean)
+        dev[cells] = np.abs(b_flat[cells] - b_flat[cells].mean())
         base = dev[cells].mean()
         selected: list = []
         if base > 0.0 and cube.generation < m:
@@ -261,11 +239,6 @@ def split_family(family: SparseFamily, k: float) -> SparseFamily:
         if not (1.0 / k <= e.cube.sidelength <= k and e.cube.dist_to_origin() <= k)
     ]
     return SparseFamily(kept, gamma=family.gamma, grid_id=family.grid_id)
-
-
-def removed_entries(family: SparseFamily, k: float) -> list:
-    kept = {id(e) for e in split_family(family, k).entries}
-    return [e for e in family.entries if id(e) not in kept]
 
 
 # -- embedding checks ---------------------------------------------------------

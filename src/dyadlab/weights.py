@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -183,10 +182,11 @@ def make_weight(domain: LatticeDomain, spec: dict) -> Weight:
 
 @dataclass
 class CharacteristicReport:
-    """Per-cube characteristic values over a cube family."""
+    """Per-cube characteristic values over a cube family; cubes holds the
+    family's key rows (dyadic.family_keys)."""
 
     values: np.ndarray
-    cubes: list
+    cubes: np.ndarray
     supremum: float
     argmax_cube: object
     family: str
@@ -199,33 +199,17 @@ class CharacteristicReport:
             raise ValueError("supremum must equal the max of the per-cube values")
 
 
-def _resolve_family(domain: LatticeDomain, family) -> tuple[list, str]:
-    if isinstance(family, str):
-        if family == "canonical":
-            return dyadic.enumerate_cubes(dyadic.canonical_grid(domain)), "canonical"
-        if family == "all-grids":
-            cubes = []
-            for grid in dyadic.grids(domain):
-                cubes.extend(dyadic.enumerate_cubes(grid))
-            return cubes, "all-grids"
-        raise ValueError(f"unknown family descriptor {family!r}")
-    cubes = list(family)
-    if not cubes:
-        raise ValueError("cube family is empty")
-    return cubes, "explicit"
-
-
-def _family_averages(f: SampledFunction, cubes: list, descriptor: str) -> np.ndarray:
-    """Plain averages of f over the cubes; canonical families go through
-    the vectorized per-generation path."""
+def _family_averages(f: SampledFunction, keys: np.ndarray, descriptor: str) -> np.ndarray:
+    """Plain averages of f over the keyed cubes; a canonical family is the
+    concatenation of the raveled per-generation tables."""
+    dom = f.domain
     if descriptor == "canonical":
-        dom = f.domain
-        tables = [dyadic.generation_averages(f, j) for j in range(dom.m + 1)]
-        out = np.empty(len(cubes))
-        for i, cube in enumerate(cubes):
-            out[i] = np.real(tables[cube.generation][cube.index])
-        return out
-    return np.array([np.real(dyadic.cube_average(f, cube)) for cube in cubes])
+        return np.concatenate(
+            [np.real(dyadic.generation_averages(f, j)).ravel() for j in range(dom.m + 1)]
+        )
+    return np.array(
+        [np.real(dyadic.cube_average(f, dyadic.key_cube(dom, key))) for key in keys]
+    )
 
 
 def apq_characteristic(
@@ -246,9 +230,9 @@ def apq_characteristic(
         flags.add("overflow")
     sig_q = sigma.power(q)
     om_pp = omega.power(-p_prime)
-    cubes, descriptor = _resolve_family(sigma.domain, family)
-    a = _family_averages(sig_q, cubes, descriptor)
-    b = _family_averages(om_pp, cubes, descriptor)
+    keys, descriptor = dyadic.family_keys(sigma.domain, family)
+    a = _family_averages(sig_q, keys, descriptor)
+    b = _family_averages(om_pp, keys, descriptor)
     values = a ** (1.0 / q) * b ** (1.0 / p_prime)
     if not np.all(np.isfinite(values)):
         flags.add("overflow")
@@ -256,9 +240,9 @@ def apq_characteristic(
     sup_idx = int(np.argmax(values))
     return CharacteristicReport(
         values=values,
-        cubes=cubes,
+        cubes=keys,
         supremum=float(values[sup_idx]),
-        argmax_cube=cubes[sup_idx],
+        argmax_cube=dyadic.key_cube(sigma.domain, keys[sup_idx]),
         family=descriptor,
         flags=flags,
     )
@@ -274,7 +258,7 @@ def ap_characteristic(w: Weight, p: float, family="canonical") -> Characteristic
         values=values,
         cubes=rep.cubes,
         supremum=float(values[sup_idx]),
-        argmax_cube=rep.cubes[sup_idx],
+        argmax_cube=dyadic.key_cube(w.domain, rep.cubes[sup_idx]),
         family=rep.family,
         flags=set(rep.flags),
     )
@@ -312,7 +296,7 @@ def membership_surrogate(w: Weight, p: float, rel_tol: float = 0.10) -> dict:
 
 @dataclass
 class SandwichReport:
-    cubes: list
+    cubes: np.ndarray  # key rows, as in CharacteristicReport
     ratios: np.ndarray
     lower: float
     upper: float
@@ -354,12 +338,12 @@ def bloom_sandwich_report(
     flags = set()
     nu = bloom_weight(mu, lam, setup)
     p, q = setup.p, setup.q
-    cubes, descriptor = _resolve_family(mu.domain, family)
+    keys, descriptor = dyadic.family_keys(mu.domain, family)
     if mu.power_overflows(p) or lam.power_overflows(-setup.q_prime):
         flags.add("overflow")
-    mu_p = _family_averages(mu.power(p), cubes, descriptor)
-    lam_qp = _family_averages(lam.power(-setup.q_prime), cubes, descriptor)
-    nu_avg = _family_averages(nu.function(), cubes, descriptor)
+    mu_p = _family_averages(mu.power(p), keys, descriptor)
+    lam_qp = _family_averages(lam.power(-setup.q_prime), keys, descriptor)
+    nu_avg = _family_averages(nu.function(), keys, descriptor)
     ratios = mu_p ** (1.0 / p) * lam_qp ** (1.0 / setup.q_prime) / nu_avg ** (
         1.0 + setup.alpha_frac
     )
@@ -376,7 +360,7 @@ def bloom_sandwich_report(
     if not membership["mu"]["ok"] or not membership["lam"]["ok"]:
         flags.add("membership-surrogate-failed")
     return SandwichReport(
-        cubes=cubes,
+        cubes=keys,
         ratios=ratios,
         lower=1.0,
         upper=mu_char * lam_char,

@@ -165,6 +165,37 @@ def test_vmo_witness_dump_and_flags(tmp_path):
     assert (out / "profile.csv").exists() and (out / "distance.csv").exists()
 
 
+def _vmo_config():
+    return {
+        "experiment": "vmo-witness",
+        "domain": {"d": 1, "m": 8, "L": 1.0},
+        "exponents": {"p": 2.0, "q": 4.0},
+        "weights": {"mu": {"kind": "power", "beta": 0.3}, "lambda": {"kind": "unit"}},
+        "symbols": log_symbols(),
+    }
+
+
+def test_vmo_witness_asserts_the_guaranteed_half_threshold(tmp_path):
+    # vmo_witness guarantees osc(b; E) >= c0/2 only; here one pair sits
+    # between c0/2 and c0 = 0.5, which the experiment must accept.
+    out = tmp_path / "out"
+    assert cli.run(_vmo_config(), out_dir=out) == 0
+    _, rows = read_csv(out / "witness.csv")
+    oscs = [float(r[6]) for r in rows if r[1] == "found"]
+    assert 0.25 <= min(oscs) < 0.5
+
+
+def test_vmo_witness_below_half_threshold_exits_1(tmp_path, monkeypatch, capsys):
+    def weak_witness(b, *args, **kwargs):
+        cube = cli.dyadic.canonical_grid(b.domain).cube(2, (1,))
+        entries = [(cube, cube.flat_cells())]
+        return cli.oscillation.WitnessFamily("small-scale", 0.5, entries, [0.2])
+
+    monkeypatch.setattr(cli.oscillation, "vmo_witness", weak_witness)
+    assert cli.run(_vmo_config(), out_dir=tmp_path / "out") == 1
+    assert "first failure: witness-oscillation:log" in capsys.readouterr().err
+
+
 def test_invalid_eps_list_is_config_error(tmp_path):
     # eps below the 4h resolution floor is a bad parameter combination.
     cfg = {

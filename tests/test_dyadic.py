@@ -10,8 +10,10 @@ from dyadlab.dyadic import (
     dyadic_maximal,
     enclosing_cube,
     enumerate_cubes,
+    family_keys,
     generation_averages,
     grids,
+    key_cube,
 )
 from dyadlab.lattice import Box, LatticeDomain, SampledFunction, indicator
 
@@ -119,27 +121,28 @@ class TestEnumerate:
         gens = [c.generation for c in cubes]
         assert gens == sorted(gens)
 
-    def test_ell_filter(self):
-        dom = LatticeDomain(1, 5, 1.0)
-        ell2 = dom.width / 4
-        cubes = enumerate_cubes(grids(dom)[0], ell_min=ell2, ell_max=ell2)
-        assert len(cubes) == 4
-        assert all(c.generation == 2 for c in cubes)
+    def test_all_grids_keys_follow_enumeration(self):
+        dom = LatticeDomain(2, 3, 1.0)
+        keys, descriptor = family_keys(dom, "all-grids")
+        cubes = [c for grid in grids(dom) for c in enumerate_cubes(grid)]
+        assert descriptor == "all-grids"
+        assert keys.shape == (len(cubes), 2 + dom.d)
+        assert [key_cube(dom, k) for k in keys] == cubes
 
-    def test_ancestor_filter(self):
-        dom = LatticeDomain(1, 5, 1.0)
-        grid = grids(dom)[0]
-        anc = grid.cube(2, (3,))
-        cubes = enumerate_cubes(grid, ancestor=anc)
-        assert len(cubes) == 2 ** (dom.m - 2 + 1) - 1
-        assert all(anc.contains_cube(c) for c in cubes)
-
-    def test_dist_filter(self):
+    def test_explicit_keys_round_trip(self):
         dom = LatticeDomain(1, 4, 1.0)
-        grid = grids(dom)[0]
-        far = enumerate_cubes(grid, dist_min=0.5)
-        assert far
-        assert all(c.dist_to_origin() >= 0.5 for c in far)
+        cubes = [grids(dom)[2].cube(3, (5,)), grids(dom)[0].cube(0, (0,))]
+        keys, descriptor = family_keys(dom, cubes)
+        assert descriptor == "explicit"
+        assert keys.tolist() == [[2, 3, 5], [0, 0, 0]]
+        assert [key_cube(dom, k) for k in keys] == cubes
+
+    def test_bad_families_rejected(self):
+        dom = LatticeDomain(1, 4, 1.0)
+        with pytest.raises(ValueError, match="empty"):
+            family_keys(dom, [])
+        with pytest.raises(ValueError, match="unknown family"):
+            family_keys(dom, "every-grid")
 
 
 class TestEnclosure:

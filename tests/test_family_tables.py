@@ -1,0 +1,84 @@
+"""Canonical cube families read off per-generation tables agree with the
+per-cube object path (enumerate_cubes + cube_average / oscillation)."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dyadlab import dyadic, oscillation as osc
+from dyadlab.lattice import LatticeDomain, SampledFunction
+from dyadlab.weights import ExponentSetup, apq_characteristic, make_weight
+
+REL = 1e-11
+
+
+def close(got, want):
+    """Relative agreement; near-zero cubes (single cells, where the object
+    path leaves rounding residue) are measured against the family's scale."""
+    got, want = np.asarray(got), np.asarray(want)
+    scale = float(np.max(np.abs(want)))
+    np.testing.assert_allclose(got, want, rtol=REL, atol=REL * scale)
+
+
+@st.composite
+def cases(draw, m_min=2):
+    d = draw(st.sampled_from((1, 2)))
+    m = draw(st.integers(m_min, 5))
+    dom = LatticeDomain(d, m, 1.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    values = rng.standard_normal(dom.shape)
+    if draw(st.booleans()):
+        values = values + 1j * rng.standard_normal(dom.shape)
+    b = SampledFunction(dom, values)
+
+    def logsmooth():
+        amplitude = draw(st.floats(0.0, 1.5))
+        return make_weight(dom, {"kind": "logsmooth", "amplitude": amplitude,
+                                 "modes": 3, "seed": draw(st.integers(0, 999))})
+
+    mu, lam = logsmooth(), logsmooth()
+    p = draw(st.sampled_from((1.5, 2.0)))
+    setup = ExponentSetup(p, draw(st.sampled_from((p, 3.0, 4.0))), d)
+    r = draw(st.sampled_from((1.0, 2.0)))
+    alpha = draw(st.floats(0.0, 2.0))
+    return dom, b, mu, lam, setup, r, alpha
+
+
+@settings(max_examples=12, deadline=None)
+@given(cases())
+def test_canonical_tables_match_object_path(case):
+    dom, b, mu, lam, setup, r, alpha = case
+    cubes = dyadic.enumerate_cubes(dyadic.canonical_grid(dom))
+
+    keys, descriptor = dyadic.family_keys(dom, "canonical")
+    assert descriptor == "canonical"
+    assert keys.tolist() == [[c.grid.grid_id, c.generation, *c.index] for c in cubes]
+
+    frac = osc.bmo_norm(b, nu=mu, alpha=alpha, r=r)
+    frac_obj = osc.bmo_norm(b, nu=mu, alpha=alpha, r=r, family=cubes)
+    close(frac.values, frac_obj.values)
+    assert np.array_equal(frac.cubes, keys)
+
+    two = osc.bmo_norm(b, mode="two-weight", mu=mu, lam=lam, setup=setup)
+    two_obj = osc.bmo_norm(b, mode="two-weight", mu=mu, lam=lam, setup=setup, family=cubes)
+    close(two.values, two_obj.values)
+    assert dyadic.key_cube(dom, two.cubes[np.argmax(two.values)]) == two.argmax_cube
+
+    apq = apq_characteristic(mu, lam, setup.p, setup.q)
+    apq_obj = apq_characteristic(mu, lam, setup.p, setup.q, family=cubes)
+    close(apq.values, apq_obj.values)
+    assert np.array_equal(apq.cubes, keys)
+
+
+@settings(max_examples=12, deadline=None)
+@given(cases(m_min=3), st.data())  # jn_verify coarsens the weight once
+def test_jn_subtree_norms_match_per_cube_oscillation(case, data):
+    dom, b, mu, _lam, _setup, r, alpha = case
+    grid = dyadic.canonical_grid(dom)
+    gen = data.draw(st.integers(0, dom.m - 1))
+    root = grid.cube(gen, tuple(data.draw(st.integers(0, 2**gen - 1)) for _ in range(dom.d)))
+    rep = osc.jn_verify(b, mu, 2.0, r, alpha, root)
+    subtree = [c for c in dyadic.enumerate_cubes(grid) if root.contains_cube(c)]
+    for rr, got in ((r, rep.r_norm), (1.0, rep.one_norm)):
+        want = max(osc.oscillation(b, c, nu=mu, alpha=alpha, r=rr) for c in subtree)
+        close(got, want)

@@ -124,14 +124,6 @@ class TestPrefixQueries:
             got = f.interval_integral(lo, hi)
             assert abs(got - direct) <= 1e-11 * max(1.0, abs(direct))
 
-    def test_abs_queries(self):
-        dom = LatticeDomain(1, 7, 1.0)
-        f = random_function(dom, 41, complex_values=True)
-        box = Box.interval(-0.5, 0.75)
-        (a, b), = dom.cell_span(box)
-        direct = np.abs(f.values[a:b]).sum() * dom.h
-        assert f.box_integral_abs(box) == pytest.approx(direct, rel=1e-13)
-
 
 class TestAverages:
     def test_linear_function_quadrature(self):
@@ -216,28 +208,3 @@ class TestSymbols:
             parse_symbol({"kind": "sawtooth"})
         with pytest.raises(ValueError):
             parse_symbol([{"kind": "log_abs", "frequency": 3}])
-
-
-class TestPersistence:
-    def test_csv_export(self, tmp_path):
-        dom = LatticeDomain(1, 3, 1.0)
-        f = SampledFunction(dom, np.arange(8, dtype=float))
-        path = tmp_path / "f.csv"
-        f.export_csv(path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "cell,x0,re,im"
-        assert len(lines) == 9
-        f.export_csv(tmp_path / "g.csv")
-        assert (tmp_path / "g.csv").read_text() == path.read_text()
-
-    def test_cache_round_trip(self, tmp_path):
-        dom = LatticeDomain(2, 4, 1.0)
-        f = random_function(dom, 9, complex_values=True)
-        box = Box.from_cells(dom, [(3, 11), (0, 16)])
-        want = f.box_integral(box)
-        path = tmp_path / "f.npz"
-        f.save_cache(path)
-        g = SampledFunction.load_cache(path)
-        assert g.domain == dom
-        assert np.array_equal(g.values, f.values)
-        assert g.box_integral(box) == want

@@ -1,5 +1,8 @@
 """Kernels, dense assembly, commutators, windowed splittings, truncations."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -253,6 +256,29 @@ def test_decompose_eps_guard(hilbert, dom):
         ops.decompose(hilbert, dom, 0.0)
     with pytest.raises(ValueError):
         ops.decompose(hilbert, dom, 1.0)
+
+
+_BROKEN_SPLIT = """
+from dyadlab import operators as ops
+from dyadlab.lattice import LatticeDomain
+
+# one window for every radius: phi(S) - phi(r) vanishes, nothing telescopes
+ops.phi = lambda radius: ops.Bump(0.25, 0.5)
+try:
+    ops.decompose(ops.make_kernel("hilbert"), LatticeDomain(d=1, m=5, L=1.0), 0.5)
+except ArithmeticError as exc:
+    print(exc)
+    raise SystemExit(0)
+raise SystemExit(1)
+"""
+
+
+def test_decompose_identity_check_survives_optimize_flag():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_SPLIT], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "splitting identity broke" in proc.stdout
 
 
 def test_decompose_window_collapses_on_tiny_domain(hilbert):
