@@ -123,10 +123,23 @@ def _load(config) -> dict:
     return cfg
 
 
+def _reject_non_finite(value, path: str) -> None:
+    """ConfigError naming the key path of the first NaN or infinity."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path} must be a finite number, got {value}")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _reject_non_finite(item, f"{path}.{key}" if path else str(key))
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            _reject_non_finite(item, f"{path}[{i}]")
+
+
 def _build_context(cfg: dict) -> RunContext:
     """Resolve a validated config into live objects; ConfigError on anything off."""
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a mapping")
+    _reject_non_finite(cfg, "")
     unknown = set(cfg) - _KNOWN_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -235,7 +248,7 @@ def _cube_key(cube) -> tuple:
 
 def _exp_weights_check(ctx: RunContext) -> ExperimentResult:
     """A_p / A_{p,q} characteristics with a divergence diagnostic (never hard)."""
-    rows, flags = [], []
+    rows, flags, overflow = [], [], False
     for name, w, exponent in (("mu", ctx.mu, ctx.setup.p), ("lambda", ctx.lam, ctx.setup.q)):
         info = membership_surrogate(w, exponent)
         rows.append(
@@ -244,13 +257,14 @@ def _exp_weights_check(ctx: RunContext) -> ExperimentResult:
         )
         if not info["ok"]:
             flags.append(f"divergence:{name}")
+        overflow = overflow or info["overflow"]
     joint = apq_characteristic(ctx.mu, ctx.lam, ctx.setup.p, ctx.setup.q)
     gen, idx = _cube_key(joint.argmax_cube)
     joint_rows = [(ctx.setup.p, ctx.setup.q, joint.supremum, gen, idx,
                    ";".join(sorted(joint.flags)))]
     assertions = [
         _assertion("characteristics-finite",
-                   all(math.isfinite(float(r[2])) for r in rows),
+                   all(math.isfinite(float(r[2])) for r in rows) and not overflow,
                    hard=True,
                    detail="surrogate characteristics are finite on the lattice"),
     ]

@@ -11,8 +11,8 @@ makes a small enclosing cube from the family exist.
 
 Generations run j = 0 (whole domain) through j = m (single cells).
 Canonical-grid cubes are lattice-aligned boxes; shifted cubes generally
-are not, and integrals over them use the exact fractional-cell queries
-from the lattice module.
+are not, and integrals over them are weighted sums over the cells and
+overlap volumes that lattice.box_cells gives for each torus piece.
 
 A canonical cube family is held as its per-generation tables: entry
 [index] of the generation-j table belongs to cube (j, index), and no
@@ -49,9 +49,6 @@ class DyadicGrid:
     @property
     def is_canonical(self) -> bool:
         return all(s == 0.0 for s in self.shift)
-
-    def generation_count(self) -> int:
-        return self.domain.m + 1
 
     def sidelength(self, generation: int) -> float:
         return self.domain.width * 2.0 ** (-generation)
@@ -303,12 +300,14 @@ def cube_average(f: SampledFunction, cube: DyadicCube) -> complex:
     return cube_integral(f, cube) / cube.volume
 
 
-def _generation_mean(dom: LatticeDomain, arr: np.ndarray, generation: int) -> np.ndarray:
-    """Table of the means of a cell array over the canonical generation-j cubes."""
-    cells = 2 ** (dom.m - generation)
-    if dom.d == 1:
-        return arr.reshape(2**generation, cells).mean(axis=1)
+def _generation_mean(arr: np.ndarray, generation: int) -> np.ndarray:
+    """Table of the means of a square cell block over its generation-j
+    subcubes: entry [index] is the mean over subcube (j, index), counted
+    from the block's own corner.  The whole domain is one such block."""
     g = 2**generation
+    cells = arr.shape[0] // g
+    if arr.ndim == 1:
+        return arr.reshape(g, cells).mean(axis=1)
     return arr.reshape(g, cells, g, cells).mean(axis=(1, 3))
 
 
@@ -317,7 +316,7 @@ def generation_averages(f: SampledFunction, generation: int, absolute: bool = Fa
     dom = f.domain
     if not (0 <= generation <= dom.m):
         raise ValueError(f"generation must be in [0, {dom.m}]")
-    return _generation_mean(dom, np.abs(f.values) if absolute else f.values, generation)
+    return _generation_mean(np.abs(f.values) if absolute else f.values, generation)
 
 
 def _broadcast_generation(dom: LatticeDomain, table: np.ndarray, generation: int) -> np.ndarray:

@@ -12,13 +12,12 @@ Conventions shared by every module in the package:
   are integrals of that piecewise-constant function, so quadrature
   identities (additivity, exactness on indicators) hold exactly rather
   than approximately.
-* Integrals over boxes are O(1) prefix-table queries.  Prefix tables are
-  accumulated in extended precision and rounded to working precision
-  once, so a box split into aligned halves recombines to the unsplit
+* The integral over a box is a weighted sum of cell values: box_cells
+  resolves the box to the cells it meets and their overlap volumes, so
+  endpoint cells of a misaligned box contribute fractionally and the
+  integral of the piecewise-constant function stays exact.  Boxes are
+  half-open.  A box split into aligned halves recombines to the unsplit
   value at the 1e-12 relative level.
-* Boxes are half-open.  Lattice-aligned boxes take the pure prefix
-  path; arbitrary boxes are still integrated exactly (endpoint cells
-  contribute fractionally to the piecewise-constant integral).
 """
 
 from __future__ import annotations
@@ -33,9 +32,8 @@ MAX_CELLS = 2**28
 # Snap tolerance for box endpoints, in units of h.
 _ALIGN_TOL = 1e-9
 
-# Extended-precision accumulators for prefix builds (80-bit on x86).
+# Extended-precision accumulator for norms (80-bit on x86).
 _ACC_REAL = np.longdouble
-_ACC_COMPLEX = np.clongdouble
 
 
 @dataclass(frozen=True)
@@ -150,39 +148,24 @@ class Box:
         return Box(lo, hi)
 
 
-def _padded_prefix_1d(v: np.ndarray) -> np.ndarray:
-    acc_dtype = _ACC_COMPLEX if np.iscomplexobj(v) else _ACC_REAL
-    out = np.zeros(v.shape[0] + 1, dtype=v.dtype)
-    out[1:] = np.cumsum(v.astype(acc_dtype)).astype(v.dtype)
-    return out
-
-
-def _padded_prefix_2d(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full rectangle table plus row/column partials for fractional queries."""
-    acc_dtype = _ACC_COMPLEX if np.iscomplexobj(v) else _ACC_REAL
-    n0, n1 = v.shape
-    acc = v.astype(acc_dtype)
-    row_acc = np.cumsum(acc, axis=1)
-    full = np.zeros((n0 + 1, n1 + 1), dtype=v.dtype)
-    full[1:, 1:] = np.cumsum(row_acc, axis=0).astype(v.dtype)
-    row = np.zeros((n0, n1 + 1), dtype=v.dtype)
-    row[:, 1:] = row_acc.astype(v.dtype)
-    col = np.zeros((n0 + 1, n1), dtype=v.dtype)
-    col[1:, :] = np.cumsum(acc, axis=0).astype(v.dtype)
-    return full, row, col
-
-
-def _split_coord(domain: LatticeDomain, x: float) -> tuple[int, float]:
-    g = domain.grid_coord(x)
-    i = int(np.floor(g))
-    t = g - i
-    if i == domain.n:
-        i, t = domain.n, 0.0
-    return i, t
+def box_cells(domain: LatticeDomain, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the cells the box [lo, hi) meets, with the volume of
+    each cell's overlap with the box."""
+    idx = np.zeros(1, dtype=np.int64)
+    vol = np.ones(1)
+    for ax in range(domain.d):
+        g0 = domain.grid_coord(lo[ax])
+        g1 = domain.grid_coord(hi[ax])
+        k = np.arange(int(np.floor(g0)), min(int(np.ceil(g1)), domain.n))
+        w = np.minimum(k + 1.0, g1) - np.maximum(k, g0)
+        keep = w > 0.0
+        idx = (idx[:, None] * domain.n + k[keep][None, :]).reshape(-1)
+        vol = (vol[:, None] * (w[keep] * domain.h)[None, :]).reshape(-1)
+    return idx, vol
 
 
 class SampledFunction:
-    """Cell values on a LatticeDomain plus cached prefix tables."""
+    """Cell values on a LatticeDomain."""
 
     def __init__(self, domain: LatticeDomain, values: np.ndarray):
         values = np.asarray(values)
@@ -193,7 +176,6 @@ class SampledFunction:
         dtype = np.complex128 if np.iscomplexobj(values) else np.float64
         self.domain = domain
         self.values = values.astype(dtype)
-        self._prefix = None
 
     @property
     def is_complex(self) -> bool:
@@ -204,16 +186,6 @@ class SampledFunction:
 
     def abs(self) -> "SampledFunction":
         return SampledFunction(self.domain, np.abs(self.values))
-
-    # -- prefix machinery -------------------------------------------------
-
-    def _tables(self):
-        if self._prefix is None:
-            if self.domain.d == 1:
-                self._prefix = (_padded_prefix_1d(self.values),)
-            else:
-                self._prefix = _padded_prefix_2d(self.values)
-        return self._prefix
 
     # -- queries -----------------------------------------------------------
 
@@ -227,56 +199,8 @@ class SampledFunction:
         for a, b in zip(lo, hi):
             if b < a:
                 raise ValueError("need hi >= lo per axis")
-        if np.any(hi == lo):
-            return 0.0
-        ends = [( _split_coord(dom, lo[ax]), _split_coord(dom, hi[ax])) for ax in range(dom.d)]
-        if dom.d == 1:
-            (i0, t0), (i1, t1) = ends[0]
-            p = self._tables()[0]
-            v = self.values
-            out = p[i1] - p[i0]
-            if t1 > 0.0:
-                out = out + t1 * v[i1]
-            if t0 > 0.0:
-                out = out - t0 * v[i0]
-            return out * dom.h
-        full, row, col = self._tables()
-        v = self.values
-
-        def corner(i, s, j, t):
-            # Integral over [0, i+s) x [0, j+t) in cell units.
-            out = full[i, j]
-            if s > 0.0:
-                out = out + s * row[i, j]
-            if t > 0.0:
-                out = out + t * col[i, j]
-            if s > 0.0 and t > 0.0:
-                out = out + s * t * v[i, j]
-            return out
-
-        (i0, s0), (i1, s1) = ends[0]
-        (j0, t0), (j1, t1) = ends[1]
-        total = (
-            corner(i1, s1, j1, t1)
-            - corner(i0, s0, j1, t1)
-            - corner(i1, s1, j0, t0)
-            + corner(i0, s0, j0, t0)
-        )
-        return total * dom.h**2
-
-    def box_integral(self, box: Box) -> complex:
-        spans = self.domain.cell_span(box)
-        lo = [-self.domain.L + s[0] * self.domain.h for s in spans]
-        hi = [-self.domain.L + s[1] * self.domain.h for s in spans]
-        return self.interval_integral(lo, hi)
-
-    def box_average(self, box: Box) -> complex:
-        return self.box_integral(box) / box.volume
-
-    def total_integral(self) -> complex:
-        lo = [-self.domain.L] * self.domain.d
-        hi = [self.domain.L] * self.domain.d
-        return self.interval_integral(lo, hi)
+        idx, w = box_cells(dom, lo, hi)
+        return np.sum(w * self.values.reshape(-1)[idx])
 
 
 def indicator(domain: LatticeDomain, box: Box) -> SampledFunction:

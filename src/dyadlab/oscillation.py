@@ -43,7 +43,7 @@ import numpy as np
 
 from dyadlab import dyadic
 from dyadlab.dyadic import _broadcast_generation, _generation_mean
-from dyadlab.lattice import Box, LatticeDomain, SampledFunction
+from dyadlab.lattice import Box, LatticeDomain, SampledFunction, box_cells
 from dyadlab.weights import ExponentSetup, Weight
 
 _GEN_FLOOR_CELLS = 4  # profile curves stop at cubes of side 4h
@@ -52,44 +52,16 @@ _GEN_FLOOR_CELLS = 4  # profile curves stop at cubes of side 4h
 # -- region resolution -------------------------------------------------------
 
 
-def _axis_overlaps(dom: LatticeDomain, lo: float, hi: float):
-    g0 = dom.grid_coord(lo)
-    g1 = dom.grid_coord(hi)
-    i0 = int(math.floor(g0))
-    i1 = int(math.ceil(g1))
-    idx = np.arange(i0, min(i1, dom.n))
-    w = np.minimum(idx + 1.0, g1) - np.maximum(idx, g0)
-    keep = w > 0.0
-    return idx[keep], w[keep] * dom.h
-
 def region_cells(domain: LatticeDomain, region) -> tuple[np.ndarray, np.ndarray]:
     """Resolve a region to (flat cell indices, per-cell volume weights)."""
     if isinstance(region, dyadic.DyadicCube):
         if region.grid.is_canonical:
             idx = region.flat_cells()
             return idx, np.full(idx.size, domain.cell_volume)
-        pieces = region.pieces()
-        all_idx, all_w = [], []
-        for lo, hi in pieces:
-            per_axis = [_axis_overlaps(domain, lo[ax], hi[ax]) for ax in range(domain.d)]
-            if domain.d == 1:
-                all_idx.append(per_axis[0][0])
-                all_w.append(per_axis[0][1])
-            else:
-                r_idx, r_w = per_axis[0]
-                c_idx, c_w = per_axis[1]
-                flat = (r_idx[:, None] * domain.n + c_idx[None, :]).reshape(-1)
-                all_idx.append(flat)
-                all_w.append(np.outer(r_w, c_w).reshape(-1))
-        return np.concatenate(all_idx), np.concatenate(all_w)
+        idx, w = zip(*(box_cells(domain, lo, hi) for lo, hi in region.pieces()))
+        return np.concatenate(idx), np.concatenate(w)
     if isinstance(region, Box):
-        per_axis = [_axis_overlaps(domain, region.lo[ax], region.hi[ax]) for ax in range(domain.d)]
-        if domain.d == 1:
-            return per_axis[0][0], per_axis[0][1]
-        r_idx, r_w = per_axis[0]
-        c_idx, c_w = per_axis[1]
-        flat = (r_idx[:, None] * domain.n + c_idx[None, :]).reshape(-1)
-        return flat, np.outer(r_w, c_w).reshape(-1)
+        return box_cells(domain, region.lo, region.hi)
     arr = np.asarray(region)
     if arr.dtype == bool:
         idx = np.flatnonzero(arr.reshape(-1))
@@ -155,17 +127,17 @@ def _generation_oscillations(
     """Vectorized osc_r over all canonical generation-j cubes."""
     dom = b.domain
     vol = (dom.width * 2.0**-generation) ** dom.d
-    mean = _broadcast_generation(dom, _generation_mean(dom, b.values, generation), generation)
+    mean = _broadcast_generation(dom, _generation_mean(b.values, generation), generation)
     dev = np.abs(b.values - mean)
     if nu is None:
         nu_mass = np.full((2**generation,) * dom.d, vol)
-        inner_avg = _generation_mean(dom, dev if r == 1.0 else dev**r, generation)
+        inner_avg = _generation_mean(dev if r == 1.0 else dev**r, generation)
     else:
-        nu_mass = _generation_mean(dom, nu.values, generation) * vol
+        nu_mass = _generation_mean(nu.values, generation) * vol
         if r == 1.0:
-            inner_avg = _generation_mean(dom, dev, generation)
+            inner_avg = _generation_mean(dev, generation)
         else:
-            inner_avg = _generation_mean(dom, (dev / nu.values) ** r * nu.values, generation)
+            inner_avg = _generation_mean((dev / nu.values) ** r * nu.values, generation)
     integral = inner_avg * vol
     if r == 1.0:
         inner = integral / nu_mass
@@ -179,10 +151,10 @@ def _generation_two_weight(
 ) -> np.ndarray:
     dom = b.domain
     vol = (dom.width * 2.0**-generation) ** dom.d
-    mean = _broadcast_generation(dom, _generation_mean(dom, b.values, generation), generation)
-    dev_int = _generation_mean(dom, np.abs(b.values - mean), generation) * vol
-    mu_mass = _generation_mean(dom, mu.power(setup.p).values, generation) * vol
-    lam_mass = _generation_mean(dom, lam.power(-setup.q_prime).values, generation) * vol
+    mean = _broadcast_generation(dom, _generation_mean(b.values, generation), generation)
+    dev_int = _generation_mean(np.abs(b.values - mean), generation) * vol
+    mu_mass = _generation_mean(mu.power(setup.p).values, generation) * vol
+    lam_mass = _generation_mean(lam.power(-setup.q_prime).values, generation) * vol
     return dev_int / (mu_mass ** (1.0 / setup.p) * lam_mass ** (1.0 / setup.q_prime))
 
 

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from dyadlab import dyadic
+from dyadlab.dyadic import _generation_mean
 from dyadlab.lattice import SampledFunction
 from dyadlab.weights import Weight
 
@@ -56,10 +57,6 @@ class SparseEntry:
     cube: dyadic.DyadicCube
     core: np.ndarray  # sorted flat cell indices of E
 
-    @property
-    def core_fraction(self) -> float:
-        return self.core.size / self.cube.flat_cells().size
-
 
 @dataclass
 class SparseFamily:
@@ -72,9 +69,6 @@ class SparseFamily:
 
     def __iter__(self):
         return iter(self.entries)
-
-    def cubes(self) -> list:
-        return [e.cube for e in self.entries]
 
 
 @dataclass
@@ -110,35 +104,39 @@ def is_sparse(family: SparseFamily, gamma: float | None = None) -> SparseVerdict
 
 
 def cz_augment(b: SampledFunction, root: dyadic.DyadicCube) -> SparseFamily:
-    """Stopping-time family for b below root; 1/2-sparse by construction."""
+    """Stopping-time family for b below root; 1/2-sparse by construction.
+
+    For each stopping cube Q the subcube means of |b - <b>_Q| are read off
+    generation tables of Q's cell block, coarse to fine; a subcube is
+    selected when its mean exceeds LAMBDA * base and no selected cube lies
+    above it.  Selected cubes are queued in (generation, index) order."""
     if not root.grid.is_canonical:
         raise ValueError("cz_augment needs a canonical root cube")
-    m = b.domain.m
-    b_flat = b.values.reshape(-1)
-    dev = np.empty(b_flat.size)  # |b - <b>_Q|, refilled on each Q's cells
+    m, d = b.domain.m, b.domain.d
     entries = []
     queue = deque([root])
     while queue:
         cube = queue.popleft()
         cells = cube.flat_cells()
-        dev[cells] = np.abs(b_flat[cells] - b_flat[cells].mean())
-        base = dev[cells].mean()
-        selected: list = []
-        if base > 0.0 and cube.generation < m:
-            stack = list(cube.children())
-            while stack:
-                child = stack.pop()
-                if dev[child.flat_cells()].mean() > LAMBDA * base:
-                    selected.append(child)
-                elif child.generation < m:
-                    stack.extend(child.children())
-        if selected:
-            removed = np.concatenate([p.flat_cells() for p in selected])
-            core = np.setdiff1d(cells, removed)
-            selected.sort(key=lambda c: (c.generation, c.index))
-            queue.extend(selected)
-        else:
-            core = cells
+        block = b.values[tuple(slice(lo, hi) for lo, hi in cube.cell_span())]
+        flat = block.reshape(-1)
+        dev = np.abs(flat - flat.mean())
+        base = dev.mean()
+        dev = dev.reshape(block.shape)
+        core = cells
+        if base > 0.0:
+            covered = np.zeros((1,) * d, dtype=bool)  # subcubes under a selected cube
+            for k in range(1, m - cube.generation + 1):
+                for ax in range(d):
+                    covered = covered.repeat(2, axis=ax)
+                hit = (_generation_mean(dev, k) > LAMBDA * base) & ~covered
+                corner = np.array(cube.index) * 2**k
+                queue.extend(
+                    cube.grid.cube(cube.generation + k, tuple(corner + offset))
+                    for offset in np.argwhere(hit)
+                )
+                covered |= hit
+            core = cells[~covered.reshape(-1)]
         entries.append(SparseEntry(cube, core))
     return SparseFamily(entries, gamma=0.5, grid_id=root.grid.grid_id)
 

@@ -92,9 +92,10 @@ class ExponentSetup:
         return 1.0 + 1.0 / self.t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Weight:
-    """Positive cell weight; powers are taken in log space."""
+    """Positive cell weight; powers are taken in log space.  Weights
+    compare by identity: their fields are arrays."""
 
     domain: LatticeDomain
     values: np.ndarray
@@ -177,6 +178,8 @@ def make_weight(domain: LatticeDomain, spec: dict) -> Weight:
             logw = logw + a * np.cos(np.pi * k * proj / domain.L + phase)
         tag = f"logsmooth[{seed}]"
     values = np.exp(logw)
+    if not (np.all(np.isfinite(values)) and np.all(values > 0.0)):
+        raise ValueError(f"weight {tag} leaves the floating-point range")
     return Weight(domain, values, logw, tag=tag, spec=tuple(sorted(spec.items())))
 
 
@@ -276,20 +279,19 @@ def bloom_weight(mu: Weight, lam: Weight, setup: ExponentSetup) -> Weight:
 
 
 def membership_surrogate(w: Weight, p: float, rel_tol: float = 0.10) -> dict:
-    """Finite characteristic, stable within rel_tol under one coarsening."""
+    """Finite characteristic, stable within rel_tol under one coarsening;
+    "overflow" is set when a characteristic was clipped at 1e300."""
     fine = apq_characteristic(w, w, p, p)
     coarse_w = w.coarsen()
     coarse = apq_characteristic(coarse_w, coarse_w, p, p)
     drift = abs(fine.supremum - coarse.supremum) / max(fine.supremum, coarse.supremum)
-    ok = (
-        math.isfinite(fine.supremum)
-        and "overflow" not in fine.flags
-        and drift <= rel_tol
-    )
+    overflow = "overflow" in fine.flags | coarse.flags
+    ok = math.isfinite(fine.supremum) and not overflow and drift <= rel_tol
     return {
         "characteristic": fine.supremum,
         "coarse_characteristic": coarse.supremum,
         "drift": drift,
+        "overflow": overflow,
         "ok": ok,
     }
 

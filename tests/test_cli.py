@@ -59,6 +59,33 @@ def test_bad_configs_exit_2(tmp_path, cfg):
     assert cli.run(write_config(tmp_path, cfg), out_dir=tmp_path / "out") == 2
 
 
+def test_non_finite_numbers_exit_2_naming_the_key(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text(
+        '{"experiment": "weights-check", "domain": {"d": 1, "m": 6},'
+        ' "weights": {"mu": {"kind": "logsmooth", "amplitude": NaN}}}',
+        encoding="utf-8",
+    )
+    assert cli.run(str(path), out_dir=tmp_path / "out") == 2
+    assert "weights.mu.amplitude" in capsys.readouterr().err
+    cfg = {"experiment": "bmo-compute", "domain": {"d": 1, "m": 6},
+           "symbols": [{"id": "x", "terms": [{"kind": "abs_power",
+                                              "exponent": float("-inf")}]}]}
+    assert cli.run(cfg, out_dir=tmp_path / "out") == 2
+    assert "symbols[0].terms[0].exponent" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", ["weights-check", "bloom-verify"])
+def test_overflowing_weight_spec_exits_2(tmp_path, capsys, experiment):
+    cfg = {
+        "experiment": experiment,
+        "domain": {"d": 1, "m": 8},
+        "weights": {"mu": {"kind": "logsmooth", "amplitude": 2000.0}},
+    }
+    assert cli.run(cfg, out_dir=tmp_path / "out") == 2
+    assert "bad weight spec" in capsys.readouterr().err
+
+
 def test_kernel_dimension_mismatch_exits_2(tmp_path):
     cfg = {
         "experiment": "commutator-sweep",
@@ -103,6 +130,18 @@ def test_weights_check_divergence_is_flag_not_failure(tmp_path):
     header, rows = read_csv(out / "weights.csv")
     mu_row = dict(zip(header, rows[0]))
     assert mu_row["ok"] == "False"
+
+
+def test_weights_check_clipped_characteristic_fails(tmp_path, capsys):
+    # mu^{-p'} = |x|^{-202} at p = 1.01 is clipped at 1e300 near the origin.
+    cfg = {
+        "experiment": "weights-check",
+        "domain": {"d": 1, "m": 8},
+        "exponents": {"p": 1.01, "q": 2.0},
+        "weights": {"mu": {"kind": "power", "beta": 2.0}, "lambda": {"kind": "unit"}},
+    }
+    assert cli.run(cfg, out_dir=tmp_path / "out") == 1
+    assert "first failure: characteristics-finite" in capsys.readouterr().err
 
 
 def test_dict_config_and_seed_override(tmp_path):

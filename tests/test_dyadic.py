@@ -36,7 +36,7 @@ class TestGridGeometry:
     def test_generation_partitions_domain(self):
         dom = LatticeDomain(1, 5, 1.0)
         f = random_function(dom, 3)
-        total = f.total_integral()
+        total = f.interval_integral([-dom.L] * dom.d, [dom.L] * dom.d)
         for grid in grids(dom):
             for j in (0, 2, 4):
                 parts = sum(cube_integral(f, grid.cube(j, (k,))) for k in range(2**j))
@@ -45,7 +45,7 @@ class TestGridGeometry:
     def test_generation_partitions_domain_2d(self):
         dom = LatticeDomain(2, 3, 1.0)
         f = random_function(dom, 8)
-        total = f.total_integral()
+        total = f.interval_integral([-dom.L] * dom.d, [dom.L] * dom.d)
         for grid in (grids(dom)[0], grids(dom)[4], grids(dom)[8]):
             j = 2
             parts = sum(

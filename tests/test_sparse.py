@@ -1,8 +1,12 @@
 """Sparse families: construction, verification, model operators,
 splitting, and the embedding ratios."""
 
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyadlab import dyadic, sparse
 from dyadlab.lattice import LatticeDomain, SampledFunction
@@ -149,6 +153,77 @@ def test_cz_two_dimensional_domination():
     fam = sparse.cz_augment(b, root)
     assert sparse.is_sparse(fam).ok
     assert domination_ratio(b, root, fam) <= sparse.cz_constant(2)
+
+
+def cz_augment_oracle(b, root):
+    """Reference stopping-time family: the DyadicCube.children() stack walk
+    cz_augment had before it read subcube means off generation tables.
+    Returns (cube, core) pairs in queue order."""
+    m = b.domain.m
+    b_flat = b.values.reshape(-1)
+    dev = np.empty(b_flat.size)
+    entries = []
+    queue = deque([root])
+    while queue:
+        cube = queue.popleft()
+        cells = cube.flat_cells()
+        dev[cells] = np.abs(b_flat[cells] - b_flat[cells].mean())
+        base = dev[cells].mean()
+        selected = []
+        if base > 0.0 and cube.generation < m:
+            stack = list(cube.children())
+            while stack:
+                child = stack.pop()
+                if dev[child.flat_cells()].mean() > sparse.LAMBDA * base:
+                    selected.append(child)
+                elif child.generation < m:
+                    stack.extend(child.children())
+        if selected:
+            removed = np.concatenate([p.flat_cells() for p in selected])
+            core = np.setdiff1d(cells, removed)
+            selected.sort(key=lambda c: (c.generation, c.index))
+            queue.extend(selected)
+        else:
+            core = cells
+        entries.append((cube, core))
+    return entries
+
+
+@st.composite
+def cz_cases(draw):
+    d = draw(st.sampled_from((1, 2)))
+    m = draw(st.integers(2, 6))
+    dom = LatticeDomain(d=d, m=m, L=1.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("real", "complex", "piecewise", "constant")))
+    if kind == "real":
+        values = rng.standard_normal(dom.shape)
+    elif kind == "complex":
+        values = rng.standard_normal(dom.shape) + 1j * rng.standard_normal(dom.shape)
+    elif kind == "piecewise":
+        # Small-integer levels on the cubes of one generation keep every
+        # mean exact, so exact ties at LAMBDA * base occur and both
+        # summation orders must break them the same way.
+        j = draw(st.integers(0, m))
+        levels = rng.integers(-3, 4, size=(2**j,) * d).astype(float)
+        values = dyadic._broadcast_generation(dom, levels, j)
+    else:
+        values = np.full(dom.shape, draw(st.floats(-10.0, 10.0)))
+    g = draw(st.integers(0, m))
+    index = tuple(draw(st.integers(0, 2**g - 1)) for _ in range(d))
+    return SampledFunction(dom, values), dyadic.canonical_grid(dom).cube(g, index)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=cz_cases())
+def test_cz_matches_children_walk_oracle(case):
+    b, root = case
+    fam = sparse.cz_augment(b, root)
+    want = cz_augment_oracle(b, root)
+    assert [e.cube for e in fam.entries] == [cube for cube, _ in want]
+    for e, (_, core) in zip(fam.entries, want):
+        assert e.core.dtype == core.dtype
+        np.testing.assert_array_equal(e.core, core)
 
 
 def test_augmentation_ratio_matches_local_oracle(dom, unit_root):

@@ -244,6 +244,13 @@ class TestWeightType:
         with pytest.raises(ValueError):
             as_weight(SampledFunction(dom, vals))
 
+    def test_compares_by_identity(self):
+        dom = LatticeDomain(1, 4, 1.0)
+        w = make_weight(dom, {"kind": "unit"})
+        assert w == w
+        assert w != make_weight(dom, {"kind": "unit"})
+        assert len({w, make_weight(dom, {"kind": "unit"})}) == 2
+
     def test_coarsen_resamples_spec(self):
         dom = LatticeDomain(1, 6, 1.0)
         w = make_weight(dom, {"kind": "power", "beta": 0.3})
