@@ -5,7 +5,8 @@ and symbol specs from the catalogs, optionally a kernel, and one of the
 eight experiment ids.  `run` executes the experiment, writes one CSV
 per result table plus a summary.json with per-assertion pass/fail, and
 returns 0 only if every hard assertion passed (1 on assertion failure
-with the first failure echoed, 2 on an unusable config).  `sweep`
+with the first failure echoed, 2 on an unusable config, 3 on a numerical
+failure such as a solver missing its tolerance).  `sweep`
 repeats the experiment along one axis -- m, p, q, pq, or symbol -- one
 row per point with row-level status; points run concurrently under a
 worker cap but every file is written from the coordinating thread.
@@ -32,7 +33,7 @@ import numpy as np
 
 from dyadlab import dyadic, normest, oscillation, sparse
 from dyadlab.lattice import LatticeDomain, SampledFunction, sample_symbol
-from dyadlab.operators import assemble, make_kernel
+from dyadlab.operators import Convolution, NumericalError, make_kernel
 from dyadlab.weights import (
     ExponentSetup,
     apq_characteristic,
@@ -109,6 +110,8 @@ def _assertion(name: str, ok: bool, hard: bool = True, detail: str = "") -> dict
 def _load(config) -> dict:
     if isinstance(config, dict):
         return copy.deepcopy(config)
+    if not isinstance(config, (str, os.PathLike)):
+        raise ConfigError(f"config must be a mapping or a path, got {type(config).__name__}")
     path = Path(config)
     try:
         text = path.read_text(encoding="utf-8")
@@ -135,6 +138,16 @@ def _reject_non_finite(value, path: str) -> None:
             _reject_non_finite(item, f"{path}[{i}]")
 
 
+def _section(cfg: dict, key: str) -> dict:
+    """A copy of the mapping under `key`; absent or null reads as empty."""
+    value = cfg.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a mapping, got {type(value).__name__}")
+    return dict(value)
+
+
 def _build_context(cfg: dict) -> RunContext:
     """Resolve a validated config into live objects; ConfigError on anything off."""
     if not isinstance(cfg, dict):
@@ -150,7 +163,7 @@ def _build_context(cfg: dict) -> RunContext:
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}; choose from {EXPERIMENTS}")
 
-    dom_spec = dict(cfg.get("domain") or {})
+    dom_spec = _section(cfg, "domain")
     try:
         domain = LatticeDomain(
             d=int(dom_spec.pop("d", 1)),
@@ -162,7 +175,7 @@ def _build_context(cfg: dict) -> RunContext:
     if dom_spec:
         raise ConfigError(f"unknown domain keys: {sorted(dom_spec)}")
 
-    exp_spec = dict(cfg.get("exponents") or {})
+    exp_spec = _section(cfg, "exponents")
     try:
         setup = ExponentSetup(
             p=float(exp_spec.pop("p", 2.0)), q=float(exp_spec.pop("q", 2.0)), d=domain.d
@@ -172,7 +185,7 @@ def _build_context(cfg: dict) -> RunContext:
     if exp_spec:
         raise ConfigError(f"unknown exponent keys: {sorted(exp_spec)}")
 
-    w_spec = dict(cfg.get("weights") or {})
+    w_spec = _section(cfg, "weights")
     mu_spec = w_spec.pop("mu", {"kind": "unit"})
     lam_spec = w_spec.pop("lambda", {"kind": "unit"})
     if w_spec:
@@ -185,7 +198,10 @@ def _build_context(cfg: dict) -> RunContext:
 
     symbols = []
     seen = set()
-    for entry in cfg.get("symbols") or []:
+    symbol_specs = cfg.get("symbols") or []
+    if not isinstance(symbol_specs, list):
+        raise ConfigError("symbols must be a list")
+    for entry in symbol_specs:
         if not isinstance(entry, dict) or "id" not in entry or "terms" not in entry:
             raise ConfigError("each symbol needs an 'id' and 'terms'")
         sid = str(entry["id"])
@@ -201,7 +217,7 @@ def _build_context(cfg: dict) -> RunContext:
 
     kernel = None
     if cfg.get("kernel") is not None:
-        k_spec = dict(cfg["kernel"])
+        k_spec = _section(cfg, "kernel")
         variant = k_spec.pop("variant", None)
         if variant == "custom":
             raise ConfigError("custom kernels need a Python evaluator; not configurable")
@@ -222,9 +238,7 @@ def _build_context(cfg: dict) -> RunContext:
     ):
         raise ConfigError("seeds must be a list of integers")
 
-    params = cfg.get("params") or {}
-    if not isinstance(params, dict):
-        raise ConfigError("params must be a mapping")
+    params = _section(cfg, "params")
 
     return RunContext(
         experiment=experiment,
@@ -235,11 +249,26 @@ def _build_context(cfg: dict) -> RunContext:
         symbols=symbols,
         kernel=kernel,
         seeds=tuple(seeds),
-        params=dict(params),
+        params=params,
     )
 
 
 # -- experiments ---------------------------------------------------------------
+
+
+def _param(ctx: RunContext, key: str, default, cast):
+    """params[key] (or the default) through cast; a rejected value is a
+    ConfigError naming the key."""
+    try:
+        return cast(ctx.params.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"params.{key}: {exc}") from exc
+
+
+def _numbers(value) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"need a list of numbers, got {type(value).__name__}")
+    return tuple(float(v) for v in value)
 
 
 def _cube_key(cube) -> tuple:
@@ -318,7 +347,7 @@ def _exp_bmo_compute(ctx: RunContext) -> ExperimentResult:
     for sid, b in ctx.symbols:
         rep = oscillation.bmo_norm(
             b, mode="fractional", mu=ctx.mu, lam=ctx.lam, setup=ctx.setup,
-            r=float(ctx.params.get("r", 1.0)),
+            r=_param(ctx, "r", 1.0, float),
         )
         gen, idx = _cube_key(rep.argmax_cube)
         rows.append((sid, rep.mode, rep.supremum, gen, idx))
@@ -336,7 +365,7 @@ def _exp_bmo_compute(ctx: RunContext) -> ExperimentResult:
 
 
 def _exp_jn_verify(ctx: RunContext) -> ExperimentResult:
-    r = float(ctx.params.get("r", 2.0))
+    r = _param(ctx, "r", 2.0, float)
     grid = dyadic.canonical_grid(ctx.domain)
     root = grid.cube(1, (1,) * ctx.domain.d)  # [0, L)^d: origin on the boundary
     bound = sparse.cz_constant(ctx.domain.d)
@@ -407,11 +436,11 @@ def _exp_sparse_dominate(ctx: RunContext) -> ExperimentResult:
 
 
 def _exp_commutator_sweep(ctx: RunContext) -> ExperimentResult:
-    op = assemble(ctx.kernel, ctx.domain)
+    op = Convolution(ctx.kernel, ctx.domain)
     sweep_rows = normest.bmo_vs_norm_sweep(
         ctx.symbols, op, ctx.mu, ctx.lam, ctx.setup,
-        budget=int(ctx.params.get("budget", 8)),
-        probe_generation=int(ctx.params.get("probe_generation", 3)),
+        budget=_param(ctx, "budget", 8, int),
+        probe_generation=_param(ctx, "probe_generation", 3, int),
     )
     rows, assertions, headline = [], [], {}
     for row in sweep_rows:
@@ -439,10 +468,11 @@ def _exp_commutator_sweep(ctx: RunContext) -> ExperimentResult:
 
 
 def _exp_compactness_profile(ctx: RunContext) -> ExperimentResult:
-    eps_list = tuple(float(e) for e in ctx.params.get(
-        "eps_list", (0.5, 0.25, 0.125, 0.0625, 0.03125)))
-    k_list = tuple(float(k) for k in ctx.params.get("k_list", (1.0, 2.0, 4.0, 8.0)))
-    budget = int(ctx.params.get("budget", 8))
+    eps_list = _param(ctx, "eps_list", (0.5, 0.25, 0.125, 0.0625, 0.03125), _numbers)
+    if not eps_list:
+        raise ConfigError("params.eps_list must not be empty")
+    k_list = _param(ctx, "k_list", (1.0, 2.0, 4.0, 8.0), _numbers)
+    budget = _param(ctx, "budget", 8, int)
     tail_rows, sparse_rows, flags, headline = [], [], [], {}
     for sid, b in ctx.symbols:
         rep = normest.compactness_profile(
@@ -473,7 +503,7 @@ def _exp_compactness_profile(ctx: RunContext) -> ExperimentResult:
 def _exp_vmo_witness(ctx: RunContext) -> ExperimentResult:
     nu = bloom_weight(ctx.mu, ctx.lam, ctx.setup)
     alpha = ctx.setup.alpha
-    r = float(ctx.params.get("r", 1.0))
+    r = _param(ctx, "r", 1.0, float)
     profile_rows, distance_rows, witness_rows = [], [], []
     assertions, flags = [], []
     for sid, b in ctx.symbols:
@@ -486,11 +516,11 @@ def _exp_vmo_witness(ctx: RunContext) -> ExperimentResult:
         distance_rows.extend((sid, rad, d) for rad, d in zip(prof.radii, prof.distance))
         witness = oscillation.vmo_witness(
             b, nu, alpha,
-            c0=float(ctx.params.get("c0", 0.5)),
+            c0=_param(ctx, "c0", 0.5, float),
             mode=ctx.params.get("mode"),
             r=r,
-            theta=float(ctx.params.get("theta", 0.125)),
-            min_pairs=int(ctx.params.get("min_pairs", 2)),
+            theta=_param(ctx, "theta", 0.125, float),
+            min_pairs=_param(ctx, "min_pairs", 2, int),
         )
         if witness is None:
             witness_rows.append((sid, "none", "", "", "", "", ""))
@@ -593,7 +623,8 @@ def _resolve_out(cfg: dict, out_dir, default_leaf: str) -> Path:
 
 
 def run(config, out_dir=None, seed=None, workers=None) -> int:
-    """Execute one experiment; 0 pass / 1 hard-assertion failure / 2 bad config."""
+    """Execute one experiment; 0 pass / 1 hard-assertion failure / 2 bad config /
+    3 numerical failure (a solver or identity check, never the config)."""
     del workers  # accepted for CLI symmetry; single runs are serial
     try:
         cfg = _load(config)
@@ -611,6 +642,9 @@ def run(config, out_dir=None, seed=None, workers=None) -> int:
         # are configuration mistakes, not assertion failures.
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except NumericalError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 3
     for a in result.assertions:
         kind = "hard" if a["hard"] else "soft"
         print(f"{'PASS' if a['ok'] else 'FAIL'} [{kind}] {a['name']}: {a['detail']}")

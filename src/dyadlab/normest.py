@@ -1,12 +1,17 @@
 """Weighted operator-norm estimation and commutator lower-bound probes.
 
 Norms follow the multiplier convention throughout: |f|_{p,mu} is the
-L^p norm of f*mu.  At p = q = 2 the weighted norm ratio equals the
-spectral norm of D_lam A D_mu^{-1} exactly, so that path is an svd.
-Every other exponent pair runs a multi-start ascent on the norm ratio
-whose fixed points are the stationary points of the Lagrangian; the
-returned value is always a certified lower bound (a witness function
-attaining it is part of the estimate and is re-checked on return).
+L^p norm of f*mu.  Operators are apply/adjoint pairs (operators.Operator),
+so no solver here needs a matrix.  At p = q = 2 the weighted norm ratio
+equals the top singular value of D_lam A D_mu^{-1} exactly; that path
+computes it by Golub-Kahan-Lanczos bidiagonalization (Golub & Kahan
+1965) with full reorthogonalization, stopped when the Ritz residual
+|M* u - sigma v| falls to GKL_TOL * sigma.  Every other exponent pair
+runs a multi-start ascent on the norm ratio, Boyd's p-norm power method
+(Higham 1992), whose fixed points are the stationary points of the
+Lagrangian.  The returned value is always a certified lower bound: a
+witness function attaining it is part of the estimate and is re-checked
+on return, and a drift raises NumericalError.
 
 The separation probe pairs a cube Q with its shift by 3 sidelengths,
 where the Hilbert/Riesz kernels are sign-definite: testing the
@@ -26,12 +31,22 @@ from typing import Optional, Sequence
 import numpy as np
 
 from dyadlab import dyadic, oscillation, sparse
-from dyadlab.lattice import LatticeDomain, SampledFunction
-from dyadlab.operators import KernelSpec, OperatorMatrix, commutator_apply, commutator_matrix, decompose
+from dyadlab.lattice import SampledFunction
+from dyadlab.operators import (  # noqa: F401  (commutator_matrix: public dense oracle)
+    Commutator,
+    KernelSpec,
+    NumericalError,
+    Operator,
+    commutator_matrix,
+    split,
+)
 from dyadlab.weights import ExponentSetup, Weight
 
 ASCENT_RESTARTS = 32
 ASCENT_ITERATIONS = 200
+GKL_TOL = 1e-14
+GKL_MAX_STEPS = 256
+WITNESS_TOL = 1e-10
 
 
 class ProbeRefused(ValueError):
@@ -41,31 +56,90 @@ class ProbeRefused(ValueError):
 @dataclass
 class NormEstimate:
     value: float
-    method: str  # svd-exact | random-restart-ascent | probe
+    # svd-exact (top singular value, GKL) | random-restart-ascent | probe
+    method: str
     witness: Optional[SampledFunction]
     iterations: int
     zero_operator: bool = False
+    residual: float = float("nan")  # GKL Ritz residual |M* u - sigma v|
 
 
 def _flat_norm(flat: np.ndarray, p: float, wvals: np.ndarray, cell_volume: float) -> float:
     return float(np.sum((np.abs(flat) * wvals) ** p) * cell_volume) ** (1.0 / p)
 
 
-def _ratio(matrix, flat, p, q, muv, lamv, vol) -> float:
+def _image_ratio(flat, image, p, q, muv, lamv, vol) -> float:
+    """|image|_{q,lam} / |flat|_{p,mu}, with image = A flat already computed."""
     den = _flat_norm(flat, p, muv, vol)
     if den == 0.0:
         return 0.0
-    return _flat_norm(matrix @ flat, q, lamv, vol) / den
+    return _flat_norm(image, q, lamv, vol) / den
 
 
-def opnorm_estimate(op: OperatorMatrix, p: float, mu: Weight, q: float, lam: Weight,
+def _ratio(op: Operator, flat, p, q, muv, lamv, vol) -> float:
+    return _image_ratio(flat, op.apply(flat), p, q, muv, lamv, vol)
+
+
+def _gkl_top(apply, adjoint, start: np.ndarray):
+    """Top singular value and right vector of the map `apply` (adjoint
+    `adjoint`) by GKL.
+
+    Upper bidiagonalization M V_k = U_k B_k, M* U_k = V_k B_k^T +
+    beta_k v_{k+1} e_k^T with both bases fully reorthogonalized (two
+    Gram-Schmidt passes).  The top Ritz triple (sigma, U_k p, V_k q) of B_k
+    has M V_k q = sigma U_k p exactly and residual |M* U_k p - sigma V_k q|
+    = beta_k |p_k|.  Returns (sigma, v, residual, steps); a step that
+    loses all new direction (alpha or beta 0) ends in an invariant pair.
+    Raises NumericalError when the residual stays above GKL_TOL * sigma
+    after GKL_MAX_STEPS steps.
+    """
+    n = start.size
+    steps = min(GKL_MAX_STEPS, n)
+    us = np.zeros((steps, n), dtype=start.dtype)
+    vs = np.zeros((steps + 1, n), dtype=start.dtype)
+    vs[0] = start / np.linalg.norm(start)
+    alphas, betas = np.zeros(steps), np.zeros(steps)
+    for k in range(steps):
+        u = apply(vs[k])
+        if k:
+            u = u - betas[k - 1] * us[k - 1]
+        u = _reorthogonalize(u, us[:k])
+        alphas[k] = np.linalg.norm(u)
+        if alphas[k] > 0.0:
+            us[k] = u / alphas[k]
+        v = adjoint(us[k]) - alphas[k] * vs[k]
+        v = _reorthogonalize(v, vs[: k + 1])
+        betas[k] = np.linalg.norm(v)
+        if betas[k] > 0.0:
+            vs[k + 1] = v / betas[k]
+        b = np.diag(alphas[: k + 1]) + np.diag(betas[:k], 1)
+        left, sing, right_h = np.linalg.svd(b)
+        sigma = float(sing[0])
+        residual = float(betas[k] * abs(left[k, 0]))
+        if residual <= GKL_TOL * sigma or alphas[k] == 0.0 or betas[k] == 0.0:
+            return sigma, right_h[0] @ vs[: k + 1], residual, k + 1
+    raise NumericalError(
+        f"Lanczos bidiagonalization missed residual {GKL_TOL:g} * sigma "
+        f"in {steps} steps (residual {residual:.3g}, sigma {sigma:.6g})"
+    )
+
+
+def _reorthogonalize(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    for _ in range(2):
+        x = x - (basis.conj() @ x) @ basis
+    return x
+
+
+def opnorm_estimate(op: Operator, p: float, mu: Weight, q: float, lam: Weight,
                     budget: int = ASCENT_RESTARTS, iterations: int = ASCENT_ITERATIONS,
                     seed: int = 0, method: str = "auto") -> NormEstimate:
     """Lower-bound estimate of |A|_{L^p_mu -> L^q_lam} with attained witness.
 
-    Exact (largest singular value of D_lam A D_mu^{-1}) at p = q = 2;
-    otherwise the best of `budget` duality-map ascents.  method "svd" or
-    "ascent" forces a path (svd only exists at p = q = 2); "auto" picks.
+    Exact (largest singular value of D_lam A D_mu^{-1}, by GKL from a
+    start vector drawn from `seed`) at p = q = 2; otherwise the best of
+    `budget` duality-map ascents.  method "svd" or "ascent" forces a path
+    (svd only exists at p = q = 2); "auto" picks.  The operator is only
+    applied, never formed.
     """
     if not (1.0 < p <= q < np.inf):
         raise ValueError(f"need 1 < p <= q < inf, got ({p}, {q})")
@@ -78,64 +152,69 @@ def opnorm_estimate(op: OperatorMatrix, p: float, mu: Weight, q: float, lam: Wei
     use_svd = p == 2.0 and q == 2.0 and method != "ascent"
     if method == "svd" and not use_svd:
         raise ValueError("the svd path exists only at p = q = 2")
-    a = op.matrix
     dom = op.domain
     muv = mu.values.reshape(-1)
     lamv = lam.values.reshape(-1)
     vol = dom.cell_volume
 
-    if not np.any(a):
+    if op.is_zero:
         return NormEstimate(0.0, "svd-exact" if use_svd else "random-restart-ascent",
                             None, 0, zero_operator=True)
 
-    if use_svd:
-        m = lamv[:, None] * a * (1.0 / muv)[None, :]
-        _, sing, vh = np.linalg.svd(m)
-        value = float(sing[0])
-        flat = vh[0].conj() / muv
-        ratio = _ratio(a, flat, p, q, muv, lamv, vol)
-        if abs(ratio - value) > 1e-10 * max(value, 1e-300):
-            raise ArithmeticError(f"witness ratio {ratio} drifted from sigma {value}")
-        witness = SampledFunction(dom, flat.reshape(dom.shape))
-        return NormEstimate(value, "svd-exact", witness, 1)
-
     rng = np.random.default_rng(seed)
-    size = a.shape[0]
-    is_complex = np.iscomplexobj(a)
+    size = op.size
+
+    def start_vector():
+        flat = rng.standard_normal(size)
+        return flat + 1j * rng.standard_normal(size) if op.is_complex else flat
+
+    if use_svd:
+        inv_mu = 1.0 / muv
+        value, right, residual, steps = _gkl_top(
+            lambda x: lamv * op.apply(inv_mu * x),
+            lambda y: inv_mu * op.adjoint(lamv * y),
+            start_vector(),
+        )
+        flat = right * inv_mu
+        ratio = _ratio(op, flat, p, q, muv, lamv, vol)
+        if abs(ratio - value) > WITNESS_TOL * max(value, 1e-300):
+            raise NumericalError(f"witness ratio {ratio} drifted from sigma {value}")
+        witness = SampledFunction(dom, flat.reshape(dom.shape))
+        return NormEstimate(value, "svd-exact", witness, steps, residual=residual)
+
     lam_q = lamv**q
     mu_p = muv**p
     inv_p1 = 1.0 / (p - 1.0)
     best_val, best_flat, used = 0.0, None, 0
     for _ in range(budget):
-        flat = rng.standard_normal(size)
-        if is_complex:
-            flat = flat + 1j * rng.standard_normal(size)
+        flat = start_vector()
+        image = op.apply(flat)
         prev = 0.0
         for _ in range(iterations):
             used += 1
-            af = a @ flat
-            mag = np.abs(af)
+            mag = np.abs(image)
             if not np.any(mag):
                 break
-            grad = a.conj().T @ (lam_q * mag ** (q - 2.0) * af)
+            grad = op.adjoint(lam_q * mag ** (q - 2.0) * image)
             gm = np.abs(grad)
             if not np.any(gm):
                 break
             flat = np.sign(grad) * (gm / mu_p) ** inv_p1
             flat = flat / _flat_norm(flat, p, muv, vol)
-            cur = _ratio(a, flat, p, q, muv, lamv, vol)
+            image = op.apply(flat)
+            cur = _image_ratio(flat, image, p, q, muv, lamv, vol)
             if abs(cur - prev) <= 1e-13 * max(cur, 1.0):
                 break
             prev = cur
-        val = _ratio(a, flat, p, q, muv, lamv, vol)
+        val = _image_ratio(flat, image, p, q, muv, lamv, vol)
         if val > best_val:
             best_val, best_flat = val, flat
     if best_flat is None:
         return NormEstimate(0.0, "random-restart-ascent", None, used, zero_operator=False)
     witness = SampledFunction(dom, best_flat.reshape(dom.shape))
-    check = _ratio(a, best_flat, p, q, muv, lamv, vol)
-    if abs(check - best_val) > 1e-10 * max(best_val, 1e-300):
-        raise ArithmeticError("ascent witness does not reproduce its value")
+    check = _ratio(op, best_flat, p, q, muv, lamv, vol)
+    if abs(check - best_val) > WITNESS_TOL * max(best_val, 1e-300):
+        raise NumericalError("ascent witness does not reproduce its value")
     return NormEstimate(best_val, "random-restart-ascent", witness, used)
 
 
@@ -168,7 +247,7 @@ def _phase_conj(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def awf_lower_probe(b: SampledFunction, op: OperatorMatrix, p: float, mu: Weight,
+def awf_lower_probe(b: SampledFunction, op: Operator, p: float, mu: Weight,
                     q: float, lam: Weight, cube: dyadic.DyadicCube,
                     c_probe: float = 0.05) -> ProbeCertificate:
     """Certified lower bound for |[b, T]| from a separated cube pair.
@@ -195,7 +274,7 @@ def awf_lower_probe(b: SampledFunction, op: OperatorMatrix, p: float, mu: Weight
 
     cells_q = cube.flat_cells()
     cells_s = partner.flat_cells()
-    block = op.matrix[np.ix_(cells_q, cells_s)]
+    block = op.block(cells_q, cells_s)
     if not (np.all(block > 0.0) or np.all(block < 0.0)):
         raise ProbeRefused("kernel block between the cubes is not sign-definite")
 
@@ -207,7 +286,8 @@ def awf_lower_probe(b: SampledFunction, op: OperatorMatrix, p: float, mu: Weight
     g_vals[cells_s] = 1.0
     g = SampledFunction(dom, g_vals.reshape(dom.shape))
 
-    u1 = commutator_apply(b, op, g).values.reshape(-1)
+    comm = Commutator(b, op)
+    u1 = comm.apply(g_vals)
     h_vals = np.zeros(n_total, dtype=u1.dtype)
     h_vals[cells_q] = _phase_conj(u1[cells_q])
     h = SampledFunction(dom, h_vals.reshape(dom.shape))
@@ -216,8 +296,7 @@ def awf_lower_probe(b: SampledFunction, op: OperatorMatrix, p: float, mu: Weight
     mod_vals = np.zeros(n_total, dtype=np.complex128 if b.is_complex else np.float64)
     dev_s = bflat[cells_s] - bflat[cells_s].mean()
     mod_vals[cells_s] = _phase_conj(dev_s) if np.any(dev_s) else 1.0
-    modulated = SampledFunction(dom, mod_vals.reshape(dom.shape))
-    u2 = commutator_apply(b, op, modulated).values.reshape(-1)
+    u2 = comm.apply(mod_vals)
     pairing2 = abs(np.sum(u2[cells_q]) * vol)
 
     mass = float(np.sum(np.abs(bflat[cells_q] - bflat[cells_q].mean())) * vol)
@@ -246,29 +325,41 @@ def awf_lower_probe(b: SampledFunction, op: OperatorMatrix, p: float, mu: Weight
 
 
 def _probe_cube_for(b: SampledFunction, generation: int = 3):
-    """Canonical cube maximizing mean oscillation among those whose partner fits."""
-    grid = dyadic.canonical_grid(b.domain)
-    best, best_val = None, -1.0
-    limit = 2**generation
-    flat = b.values.reshape(-1)
-    for index in np.ndindex(*(limit,) * b.domain.d):
-        if any(i + 3 >= limit for i in index):
-            continue
-        cube = grid.cube(generation, tuple(index))
-        cells = cube.flat_cells()
-        dev = float(np.mean(np.abs(flat[cells] - flat[cells].mean())))
-        if dev > best_val:
-            best, best_val = cube, dev
-    return best
+    """Canonical cube maximizing mean oscillation among those whose partner fits.
+
+    The oscillations <|b - <b>_Q|>_Q of one generation come as a table,
+    each cube's cells laid out contiguously in flat_cells order, so every
+    entry is summed in the same order as a per-cube reduction over
+    flat_cells.  Mirror cubes of a symmetric symbol can differ in the last
+    bits; the first maximum in np.ndindex order wins.
+    """
+    dom = b.domain
+    if not 0 <= generation <= dom.m:
+        raise ValueError(f"generation must be in [0, {dom.m}]")
+    g = 2**generation
+    fit = g - 3  # the partner index i + 3 must stay below 2^generation
+    if fit <= 0:
+        return None
+    side = dom.n // g
+    if dom.d == 1:
+        blocks = b.values.reshape(g, side)
+    else:
+        blocks = b.values.reshape(g, side, g, side).transpose(0, 2, 1, 3).reshape(g, g, -1)
+    table = np.mean(np.abs(blocks - blocks.mean(axis=-1, keepdims=True)), axis=-1)
+    table = table[(slice(0, fit),) * dom.d]
+    index = np.unravel_index(int(np.argmax(table)), table.shape)
+    return dyadic.canonical_grid(dom).cube(generation, tuple(int(i) for i in index))
 
 
-def bmo_vs_norm_sweep(symbols, op: OperatorMatrix, mu: Weight, lam: Weight,
+def bmo_vs_norm_sweep(symbols, op: Operator, mu: Weight, lam: Weight,
                       setup: ExponentSetup, budget: int = 8,
                       probe_generation: int = 3) -> list:
     """One row per symbol: oscillation norm, commutator norm, probe, ratios.
 
-    Ratio columns divide by zero as 0 (constant symbols produce all-zero
-    rows); a refused probe shows up as nan rather than killing the sweep.
+    `op` is the kernel operator T (any backend); each commutator [b, T] is
+    applied, never formed.  Ratio columns divide by zero as 0 (constant
+    symbols produce all-zero rows); a refused probe shows up as nan rather
+    than killing the sweep.
     """
     if isinstance(symbols, dict):
         items = list(symbols.items())
@@ -277,8 +368,7 @@ def bmo_vs_norm_sweep(symbols, op: OperatorMatrix, mu: Weight, lam: Weight,
     rows = []
     for name, b in items:
         bmo = oscillation.bmo_norm(b, mode="fractional", mu=mu, lam=lam, setup=setup).supremum
-        comm = commutator_matrix(b, op)
-        est = opnorm_estimate(comm, setup.p, mu, setup.q, lam, budget=budget)
+        est = opnorm_estimate(Commutator(b, op), setup.p, mu, setup.q, lam, budget=budget)
         cube = _probe_cube_for(b, probe_generation)
         try:
             if cube is None:
@@ -297,17 +387,26 @@ def bmo_vs_norm_sweep(symbols, op: OperatorMatrix, mu: Weight, lam: Weight,
     return rows
 
 
-def star_matrix(b: SampledFunction, family: sparse.SparseFamily) -> np.ndarray:
-    """Dense matrix of f -> sum_Q <|b - <b>_Q| f>_Q 1_Q over the family."""
-    dom = b.domain
-    n_total = dom.n**dom.d
-    out = np.zeros((n_total, n_total))
-    flat = b.values.reshape(-1)
-    for entry in family.entries:
-        cells = entry.cube.flat_cells()
-        dev = np.abs(flat[cells] - flat[cells].mean())
-        out[np.ix_(cells, cells)] += dev[None, :] * (dom.cell_volume / entry.cube.volume)
-    return out
+class _SparseStar(Operator):
+    """f -> sum_Q <|b - <b>_Q| f>_Q 1_Q over a family, applied through
+    sparse_apply("star"), with sparse_apply("adjoint") as its adjoint."""
+
+    def __init__(self, b: SampledFunction, family: sparse.SparseFamily):
+        self.domain, self._b, self._family = b.domain, b, family
+
+    def _apply(self, x):
+        return self._run("star", x)
+
+    def _adjoint(self, x):
+        return self._run("adjoint", x)
+
+    def _run(self, kind, x):
+        rows = [
+            sparse.sparse_apply(kind, SampledFunction(self.domain, row.reshape(self.domain.shape)),
+                                self._family, b=self._b).values.reshape(-1)
+            for row in x.reshape(-1, x.shape[-1])
+        ]
+        return np.reshape(rows, x.shape)
 
 
 @dataclass
@@ -339,8 +438,8 @@ def compactness_profile(b: SampledFunction, kernel: KernelSpec, setup: ExponentS
 
     tails = []
     for eps in eps_list:
-        _, residual = decompose(kernel, dom, eps)
-        est = opnorm_estimate(commutator_matrix(b, residual), setup.p, mu, setup.q, lam,
+        _, residual = split(kernel, dom, eps)
+        est = opnorm_estimate(Commutator(b, residual), setup.p, mu, setup.q, lam,
                               budget=budget)
         tails.append(est.value)
 
@@ -354,9 +453,8 @@ def compactness_profile(b: SampledFunction, kernel: KernelSpec, setup: ExponentS
         if len(kept) == 0:
             sparse_tails.append(0.0)
             continue
-        mat = star_matrix(b, kept)
-        op = OperatorMatrix(dom, mat, kernel, window=f"sparse-tail(k={k:g})")
-        est = opnorm_estimate(op, setup.p, mu, setup.q, lam, budget=budget)
+        est = opnorm_estimate(_SparseStar(b, kept), setup.p, mu, setup.q, lam,
+                              budget=budget)
         sparse_tails.append(est.value)
     if len(family) and not sparse_tails:
         flags.add("no-split-thresholds")

@@ -1,10 +1,22 @@
 """Discretized singular integral operators and their commutators.
 
-A kernel K(x, y) is realized as a dense matrix A[i, j] = K(x_i, x_j) *
-window(x_i - x_j) * h^d over the lattice midpoints, with zero diagonal.
-For antisymmetric kernels the zero diagonal is the principal value: the
-p.v. integral over a cell centered at x vanishes by symmetry.  For
-general kernels it is a declared O(h) bias.
+An operator is a linear map on the cells of one lattice domain, given as
+an apply/adjoint pair on flat cell arrays (Operator).  A kernel K(x, y)
+acts as sum_j K(x_i, x_j) window(|x_i - x_j|) h^d f_j over the lattice
+midpoints, with the j = i term left out.  For antisymmetric kernels the
+dropped diagonal is the principal value: the p.v. integral over a cell
+centered at x vanishes by symmetry.  For general kernels it is a
+declared O(h) bias.
+
+Two backends realize a kernel.  Convolution serves the translation-
+invariant named kernels (Hilbert, Riesz): it stores the stencil
+K(o h) window(|o h|) h^d over the offsets o in (-n, n)^d and applies it
+through one FFT pair on the circulant embedding of side 2n per axis
+(Chan & Ng, SIAM Review 1996), in O(N log N) time and O(N) memory.
+OperatorMatrix is the dense matrix A[i, j]; it serves custom kernels and
+is the oracle the fast paths are tested against.  Commutators
+[b, T] f = b Tf - T(bf) and the compact/residual split are composites
+over either backend, so neither needs an N x N array.
 
 Smooth cutoffs use a single C^1 profile: value 1 inside radius a, 0
 outside radius b, and cos^2(pi (t - a) / (2 (b - a))) on the ramp, whose
@@ -89,6 +101,7 @@ class KernelSpec:
     nondegenerate: bool
     omega: Optional[Callable] = None  # modulus t in (0, 1] -> omega(t)
     dini: float = float("nan")
+    translation_invariant: bool = False  # K(x, y) = K(x - y, 0): Convolution applies
 
     def __call__(self, x, y):
         return self.evaluator(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
@@ -155,7 +168,7 @@ def make_kernel(variant: str, params: Optional[dict] = None) -> KernelSpec:
             raise ValueError("hilbert kernel is one-dimensional")
         omega = params.pop("omega", lambda t: 2.0 * np.asarray(t, dtype=float))
         spec = KernelSpec("hilbert", 1, _hilbert_eval, 1.0, True, True,
-                          omega, dini_surrogate(omega))
+                          omega, dini_surrogate(omega), translation_invariant=True)
     elif variant == "riesz":
         d = params.pop("d", 2)
         if d != 2:
@@ -166,7 +179,7 @@ def make_kernel(variant: str, params: Optional[dict] = None) -> KernelSpec:
         # Crude mean-value modulus; descriptor only, not a tight constant.
         omega = params.pop("omega", lambda t: 32.0 * np.asarray(t, dtype=float))
         spec = KernelSpec(f"riesz_{j}", 2, _riesz_eval(j - 1), 1.0, True, True,
-                          omega, dini_surrogate(omega))
+                          omega, dini_surrogate(omega), translation_invariant=True)
     elif variant == "custom":
         if domain is None:
             raise ValueError("custom kernels need a domain for the size-bound check")
@@ -231,12 +244,56 @@ def nondegeneracy_probe(kernel: KernelSpec, y, r: float,
     return tuple(pts[far][k]), c
 
 
-# -- assembly ------------------------------------------------------------------
+# -- operators -----------------------------------------------------------------
+
+
+class NumericalError(ArithmeticError):
+    """A numerical check failed: a solver missed its tolerance, a witness
+    drifted from its value, or an exact identity broke.  Never a config
+    problem."""
+
+
+class Operator:
+    """A linear map on the cells of `domain`, as an apply/adjoint pair.
+
+    `apply` and `adjoint` take flat cell arrays, batched along any leading
+    axes, or a SampledFunction on the operator's domain, which comes back
+    as one.  The adjoint is taken under the pairing sum_i f_i conj(g_i).
+    `is_zero` marks an operator that is zero by construction, so a caller
+    never has to read a zero off round-off.  Backends implement `_apply`
+    and `_adjoint` on (..., N) arrays; the kernel backends also give
+    `block(rows, cols)`, the entries between two cell sets.
+    """
+
+    domain: LatticeDomain
+    is_complex: bool = False
+    is_zero: bool = False
+
+    @property
+    def size(self) -> int:
+        return self.domain.n**self.domain.d
+
+    def apply(self, f):
+        return self._lift(f, self._apply)
+
+    def adjoint(self, g):
+        return self._lift(g, self._adjoint)
+
+    def _lift(self, f, fn):
+        if isinstance(f, SampledFunction):
+            if f.domain != self.domain:
+                raise ValueError("domain mismatch")
+            out = fn(f.values.reshape(-1))
+            return SampledFunction(self.domain, out.reshape(self.domain.shape))
+        f = np.asarray(f)
+        if f.shape[-1:] != (self.size,):
+            raise ValueError(f"need flat arrays of {self.size} cells, got shape {f.shape}")
+        return fn(f)
 
 
 @dataclass
-class OperatorMatrix:
-    """Dense realization of a kernel; immutable after assembly."""
+class OperatorMatrix(Operator):
+    """Dense backend: the N x N matrix; immutable after assembly."""
 
     domain: LatticeDomain
     matrix: np.ndarray
@@ -244,14 +301,23 @@ class OperatorMatrix:
     window: Optional[str] = None
 
     @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
+    def is_complex(self) -> bool:
+        return np.iscomplexobj(self.matrix)
 
-    def apply(self, f: SampledFunction) -> SampledFunction:
-        if f.domain != self.domain:
-            raise ValueError("domain mismatch")
-        out = self.matrix @ f.values.reshape(-1)
-        return SampledFunction(self.domain, out.reshape(self.domain.shape))
+    @property
+    def is_zero(self) -> bool:
+        return not np.any(self.matrix)
+
+    def _apply(self, x):
+        return (self.matrix @ x.T).T
+
+    def _adjoint(self, x):
+        m = self.matrix.conj() if self.is_complex else self.matrix
+        return (m.T @ x.T).T
+
+    def block(self, rows, cols) -> np.ndarray:
+        """Entries A[rows[i], cols[j]]."""
+        return self.matrix[np.ix_(rows, cols)]
 
 
 def _midpoint_table(domain: LatticeDomain) -> np.ndarray:
@@ -274,6 +340,98 @@ def _window_label(window):
     if isinstance(window, tuple):
         return f"annulus({window[0]:g},{window[1]:g})"
     return getattr(window, "__name__", "callable")
+
+
+class Convolution(Operator):
+    """FFT backend for a translation-invariant kernel and a radial window.
+
+    `stencil[o + n - 1]` is K(o h, 0) window(|o h|) h^d for the offsets o
+    in (-n, n)^d, with 0 at o = 0.  Placed in a circulant of side 2n per
+    axis, it convolves the zero-padded input with no wrap-around, so the
+    cropped circular convolution is the lattice sum exactly: one
+    rfftn/irfftn pair per call, the adjoint through the conjugate
+    spectrum (the stencil is real).  Complex inputs go through as their
+    real and imaginary parts in the same batch.
+
+    window: None, a Bump, an (r, s) annulus pair, or a callable on distances.
+    """
+
+    def __init__(self, kernel: KernelSpec, domain: LatticeDomain, window=None):
+        if not kernel.translation_invariant:
+            raise ValueError(f"kernel {kernel.variant!r} is not translation invariant")
+        if domain.d != kernel.d:
+            raise ValueError(f"kernel is d={kernel.d}, domain is d={domain.d}")
+        n, d = domain.n, domain.d
+        self.domain = domain
+        axis = np.arange(1 - n, n) * domain.h
+        z = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = np.asarray(kernel.evaluator(z, np.zeros(d)), dtype=float)
+            if window is not None:
+                vals = vals * _window_factor(window, np.sqrt(np.sum(z**2, axis=-1)))
+        vals[~np.isfinite(vals)] = 0.0
+        vals[(n - 1,) * d] = 0.0
+        self.stencil = vals * domain.cell_volume
+        self.is_zero = not np.any(self.stencil)
+        self._axes = tuple(range(-d, 0))
+        self._side = (2 * n,) * d
+        embedded = np.roll(np.pad(self.stencil, [(0, 1)] * d), (1 - n,) * d, axis=self._axes)
+        self._spectrum = np.fft.rfftn(embedded, axes=self._axes)
+        self._conj_spectrum = self._spectrum.conj()
+
+    def _apply(self, x):
+        return self._convolve(x, self._spectrum)
+
+    def _adjoint(self, x):
+        return self._convolve(x, self._conj_spectrum)
+
+    def _convolve(self, x, spectrum):
+        """Convolve each (..., N) row of x; `spectrum` may carry leading axes
+        of its own, which broadcast against the trailing leading axes of x."""
+        if np.iscomplexobj(x):
+            parts = self._convolve(np.stack([x.real, x.imag]), spectrum)
+            return parts[0] + 1j * parts[1]
+        grid = x.reshape(x.shape[:-1] + self.domain.shape)
+        out = np.fft.irfftn(np.fft.rfftn(grid, s=self._side, axes=self._axes) * spectrum,
+                            s=self._side, axes=self._axes)
+        return out[(...,) + (slice(0, self.domain.n),) * self.domain.d].reshape(x.shape)
+
+    def block(self, rows, cols) -> np.ndarray:
+        """Entries T[rows[i], cols[j]], read off the stencil."""
+        r = np.unravel_index(rows, self.domain.shape)
+        c = np.unravel_index(cols, self.domain.shape)
+        shift = self.domain.n - 1
+        return self.stencil[tuple(ri[:, None] - ci[None, :] + shift for ri, ci in zip(r, c))]
+
+
+class Commutator(Operator):
+    """[b, T] f = b Tf - T(bf), with adjoint T*(conj(b) g) - conj(b) T*g.
+
+    The two products of one call pass through T as one batch.  A constant
+    b, or a T that is zero by construction, makes the commutator zero by
+    construction: it returns exact zeros, not the round-off of b Tf - T(bf).
+    """
+
+    def __init__(self, b: SampledFunction, base: Operator):
+        if b.domain != base.domain:
+            raise ValueError("domain mismatch")
+        self.domain, self._base = base.domain, base
+        self._b = b.values.reshape(-1)
+        self._b_conj = np.conj(self._b)
+        self.is_complex = base.is_complex or np.iscomplexobj(self._b)
+        self.is_zero = base.is_zero or bool(np.all(self._b == self._b[0]))
+
+    def _apply(self, x):
+        if self.is_zero:
+            return np.zeros(x.shape, np.result_type(x, self._b))
+        t = self._base._apply(np.stack([x, self._b * x]))
+        return self._b * t[0] - t[1]
+
+    def _adjoint(self, x):
+        if self.is_zero:
+            return np.zeros(x.shape, np.result_type(x, self._b))
+        t = self._base._adjoint(np.stack([x, self._b_conj * x]))
+        return t[1] - self._b_conj * t[0]
 
 
 def assemble(kernel: KernelSpec, domain: LatticeDomain, window=None) -> OperatorMatrix:
@@ -307,14 +465,10 @@ def assemble(kernel: KernelSpec, domain: LatticeDomain, window=None) -> Operator
     return OperatorMatrix(domain, a, kernel, _window_label(window))
 
 
-def commutator_apply(b: SampledFunction, op: OperatorMatrix,
+def commutator_apply(b: SampledFunction, op: Operator,
                      f: SampledFunction) -> SampledFunction:
     """[b, T] f = b (Tf) - T(bf); complex b and f supported."""
-    if b.domain != op.domain or f.domain != op.domain:
-        raise ValueError("domain mismatch")
-    tf = op.apply(f)
-    bf = SampledFunction(op.domain, b.values * f.values)
-    return SampledFunction(op.domain, b.values * tf.values - op.apply(bf).values)
+    return Commutator(b, op).apply(f)
 
 
 def commutator_matrix(b: SampledFunction, op: OperatorMatrix) -> OperatorMatrix:
@@ -329,8 +483,76 @@ def commutator_matrix(b: SampledFunction, op: OperatorMatrix) -> OperatorMatrix:
 # -- compact/residual splitting ------------------------------------------------
 
 
+class SplitPart(Operator):
+    """One side of the eps-split: compact chi W(chi f) when `base` is None,
+    else the residual Tf - chi W(chi f), with W the annulus-windowed T.
+    The residual sends f and chi f through one FFT pair."""
+
+    def __init__(self, chi: np.ndarray, windowed: Convolution, base: Optional[Convolution]):
+        self.domain = windowed.domain
+        self._chi, self._windowed, self._residual = chi, windowed, base is not None
+        self.is_zero = base is None and (windowed.is_zero or not np.any(chi))
+        parts = [windowed._spectrum] if base is None else [base._spectrum, windowed._spectrum]
+        self._spectra = np.stack(parts)
+        self._conj_spectra = self._spectra.conj()
+
+    def _apply(self, x):
+        return self._run(x, self._spectra)
+
+    def _adjoint(self, x):
+        return self._run(x, self._conj_spectra)
+
+    def _run(self, x, spectra):
+        chi, conv = self._chi, self._windowed._convolve
+        if not self._residual:
+            return chi * conv(chi * x, spectra[0])
+        lead = (1,) * (x.ndim - 1)
+        both = conv(np.stack([x, chi * x]), spectra.reshape((2,) + lead + spectra.shape[1:]))
+        return both[0] - chi * both[1]
+
+
+def _split_windows(domain: LatticeDomain, eps: float):
+    """chi = phi(1/eps) at the midpoints and the outer window phi(10/eps)."""
+    big_r = 1.0 / eps
+    chi = phi(big_r).value(np.sqrt(np.sum(_midpoint_table(domain) ** 2, axis=-1)))
+    return chi, phi(10.0 * big_r)
+
+
+def split(kernel: KernelSpec, domain: LatticeDomain, eps: float):
+    """Matrix-free form of decompose: (compact, residual), summing to T.
+
+    The compact part is chi T_W(chi f), with T_W the kernel windowed by
+    the annulus phi(S) - phi(eps), S = 10/eps; the residual is
+    Tf - chi T_W(chi f).  That residual equals decompose's four
+    complementary terms exactly when the outer window phi(S) is 1 at
+    every offset two cells of supp(chi) can have.  This is checked on the
+    window over the bounding box of those offsets, and a failure raises
+    NumericalError.  Kernels that are not translation invariant get
+    decompose's dense split.
+    """
+    if not 0.0 < eps < 1.0:
+        raise ValueError("need 0 < eps < 1")
+    if not kernel.translation_invariant:
+        return decompose(kernel, domain, eps)
+    chi, outer = _split_windows(domain, eps)
+    support = np.argwhere(chi.reshape(domain.shape) > 0.0)
+    if support.size:
+        reach = support.max(axis=0) - support.min(axis=0)
+        offsets = np.meshgrid(*(np.arange(-k, k + 1) * domain.h for k in reach),
+                              indexing="ij")
+        window = outer.value(np.sqrt(sum(o**2 for o in offsets)))
+        if not np.all(window == 1.0):
+            raise NumericalError(
+                f"splitting identity broke: outer window {float(np.min(window)):g} "
+                f"< 1 across supp(chi)"
+            )
+    windowed = Convolution(kernel, domain, window=(eps, 10.0 / eps))
+    base = Convolution(kernel, domain)
+    return SplitPart(chi, windowed, None), SplitPart(chi, windowed, base)
+
+
 def decompose(kernel: KernelSpec, domain: LatticeDomain, eps: float):
-    """Split T into a compactly windowed part and a residual.
+    """Split T into a compactly windowed part and a residual, densely.
 
     With r = eps, R = 1/eps, S = 10 R, and chi = phi(R) evaluated at the
     midpoint positions, the compact part applies chi, the kernel windowed by
@@ -338,20 +560,21 @@ def decompose(kernel: KernelSpec, domain: LatticeDomain, eps: float):
     collects the four complementary terms.  Because the annulus window is
     exactly 1 wherever both chi factors are nonzero and |x - y| <= S/2, the
     two parts sum back to the unwindowed matrix; that identity is checked
-    entrywise and raises ArithmeticError when it breaks.
+    entrywise and raises NumericalError when it breaks.  This is the
+    oracle of split.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("need 0 < eps < 1")
-    r, big_r = eps, 1.0 / eps
+    r = eps
     base = assemble(kernel, domain)
     a = base.matrix
     pts = _midpoint_table(domain)
-    chi = phi(big_r).value(np.sqrt(np.sum(pts**2, axis=-1)))
+    chi, outer_win = _split_windows(domain, eps)
     outer = 1.0 - chi
 
     dist = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
     inner_win = phi(r).value(dist)
-    mid_win = phi(10.0 * big_r).value(dist) - inner_win
+    mid_win = outer_win.value(dist) - inner_win
 
     core = chi[:, None] * a * chi[None, :]
     compact = core * mid_win
@@ -364,7 +587,7 @@ def decompose(kernel: KernelSpec, domain: LatticeDomain, eps: float):
     scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
     gap = float(np.max(np.abs(compact + residual - a))) if a.size else 0.0
     if gap > 1e-12 * scale:
-        raise ArithmeticError(f"splitting identity broke: {gap:g}")
+        raise NumericalError(f"splitting identity broke: {gap:g}")
     t_c = OperatorMatrix(domain, compact, kernel, f"compact(eps={eps:g})")
     t_eps = OperatorMatrix(domain, residual, kernel, f"residual(eps={eps:g})")
     return t_c, t_eps

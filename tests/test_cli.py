@@ -1,11 +1,18 @@
 """Config parsing, exit codes, determinism, and sweep plumbing."""
 
+import contextlib
 import csv
+import io
 import json
+import math
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dyadlab import cli
 
@@ -53,6 +60,14 @@ def test_missing_config_file_exits_2(tmp_path):
         {"experiment": "bmo-compute", "symbols": [{"id": "x", "terms": [{"kind": "coordinate"}]}],
          "seeds": "zero"},
         {"experiment": "weights-check", "schema": 99},
+        {"experiment": "vmo-witness", "domain": 36},
+        {"experiment": "weights-check", "exponents": [None]},
+        {"experiment": "bmo-compute", "symbols": 10},
+        {"experiment": "compactness-profile", "domain": {"d": 1, "m": 5},
+         "kernel": {"variant": "hilbert"}, "symbols": log_symbols(),
+         "params": {"eps_list": []}},
+        {"experiment": "commutator-sweep", "kernel": {"variant": "hilbert"},
+         "symbols": log_symbols(), "params": {"budget": [2]}},
     ],
 )
 def test_bad_configs_exit_2(tmp_path, cfg):
@@ -247,6 +262,41 @@ def test_invalid_eps_list_is_config_error(tmp_path):
     assert cli.run(cfg, out_dir=tmp_path / "out") == 2
 
 
+def test_numerical_failure_exits_3_without_traceback(tmp_path, monkeypatch, capsys):
+    true_top = cli.normest._gkl_top
+
+    def drifting_top(*args):
+        sigma, right, residual, steps = true_top(*args)
+        return sigma * (1.0 + 1e-6), right, residual, steps
+
+    monkeypatch.setattr(cli.normest, "_gkl_top", drifting_top)
+    cfg = {
+        "experiment": "commutator-sweep",
+        "domain": {"d": 1, "m": 6},
+        "kernel": {"variant": "hilbert"},
+        "symbols": log_symbols(),
+    }
+    assert cli.run(cfg, out_dir=tmp_path / "out") == 3
+    err = capsys.readouterr().err
+    assert "numerical error: witness ratio" in err
+    assert "Traceback" not in err
+
+
+def test_commutator_sweep_runs_past_the_dense_cap(tmp_path):
+    # N = 2^14 cells: a dense matrix would need 2^28 > MAX_MATRIX_ENTRIES entries
+    cfg = {
+        "experiment": "commutator-sweep",
+        "domain": {"d": 1, "m": 14},
+        "kernel": {"variant": "hilbert"},
+        "symbols": log_symbols(),
+    }
+    out = tmp_path / "out"
+    assert cli.run(cfg, out_dir=out) == 0
+    header, rows = read_csv(out / "commutator.csv")
+    row = dict(zip(header, rows[0]))
+    assert 0.0 < float(row["probe"]) <= float(row["norm"])
+
+
 def test_hard_failure_exits_1_with_detail(tmp_path, monkeypatch, capsys):
     result = cli.ExperimentResult(
         tables={"t": (("a",), [(1.0,)])},
@@ -397,3 +447,87 @@ def test_module_invocation(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "wrote" in proc.stdout
+
+
+# -- config fuzz ---------------------------------------------------------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(-50.0, 50.0)
+    | st.sampled_from([math.inf, -math.inf]) | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=6), kids,
+                                                               max_size=3),
+    max_leaves=6,
+)
+_TERMS = st.one_of(
+    st.fixed_dictionaries({"kind": st.sampled_from(["constant", "log_abs"])},
+                          optional={"coefficient": st.floats(-3, 3)
+                                    | st.lists(st.floats(-3, 3), min_size=2, max_size=2)}),
+    st.fixed_dictionaries({"kind": st.just("coordinate"), "axis": st.integers(-1, 2)}),
+    st.fixed_dictionaries({"kind": st.just("abs_power"), "exponent": st.floats(-1.5, 2)}),
+    st.fixed_dictionaries({"kind": st.just("bump"), "center": st.floats(-1, 1),
+                           "radius": st.floats(-0.5, 2)}),
+)
+_WEIGHTS = st.one_of(
+    st.just({"kind": "unit"}),
+    st.fixed_dictionaries({"kind": st.just("power"), "beta": st.floats(-1.5, 3)}),
+    st.fixed_dictionaries({"kind": st.just("logsmooth")},
+                          optional={"amplitude": st.floats(0, 5), "modes": st.integers(0, 4),
+                                    "seed": st.integers(0, 9)}),
+)
+_PARAMS = st.fixed_dictionaries({}, optional={
+    "budget": st.integers(0, 3), "probe_generation": st.integers(-1, 6),
+    "eps_list": st.lists(st.floats(0.01, 1.2), max_size=3),
+    "k_list": st.lists(st.floats(-1, 9), max_size=3),
+    "r": st.floats(-1, 4), "c0": st.floats(-1, 2),
+    "mode": st.sampled_from(["small-scale", "large-scale", "distance", "bogus"]),
+    "theta": st.floats(-1, 1), "min_pairs": st.integers(-1, 4),
+})
+
+
+def _paths(value, prefix=()):
+    yield prefix
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from _paths(item, prefix + (key,))
+
+
+@st.composite
+def _configs(draw):
+    """A config that reaches the experiments (m <= 5), then up to two of its
+    values (the whole config included) swapped for arbitrary JSON."""
+    d = draw(st.integers(1, 2))
+    p = draw(st.floats(1.05, 4))
+    cfg = {
+        "experiment": draw(st.sampled_from(cli.EXPERIMENTS)),
+        "domain": {"d": d, "m": draw(st.integers(2, 5)),
+                   "L": draw(st.sampled_from([0.5, 1.0, 2.0]))},
+        "exponents": {"p": p, "q": p + draw(st.floats(0, 3))},
+        "weights": {"mu": draw(_WEIGHTS), "lambda": draw(_WEIGHTS)},
+        "symbols": [{"id": f"s{i}", "terms": terms} for i, terms in enumerate(
+            draw(st.lists(st.lists(_TERMS, min_size=1, max_size=2), min_size=1, max_size=2)))],
+        "kernel": {"variant": "hilbert"} if d == 1 else {"variant": "riesz",
+                                                         "j": draw(st.integers(1, 2))},
+        "seeds": draw(st.lists(st.integers(0, 9), max_size=2)),
+        "params": draw(_PARAMS),
+    }
+    for _ in range(draw(st.integers(0, 2))):
+        path = draw(st.sampled_from(list(_paths(cfg))))
+        value = draw(_JSON)
+        if not path:
+            cfg = value
+            continue
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return cfg
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=_configs())
+def test_random_configs_exit_with_a_status_never_a_traceback(cfg):
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.run(cfg, out_dir=tmp) in (0, 1, 2, 3)

@@ -235,13 +235,30 @@ def test_sweep_scale_invariant_ratios(dom, unit, b_log, hilbert_op):
 # -- compactness --------------------------------------------------------------
 
 
-def test_star_matrix_matches_sparse_apply(dom, b_log):
+def dense_star(b, family):
+    """Dense f -> sum_Q <|b - <b>_Q| f>_Q 1_Q over the family (oracle)."""
+    dom = b.domain
+    out = np.zeros((dom.n**dom.d,) * 2)
+    flat = b.values.reshape(-1)
+    for entry in family.entries:
+        cells = entry.cube.flat_cells()
+        dev = np.abs(flat[cells] - flat[cells].mean())
+        out[np.ix_(cells, cells)] += dev[None, :] * (dom.cell_volume / entry.cube.volume)
+    return out
+
+
+def test_sparse_tail_operator_matches_dense_star(dom, b_log):
     root = dyadic.canonical_grid(dom).cube_containing((0.5,), 1)
     fam = sparse.cz_augment(b_log, root)
-    mat = normest.star_matrix(b_log, fam)
-    f = SampledFunction(dom, np.random.default_rng(6).standard_normal(dom.n))
-    direct = sparse.sparse_apply("star", f, fam, b=b_log).values
-    np.testing.assert_allclose(mat @ f.values, direct, atol=1e-12)
+    mat = dense_star(b_log, fam)
+    star = normest._SparseStar(b_log, fam)
+    rng = np.random.default_rng(6)
+    f = rng.standard_normal(dom.n) + 1j * rng.standard_normal(dom.n)
+    np.testing.assert_allclose(star.apply(f), mat @ f, atol=1e-12)
+    np.testing.assert_allclose(star.adjoint(f), mat.T @ f, atol=1e-12)
+    unit = make_weight(dom, {"kind": "unit"})
+    est = normest.opnorm_estimate(star, 2.0, unit, 2.0, unit)
+    assert est.value == pytest.approx(np.linalg.svd(mat, compute_uv=False)[0], rel=1e-10)
 
 
 @pytest.fixture(scope="module")
