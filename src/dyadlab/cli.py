@@ -622,10 +622,9 @@ def _resolve_out(cfg: dict, out_dir, default_leaf: str) -> Path:
 # -- run / sweep ---------------------------------------------------------------
 
 
-def run(config, out_dir=None, seed=None, workers=None) -> int:
+def run(config, out_dir=None, seed=None) -> int:
     """Execute one experiment; 0 pass / 1 hard-assertion failure / 2 bad config /
     3 numerical failure (a solver or identity check, never the config)."""
-    del workers  # accepted for CLI symmetry; single runs are serial
     try:
         cfg = _load(config)
         if seed is not None:
@@ -759,6 +758,8 @@ def sweep(config, out_dir=None, seed=None, workers=None) -> int:
                 outcomes.append((value, "ok", "", future.result()))
             except (ConfigError, ValueError) as exc:
                 outcomes.append((value, "config-error", str(exc), None))
+            except NumericalError as exc:
+                outcomes.append((value, "numerical-error", str(exc), None))
             except Exception as exc:  # row-level status, not a crashed sweep
                 outcomes.append((value, "error", f"{type(exc).__name__}: {exc}", None))
 
@@ -810,9 +811,9 @@ def main(argv=None) -> int:
         sp.add_argument("--workers", type=int, default=None,
                         help=f"sweep worker cap (env {WORKER_ENV} overrides)")
     args = parser.parse_args(argv)
-    command = run if args.command == "run" else sweep
-    return command(args.config, out_dir=args.out, seed=args.seed,
-                   workers=args.workers)
+    if args.command == "run":
+        return run(args.config, out_dir=args.out, seed=args.seed)
+    return sweep(args.config, out_dir=args.out, seed=args.seed, workers=args.workers)
 
 
 if __name__ == "__main__":

@@ -16,11 +16,12 @@ overlap volumes that lattice.box_cells gives for each torus piece.
 
 A canonical cube family is held as its per-generation tables: entry
 [index] of the generation-j table belongs to cube (j, index), and no
-DyadicCube is built per cube.  Family reports name their cubes by key
-rows (grid_id, generation, index...), one integer row per cube in
-enumerate_cubes order (family_keys); a DyadicCube is built from a single
-row (key_cube) where one is needed, such as the argmax.  Shifted-grid
-and explicit families keep the per-cube path through cube_average.
+DyadicCube is built per cube.  Family reports and stopping-time families
+(sparse.SparseFamily) name their cubes by key rows (grid_id, generation,
+index...), one integer row per cube (family_keys gives them in
+enumerate_cubes order); a DyadicCube is built from a single row
+(key_cube) where one is needed, such as the argmax.  Shifted-grid and
+explicit families keep the per-cube path through cube_average.
 """
 
 from __future__ import annotations
@@ -309,6 +310,17 @@ def _generation_mean(arr: np.ndarray, generation: int) -> np.ndarray:
     if arr.ndim == 1:
         return arr.reshape(g, cells).mean(axis=1)
     return arr.reshape(g, cells, g, cells).mean(axis=(1, 3))
+
+
+def _generation_blocks(arr: np.ndarray, generation: int) -> np.ndarray:
+    """Row [index] lists the cells of subcube (j, index) of a square cell
+    block in flat_cells order: a last-axis sum is bitwise a per-cube sum
+    over flat_cells (unlike _generation_mean, whose order is canonical)."""
+    g = 2**generation
+    cells = arr.shape[0] // g
+    if arr.ndim == 1:
+        return arr.reshape(g, cells)
+    return arr.reshape(g, cells, g, cells).transpose(0, 2, 1, 3).reshape(g, g, cells * cells)
 
 
 def generation_averages(f: SampledFunction, generation: int, absolute: bool = False) -> np.ndarray:

@@ -327,11 +327,11 @@ def awf_lower_probe(b: SampledFunction, op: Operator, p: float, mu: Weight,
 def _probe_cube_for(b: SampledFunction, generation: int = 3):
     """Canonical cube maximizing mean oscillation among those whose partner fits.
 
-    The oscillations <|b - <b>_Q|>_Q of one generation come as a table,
-    each cube's cells laid out contiguously in flat_cells order, so every
-    entry is summed in the same order as a per-cube reduction over
-    flat_cells.  Mirror cubes of a symmetric symbol can differ in the last
-    bits; the first maximum in np.ndindex order wins.
+    The oscillations <|b - <b>_Q|>_Q of one generation come as a table
+    over dyadic._generation_blocks, so every entry is summed in the same
+    order as a per-cube reduction over flat_cells.  Mirror cubes of a
+    symmetric symbol can differ in the last bits; the first maximum in
+    np.ndindex order wins.
     """
     dom = b.domain
     if not 0 <= generation <= dom.m:
@@ -340,11 +340,7 @@ def _probe_cube_for(b: SampledFunction, generation: int = 3):
     fit = g - 3  # the partner index i + 3 must stay below 2^generation
     if fit <= 0:
         return None
-    side = dom.n // g
-    if dom.d == 1:
-        blocks = b.values.reshape(g, side)
-    else:
-        blocks = b.values.reshape(g, side, g, side).transpose(0, 2, 1, 3).reshape(g, g, -1)
+    blocks = dyadic._generation_blocks(b.values, generation)
     table = np.mean(np.abs(blocks - blocks.mean(axis=-1, keepdims=True)), axis=-1)
     table = table[(slice(0, fit),) * dom.d]
     index = np.unravel_index(int(np.argmax(table)), table.shape)

@@ -297,8 +297,6 @@ class OperatorMatrix(Operator):
 
     domain: LatticeDomain
     matrix: np.ndarray
-    kernel: KernelSpec
-    window: Optional[str] = None
 
     @property
     def is_complex(self) -> bool:
@@ -330,16 +328,6 @@ def _window_factor(window, dist):
     if isinstance(window, tuple):
         return annulus(*window)(dist)
     return window(dist)
-
-
-def _window_label(window):
-    if window is None:
-        return None
-    if isinstance(window, Bump):
-        return f"bump({window.a:g},{window.b:g})"
-    if isinstance(window, tuple):
-        return f"annulus({window[0]:g},{window[1]:g})"
-    return getattr(window, "__name__", "callable")
 
 
 class Convolution(Operator):
@@ -462,7 +450,7 @@ def assemble(kernel: KernelSpec, domain: LatticeDomain, window=None) -> Operator
         a[lo:hi] = vals
     np.fill_diagonal(a, 0.0)
     a *= domain.cell_volume
-    return OperatorMatrix(domain, a, kernel, _window_label(window))
+    return OperatorMatrix(domain, a)
 
 
 def commutator_apply(b: SampledFunction, op: Operator,
@@ -476,8 +464,7 @@ def commutator_matrix(b: SampledFunction, op: OperatorMatrix) -> OperatorMatrix:
     if b.domain != op.domain:
         raise ValueError("domain mismatch")
     bv = b.values.reshape(-1)
-    return OperatorMatrix(op.domain, op.matrix * (bv[:, None] - bv[None, :]),
-                          op.kernel, "commutator")
+    return OperatorMatrix(op.domain, op.matrix * (bv[:, None] - bv[None, :]))
 
 
 # -- compact/residual splitting ------------------------------------------------
@@ -588,9 +575,7 @@ def decompose(kernel: KernelSpec, domain: LatticeDomain, eps: float):
     gap = float(np.max(np.abs(compact + residual - a))) if a.size else 0.0
     if gap > 1e-12 * scale:
         raise NumericalError(f"splitting identity broke: {gap:g}")
-    t_c = OperatorMatrix(domain, compact, kernel, f"compact(eps={eps:g})")
-    t_eps = OperatorMatrix(domain, residual, kernel, f"residual(eps={eps:g})")
-    return t_c, t_eps
+    return OperatorMatrix(domain, compact), OperatorMatrix(domain, residual)
 
 
 # -- truncation comparison -----------------------------------------------------

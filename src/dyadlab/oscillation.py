@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from dyadlab import dyadic
+from dyadlab import dyadic, sparse
 from dyadlab.dyadic import _broadcast_generation, _generation_mean
 from dyadlab.lattice import Box, LatticeDomain, SampledFunction, box_cells
 from dyadlab.weights import ExponentSetup, Weight
@@ -183,6 +183,8 @@ def bmo_norm(
         if r != 1.0:
             raise ValueError("two-weight mode is defined at r = 1")
     else:
+        if r < 1.0:
+            raise ValueError(f"r must be >= 1, got {r}")
         if nu is None and not (mu is not None and lam is not None and setup is not None):
             if alpha is None:
                 alpha = 0.0
@@ -484,7 +486,6 @@ class JNReport:
     sparse_bound: float       # family-summed right-hand side
     sparse_ratio: float       # root_r_oscillation / sparse_bound
     family_size: int
-    membership: dict
 
 
 def _subtree_sup(b, nu, alpha, r, root) -> float:
@@ -513,9 +514,6 @@ def jn_verify(
 
         ( w(Q0)^{-(1+alpha*r/d)} * sum_S osc_1(b;Q)^r w(Q)^{1+alpha*r/d} )^{1/r}.
     """
-    from dyadlab import sparse as sparse_mod
-    from dyadlab.weights import membership_surrogate
-
     dom = b.domain
     p_prime = p / (p - 1.0)
     if not (1.0 <= r <= p_prime):
@@ -524,14 +522,13 @@ def jn_verify(
         raise ValueError("root cube must be canonical")
     r_norm = _subtree_sup(b, w, alpha, r, root)
     one_norm = _subtree_sup(b, w, alpha, 1.0, root)
-    family = sparse_mod.cz_augment(b, root)
+    family = sparse.cz_augment(b, root)
     exponent = 1.0 + alpha * r / dom.d
     w_flat = w.values.reshape(-1)
     total = 0.0
-    for entry in family.entries:
-        cells = entry.cube.flat_cells()
-        w_mass = float(w_flat[cells].sum()) * dom.cell_volume
-        osc1 = oscillation(b, entry.cube, nu=w, alpha=alpha, r=1.0)
+    for cube in family.cubes():
+        w_mass = float(w_flat[cube.flat_cells()].sum()) * dom.cell_volume
+        osc1 = oscillation(b, cube, nu=w, alpha=alpha, r=1.0)
         total += osc1**r * w_mass**exponent
     root_cells = root.flat_cells()
     w_root = float(w_flat[root_cells].sum()) * dom.cell_volume
@@ -554,6 +551,5 @@ def jn_verify(
         root_r_oscillation=root_r,
         sparse_bound=sparse_bound,
         sparse_ratio=sparse_ratio,
-        family_size=len(family.entries),
-        membership=membership_surrogate(w, p),
+        family_size=len(family),
     )

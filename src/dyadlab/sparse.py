@@ -1,9 +1,15 @@
 """Sparse cube families and sparse model operators.
 
-A family is a list of (Q, E) entries where Q is a canonical dyadic cube
-and E is an exact cell subset of Q (its "major" part).  Gamma-sparsity
-means the E's are pairwise disjoint and each keeps strictly more than a
-gamma fraction of its cube, checked in integer cell counts.
+A family holds `entries`, key rows (grid_id, generation, index...) of
+canonical cubes Q_i in selection order (as in dyadic.family_keys), and
+`cores`, where cores[i] lists the sorted flat cells of E_i, a subset of
+Q_i.  Gamma-sparsity means the E's are pairwise disjoint and each keeps
+strictly more than a gamma fraction of its cube, in integer cell counts.
+
+The model operators add, coarse to fine, a count table of the family's
+generation-j cubes times cube means off dyadic._generation_blocks.  The
+stopping cubes over a cell are nested and were selected coarse to fine,
+so each cell sums its entries in selection order, as an entry loop does.
 
 cz_augment runs the stopping-time recursion for a symbol b: from an
 active cube Q with base = <|b - <b>_Q|>_Q, the children-maximal subcubes
@@ -36,12 +42,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from dyadlab import dyadic
-from dyadlab.dyadic import _generation_mean
-from dyadlab.lattice import SampledFunction
+from dyadlab.dyadic import _broadcast_generation, _generation_blocks, _generation_mean
+from dyadlab.lattice import LatticeDomain, SampledFunction
 from dyadlab.weights import Weight
 
 LAMBDA = 2.0
@@ -52,54 +59,62 @@ def cz_constant(d: int) -> float:
     return LAMBDA * 2**d
 
 
-@dataclass(frozen=True)
-class SparseEntry:
-    cube: dyadic.DyadicCube
-    core: np.ndarray  # sorted flat cell indices of E
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SparseFamily:
-    entries: list
-    gamma: float
-    grid_id: tuple
+    domain: LatticeDomain
+    entries: np.ndarray  # int64 key rows (grid_id, generation, index...)
+    cores: list          # cores[i]: sorted flat cell indices of E_i
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __iter__(self):
-        return iter(self.entries)
+    @cached_property
+    def _counts(self) -> list:
+        """(j, copies of each generation-j cube in the family), coarse to fine."""
+        gens, tables = self.entries[:, 1], []
+        for j in np.flatnonzero(np.bincount(gens)):
+            count = np.zeros((2**j,) * self.domain.d, dtype=np.int64)
+            np.add.at(count, tuple(self.entries[gens == j, 2:].T), 1)
+            tables.append((int(j), count))
+        return tables
+
+    def cubes(self) -> list:
+        """The entries' cubes as DyadicCube objects, in selection order."""
+        return [dyadic.key_cube(self.domain, key) for key in self.entries]
 
 
 @dataclass
 class SparseVerdict:
     ok: bool
     reason: str = ""
-    worst_entry: SparseEntry | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
+    worst_entry: int | None = None  # index of the first failing entry
 
 
-def is_sparse(family: SparseFamily, gamma: float | None = None) -> SparseVerdict:
-    """Exact check: cores pairwise disjoint, each |E| > gamma |Q|."""
-    gamma = family.gamma if gamma is None else gamma
-    for e in family.entries:
-        cells = e.cube.flat_cells()
-        if np.setdiff1d(e.core, cells).size:
-            return SparseVerdict(False, "core leaves its cube", e)
-        # strict integer inequality; exact for dyadic gamma
-        if e.core.size <= gamma * cells.size:
-            return SparseVerdict(False, "core fraction at or below gamma", e)
-    if family.entries:
-        allc = np.concatenate([e.core for e in family.entries])
-        if np.unique(allc).size != allc.size:
-            seen = set()
-            for e in family.entries:
-                s = set(e.core.tolist())
-                if seen & s:
-                    return SparseVerdict(False, "cores intersect", e)
-                seen |= s
+def is_sparse(family: SparseFamily, gamma: float = 0.5) -> SparseVerdict:
+    """Exact check: cores pairwise disjoint, each |E| > gamma |Q|.
+
+    The verdict names the first entry whose core leaves its cube or is too
+    thin; failing those, the first whose core meets an earlier one."""
+    dom, size = family.domain, len(family)
+    if not size:
+        return SparseVerdict(True)
+    sizes = np.array([core.size for core in family.cores])
+    owner = np.repeat(np.arange(size), sizes)
+    cells = np.concatenate(family.cores).astype(np.int64)
+    coords = np.stack([cells // dom.n, cells % dom.n], axis=1) if dom.d == 2 else cells[:, None]
+    shift = dom.m - family.entries[:, 1]
+    escapes = np.any(coords >> shift[owner, None] != family.entries[owner, 2:], axis=1)
+    leaves = np.bincount(owner[escapes], minlength=size) > 0
+    thin = sizes <= gamma * 2 ** (dom.d * shift)  # strict, in integer cell counts
+    bad = np.flatnonzero(leaves | thin)
+    if bad.size:
+        reason = "core leaves its cube" if leaves[bad[0]] else "core fraction at or below gamma"
+        return SparseVerdict(False, reason, int(bad[0]))
+    order = np.lexsort((owner, cells))
+    cells, owner = cells[order], owner[order]
+    shared = (cells[1:] == cells[:-1]) & (owner[1:] != owner[:-1])
+    if shared.any():
+        return SparseVerdict(False, "cores intersect", int(owner[1:][shared].min()))
     return SparseVerdict(True)
 
 
@@ -113,7 +128,7 @@ def cz_augment(b: SampledFunction, root: dyadic.DyadicCube) -> SparseFamily:
     if not root.grid.is_canonical:
         raise ValueError("cz_augment needs a canonical root cube")
     m, d = b.domain.m, b.domain.d
-    entries = []
+    keys, cores = [], []
     queue = deque([root])
     while queue:
         cube = queue.popleft()
@@ -137,8 +152,9 @@ def cz_augment(b: SampledFunction, root: dyadic.DyadicCube) -> SparseFamily:
                 )
                 covered |= hit
             core = cells[~covered.reshape(-1)]
-        entries.append(SparseEntry(cube, core))
-    return SparseFamily(entries, gamma=0.5, grid_id=root.grid.grid_id)
+        keys.append((0, cube.generation, *cube.index))
+        cores.append(core)
+    return SparseFamily(b.domain, np.array(keys, dtype=np.int64), cores)
 
 
 def augmentation_ratio(
@@ -146,29 +162,23 @@ def augmentation_ratio(
 ) -> float:
     """Worst cell ratio |b - <b>_root| / sum_Q <|b - <b>_Q|>_Q 1_Q.
 
-    cz_augment guarantees this stays below cz_constant(d).  Cells where
-    both sides vanish contribute 0; a nonzero numerator over an empty
-    denominator yields inf, which is a genuine domination failure.
+    The denominator is sparse_apply("star") of the constant 1.  cz_augment
+    guarantees this stays below cz_constant(d).  Cells where both sides
+    vanish contribute 0; a nonzero numerator over an empty denominator
+    yields inf, which is a genuine domination failure.
     """
     b_flat = b.values.reshape(-1)
     root_cells = root.flat_cells()
-    numer = np.zeros(b_flat.size)
-    numer[root_cells] = np.abs(b_flat[root_cells] - b_flat[root_cells].mean())
-    denom = np.zeros(b_flat.size)
-    for entry in family.entries:
-        cells = entry.cube.flat_cells()
-        denom[cells] += _dev_on(b_flat, cells).mean()
+    numer = np.abs(b_flat[root_cells] - b_flat[root_cells].mean())
+    ones = SampledFunction(b.domain, np.ones(b.domain.shape))
+    denom = sparse_apply("star", ones, family, b=b).values.reshape(-1)[root_cells]
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = numer[root_cells] / denom[root_cells]
-    ratio[numer[root_cells] == 0.0] = 0.0
+        ratio = numer / denom
+    ratio[numer == 0.0] = 0.0
     return float(ratio.max()) if ratio.size else 0.0
 
 
 # -- sparse model operators --------------------------------------------------
-
-
-def _dev_on(b_flat: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    return np.abs(b_flat[cells] - b_flat[cells].mean())
 
 
 def sparse_apply(
@@ -181,7 +191,7 @@ def sparse_apply(
     p: float | None = None,
     q: float | None = None,
 ) -> SampledFunction:
-    """Cube-loop accumulation of the sparse model operators.
+    """The sparse model operators, one generation table at a time.
 
     plain:      sum <f>_Q 1_Q
     star:       sum <|b - <b>_Q| f>_Q 1_Q
@@ -190,53 +200,50 @@ def sparse_apply(
     fractional: sum mu^p(P)^{1/p} lam^{-q'}(P)^{1/q'} / |P| * <f>_P 1_P
     """
     dom = f.domain
-    f_flat = f.values.reshape(-1)
-    out = np.zeros(f_flat.size, dtype=complex)
+    out = np.zeros(dom.shape, dtype=complex)
     if kind in ("star", "adjoint"):
         if b is None:
             raise ValueError(f"kind {kind!r} needs the symbol b")
-        b_flat = b.values.reshape(-1)
     elif kind == "fractional":
         if mu is None or lam is None or p is None or q is None:
             raise ValueError("fractional kind needs mu, lam, p, q")
         if not 1.0 < p <= q:
             raise ValueError("need 1 < p <= q")
         q_prime = q / (q - 1.0)
-        mu_p = mu.power(p).values.reshape(-1)
-        lam_qp = lam.power(-q_prime).values.reshape(-1)
+        mu_p = mu.power(p).values
+        lam_qp = lam.power(-q_prime).values
     elif kind != "plain":
         raise ValueError(f"unknown sparse operator kind {kind!r}")
-    for entry in family.entries:
-        cells = entry.cube.flat_cells()
-        if kind == "plain":
-            out[cells] += f_flat[cells].mean()
-        elif kind == "star":
-            out[cells] += (_dev_on(b_flat, cells) * f_flat[cells]).mean()
-        elif kind == "adjoint":
-            out[cells] += _dev_on(b_flat, cells) * f_flat[cells].mean()
-        else:
-            vol = cells.size * dom.cell_volume
-            coef = (
-                (mu_p[cells].sum() * dom.cell_volume) ** (1.0 / p)
-                * (lam_qp[cells].sum() * dom.cell_volume) ** (1.0 / q_prime)
-                / vol
+    for j, count in family._counts:
+        if kind in ("star", "adjoint"):
+            b_mean = _generation_blocks(b.values, j).mean(axis=-1)
+            dev = np.abs(b.values - _broadcast_generation(dom, b_mean, j))
+        g = dev * f.values if kind == "star" else f.values
+        mean = _generation_blocks(g, j).mean(axis=-1)  # <g>_Q per generation-j cube
+        if kind == "fractional":  # scalar pow per cube: numpy's vector pow can round differently
+            hit = count > 0
+            mu_mass, lam_mass = (
+                (_generation_blocks(w, j).sum(axis=-1)[hit] * dom.cell_volume).tolist()
+                for w in (mu_p, lam_qp)
             )
-            out[cells] += coef * f_flat[cells].mean()
+            vol = 2 ** (dom.d * (dom.m - j)) * dom.cell_volume
+            coef = np.zeros(count.shape)
+            coef[hit] = [a ** (1 / p) * c ** (1 / q_prime) / vol for a, c in zip(mu_mass, lam_mass)]
+            mean = coef * mean
+        term = _broadcast_generation(dom, count * mean, j)
+        out += dev * term if kind == "adjoint" else term
     if np.all(out.imag == 0.0):
         out = out.real
-    return SampledFunction(dom, out.reshape(dom.shape))
+    return SampledFunction(dom, out)
 
 
 def split_family(family: SparseFamily, k: float) -> SparseFamily:
     """Drop entries with sidelength in [1/k, k] AND dist(Q, 0) <= k."""
     if k <= 0:
         raise ValueError("k must be positive")
-    kept = [
-        e
-        for e in family.entries
-        if not (1.0 / k <= e.cube.sidelength <= k and e.cube.dist_to_origin() <= k)
-    ]
-    return SparseFamily(kept, gamma=family.gamma, grid_id=family.grid_id)
+    keep = [not (1.0 / k <= c.sidelength <= k and c.dist_to_origin() <= k) for c in family.cubes()]
+    cores = [core for core, kept in zip(family.cores, keep) if kept]
+    return SparseFamily(family.domain, family.entries[np.array(keep, dtype=bool)], cores)
 
 
 # -- embedding checks ---------------------------------------------------------
@@ -258,10 +265,10 @@ def carleson_constant(
     if rhs == 0.0:
         raise ValueError("f vanishes in L^p(w)")
     total = 0.0
-    for entry in family.entries:
-        cells = entry.cube.flat_cells()
-        avg = np.abs(f_flat[cells].mean())
-        total += avg**p * float(w_flat[cells].sum()) * dom.cell_volume
+    for j, count in family._counts:
+        avg = np.abs(_generation_blocks(f.values, j).mean(axis=-1))
+        w_mass = _generation_blocks(w.values, j).sum(axis=-1) * dom.cell_volume
+        total += float(np.sum(count * avg**p * w_mass))
     return total ** (1.0 / p) / rhs
 
 
@@ -270,22 +277,23 @@ def almost_orthogonality_check(
 ) -> float:
     """Ratio ||sum f_Q||_{L^p(w dx)} / (sum ||f_Q||^p)^{1/p} for pieces
     supported on their cubes and constant on in-family subcubes."""
-    if len(pieces) != len(family.entries):
+    if len(pieces) != len(family):
         raise ValueError("one piece per family entry")
     dom = w.domain
     w_flat = w.values.reshape(-1)
-    cube_cells = [e.cube.flat_cells() for e in family.entries]
+    cubes = family.cubes()
+    cube_cells = [cube.flat_cells() for cube in cubes]
     flats = []
-    for piece, cells, entry in zip(pieces, cube_cells, family.entries):
+    for piece, cells in zip(pieces, cube_cells):
         vals = piece.values if isinstance(piece, SampledFunction) else np.asarray(piece)
         vals = vals.reshape(-1)
         outside = np.setdiff1d(np.arange(vals.size), cells)
         if outside.size and np.any(vals[outside] != 0.0):
             raise ValueError("piece supported outside its cube")
         flats.append(vals)
-    for i, entry in enumerate(family.entries):
-        for j, other in enumerate(family.entries):
-            if i == j or not entry.cube.contains_cube(other.cube):
+    for i, cube in enumerate(cubes):
+        for j, other in enumerate(cubes):
+            if i == j or not cube.contains_cube(other):
                 continue
             sub = flats[i][cube_cells[j]]
             if np.ptp(sub.real) != 0.0 or np.ptp(sub.imag) != 0.0:

@@ -159,7 +159,7 @@ def test_c04_cz_augmentation(dom10):
     half = indicator(dom10, Box((0.0,), (0.5,)))
     fam = sparse.cz_augment(half, unit_root)
     ok = ok and len(fam.entries) == 1
-    ok = ok and np.array_equal(fam.entries[0].core, unit_root.flat_cells())
+    ok = ok and np.array_equal(fam.cores[0], unit_root.flat_cells())
     ok = ok and sparse.augmentation_ratio(half, unit_root, fam) == pytest.approx(1.0)
     _verdict(4, "CZ augmentation sparse + dominating", ok,
              f"50 seeds at m=10, worst ratio {worst:.3g} vs C = {bound:g}")
@@ -192,12 +192,13 @@ def test_c05_john_nirenberg(dom10, unit10):
         fam = sparse.cz_augment(b, root)
         carleson_worst = max(carleson_worst, sparse.carleson_constant(f, unit10, 2.0, fam))
         pieces = []
-        for e in fam.entries:
+        cubes = fam.cubes()
+        for cube in cubes:
             v = np.zeros(dom10.n)
-            v[e.cube.flat_cells()] = rng.standard_normal()
-            subs = [o for o in fam.entries if e.cube.contains_cube(o.cube) and o is not e]
+            v[cube.flat_cells()] = rng.standard_normal()
+            subs = [o for o in cubes if cube.contains_cube(o) and o is not cube]
             if subs:
-                v[np.unique(np.concatenate([o.cube.flat_cells() for o in subs]))] = (
+                v[np.unique(np.concatenate([o.flat_cells() for o in subs]))] = (
                     rng.standard_normal()
                 )
             pieces.append(v)

@@ -68,6 +68,8 @@ def test_missing_config_file_exits_2(tmp_path):
          "params": {"eps_list": []}},
         {"experiment": "commutator-sweep", "kernel": {"variant": "hilbert"},
          "symbols": log_symbols(), "params": {"budget": [2]}},
+        {"experiment": "bmo-compute", "symbols": log_symbols(), "params": {"r": 0.0}},
+        {"experiment": "bmo-compute", "symbols": log_symbols(), "params": {"r": 0.5}},
     ],
 )
 def test_bad_configs_exit_2(tmp_path, cfg):
@@ -262,7 +264,8 @@ def test_invalid_eps_list_is_config_error(tmp_path):
     assert cli.run(cfg, out_dir=tmp_path / "out") == 2
 
 
-def test_numerical_failure_exits_3_without_traceback(tmp_path, monkeypatch, capsys):
+def drift_gkl(monkeypatch):
+    """Make every GKL solve report a sigma that its witness misses by 1e-6."""
     true_top = cli.normest._gkl_top
 
     def drifting_top(*args):
@@ -270,6 +273,10 @@ def test_numerical_failure_exits_3_without_traceback(tmp_path, monkeypatch, caps
         return sigma * (1.0 + 1e-6), right, residual, steps
 
     monkeypatch.setattr(cli.normest, "_gkl_top", drifting_top)
+
+
+def test_numerical_failure_exits_3_without_traceback(tmp_path, monkeypatch, capsys):
+    drift_gkl(monkeypatch)
     cfg = {
         "experiment": "commutator-sweep",
         "domain": {"d": 1, "m": 6},
@@ -280,6 +287,20 @@ def test_numerical_failure_exits_3_without_traceback(tmp_path, monkeypatch, caps
     err = capsys.readouterr().err
     assert "numerical error: witness ratio" in err
     assert "Traceback" not in err
+
+
+def test_sweep_reports_numerical_failure_as_its_own_status(tmp_path, monkeypatch):
+    drift_gkl(monkeypatch)
+    cfg = {
+        "experiment": "commutator-sweep",
+        "kernel": {"variant": "hilbert"},
+        "symbols": log_symbols(),
+        "sweep": {"axis": "m", "values": [6]},
+    }
+    out = tmp_path / "out"
+    assert cli.sweep(cfg, out_dir=out) == 1
+    _, rows = read_csv(out / "sweep.csv")
+    assert rows[0][1] == "numerical-error" and "witness ratio" in rows[0][2]
 
 
 def test_commutator_sweep_runs_past_the_dense_cap(tmp_path):

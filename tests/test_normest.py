@@ -35,7 +35,7 @@ def log_comm(b_log, hilbert_op):
 
 
 def plain_op(dom, matrix):
-    return ops.OperatorMatrix(dom, matrix, None)
+    return ops.OperatorMatrix(dom, matrix)
 
 
 def norm_ratio(op, f, p, q, mu, lam):
@@ -240,10 +240,10 @@ def dense_star(b, family):
     dom = b.domain
     out = np.zeros((dom.n**dom.d,) * 2)
     flat = b.values.reshape(-1)
-    for entry in family.entries:
-        cells = entry.cube.flat_cells()
+    for cube in family.cubes():
+        cells = cube.flat_cells()
         dev = np.abs(flat[cells] - flat[cells].mean())
-        out[np.ix_(cells, cells)] += dev[None, :] * (dom.cell_volume / entry.cube.volume)
+        out[np.ix_(cells, cells)] += dev[None, :] * (dom.cell_volume / cube.volume)
     return out
 
 
