@@ -267,7 +267,8 @@ def parse_symbol(spec) -> tuple[SymbolTerm, ...]:
         kind = item.pop("kind")
         coeff = item.pop("coefficient", 1.0)
         if isinstance(coeff, (list, tuple)):
-            coeff = complex(coeff[0], coeff[1])
+            real, imag = coeff  # [re, im]; another length is a ValueError
+            coeff = complex(real, imag)
         else:
             coeff = complex(coeff)
         kwargs = {"kind": kind, "coefficient": coeff}

@@ -72,6 +72,14 @@ def region_cells(domain: LatticeDomain, region) -> tuple[np.ndarray, np.ndarray]
     return idx, np.full(idx.size, domain.cell_volume)
 
 
+def _check_exponents(alpha: float, r: float) -> None:
+    """ValueError unless alpha >= 0 and r >= 1, where osc_r is defined."""
+    if alpha < 0.0:
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if r < 1.0:
+        raise ValueError(f"r must be >= 1, got {r}")
+
+
 def oscillation(
     b: SampledFunction,
     region,
@@ -80,10 +88,7 @@ def oscillation(
     r: float = 1.0,
 ) -> float:
     """osc_r(b; region) for a cube, box, or cell set; exact on the lattice."""
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if r < 1.0:
-        raise ValueError(f"r must be >= 1, got {r}")
+    _check_exponents(alpha, r)
     dom = b.domain
     if nu is not None and nu.domain != dom:
         raise ValueError("nu must live on the domain of b")
@@ -183,8 +188,6 @@ def bmo_norm(
         if r != 1.0:
             raise ValueError("two-weight mode is defined at r = 1")
     else:
-        if r < 1.0:
-            raise ValueError(f"r must be >= 1, got {r}")
         if nu is None and not (mu is not None and lam is not None and setup is not None):
             if alpha is None:
                 alpha = 0.0
@@ -194,6 +197,7 @@ def bmo_norm(
             nu = bloom_weight(mu, lam, setup)
         if alpha is None:
             alpha = setup.alpha if setup is not None else 0.0
+        _check_exponents(alpha, r)
     keys, descriptor = dyadic.family_keys(dom, family)
     if descriptor == "canonical":
         tables = []
@@ -266,6 +270,7 @@ def vmo_profile(
 
     Curves stop at cubes of side 4h; below that the per-cube means are
     supported on too few cells to say anything about the symbol."""
+    _check_exponents(alpha, r)
     dom = b.domain
     j_max = dom.m - int(math.log2(_GEN_FLOOR_CELLS))
     gens = list(range(j_max + 1))
@@ -455,6 +460,9 @@ def vmo_witness(
     Far-away families must reach escape_radius (default 3L/4): on a
     bounded domain a sequence that stalls at moderate distance says
     nothing about behaviour at infinity."""
+    _check_exponents(alpha, r)
+    if not (theta > 0.0 and math.isfinite(1.0 / theta)):
+        raise ValueError(f"theta must be positive with a finite reciprocal, got {theta}")
     if escape_radius is None:
         escape_radius = 0.75 * b.domain.L
     searchers = {

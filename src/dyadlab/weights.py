@@ -349,16 +349,20 @@ def bloom_sandwich_report(
     ratios = mu_p ** (1.0 / p) * lam_qp ** (1.0 / setup.q_prime) / nu_avg ** (
         1.0 + setup.alpha_frac
     )
-    mu_char = apq_characteristic(mu, mu, p, p, family=family).supremum
-    lam_char = apq_characteristic(lam, lam, q, q, family=family).supremum
-    half_log = (mu.log_values - lam.log_values) / 2.0
-    nu_root = Weight(mu.domain, np.exp(half_log), half_log, tag="bloom^(1/s)")
-    s = setup.s
-    inter = apq_characteristic(nu_root, nu_root, s, s, family=family).supremum
     membership = {
         "mu": membership_surrogate(mu, p),
         "lam": membership_surrogate(lam, q),
     }
+    if descriptor == "canonical":  # the surrogates computed these very characteristics
+        mu_char = membership["mu"]["characteristic"]
+        lam_char = membership["lam"]["characteristic"]
+    else:
+        mu_char = apq_characteristic(mu, mu, p, p, family=family).supremum
+        lam_char = apq_characteristic(lam, lam, q, q, family=family).supremum
+    half_log = (mu.log_values - lam.log_values) / 2.0
+    nu_root = Weight(mu.domain, np.exp(half_log), half_log, tag="bloom^(1/s)")
+    s = setup.s
+    inter = apq_characteristic(nu_root, nu_root, s, s, family=family).supremum
     if not membership["mu"]["ok"] or not membership["lam"]["ok"]:
         flags.add("membership-surrogate-failed")
     return SandwichReport(

@@ -10,9 +10,11 @@ import sys
 import tempfile
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dyadlab import cli
 
@@ -70,6 +72,14 @@ def test_missing_config_file_exits_2(tmp_path):
          "symbols": log_symbols(), "params": {"budget": [2]}},
         {"experiment": "bmo-compute", "symbols": log_symbols(), "params": {"r": 0.0}},
         {"experiment": "bmo-compute", "symbols": log_symbols(), "params": {"r": 0.5}},
+        {"experiment": "vmo-witness", "domain": {"d": 1, "m": 4}, "symbols": log_symbols(),
+         "params": {"r": 0.0}},
+        {"experiment": "vmo-witness", "domain": {"d": 1, "m": 4}, "symbols": log_symbols(),
+         "params": {"theta": 0.0}},
+        {"experiment": "vmo-witness", "domain": {"d": 1, "m": 4}, "symbols": log_symbols(),
+         "params": {"theta": 5e-324}},
+        {"experiment": "bmo-compute",
+         "symbols": [{"id": "c", "terms": [{"kind": "constant", "coefficient": []}]}]},
     ],
 )
 def test_bad_configs_exit_2(tmp_path, cfg):
@@ -405,6 +415,23 @@ def test_sweep_row_level_errors(tmp_path):
     assert rows[1][1] == "config-error" and "missing" in rows[1][2]
 
 
+def test_sweep_values_the_axis_cannot_take_are_config_error_rows(tmp_path):
+    cfg = {
+        "experiment": "bmo-compute",
+        "domain": {"d": 1, "m": 5},
+        "symbols": log_symbols(),
+        "sweep": {"axis": "m", "values": [5, "x", None, math.inf, [6]]},
+    }
+    out = tmp_path / "m"
+    assert cli.sweep(cfg, out_dir=out) == 1
+    _, rows = read_csv(out / "sweep.csv")
+    assert [r[1] for r in rows] == ["ok"] + ["config-error"] * 4
+    # a symbol sweep skips entries that are not symbol mappings
+    cfg = dict(cfg, symbols=["junk", *log_symbols()],
+               sweep={"axis": "symbol", "values": ["log"]})
+    assert cli.sweep(cfg, out_dir=tmp_path / "symbol") == 0
+
+
 def test_sweep_missing_axis_exits_2(tmp_path, capsys):
     cfg = {"experiment": "bmo-compute", "symbols": log_symbols()}
     assert cli.sweep(cfg, out_dir=tmp_path / "out") == 2
@@ -489,7 +516,7 @@ _TERMS = st.one_of(
                            "radius": st.floats(-0.5, 2)}),
 )
 _WEIGHTS = st.one_of(
-    st.just({"kind": "unit"}),
+    st.fixed_dictionaries({"kind": st.just("unit")}),  # a fresh dict: configs get mutated
     st.fixed_dictionaries({"kind": st.just("power"), "beta": st.floats(-1.5, 3)}),
     st.fixed_dictionaries({"kind": st.just("logsmooth")},
                           optional={"amplitude": st.floats(0, 5), "modes": st.integers(0, 4),
@@ -545,10 +572,77 @@ def _configs(draw):
     return cfg
 
 
-@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
 @given(cfg=_configs())
 def test_random_configs_exit_with_a_status_never_a_traceback(cfg):
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert cli.run(cfg, out_dir=tmp) in (0, 1, 2, 3)
+
+
+# -- table writer --------------------------------------------------------------
+
+
+def _row_path_cell(value):
+    """The per-cell formatting of the row-by-row writer the column writer replaced."""
+    if isinstance(value, bool):
+        return str(value)
+    if isinstance(value, float):
+        return format(value, ".17g")
+    if isinstance(value, (np.floating,)):
+        return format(float(value), ".17g")
+    return str(value)
+
+
+def _write_rows(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_row_path_cell(v) for v in row])
+
+
+_CELL_TEXT = st.text(st.sampled_from(list('ab,;"\' \n\r_')), max_size=5)
+_FLOAT64 = st.floats() | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e-310])
+_FLOAT32 = st.floats(width=32)
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+_SCALARS = [  # one strategy per kind of cell
+    _FLOAT64, _FLOAT64.map(np.float64), _FLOAT32.map(np.float32),
+    _INT64, _INT64.map(np.int64), st.booleans(), st.booleans().map(np.bool_), _CELL_TEXT,
+]
+_ARRAYS = [(np.float64, _FLOAT64), (np.float32, _FLOAT32), (np.float16, st.floats(width=16)),
+           (np.longdouble, _FLOAT64),
+           (np.int64, _INT64), (np.uint8, st.integers(0, 255)), (np.bool_, st.booleans()),
+           ("U5", _CELL_TEXT)]
+
+
+@st.composite
+def _tables(draw):
+    """A header and equal-length columns: numpy arrays of each dtype kind, and
+    lists of one kind of cell or of mixed kinds."""
+    n_rows = draw(st.integers(0, 6))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        form = draw(st.sampled_from(["array", "list", "mixed"]))
+        if form == "array":
+            dtype, elements = draw(st.sampled_from(_ARRAYS))
+            columns.append(draw(hnp.arrays(dtype, n_rows, elements=elements)))
+        else:
+            cell = st.one_of(_SCALARS) if form == "mixed" else draw(st.sampled_from(_SCALARS))
+            columns.append(draw(st.lists(cell, min_size=n_rows, max_size=n_rows)))
+    header = draw(st.lists(_CELL_TEXT, min_size=len(columns), max_size=len(columns)))
+    return header, columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_tables())
+def test_column_writer_matches_the_row_path(table):
+    header, columns = table
+    with tempfile.TemporaryDirectory() as tmp:
+        old, new = f"{tmp}/rows.csv", f"{tmp}/columns.csv"
+        _write_rows(old, header, zip(*columns))
+        cli._write_table(new, header, columns)
+        with open(old, "rb") as a, open(new, "rb") as b:
+            assert b.read() == a.read()

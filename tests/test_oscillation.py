@@ -78,6 +78,15 @@ def test_rejects_bad_parameters(logx, grid):
         osc.oscillation(logx, np.zeros(logx.domain.n, dtype=bool))
 
 
+def test_bmo_norm_rejects_negative_alpha_on_every_family_path():
+    dom = LatticeDomain(d=1, m=5, L=1.0)
+    b = SampledFunction(dom, np.log(np.abs(dom.midpoints()[0])))
+    explicit = dyadic.enumerate_cubes(dyadic.canonical_grid(dom))
+    for family in ("canonical", explicit):
+        with pytest.raises(ValueError, match="alpha must be >= 0"):
+            osc.bmo_norm(b, alpha=-1.0, family=family)
+
+
 def test_region_forms_agree(logx, grid):
     Q = grid.cube_containing((0.5,), 2)
     by_cube = osc.oscillation(logx, Q)

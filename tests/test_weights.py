@@ -182,6 +182,21 @@ class TestBloom:
         rep = bloom_sandwich_report(mu, lam, setup)
         assert rep.holds(1e-9)
 
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_sandwich_characteristics_are_the_apq_suprema(self, explicit):
+        # On the canonical family they are read off the membership surrogates.
+        dom = LatticeDomain(2, 4, 1.0)
+        setup = ExponentSetup(2.0, 3.0, 2)
+        mu = make_weight(dom, {"kind": "power", "beta": 0.4})
+        lam = make_weight(dom, {"kind": "logsmooth", "seed": 3})
+        family = (dyadic.enumerate_cubes(dyadic.canonical_grid(dom)) if explicit
+                  else "canonical")
+        rep = bloom_sandwich_report(mu, lam, setup, family=family)
+        assert rep.mu_characteristic == apq_characteristic(mu, mu, 2.0, 2.0, family).supremum
+        assert rep.lam_characteristic == apq_characteristic(lam, lam, 3.0, 3.0, family).supremum
+        if not explicit:
+            assert rep.mu_characteristic == rep.membership["mu"]["characteristic"]
+
     def test_setup_dimension_mismatch(self):
         dom = LatticeDomain(1, 4, 1.0)
         mu = make_weight(dom, {"kind": "unit"})
