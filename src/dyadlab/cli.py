@@ -11,7 +11,7 @@ repeats the experiment along one axis -- m, p, q, pq, or symbol -- one
 row per point with row-level status; points run concurrently under a
 worker cap but every file is written from the coordinating thread.
 
-A result table is a set of columns (numpy arrays or short lists), and
+A result table is a set of columns (numpy arrays, lists or tuples), and
 the CSV format is defined per column: a float column is written with 17
 significant digits, an int, bool or string column through str, so
 identical config and seeds reproduce byte-identical CSVs.  No plotting:
@@ -92,7 +92,7 @@ class RunContext:
 
 @dataclass
 class ExperimentResult:
-    tables: dict  # name -> (header, columns); a column is an array or a list
+    tables: dict  # name -> (header, columns); a column is an array, list or tuple
     assertions: list = field(default_factory=list)
     flags: list = field(default_factory=list)
     headline: dict = field(default_factory=dict)
@@ -277,46 +277,36 @@ def _cube_key(cube) -> tuple:
     return cube.generation, "_".join(str(i) for i in cube.index)
 
 
-def _add_row(columns: list, *values) -> None:
-    """Append one row to a table held as a list of column lists."""
-    for column, value in zip(columns, values, strict=True):
-        column.append(value)
-
-
-def _one_row(*values) -> list:
-    """The columns of a one-row table."""
-    return [[v] for v in values]
-
-
 def _exp_weights_check(ctx: RunContext) -> ExperimentResult:
     """A_p / A_{p,q} characteristics with a divergence diagnostic (never hard)."""
-    header = ("weight", "exponent", "characteristic", "coarse_characteristic",
-              "drift", "ok")
-    columns, flags, overflow = [[] for _ in header], [], False
+    rows, flags, overflow = [], [], False
     for name, w, exponent in (("mu", ctx.mu, ctx.setup.p), ("lambda", ctx.lam, ctx.setup.q)):
         info = membership_surrogate(w, exponent)
-        _add_row(columns, name, exponent, *(info[k] for k in header[2:]))
+        rows.append(
+            (name, exponent, info["characteristic"], info["coarse_characteristic"],
+             info["drift"], info["ok"])
+        )
         if not info["ok"]:
             flags.append(f"divergence:{name}")
         overflow = overflow or info["overflow"]
-    chars = columns[2]
     joint = apq_characteristic(ctx.mu, ctx.lam, ctx.setup.p, ctx.setup.q)
     gen, idx = _cube_key(joint.argmax_cube)
+    joint_rows = [(ctx.setup.p, ctx.setup.q, joint.supremum, gen, idx,
+                   ";".join(sorted(joint.flags)))]
     assertions = [
         _assertion("characteristics-finite",
-                   all(math.isfinite(float(c)) for c in chars) and not overflow,
+                   all(math.isfinite(float(r[2])) for r in rows) and not overflow,
                    hard=True,
                    detail="surrogate characteristics are finite on the lattice"),
     ]
-    headline = {"char_mu": float(chars[0]), "char_lambda": float(chars[1]),
+    headline = {"char_mu": float(rows[0][2]), "char_lambda": float(rows[1][2]),
                 "char_joint": joint.supremum}
     return ExperimentResult(
         tables={
-            "weights": (header, columns),
+            "weights": (("weight", "exponent", "characteristic",
+                         "coarse_characteristic", "drift", "ok"), list(zip(*rows))),
             "joint": (("p", "q", "characteristic", "argmax_generation",
-                       "argmax_index", "flags"),
-                      _one_row(ctx.setup.p, ctx.setup.q, joint.supremum, gen, idx,
-                               ";".join(sorted(joint.flags)))),
+                       "argmax_index", "flags"), list(zip(*joint_rows))),
         },
         assertions=assertions,
         flags=flags,
@@ -328,6 +318,8 @@ def _exp_bloom_verify(ctx: RunContext) -> ExperimentResult:
     rep = bloom_sandwich_report(ctx.mu, ctx.lam, ctx.setup)
     index = "_".join(["%d"] * ctx.domain.d).__mod__
     index_column = list(map(index, zip(*rep.cubes[:, 2:].T.tolist())))
+    summary_rows = [(rep.min_ratio, rep.max_ratio, rep.upper, rep.s,
+                     rep.intermediate_characteristic, rep.intermediate_bound)]
     assertions = [
         _assertion("sandwich-holds", rep.holds(HARD_TOL),
                    detail=f"ratios in [{rep.min_ratio:.6g}, {rep.max_ratio:.6g}], "
@@ -345,10 +337,7 @@ def _exp_bloom_verify(ctx: RunContext) -> ExperimentResult:
                                [rep.cubes[:, 1], index_column, rep.ratios]),
             "sandwich_summary": (("min_ratio", "max_ratio", "upper", "s",
                                   "intermediate_characteristic",
-                                  "intermediate_bound"),
-                                 _one_row(rep.min_ratio, rep.max_ratio, rep.upper, rep.s,
-                                          rep.intermediate_characteristic,
-                                          rep.intermediate_bound)),
+                                  "intermediate_bound"), list(zip(*summary_rows))),
         },
         assertions=assertions,
         flags=flags,
@@ -357,21 +346,22 @@ def _exp_bloom_verify(ctx: RunContext) -> ExperimentResult:
 
 
 def _exp_bmo_compute(ctx: RunContext) -> ExperimentResult:
-    header = ("symbol", "mode", "bmo", "argmax_generation", "argmax_index")
-    columns, assertions, headline = [[] for _ in header], [], {}
+    rows, assertions, headline = [], [], {}
     for sid, b in ctx.symbols:
         rep = oscillation.bmo_norm(
             b, mode="fractional", mu=ctx.mu, lam=ctx.lam, setup=ctx.setup,
             r=_param(ctx, "r", 1.0, float),
         )
-        _add_row(columns, sid, rep.mode, rep.supremum, *_cube_key(rep.argmax_cube))
+        gen, idx = _cube_key(rep.argmax_cube)
+        rows.append((sid, rep.mode, rep.supremum, gen, idx))
         assertions.append(
             _assertion(f"bmo-finite:{sid}", math.isfinite(rep.supremum),
                        detail=f"sup = {rep.supremum:.6g}")
         )
         headline[f"bmo_{sid}"] = rep.supremum
     return ExperimentResult(
-        tables={"bmo": (header, columns)},
+        tables={"bmo": (("symbol", "mode", "bmo", "argmax_generation",
+                         "argmax_index"), list(zip(*rows)))},
         assertions=assertions,
         headline=headline,
     )
@@ -382,12 +372,12 @@ def _exp_jn_verify(ctx: RunContext) -> ExperimentResult:
     grid = dyadic.canonical_grid(ctx.domain)
     root = grid.cube(1, (1,) * ctx.domain.d)  # [0, L)^d: origin on the boundary
     bound = sparse.cz_constant(ctx.domain.d)
-    header = ("symbol", "r", "r_norm", "one_norm", "ratio", "root_r_oscillation",
-              "sparse_bound", "sparse_ratio", "family_size")
-    columns, assertions, headline = [[] for _ in header], [], {}
+    rows, assertions, headline = [], [], {}
     for sid, b in ctx.symbols:
         rep = oscillation.jn_verify(b, ctx.mu, ctx.setup.p, r, ctx.setup.alpha, root)
-        _add_row(columns, sid, *(getattr(rep, k) for k in header[1:]))
+        rows.append((sid, rep.r, rep.r_norm, rep.one_norm, rep.ratio,
+                     rep.root_r_oscillation, rep.sparse_bound, rep.sparse_ratio,
+                     rep.family_size))
         assertions.append(
             _assertion(f"jn-monotone:{sid}", rep.ratio >= 1.0 - HARD_TOL,
                        detail=f"r-norm / 1-norm = {rep.ratio:.6g}")
@@ -399,7 +389,9 @@ def _exp_jn_verify(ctx: RunContext) -> ExperimentResult:
         )
         headline[f"jn_ratio_{sid}"] = rep.ratio
     return ExperimentResult(
-        tables={"jn": (header, columns)},
+        tables={"jn": (("symbol", "r", "r_norm", "one_norm", "ratio",
+                        "root_r_oscillation", "sparse_bound", "sparse_ratio",
+                        "family_size"), list(zip(*rows)))},
         assertions=assertions,
         headline=headline,
     )
@@ -422,15 +414,14 @@ def _exp_sparse_dominate(ctx: RunContext) -> ExperimentResult:
     cases.extend((f"seed{s}", _random_symbol(ctx.domain, s)) for s in ctx.seeds)
     if not cases:
         raise ConfigError("sparse-dominate needs symbols or seeds")
-    header = ("symbol", "entries", "sparse_ok", "max_ratio", "bound")
-    columns, assertions = [[] for _ in header], []
+    rows, assertions = [], []
     worst = 0.0
     for sid, b in cases:
         family = sparse.cz_augment(b, root)
         verdict = sparse.is_sparse(family)
         ratio = sparse.augmentation_ratio(b, root, family)
         worst = max(worst, ratio)
-        _add_row(columns, sid, len(family.entries), verdict.ok, ratio, bound)
+        rows.append((sid, len(family.entries), verdict.ok, ratio, bound))
         assertions.append(
             _assertion(f"sparse:{sid}", verdict.ok,
                        detail=verdict.reason if not verdict.ok else "1/2-sparse")
@@ -440,7 +431,8 @@ def _exp_sparse_dominate(ctx: RunContext) -> ExperimentResult:
                        detail=f"max cell ratio {ratio:.6g} vs C = {bound:g}")
         )
     return ExperimentResult(
-        tables={"sparse": (header, columns)},
+        tables={"sparse": (("symbol", "entries", "sparse_ok", "max_ratio",
+                            "bound"), list(zip(*rows)))},
         assertions=assertions,
         headline={"worst_ratio": worst},
     )
@@ -453,10 +445,11 @@ def _exp_commutator_sweep(ctx: RunContext) -> ExperimentResult:
         budget=_param(ctx, "budget", 8, int),
         probe_generation=_param(ctx, "probe_generation", 3, int),
     )
-    header = ("symbol", "bmo", "norm", "probe", "norm_over_bmo", "probe_over_norm")
-    assertions, headline = [], {}
+    rows, assertions, headline = [], [], {}
     for row in sweep_rows:
         sid = row["symbol"]
+        rows.append((sid, row["bmo"], row["norm"], row["probe"],
+                     row["norm_over_bmo"], row["probe_over_norm"]))
         if math.isfinite(row["probe"]):
             assertions.append(
                 _assertion(f"probe-below-norm:{sid}",
@@ -469,7 +462,8 @@ def _exp_commutator_sweep(ctx: RunContext) -> ExperimentResult:
     flags = [f"probe-refused:{r['symbol']}" for r in sweep_rows
              if not math.isfinite(r["probe"])]
     return ExperimentResult(
-        tables={"commutator": (header, [[row[k] for row in sweep_rows] for k in header])},
+        tables={"commutator": (("symbol", "bmo", "norm", "probe", "norm_over_bmo",
+                                "probe_over_norm"), list(zip(*rows)))},
         assertions=assertions,
         flags=flags,
         headline=headline,
@@ -482,17 +476,14 @@ def _exp_compactness_profile(ctx: RunContext) -> ExperimentResult:
         raise ConfigError("params.eps_list must not be empty")
     k_list = _param(ctx, "k_list", (1.0, 2.0, 4.0, 8.0), _numbers)
     budget = _param(ctx, "budget", 8, int)
-    tails, sparse_tails = [[], [], []], [[], [], []]
-    flags, headline = [], {}
+    tail_rows, sparse_rows, flags, headline = [], [], [], {}
     for sid, b in ctx.symbols:
         rep = normest.compactness_profile(
             b, ctx.kernel, ctx.setup, eps_list, ctx.mu, ctx.lam,
             k_list=k_list, budget=budget,
         )
-        for e, t in zip(rep.eps_list, rep.tail_norms):
-            _add_row(tails, sid, e, t)
-        for k, t in zip(rep.k_list, rep.sparse_tail_norms):
-            _add_row(sparse_tails, sid, k, t)
+        tail_rows.extend((sid, e, t) for e, t in zip(rep.eps_list, rep.tail_norms))
+        sparse_rows.extend((sid, k, t) for k, t in zip(rep.k_list, rep.sparse_tail_norms))
         first, last = rep.tail_norms[0], rep.tail_norms[-1]
         ratio = last / first if first > 0.0 else 0.0
         headline[f"tail_ratio_{sid}"] = ratio
@@ -504,8 +495,8 @@ def _exp_compactness_profile(ctx: RunContext) -> ExperimentResult:
     # Trend is a diagnostic, not an assertion: the dichotomy is symbol-specific.
     return ExperimentResult(
         tables={
-            "tails": (("symbol", "eps", "tail_norm"), tails),
-            "sparse_tails": (("symbol", "k", "tail_norm"), sparse_tails),
+            "tails": (("symbol", "eps", "tail_norm"), list(zip(*tail_rows))),
+            "sparse_tails": (("symbol", "k", "tail_norm"), list(zip(*sparse_rows))),
         },
         flags=flags,
         headline=headline,
@@ -516,21 +507,16 @@ def _exp_vmo_witness(ctx: RunContext) -> ExperimentResult:
     nu = bloom_weight(ctx.mu, ctx.lam, ctx.setup)
     alpha = ctx.setup.alpha
     r = _param(ctx, "r", 1.0, float)
-    tables = {name: (header, [[] for _ in header]) for name, header in (
-        ("profile", ("symbol", "scale", "per_scale_sup", "small_scale_sup",
-                     "large_scale_sup")),
-        ("distance", ("symbol", "radius", "distance_sup")),
-        ("witness", ("symbol", "status", "mode", "generation", "index", "core_cells",
-                     "oscillation")),
-    )}
-    profile, distance, witnesses = (columns for _, columns in tables.values())
+    profile_rows, distance_rows, witness_rows = [], [], []
     assertions, flags = [], []
     for sid, b in ctx.symbols:
         prof = oscillation.vmo_profile(b, nu, alpha, r=r)
-        for row in zip(prof.scales, prof.per_scale_sup, prof.small_scale, prof.large_scale):
-            _add_row(profile, sid, *row)
-        for rad, d in zip(prof.radii, prof.distance):
-            _add_row(distance, sid, rad, d)
+        profile_rows.extend(
+            (sid, s, ps, sm, lg)
+            for s, ps, sm, lg in zip(prof.scales, prof.per_scale_sup,
+                                     prof.small_scale, prof.large_scale)
+        )
+        distance_rows.extend((sid, rad, d) for rad, d in zip(prof.radii, prof.distance))
         witness = oscillation.vmo_witness(
             b, nu, alpha,
             c0=_param(ctx, "c0", 0.5, float),
@@ -540,12 +526,15 @@ def _exp_vmo_witness(ctx: RunContext) -> ExperimentResult:
             min_pairs=_param(ctx, "min_pairs", 2, int),
         )
         if witness is None:
-            _add_row(witnesses, sid, "none", "", "", "", "", "")
+            witness_rows.append((sid, "none", "", "", "", "", ""))
             flags.append(f"no-witness:{sid}")
             continue
-        for (cube, core), osc in zip(witness.entries, witness.oscillations):
-            _add_row(witnesses, sid, "found", witness.mode, *_cube_key(cube),
-                     int(core.size), float(osc))
+        for k, ((cube, core), osc) in enumerate(
+            zip(witness.entries, witness.oscillations)
+        ):
+            gen, idx = _cube_key(cube)
+            witness_rows.append((sid, "found", witness.mode, gen, idx,
+                                 int(core.size), float(osc)))
         assertions.append(
             _assertion(f"witness-oscillation:{sid}",
                        all(o >= witness.threshold / 2.0 * (1.0 - HARD_TOL)
@@ -553,7 +542,17 @@ def _exp_vmo_witness(ctx: RunContext) -> ExperimentResult:
                        detail=f"{len(witness)} pairs at or above c0/2 = "
                               f"{witness.threshold / 2.0:.6g} in mode {witness.mode}")
         )
-    return ExperimentResult(tables=tables, assertions=assertions, flags=flags)
+    return ExperimentResult(
+        tables={
+            "profile": (("symbol", "scale", "per_scale_sup", "small_scale_sup",
+                         "large_scale_sup"), list(zip(*profile_rows))),
+            "distance": (("symbol", "radius", "distance_sup"), list(zip(*distance_rows))),
+            "witness": (("symbol", "status", "mode", "generation", "index",
+                         "core_cells", "oscillation"), list(zip(*witness_rows))),
+        },
+        assertions=assertions,
+        flags=flags,
+    )
 
 
 _EXPERIMENT_FUNCS = {
@@ -572,31 +571,25 @@ _EXPERIMENT_FUNCS = {
 
 
 def _fmt(value) -> str:
-    """One cell of a column of mixed kinds."""
+    """One cell of a list column that is not all strings."""
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")
     return str(value)
 
 
 def _column_cells(column):
-    """The CSV cells of one column, with the formatter chosen once by its
-    kind: floats to 17 significant digits, ints, bools and strings through
-    str.  An array's kind is its dtype, a list's the set of its element
-    types; a list of mixed kinds (floats and "" placeholders, say) goes
-    cell by cell through `_fmt`, which gives every value the same text.
-    The cells are made lazily, as the writer takes the rows, so a long
-    table never holds all its text at once."""
+    """The CSV cells of one column.  A numeric array gets one formatter by
+    its dtype: floats to 17 significant digits, ints and bools through str.
+    A list (or tuple) of strings is written as it is; any other list goes
+    cell by cell through `_fmt`.  A list column is held in full by its
+    caller; only an array column's cells are made lazily, as the writer
+    takes the rows."""
     if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
         if column.dtype.kind == "f":
             return map("{:.17g}".format, column.astype(float, copy=False).tolist())
         return map(str, column.tolist())
-    kinds = set(map(type, column))
-    if kinds <= {str}:
+    if set(map(type, column)) <= {str}:
         return column
-    if kinds <= {float}:
-        return map("{:.17g}".format, column)
-    if kinds <= {bool, int, str}:
-        return map(str, column)
     return map(_fmt, column)
 
 
@@ -797,10 +790,10 @@ def sweep(config, out_dir=None, seed=None, workers=None) -> int:
         {k for _, _, _, res in outcomes if res is not None for k in res.headline}
     )
     header = [axis, "status", "detail", "hard_passed", "hard_failed", *headline_keys]
-    columns, any_bad = [[] for _ in header], False
+    rows, any_bad = [], False
     for value, status, detail, res in outcomes:
         if res is None:
-            _add_row(columns, value, status, detail, "", "", *[""] * len(headline_keys))
+            rows.append((value, status, detail, "", "", *[""] * len(headline_keys)))
             any_bad = True
             continue
         failed = len(res.hard_failures)
@@ -809,12 +802,12 @@ def sweep(config, out_dir=None, seed=None, workers=None) -> int:
         any_bad = any_bad or failed > 0
         point_dir = out / _point_tag(axis, value)
         emit_report(cfg["experiment"], res, point_dir, {"axis": axis, "value": value})
-        _add_row(columns, value, status, detail, passed, failed,
-                 *[res.headline.get(k, "") for k in headline_keys])
+        rows.append((value, status, detail, passed, failed,
+                     *[res.headline.get(k, "") for k in headline_keys]))
 
     path = out / "sweep.csv"
-    _write_table(path, header, columns)
-    print(f"wrote {path} ({len(outcomes)} points)")
+    _write_table(path, header, list(zip(*rows)))
+    print(f"wrote {path} ({len(rows)} points)")
     return 1 if any_bad else 0
 
 
