@@ -655,12 +655,10 @@ def run(config, out_dir=None, seed=None) -> int:
         result = _EXPERIMENT_FUNCS[ctx.experiment](ctx)
         out = _resolve_out(cfg, out_dir, ctx.experiment)
         files = emit_report(ctx.experiment, result, out, cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
-        # Library-level rejections (bad eps lists, degenerate probes, ...)
-        # are configuration mistakes, not assertion failures.
+        # ConfigError and library-level rejections (bad eps lists,
+        # degenerate probes, ...) are configuration mistakes, not
+        # assertion failures.
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
@@ -720,7 +718,8 @@ def _point_config(cfg: dict, axis: str, value) -> dict:
 
 
 def _point_tag(axis: str, value) -> str:
-    if isinstance(value, float) and value == int(value):
+    """Directory name of a sweep point; 6 and 6.0 share one."""
+    if isinstance(value, float) and value.is_integer():
         return f"{axis}-{int(value)}"
     return f"{axis}-{value}"
 
@@ -751,17 +750,19 @@ def sweep(config, out_dir=None, seed=None, workers=None) -> int:
         cap = _worker_cap(workers, len(values))
         out = _resolve_out(cfg, out_dir, f"sweep-{experiment}")
         out.mkdir(parents=True, exist_ok=True)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    points = []
+    points, tags = [], set()
     for value in values:
         try:
-            points.append((value, _point_config(cfg, axis, value), None))
+            point_cfg = _point_config(cfg, axis, value)
+            tag = _point_tag(axis, value)
+            if tag in tags:
+                raise ConfigError(f"point directory {tag} is taken by an earlier point")
+            tags.add(tag)
+            points.append((value, point_cfg, None))
         except (TypeError, ValueError, OverflowError) as exc:  # ConfigError included
             points.append((value, None, str(exc)))
 
@@ -779,7 +780,7 @@ def sweep(config, out_dir=None, seed=None, workers=None) -> int:
                 continue
             try:
                 outcomes.append((value, "ok", "", future.result()))
-            except (ConfigError, ValueError) as exc:
+            except ValueError as exc:  # ConfigError included
                 outcomes.append((value, "config-error", str(exc), None))
             except NumericalError as exc:
                 outcomes.append((value, "numerical-error", str(exc), None))

@@ -12,16 +12,17 @@ makes a small enclosing cube from the family exist.
 Generations run j = 0 (whole domain) through j = m (single cells).
 Canonical-grid cubes are lattice-aligned boxes; shifted cubes generally
 are not, and integrals over them are weighted sums over the cells and
-overlap volumes that lattice.box_cells gives for each torus piece.
+overlap volumes that lattice.box_cells gives for each torus piece
+(oscillation.region_cells).  Shifted grids serve enclosing_cube and
+single-cube oscillation; every family report runs on the canonical grid.
 
 A canonical cube family is held as its per-generation tables: entry
 [index] of the generation-j table belongs to cube (j, index), and no
 DyadicCube is built per cube.  Family reports and stopping-time families
 (sparse.SparseFamily) name their cubes by key rows (grid_id, generation,
-index...), one integer row per cube (family_keys gives them in
+index...), one integer row per cube (canonical_keys gives them in
 enumerate_cubes order); a DyadicCube is built from a single row
-(key_cube) where one is needed, such as the argmax.  Shifted-grid and
-explicit families keep the per-cube path through cube_average.
+(key_cube) where one is needed, such as the argmax.
 """
 
 from __future__ import annotations
@@ -226,32 +227,22 @@ def enumerate_cubes(grid: DyadicGrid) -> list[DyadicCube]:
     ]
 
 
-def _grid_keys(domain: LatticeDomain, grid_id: int) -> np.ndarray:
+def canonical_keys(domain: LatticeDomain) -> np.ndarray:
+    """Key rows (0, generation, index...) of the canonical grid in
+    enumerate_cubes order, so they line up with the raveled per-generation
+    tables, coarse to fine."""
     rows = []
     for j in range(domain.m + 1):
         index = np.indices((2**j,) * domain.d).reshape(domain.d, -1).T
-        head = np.broadcast_to(np.array([grid_id, j]), (index.shape[0], 2))
+        head = np.broadcast_to(np.array([0, j]), (index.shape[0], 2))
         rows.append(np.hstack([head, index]))
     return np.concatenate(rows)
 
 
-def family_keys(domain: LatticeDomain, family) -> tuple[np.ndarray, str]:
-    """Key rows (grid_id, generation, index...) of a cube family, plus its
-    descriptor "canonical", "all-grids" or "explicit".
-
-    Rows follow enumerate_cubes order grid by grid, so a canonical family's
-    rows line up with the raveled per-generation tables, coarse to fine."""
-    if isinstance(family, str):
-        if family == "canonical":
-            return _grid_keys(domain, 0), "canonical"
-        if family == "all-grids":
-            keys = [_grid_keys(domain, grid.grid_id) for grid in grids(domain)]
-            return np.concatenate(keys), "all-grids"
-        raise ValueError(f"unknown family descriptor {family!r}")
-    rows = [(cube.grid.grid_id, cube.generation, *cube.index) for cube in family]
-    if not rows:
-        raise ValueError("cube family is empty")
-    return np.array(rows, dtype=np.int64), "explicit"
+def _family_vector(tables) -> np.ndarray:
+    """Per-generation tables, coarse to fine, as one vector whose entries
+    line up with the canonical_keys rows."""
+    return np.concatenate([table.ravel() for table in tables])
 
 
 def key_cube(domain: LatticeDomain, key) -> DyadicCube:
@@ -288,17 +279,6 @@ def enclosing_cube(domain: LatticeDomain, box: Box) -> DyadicCube:
     if best is None:
         raise EnclosureError(f"no enclosing cube with side <= 3x{side} exists for {box}")
     return best[1]
-
-
-def cube_integral(f: SampledFunction, cube: DyadicCube) -> complex:
-    out = 0.0
-    for lo, hi in cube.pieces():
-        out = out + f.interval_integral(lo, hi)
-    return out
-
-
-def cube_average(f: SampledFunction, cube: DyadicCube) -> complex:
-    return cube_integral(f, cube) / cube.volume
 
 
 def _generation_mean(arr: np.ndarray, generation: int) -> np.ndarray:

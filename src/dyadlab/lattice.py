@@ -32,9 +32,6 @@ MAX_CELLS = 2**28
 # Snap tolerance for box endpoints, in units of h.
 _ALIGN_TOL = 1e-9
 
-# Extended-precision accumulator for norms (80-bit on x86).
-_ACC_REAL = np.longdouble
-
 
 @dataclass(frozen=True)
 class LatticeDomain:
@@ -181,26 +178,8 @@ class SampledFunction:
     def is_complex(self) -> bool:
         return np.iscomplexobj(self.values)
 
-    def with_values(self, values: np.ndarray) -> "SampledFunction":
-        return SampledFunction(self.domain, values)
-
     def abs(self) -> "SampledFunction":
         return SampledFunction(self.domain, np.abs(self.values))
-
-    # -- queries -----------------------------------------------------------
-
-    def interval_integral(self, lo, hi) -> complex:
-        """Exact integral of the piecewise-constant function over a box."""
-        dom = self.domain
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        if lo.shape != (dom.d,) or hi.shape != (dom.d,):
-            raise ValueError("lo/hi must have one entry per axis")
-        for a, b in zip(lo, hi):
-            if b < a:
-                raise ValueError("need hi >= lo per axis")
-        idx, w = box_cells(dom, lo, hi)
-        return np.sum(w * self.values.reshape(-1)[idx])
 
 
 def indicator(domain: LatticeDomain, box: Box) -> SampledFunction:
@@ -212,21 +191,6 @@ def indicator(domain: LatticeDomain, box: Box) -> SampledFunction:
     else:
         values[spans[0][0] : spans[0][1], spans[1][0] : spans[1][1]] = 1.0
     return SampledFunction(domain, values)
-
-
-def weighted_lp_norm(f: SampledFunction, p: float, weight: SampledFunction | None = None) -> float:
-    """Multiplier-weighted norm (h^d * sum |f*w|^p)^(1/p); p = inf gives max."""
-    if p != np.inf and p < 1:
-        raise ValueError(f"p must be >= 1 or inf, got {p}")
-    mag = np.abs(f.values)
-    if weight is not None:
-        if weight.domain != f.domain:
-            raise ValueError("weight and f must share a domain")
-        mag = mag * np.abs(weight.values)
-    if p == np.inf:
-        return float(mag.max())
-    acc = np.sum(mag.astype(_ACC_REAL) ** p) * _ACC_REAL(f.domain.cell_volume)
-    return float(acc ** (1.0 / _ACC_REAL(p)))
 
 
 # -- symbol catalog ---------------------------------------------------------

@@ -453,12 +453,6 @@ def assemble(kernel: KernelSpec, domain: LatticeDomain, window=None) -> Operator
     return OperatorMatrix(domain, a)
 
 
-def commutator_apply(b: SampledFunction, op: Operator,
-                     f: SampledFunction) -> SampledFunction:
-    """[b, T] f = b (Tf) - T(bf); complex b and f supported."""
-    return Commutator(b, op).apply(f)
-
-
 def commutator_matrix(b: SampledFunction, op: OperatorMatrix) -> OperatorMatrix:
     """[b, T] as a dense matrix: entrywise (b(x_i) - b(x_j)) A[i, j]."""
     if b.domain != op.domain:

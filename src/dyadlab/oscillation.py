@@ -15,7 +15,7 @@ nu dx:
 which reduces to osc at r = 1 and is nondecreasing in r by Jensen's
 inequality, cube by cube.
 
-Two norm normalizations over a cube family:
+Two norm normalizations over the canonical cube family:
 
 * fractional: sup_Q osc(b; Q) with the nu-normalization above;
 * two-weight: sup_Q int_Q |b - <b>_Q| / (mu^p(Q)^{1/p} lam^{-q'}(Q)^{1/q'}).
@@ -44,7 +44,7 @@ import numpy as np
 from dyadlab import dyadic, sparse
 from dyadlab.dyadic import _broadcast_generation, _generation_mean
 from dyadlab.lattice import Box, LatticeDomain, SampledFunction, box_cells
-from dyadlab.weights import ExponentSetup, Weight
+from dyadlab.weights import ExponentSetup, Weight, bloom_weight
 
 _GEN_FLOOR_CELLS = 4  # profile curves stop at cubes of side 4h
 
@@ -115,7 +115,7 @@ def oscillation(
 @dataclass
 class OscillationReport:
     values: np.ndarray
-    cubes: np.ndarray  # key rows (dyadic.family_keys), one per value
+    cubes: np.ndarray  # key rows (dyadic.canonical_keys), one per value
     supremum: float
     argmax_cube: object
     mode: str
@@ -171,13 +171,14 @@ def bmo_norm(
     mu: Weight | None = None,
     lam: Weight | None = None,
     setup: ExponentSetup | None = None,
-    family="canonical",
     r: float = 1.0,
 ) -> OscillationReport:
-    """Supremum of the chosen per-cube functional over a cube family.
+    """Supremum of the chosen per-cube functional over the canonical cubes.
 
-    mode "fractional" uses (nu, alpha) or derives them from (mu, lam,
-    setup); mode "two-weight" needs (mu, lam, setup) and has no r knob.
+    mode "fractional" uses (nu, alpha); without nu, (mu, lam, setup) give
+    the Bloom weight, else the functional is unweighted.  alpha defaults
+    to setup.alpha when there is a weight and a setup, else to 0.  Mode
+    "two-weight" needs (mu, lam, setup) and has no r knob.
     """
     dom = b.domain
     if mode not in ("fractional", "two-weight"):
@@ -187,44 +188,16 @@ def bmo_norm(
             raise ValueError("two-weight mode needs mu, lam and setup")
         if r != 1.0:
             raise ValueError("two-weight mode is defined at r = 1")
+        tables = (_generation_two_weight(b, j, mu, lam, setup) for j in range(dom.m + 1))
     else:
-        if nu is None and not (mu is not None and lam is not None and setup is not None):
-            if alpha is None:
-                alpha = 0.0
         if nu is None and mu is not None and lam is not None and setup is not None:
-            from dyadlab.weights import bloom_weight
-
             nu = bloom_weight(mu, lam, setup)
         if alpha is None:
-            alpha = setup.alpha if setup is not None else 0.0
+            alpha = setup.alpha if nu is not None and setup is not None else 0.0
         _check_exponents(alpha, r)
-    keys, descriptor = dyadic.family_keys(dom, family)
-    if descriptor == "canonical":
-        tables = []
-        for j in range(dom.m + 1):
-            if mode == "fractional":
-                tables.append(_generation_oscillations(b, j, nu, alpha, r))
-            else:
-                tables.append(_generation_two_weight(b, j, mu, lam, setup))
-        values = np.concatenate([t.ravel() for t in tables])
-    else:
-        values = np.empty(len(keys))
-        for i, key in enumerate(keys):
-            cube = dyadic.key_cube(dom, key)
-            if mode == "fractional":
-                values[i] = oscillation(b, cube, nu=nu, alpha=alpha, r=r)
-            else:
-                idx, w = region_cells(dom, cube)
-                bv = b.values.reshape(-1)[idx]
-                mean = np.sum(w * bv) / w.sum()
-                dev_int = float(np.sum(w * np.abs(bv - mean)))
-                mu_mass = float(np.sum(w * mu.power(setup.p).values.reshape(-1)[idx]))
-                lam_mass = float(
-                    np.sum(w * lam.power(-setup.q_prime).values.reshape(-1)[idx])
-                )
-                values[i] = dev_int / (
-                    mu_mass ** (1.0 / setup.p) * lam_mass ** (1.0 / setup.q_prime)
-                )
+        tables = (_generation_oscillations(b, j, nu, alpha, r) for j in range(dom.m + 1))
+    keys = dyadic.canonical_keys(dom)
+    values = dyadic._family_vector(tables)
     sup_idx = int(np.argmax(values))
     return OscillationReport(
         values=values,

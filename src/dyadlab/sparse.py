@@ -1,7 +1,7 @@
 """Sparse cube families and sparse model operators.
 
 A family holds `entries`, key rows (grid_id, generation, index...) of
-canonical cubes Q_i in selection order (as in dyadic.family_keys), and
+canonical cubes Q_i in selection order (as in dyadic.canonical_keys), and
 `cores`, where cores[i] lists the sorted flat cells of E_i, a subset of
 Q_i.  Gamma-sparsity means the E's are pairwise disjoint and each keeps
 strictly more than a gamma fraction of its cube, in integer cell counts.

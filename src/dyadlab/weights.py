@@ -5,7 +5,8 @@ Exponent conventions, for 1 < p <= q < infinity:
 * alpha/d = 1/p - 1/q, so alpha = 0 exactly when p = q.
 * The joint characteristic is
       [sigma, omega]_{A_{p,q}} = sup_Q <sigma^q>_Q^{1/q} <omega^{-p'}>_Q^{1/p'},
-  with plain (unweighted) cube averages, and [w]_{A_p} is recovered as
+  with plain (unweighted) cube averages and Q over the canonical dyadic
+  cubes, read off per-generation tables; [w]_{A_p} is recovered as
   apq(w^{1/p}, w^{1/p}, p, p)^p.
 * Given mu in A_{p,p} and lambda in A_{q,q}, the intermediate weight is
       nu = (mu/lambda)^{1/(1 + alpha/d)},
@@ -185,14 +186,13 @@ def make_weight(domain: LatticeDomain, spec: dict) -> Weight:
 
 @dataclass
 class CharacteristicReport:
-    """Per-cube characteristic values over a cube family; cubes holds the
-    family's key rows (dyadic.family_keys)."""
+    """Per-cube characteristic values over the canonical cube family; cubes
+    holds its key rows (dyadic.canonical_keys)."""
 
     values: np.ndarray
     cubes: np.ndarray
     supremum: float
     argmax_cube: object
-    family: str
     flags: set = field(default_factory=set)
 
     def __post_init__(self):
@@ -202,16 +202,10 @@ class CharacteristicReport:
             raise ValueError("supremum must equal the max of the per-cube values")
 
 
-def _family_averages(f: SampledFunction, keys: np.ndarray, descriptor: str) -> np.ndarray:
-    """Plain averages of f over the keyed cubes; a canonical family is the
-    concatenation of the raveled per-generation tables."""
-    dom = f.domain
-    if descriptor == "canonical":
-        return np.concatenate(
-            [np.real(dyadic.generation_averages(f, j)).ravel() for j in range(dom.m + 1)]
-        )
-    return np.array(
-        [np.real(dyadic.cube_average(f, dyadic.key_cube(dom, key))) for key in keys]
+def _family_averages(f: SampledFunction) -> np.ndarray:
+    """Plain averages of f over every canonical cube, in canonical_keys order."""
+    return dyadic._family_vector(
+        np.real(dyadic.generation_averages(f, j)) for j in range(f.domain.m + 1)
     )
 
 
@@ -220,9 +214,8 @@ def apq_characteristic(
     omega: Weight,
     p: float,
     q: float,
-    family="canonical",
 ) -> CharacteristicReport:
-    """[sigma, omega]_{A_{p,q}} over a cube family, with per-cube values."""
+    """[sigma, omega]_{A_{p,q}} over the canonical cubes, with per-cube values."""
     if not (1.0 < p < math.inf and 1.0 < q < math.inf):
         raise ValueError(f"need 1 < p, q < inf, got p={p}, q={q}")
     if sigma.domain != omega.domain:
@@ -231,11 +224,9 @@ def apq_characteristic(
     flags = set()
     if sigma.power_overflows(q) or omega.power_overflows(-p_prime):
         flags.add("overflow")
-    sig_q = sigma.power(q)
-    om_pp = omega.power(-p_prime)
-    keys, descriptor = dyadic.family_keys(sigma.domain, family)
-    a = _family_averages(sig_q, keys, descriptor)
-    b = _family_averages(om_pp, keys, descriptor)
+    keys = dyadic.canonical_keys(sigma.domain)
+    a = _family_averages(sigma.power(q))
+    b = _family_averages(omega.power(-p_prime))
     values = a ** (1.0 / q) * b ** (1.0 / p_prime)
     if not np.all(np.isfinite(values)):
         flags.add("overflow")
@@ -246,24 +237,7 @@ def apq_characteristic(
         cubes=keys,
         supremum=float(values[sup_idx]),
         argmax_cube=dyadic.key_cube(sigma.domain, keys[sup_idx]),
-        family=descriptor,
         flags=flags,
-    )
-
-
-def ap_characteristic(w: Weight, p: float, family="canonical") -> CharacteristicReport:
-    """[w]_{A_p} = apq(w^{1/p}, w^{1/p}, p, p)^p, reported per cube."""
-    root = Weight(w.domain, np.exp(w.log_values / p), w.log_values / p, tag=w.tag + f"^(1/{p:g})")
-    rep = apq_characteristic(root, root, p, p, family=family)
-    values = rep.values**p
-    sup_idx = int(np.argmax(values))
-    return CharacteristicReport(
-        values=values,
-        cubes=rep.cubes,
-        supremum=float(values[sup_idx]),
-        argmax_cube=dyadic.key_cube(w.domain, rep.cubes[sup_idx]),
-        family=rep.family,
-        flags=set(rep.flags),
     )
 
 
@@ -330,22 +304,23 @@ def bloom_sandwich_report(
     mu: Weight,
     lam: Weight,
     setup: ExponentSetup,
-    family="canonical",
 ) -> SandwichReport:
     """Cube-by-cube two-sided bound on the mass ratio
-    <mu^p>^{1/p} <lambda^{-q'}>^{1/q'} / <nu>^{1 + alpha/d}, plus the
-    intermediate-weight characteristic bound at s = 2/(1 + alpha/d)."""
+    <mu^p>^{1/p} <lambda^{-q'}>^{1/q'} / <nu>^{1 + alpha/d} over the
+    canonical cubes, plus the intermediate-weight characteristic bound at
+    s = 2/(1 + alpha/d).  [mu] and [lambda] are the characteristics the
+    membership surrogates compute."""
     if mu.domain != lam.domain or mu.domain.d != setup.d:
         raise ValueError("weights and setup must share domain and dimension")
     flags = set()
     nu = bloom_weight(mu, lam, setup)
     p, q = setup.p, setup.q
-    keys, descriptor = dyadic.family_keys(mu.domain, family)
+    keys = dyadic.canonical_keys(mu.domain)
     if mu.power_overflows(p) or lam.power_overflows(-setup.q_prime):
         flags.add("overflow")
-    mu_p = _family_averages(mu.power(p), keys, descriptor)
-    lam_qp = _family_averages(lam.power(-setup.q_prime), keys, descriptor)
-    nu_avg = _family_averages(nu.function(), keys, descriptor)
+    mu_p = _family_averages(mu.power(p))
+    lam_qp = _family_averages(lam.power(-setup.q_prime))
+    nu_avg = _family_averages(nu.function())
     ratios = mu_p ** (1.0 / p) * lam_qp ** (1.0 / setup.q_prime) / nu_avg ** (
         1.0 + setup.alpha_frac
     )
@@ -353,16 +328,12 @@ def bloom_sandwich_report(
         "mu": membership_surrogate(mu, p),
         "lam": membership_surrogate(lam, q),
     }
-    if descriptor == "canonical":  # the surrogates computed these very characteristics
-        mu_char = membership["mu"]["characteristic"]
-        lam_char = membership["lam"]["characteristic"]
-    else:
-        mu_char = apq_characteristic(mu, mu, p, p, family=family).supremum
-        lam_char = apq_characteristic(lam, lam, q, q, family=family).supremum
+    mu_char = membership["mu"]["characteristic"]
+    lam_char = membership["lam"]["characteristic"]
     half_log = (mu.log_values - lam.log_values) / 2.0
     nu_root = Weight(mu.domain, np.exp(half_log), half_log, tag="bloom^(1/s)")
     s = setup.s
-    inter = apq_characteristic(nu_root, nu_root, s, s, family=family).supremum
+    inter = apq_characteristic(nu_root, nu_root, s, s).supremum
     if not membership["mu"]["ok"] or not membership["lam"]["ok"]:
         flags.add("membership-surrogate-failed")
     return SandwichReport(
@@ -378,54 +349,3 @@ def bloom_sandwich_report(
         membership=membership,
         flags=flags,
     )
-
-
-@dataclass(frozen=True)
-class AInftyEstimate:
-    delta: float
-    constant: float
-    flags: frozenset
-    samples: int
-
-
-def ainfty_decay_estimate(
-    w: Weight,
-    samples: int = 200,
-    seed: int = 0,
-    min_generation: int = 0,
-) -> AInftyEstimate:
-    """Largest delta with w(E)/w(Q) <= (|E|/|Q|)^delta over sampled pairs
-    E subset Q (cell subsets of canonical cubes); the constant stays 1.
-
-    A small delta signals mass concentrated on a thin subset; equality of
-    all sampled ratios (constant weight) is flagged as degenerate."""
-    dom = w.domain
-    grid = dyadic.canonical_grid(dom)
-    rng = np.random.default_rng(seed)
-    flat = w.values.reshape(-1)
-    ratios = []
-    used = 0
-    while used < samples:
-        j = int(rng.integers(min_generation, dom.m))  # need >= 2 cells
-        idx = tuple(int(rng.integers(0, 2**j)) for _ in range(dom.d))
-        cube = grid.cube(j, idx)
-        cells = cube.flat_cells()
-        count = cells.size
-        k = int(rng.integers(1, count))
-        sub = rng.choice(cells, size=k, replace=False)
-        u = math.log(k / count)
-        mass_q = float(flat[cells].sum())
-        mass_e = float(flat[sub].sum())
-        v = math.log(mass_e / mass_q)
-        if u == 0.0:
-            continue
-        ratios.append(v / u)
-        used += 1
-    ratios = np.array(ratios)
-    delta = float(np.min(ratios))
-    flags = set()
-    if float(np.max(ratios) - np.min(ratios)) <= 1e-9:
-        flags.add("degenerate")
-    if delta < 0.05:
-        flags.add("small-delta")
-    return AInftyEstimate(delta=delta, constant=1.0, flags=frozenset(flags), samples=used)

@@ -1,6 +1,7 @@
 """Config parsing, exit codes, determinism, and sweep plumbing."""
 
 import contextlib
+import copy
 import csv
 import io
 import json
@@ -432,6 +433,22 @@ def test_sweep_values_the_axis_cannot_take_are_config_error_rows(tmp_path):
     assert cli.sweep(cfg, out_dir=tmp_path / "symbol") == 0
 
 
+def test_sweep_points_sharing_a_directory_are_config_error_rows(tmp_path):
+    cfg = {
+        "experiment": "bmo-compute",
+        "symbols": log_symbols(),
+        "sweep": {"axis": "m", "values": [4, 6.0, 6]},
+    }
+    out = tmp_path / "out"
+    assert cli.sweep(cfg, out_dir=out) == 1
+    _, rows = read_csv(out / "sweep.csv")
+    assert [r[1] for r in rows] == ["ok", "ok", "config-error"]
+    assert "m-6" in rows[2][2]
+    assert sorted(p.name for p in out.iterdir()) == ["m-4", "m-6", "sweep.csv"]
+    summary = json.loads((out / "m-6" / "summary.json").read_text(encoding="utf-8"))
+    assert summary["config"] == {"axis": "m", "value": 6.0}
+
+
 def test_sweep_missing_axis_exits_2(tmp_path, capsys):
     cfg = {"experiment": "bmo-compute", "symbols": log_symbols()}
     assert cli.sweep(cfg, out_dir=tmp_path / "out") == 2
@@ -580,6 +597,59 @@ def test_random_configs_exit_with_a_status_never_a_traceback(cfg):
         warnings.simplefilter("ignore", RuntimeWarning)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert cli.run(cfg, out_dir=tmp) in (0, 1, 2, 3)
+
+
+_SWEEP_BASES = [
+    {"experiment": "bmo-compute", "domain": {"d": 1, "m": 3},
+     "symbols": [{"id": "s0", "terms": [{"kind": "log_abs"}]},
+                 {"id": "s1", "terms": [{"kind": "coordinate"}]}]},
+    {"experiment": "weights-check", "domain": {"d": 1, "m": 4},
+     "weights": {"mu": {"kind": "power", "beta": 0.3}, "lambda": {"kind": "unit"}}},
+    {"experiment": "bloom-verify", "domain": {"d": 2, "m": 3},
+     "exponents": {"p": 2.0, "q": 3.0}},
+]
+# Values an axis can take (an m-axis point stays at m <= 5), besides null,
+# booleans, strings and nested lists; duplicates and 5 vs 5.0 both occur.
+_SWEEP_TAKEN = {"m": [2, 3, 5, 3.0, 5.0], "p": [1.5, 2, 2.0, 2.5], "q": [2, 3, 3.0, 4],
+                "pq": [1.5, 2, 2.0, 3], "symbol": ["s0", "s1"], "bogus": [1], None: [1]}
+_SWEEP_NOISE = (st.none() | st.booleans() | st.integers(-1, 5) | st.floats(-1.0, 5.0)
+                | st.sampled_from(["5", "x", ""]))
+
+
+@st.composite
+def _sweep_configs(draw):
+    cfg = copy.deepcopy(draw(st.sampled_from(_SWEEP_BASES)))
+    axis = draw(st.sampled_from([*cli.SWEEP_AXES, "bogus", None]))
+    taken = st.sampled_from(_SWEEP_TAKEN[axis])
+    scalar = st.one_of(taken, taken, _SWEEP_NOISE)
+    values = draw(st.lists(scalar | st.lists(scalar, max_size=2), max_size=4))
+    values += draw(st.lists(st.sampled_from(values), max_size=2)) if values else []
+    if draw(st.integers(0, 5)) == 5:  # not a list; a list of _JSON could run m = 40
+        values = draw(_JSON.filter(lambda v: not isinstance(v, list)))
+    cfg["sweep"] = {"axis": axis, "values": values}
+    return cfg
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=_sweep_configs())
+def test_random_sweeps_exit_with_a_status_and_one_directory_per_point(cfg):
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            status = cli.sweep(cfg, out_dir=tmp, workers=1)
+        assert status in (0, 1, 2)
+        if status == 2:
+            return
+        axis, values = cfg["sweep"]["axis"], cfg["sweep"]["values"]
+        _, rows = read_csv(f"{tmp}/sweep.csv")
+        assert len(rows) == len(values)
+        ran = [v for v, row in zip(values, rows) if row[1] in ("ok", "assertion-failed")]
+        tags = [cli._point_tag(axis, v) for v in ran]
+        assert len(set(tags)) == len(tags)
+        for value, tag in zip(ran, tags):
+            summary = json.loads(open(f"{tmp}/{tag}/summary.json", encoding="utf-8").read())
+            assert json.dumps(summary["config"]["value"]) == json.dumps(value)
 
 
 # -- table writer --------------------------------------------------------------

@@ -5,22 +5,29 @@ import pytest
 
 from dyadlab.dyadic import (
     EnclosureError,
-    cube_average,
-    cube_integral,
     dyadic_maximal,
     enclosing_cube,
     enumerate_cubes,
-    family_keys,
     generation_averages,
     grids,
-    key_cube,
 )
 from dyadlab.lattice import Box, LatticeDomain, SampledFunction, indicator
+from dyadlab.oscillation import region_cells
 
 
 def random_function(domain, seed):
     rng = np.random.default_rng(seed)
     return SampledFunction(domain, rng.standard_normal(domain.shape))
+
+
+def integral(f, region):
+    """Integral of f over a cube or box through its cells and overlap volumes."""
+    idx, w = region_cells(f.domain, region)
+    return np.sum(w * f.values.reshape(-1)[idx])
+
+
+def whole_domain(dom):
+    return Box((-dom.L,) * dom.d, (dom.L,) * dom.d)
 
 
 class TestGridGeometry:
@@ -36,20 +43,20 @@ class TestGridGeometry:
     def test_generation_partitions_domain(self):
         dom = LatticeDomain(1, 5, 1.0)
         f = random_function(dom, 3)
-        total = f.interval_integral([-dom.L] * dom.d, [dom.L] * dom.d)
+        total = integral(f, whole_domain(dom))
         for grid in grids(dom):
             for j in (0, 2, 4):
-                parts = sum(cube_integral(f, grid.cube(j, (k,))) for k in range(2**j))
+                parts = sum(integral(f, grid.cube(j, (k,))) for k in range(2**j))
                 assert parts == pytest.approx(total, rel=1e-11, abs=1e-13)
 
     def test_generation_partitions_domain_2d(self):
         dom = LatticeDomain(2, 3, 1.0)
         f = random_function(dom, 8)
-        total = f.interval_integral([-dom.L] * dom.d, [dom.L] * dom.d)
+        total = integral(f, whole_domain(dom))
         for grid in (grids(dom)[0], grids(dom)[4], grids(dom)[8]):
             j = 2
             parts = sum(
-                cube_integral(f, grid.cube(j, idx))
+                integral(f, grid.cube(j, idx))
                 for idx in itertools.product(range(2**j), repeat=2)
             )
             assert parts == pytest.approx(total, rel=1e-10, abs=1e-12)
@@ -59,8 +66,8 @@ class TestGridGeometry:
         f = random_function(dom, 5)
         for grid in grids(dom):
             cube = grid.cube(2, (1,))
-            whole = cube_integral(f, cube)
-            parts = sum(cube_integral(f, ch) for ch in cube.children())
+            whole = integral(f, cube)
+            parts = sum(integral(f, ch) for ch in cube.children())
             assert parts == pytest.approx(whole, rel=1e-11, abs=1e-13)
             for ch in cube.children():
                 assert ch.parent() == cube
@@ -90,7 +97,7 @@ class TestGridGeometry:
                         np.minimum(edges[1:], hi[0]) - np.maximum(edges[:-1], lo[0]), 0.0, None
                     )
                     direct += np.sum(f.values * lens)
-                assert cube_integral(f, cube) == pytest.approx(direct, rel=1e-11, abs=1e-13)
+                assert integral(f, cube) == pytest.approx(direct, rel=1e-11, abs=1e-13)
 
     def test_wrap_footprint(self):
         dom = LatticeDomain(1, 4, 1.0)
@@ -120,29 +127,6 @@ class TestEnumerate:
         assert len(cubes) == 2 ** (dom.m + 1) - 1
         gens = [c.generation for c in cubes]
         assert gens == sorted(gens)
-
-    def test_all_grids_keys_follow_enumeration(self):
-        dom = LatticeDomain(2, 3, 1.0)
-        keys, descriptor = family_keys(dom, "all-grids")
-        cubes = [c for grid in grids(dom) for c in enumerate_cubes(grid)]
-        assert descriptor == "all-grids"
-        assert keys.shape == (len(cubes), 2 + dom.d)
-        assert [key_cube(dom, k) for k in keys] == cubes
-
-    def test_explicit_keys_round_trip(self):
-        dom = LatticeDomain(1, 4, 1.0)
-        cubes = [grids(dom)[2].cube(3, (5,)), grids(dom)[0].cube(0, (0,))]
-        keys, descriptor = family_keys(dom, cubes)
-        assert descriptor == "explicit"
-        assert keys.tolist() == [[2, 3, 5], [0, 0, 0]]
-        assert [key_cube(dom, k) for k in keys] == cubes
-
-    def test_bad_families_rejected(self):
-        dom = LatticeDomain(1, 4, 1.0)
-        with pytest.raises(ValueError, match="empty"):
-            family_keys(dom, [])
-        with pytest.raises(ValueError, match="unknown family"):
-            family_keys(dom, "every-grid")
 
 
 class TestEnclosure:
@@ -285,4 +269,5 @@ class TestAverages:
             table = generation_averages(f, j)
             for idx in itertools.product(range(2**j), repeat=2):
                 cube = grid.cube(j, idx)
-                assert cube_average(f, cube) == pytest.approx(table[idx], rel=1e-11)
+                average = integral(f, cube) / cube.volume
+                assert average == pytest.approx(table[idx], rel=1e-11)

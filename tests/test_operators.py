@@ -201,7 +201,7 @@ def test_riesz_assembly_antisymmetric(riesz1, dom2):
 def test_commutator_scalar_symbol_vanishes(hilbert_op, dom):
     b = SampledFunction(dom, np.full(dom.n, 3.0))
     f = SampledFunction(dom, np.random.default_rng(2).standard_normal(dom.n))
-    out = ops.commutator_apply(b, hilbert_op, f)
+    out = ops.Commutator(b, hilbert_op).apply(f)
     assert np.max(np.abs(out.values)) <= 1e-12 * np.max(np.abs(hilbert_op.apply(f).values))
 
 
@@ -209,7 +209,7 @@ def test_commutator_real_in_real_out(hilbert_op, dom):
     mids = dom.midpoints()[0]
     b = SampledFunction(dom, np.log(np.abs(mids)))
     f = SampledFunction(dom, np.cos(mids))
-    assert not ops.commutator_apply(b, hilbert_op, f).is_complex
+    assert not ops.Commutator(b, hilbert_op).apply(f).is_complex
 
 
 def test_coordinate_commutator_is_integration(hilbert_op, dom):
@@ -217,7 +217,7 @@ def test_coordinate_commutator_is_integration(hilbert_op, dom):
     b = SampledFunction(dom, dom.midpoints()[0].copy())
     for seed in range(5):
         f = SampledFunction(dom, np.random.default_rng(100 + seed).standard_normal(dom.n))
-        comm = ops.commutator_apply(b, hilbert_op, f).values
+        comm = ops.Commutator(b, hilbert_op).apply(f).values
         total = f.values.sum() * dom.h
         np.testing.assert_allclose(comm + dom.h * f.values, total, atol=1e-12)
 
@@ -228,9 +228,9 @@ def test_commutator_linear_in_symbol(hilbert_op, dom):
     b2 = SampledFunction(dom, rng.standard_normal(dom.n))
     both = SampledFunction(dom, b1.values + b2.values)
     f = SampledFunction(dom, rng.standard_normal(dom.n))
-    lhs = ops.commutator_apply(both, hilbert_op, f).values
-    rhs = (ops.commutator_apply(b1, hilbert_op, f).values
-           + ops.commutator_apply(b2, hilbert_op, f).values)
+    lhs = ops.Commutator(both, hilbert_op).apply(f).values
+    rhs = (ops.Commutator(b1, hilbert_op).apply(f).values
+           + ops.Commutator(b2, hilbert_op).apply(f).values)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12 * max(1.0, np.abs(lhs).max()))
 
 

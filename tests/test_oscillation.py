@@ -81,10 +81,29 @@ def test_rejects_bad_parameters(logx, grid):
 def test_bmo_norm_rejects_negative_alpha_on_every_family_path():
     dom = LatticeDomain(d=1, m=5, L=1.0)
     b = SampledFunction(dom, np.log(np.abs(dom.midpoints()[0])))
-    explicit = dyadic.enumerate_cubes(dyadic.canonical_grid(dom))
-    for family in ("canonical", explicit):
-        with pytest.raises(ValueError, match="alpha must be >= 0"):
-            osc.bmo_norm(b, alpha=-1.0, family=family)
+    with pytest.raises(ValueError, match="alpha must be >= 0"):
+        osc.bmo_norm(b, alpha=-1.0)
+
+
+@pytest.mark.parametrize("case", ["nu", "nu-and-setup", "mu-lam-setup", "setup-alone"])
+def test_bmo_norm_resolves_nu_and_alpha(case):
+    # Without alpha, the weight and alpha resolve to the explicit call.
+    dom = LatticeDomain(d=1, m=5, L=1.0)
+    b = SampledFunction(dom, np.log(np.abs(dom.midpoints()[0])))
+    setup = ExponentSetup(2.0, 4.0, 1)
+    mu = make_weight(dom, {"kind": "power", "beta": 0.3})
+    lam = make_weight(dom, {"kind": "logsmooth", "seed": 7})
+    nu = bloom_weight(mu, lam, setup)
+    implicit, explicit = {
+        "nu": ({"nu": mu}, {"nu": mu, "alpha": 0.0}),
+        "nu-and-setup": ({"nu": mu, "setup": setup}, {"nu": mu, "alpha": setup.alpha}),
+        "mu-lam-setup": ({"mu": mu, "lam": lam, "setup": setup},
+                         {"nu": nu, "alpha": setup.alpha}),
+        "setup-alone": ({"setup": setup}, {"nu": None, "alpha": 0.0}),
+    }[case]
+    assert setup.alpha > 0.0
+    np.testing.assert_array_equal(osc.bmo_norm(b, **implicit).values,
+                                  osc.bmo_norm(b, **explicit).values)
 
 
 def test_region_forms_agree(logx, grid):
@@ -178,14 +197,6 @@ def test_norm_triangle_inequality(dom, logx):
     n2 = osc.bmo_norm(b2).supremum
     nc = osc.bmo_norm(combo).supremum
     assert nc <= n1 + n2 + 1e-12
-
-
-def test_norm_explicit_family_is_restriction(dom, logx, grid):
-    sub = [c for c in dyadic.enumerate_cubes(grid) if c.sidelength >= 0.25]
-    report = osc.bmo_norm(logx, family=sub)
-    full = osc.bmo_norm(logx)
-    assert report.supremum <= full.supremum + 1e-15
-    assert len(report.values) == len(sub)
 
 
 # -- profiles -----------------------------------------------------------------

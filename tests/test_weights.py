@@ -4,13 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from dyadlab import dyadic
 from dyadlab.lattice import LatticeDomain, SampledFunction
 from dyadlab.weights import (
-    AInftyEstimate,
     ExponentSetup,
-    ainfty_decay_estimate,
-    ap_characteristic,
+    Weight,
     apq_characteristic,
     as_weight,
     bloom_sandwich_report,
@@ -104,22 +101,13 @@ class TestCharacteristic:
         rep = apq_characteristic(w, w, 2.0, 2.0)
         assert rep.supremum == pytest.approx(ABS_SQRT_CHAR_M10, rel=1e-12)
 
-    def test_family_monotonicity(self):
-        dom = LatticeDomain(1, 5, 1.0)
-        w = make_weight(dom, {"kind": "logsmooth", "seed": 5, "amplitude": 0.8})
-        canon = apq_characteristic(w, w, 2.0, 2.0, family="canonical")
-        full = apq_characteristic(w, w, 2.0, 2.0, family="all-grids")
-        assert full.supremum >= canon.supremum - 1e-13
-        # explicit sub-family never exceeds the full one
-        first = dyadic.enumerate_cubes(dyadic.canonical_grid(dom))[:7]
-        sub = apq_characteristic(w, w, 2.0, 2.0, family=first)
-        assert sub.supremum <= canon.supremum + 1e-13
-
     def test_ap_identity(self):
         dom = LatticeDomain(1, 5, 1.0)
         w = make_weight(dom, {"kind": "logsmooth", "seed": 11})
         p = 2.0
-        rep = ap_characteristic(w, p)
+        # [w]_{A_p} = apq(w^{1/p}, w^{1/p}, p, p)^p
+        root = Weight(dom, np.exp(w.log_values / p), w.log_values / p)
+        sup = apq_characteristic(root, root, p, p).supremum ** p
         # classical A_2 form: <w> <w^{-1}> per cube
         best = 0.0
         for j in range(dom.m + 1):
@@ -127,7 +115,7 @@ class TestCharacteristic:
             for k in range(2**j):
                 sl = slice(k * cells, (k + 1) * cells)
                 best = max(best, np.mean(w.values[sl]) * np.mean(1.0 / w.values[sl]))
-        assert rep.supremum == pytest.approx(best, rel=1e-12)
+        assert sup == pytest.approx(best, rel=1e-12)
 
     def test_overflow_flag(self):
         dom = LatticeDomain(1, 6, 1.0)
@@ -182,20 +170,16 @@ class TestBloom:
         rep = bloom_sandwich_report(mu, lam, setup)
         assert rep.holds(1e-9)
 
-    @pytest.mark.parametrize("explicit", [False, True])
-    def test_sandwich_characteristics_are_the_apq_suprema(self, explicit):
-        # On the canonical family they are read off the membership surrogates.
+    def test_sandwich_characteristics_are_the_apq_suprema(self):
+        # They are read off the membership surrogates.
         dom = LatticeDomain(2, 4, 1.0)
         setup = ExponentSetup(2.0, 3.0, 2)
         mu = make_weight(dom, {"kind": "power", "beta": 0.4})
         lam = make_weight(dom, {"kind": "logsmooth", "seed": 3})
-        family = (dyadic.enumerate_cubes(dyadic.canonical_grid(dom)) if explicit
-                  else "canonical")
-        rep = bloom_sandwich_report(mu, lam, setup, family=family)
-        assert rep.mu_characteristic == apq_characteristic(mu, mu, 2.0, 2.0, family).supremum
-        assert rep.lam_characteristic == apq_characteristic(lam, lam, 3.0, 3.0, family).supremum
-        if not explicit:
-            assert rep.mu_characteristic == rep.membership["mu"]["characteristic"]
+        rep = bloom_sandwich_report(mu, lam, setup)
+        assert rep.mu_characteristic == apq_characteristic(mu, mu, 2.0, 2.0).supremum
+        assert rep.lam_characteristic == apq_characteristic(lam, lam, 3.0, 3.0).supremum
+        assert rep.mu_characteristic == rep.membership["mu"]["characteristic"]
 
     def test_setup_dimension_mismatch(self):
         dom = LatticeDomain(1, 4, 1.0)
@@ -224,31 +208,6 @@ class TestMembership:
         lam = make_weight(dom, {"kind": "unit"})
         rep = bloom_sandwich_report(mu, lam, setup)
         assert "membership-surrogate-failed" in rep.flags
-
-
-class TestAInfty:
-    def test_unit_weight_exact(self):
-        dom = LatticeDomain(1, 8, 1.0)
-        est = ainfty_decay_estimate(make_weight(dom, {"kind": "unit"}), samples=100, seed=0)
-        assert est.delta == pytest.approx(1.0, abs=1e-12)
-        assert est.constant == 1.0
-        assert "degenerate" in est.flags
-
-    def test_power_weight_positive_delta(self):
-        dom = LatticeDomain(1, 10, 1.0)
-        w = make_weight(dom, {"kind": "power", "beta": 0.5})
-        est = ainfty_decay_estimate(w, samples=300, seed=3)
-        assert 0.5 < est.delta <= 1.0
-        assert "degenerate" not in est.flags
-
-    def test_spike_flags_small_delta(self):
-        dom = LatticeDomain(1, 10, 1.0)
-        vals = np.ones(dom.shape)
-        vals[dom.n // 2] = 1e8
-        w = as_weight(SampledFunction(dom, vals), tag="spike")
-        est = ainfty_decay_estimate(w, samples=300, seed=1)
-        assert est.delta < 0.05
-        assert "small-delta" in est.flags
 
 
 class TestWeightType:
