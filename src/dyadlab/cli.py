@@ -267,6 +267,19 @@ def _param(ctx: RunContext, key: str, default, cast):
         raise ConfigError(f"params.{key}: {exc}") from exc
 
 
+def _integer(value) -> int:
+    """A JSON integer: floats, booleans and strings are refused, not cast."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"need an integer, got {value!r}")
+    return value
+
+
+def _restarts(value) -> int:
+    if _integer(value) < 1:
+        raise ValueError(f"need at least one restart, got {value}")
+    return value
+
+
 def _numbers(value) -> tuple:
     if not isinstance(value, (list, tuple)):
         raise TypeError(f"need a list of numbers, got {type(value).__name__}")
@@ -442,8 +455,8 @@ def _exp_commutator_sweep(ctx: RunContext) -> ExperimentResult:
     op = Convolution(ctx.kernel, ctx.domain)
     sweep_rows = normest.bmo_vs_norm_sweep(
         ctx.symbols, op, ctx.mu, ctx.lam, ctx.setup,
-        budget=_param(ctx, "budget", 8, int),
-        probe_generation=_param(ctx, "probe_generation", 3, int),
+        budget=_param(ctx, "budget", 8, _restarts),
+        probe_generation=_param(ctx, "probe_generation", 3, _integer),
     )
     rows, assertions, headline = [], [], {}
     for row in sweep_rows:
@@ -475,7 +488,7 @@ def _exp_compactness_profile(ctx: RunContext) -> ExperimentResult:
     if not eps_list:
         raise ConfigError("params.eps_list must not be empty")
     k_list = _param(ctx, "k_list", (1.0, 2.0, 4.0, 8.0), _numbers)
-    budget = _param(ctx, "budget", 8, int)
+    budget = _param(ctx, "budget", 8, _restarts)
     tail_rows, sparse_rows, flags, headline = [], [], [], {}
     for sid, b in ctx.symbols:
         rep = normest.compactness_profile(
@@ -523,7 +536,7 @@ def _exp_vmo_witness(ctx: RunContext) -> ExperimentResult:
             mode=ctx.params.get("mode"),
             r=r,
             theta=_param(ctx, "theta", 0.125, float),
-            min_pairs=_param(ctx, "min_pairs", 2, int),
+            min_pairs=_param(ctx, "min_pairs", 2, _integer),
         )
         if witness is None:
             witness_rows.append((sid, "none", "", "", "", "", ""))

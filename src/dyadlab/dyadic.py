@@ -292,15 +292,18 @@ def _generation_mean(arr: np.ndarray, generation: int) -> np.ndarray:
     return arr.reshape(g, cells, g, cells).mean(axis=(1, 3))
 
 
-def _generation_blocks(arr: np.ndarray, generation: int) -> np.ndarray:
+def _generation_blocks(arr: np.ndarray, generation: int, d: int) -> np.ndarray:
     """Row [index] lists the cells of subcube (j, index) of a square cell
     block in flat_cells order: a last-axis sum is bitwise a per-cube sum
-    over flat_cells (unlike _generation_mean, whose order is canonical)."""
+    over flat_cells (unlike _generation_mean, whose order is canonical).
+    The block is the trailing d axes of arr; leading axes are a batch."""
     g = 2**generation
-    cells = arr.shape[0] // g
-    if arr.ndim == 1:
-        return arr.reshape(g, cells)
-    return arr.reshape(g, cells, g, cells).transpose(0, 2, 1, 3).reshape(g, g, cells * cells)
+    lead = arr.shape[: arr.ndim - d]
+    cells = arr.shape[-1] // g
+    if d == 1:
+        return arr.reshape(lead + (g, cells))
+    grid = arr.reshape(lead + (g, cells, g, cells)).swapaxes(-3, -2)
+    return grid.reshape(lead + (g, g, cells * cells))
 
 
 def generation_averages(f: SampledFunction, generation: int, absolute: bool = False) -> np.ndarray:
@@ -312,10 +315,12 @@ def generation_averages(f: SampledFunction, generation: int, absolute: bool = Fa
 
 
 def _broadcast_generation(dom: LatticeDomain, table: np.ndarray, generation: int) -> np.ndarray:
+    """Spread a generation-j table (trailing d axes; leading axes a batch)
+    over the cells of each cube."""
     cells = 2 ** (dom.m - generation)
-    if dom.d == 1:
-        return np.repeat(table, cells)
-    return np.repeat(np.repeat(table, cells, axis=0), cells, axis=1)
+    for axis in range(-dom.d, 0):
+        table = np.repeat(table, cells, axis=axis)
+    return table
 
 
 def dyadic_maximal(f: SampledFunction, grid: DyadicGrid | None = None) -> SampledFunction:

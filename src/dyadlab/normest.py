@@ -9,9 +9,12 @@ computes it by Golub-Kahan-Lanczos bidiagonalization (Golub & Kahan
 |M* u - sigma v| falls to GKL_TOL * sigma.  Every other exponent pair
 runs a multi-start ascent on the norm ratio, Boyd's p-norm power method
 (Higham 1992), whose fixed points are the stationary points of the
-Lagrangian.  The returned value is always a certified lower bound: a
-witness function attaining it is part of the estimate and is re-checked
-on return, and a drift raises NumericalError.
+Lagrangian.  The restarts run as one batch through the operator: restart
+i starts from the i-th draw of the seeded generator, and a row leaves the
+batch once its ratio settles or its image or gradient vanishes, so every
+restart ends bitwise where it would alone.  The returned value is always
+a certified lower bound: a witness function attaining it is part of the
+estimate and is re-checked on return, and a drift raises NumericalError.
 
 The separation probe pairs a cube Q with its shift by 3 sidelengths,
 where the Hilbert/Riesz kernels are sign-definite: testing the
@@ -64,20 +67,24 @@ class NormEstimate:
     residual: float = float("nan")  # GKL Ritz residual |M* u - sigma v|
 
 
-def _flat_norm(flat: np.ndarray, p: float, wvals: np.ndarray, cell_volume: float) -> float:
-    return float(np.sum((np.abs(flat) * wvals) ** p) * cell_volume) ** (1.0 / p)
+def _flat_norm(flat: np.ndarray, p: float, wvals: np.ndarray, cell_volume: float) -> np.ndarray:
+    """|f|_{p,w} of each row of `flat` (leading axes are a batch).  The root
+    is a scalar pow per row: numpy's vectorized pow can differ from C pow in
+    the last bit, and a row must not depend on the batch it rides in."""
+    sums = np.sum((np.abs(flat) * wvals) ** p, axis=-1) * cell_volume
+    return np.reshape([float(s) ** (1.0 / p) for s in np.ravel(sums)], sums.shape)
 
 
-def _image_ratio(flat, image, p, q, muv, lamv, vol) -> float:
-    """|image|_{q,lam} / |flat|_{p,mu}, with image = A flat already computed."""
+def _image_ratio(flat, image, p, q, muv, lamv, vol) -> np.ndarray:
+    """|image|_{q,lam} / |flat|_{p,mu} per row (0 where flat vanishes), with
+    image = A flat already computed."""
     den = _flat_norm(flat, p, muv, vol)
-    if den == 0.0:
-        return 0.0
-    return _flat_norm(image, q, lamv, vol) / den
+    num = _flat_norm(image, q, lamv, vol)
+    return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
 
 
 def _ratio(op: Operator, flat, p, q, muv, lamv, vol) -> float:
-    return _image_ratio(flat, op.apply(flat), p, q, muv, lamv, vol)
+    return float(_image_ratio(flat, op.apply(flat), p, q, muv, lamv, vol))
 
 
 def _gkl_top(apply, adjoint, start: np.ndarray):
@@ -137,9 +144,14 @@ def opnorm_estimate(op: Operator, p: float, mu: Weight, q: float, lam: Weight,
 
     Exact (largest singular value of D_lam A D_mu^{-1}, by GKL from a
     start vector drawn from `seed`) at p = q = 2; otherwise the best of
-    `budget` duality-map ascents.  method "svd" or "ascent" forces a path
-    (svd only exists at p = q = 2); "auto" picks.  The operator is only
-    applied, never formed.
+    `budget` duality-map ascents.  The ascents run as one (budget, N)
+    batch: restart i starts from the i-th start vector drawn from `seed`,
+    steps only while its ratio moves by more than 1e-13 (relative) and its
+    image and gradient are nonzero, for at most `iterations` steps, and
+    converged rows leave the batch.  `iterations` in the estimate counts
+    the steps of all restarts; the first best restart supplies the
+    witness.  method "svd" or "ascent" forces a path (svd only exists at
+    p = q = 2); "auto" picks.  The operator is only applied, never formed.
     """
     if not (1.0 < p <= q < np.inf):
         raise ValueError(f"need 1 < p <= q < inf, got ({p}, {q})")
@@ -185,32 +197,37 @@ def opnorm_estimate(op: Operator, p: float, mu: Weight, q: float, lam: Weight,
     lam_q = lamv**q
     mu_p = muv**p
     inv_p1 = 1.0 / (p - 1.0)
-    best_val, best_flat, used = 0.0, None, 0
-    for _ in range(budget):
-        flat = start_vector()
+    flats = np.stack([start_vector() for _ in range(budget)])
+    images = op.apply(flats)
+    prev = np.zeros(budget)
+    active = np.arange(budget)  # rows still ascending
+    used = 0
+    for _ in range(iterations):
+        if not active.size:
+            break
+        used += active.size
+        image = images[active]
+        mag = np.abs(image)
+        live = np.any(mag, axis=-1)  # a zero image or gradient stops its row
+        active, image, mag = active[live], image[live], mag[live]
+        grad = op.adjoint(lam_q * mag ** (q - 2.0) * image)
+        gm = np.abs(grad)
+        live = np.any(gm, axis=-1)
+        active, grad, gm = active[live], grad[live], gm[live]
+        flat = np.sign(grad) * (gm / mu_p) ** inv_p1
+        flat = flat / _flat_norm(flat, p, muv, vol)[:, None]
         image = op.apply(flat)
-        prev = 0.0
-        for _ in range(iterations):
-            used += 1
-            mag = np.abs(image)
-            if not np.any(mag):
-                break
-            grad = op.adjoint(lam_q * mag ** (q - 2.0) * image)
-            gm = np.abs(grad)
-            if not np.any(gm):
-                break
-            flat = np.sign(grad) * (gm / mu_p) ** inv_p1
-            flat = flat / _flat_norm(flat, p, muv, vol)
-            image = op.apply(flat)
-            cur = _image_ratio(flat, image, p, q, muv, lamv, vol)
-            if abs(cur - prev) <= 1e-13 * max(cur, 1.0):
-                break
-            prev = cur
-        val = _image_ratio(flat, image, p, q, muv, lamv, vol)
-        if val > best_val:
-            best_val, best_flat = val, flat
-    if best_flat is None:
+        cur = _image_ratio(flat, image, p, q, muv, lamv, vol)
+        flats[active], images[active] = flat, image
+        converged = np.abs(cur - prev[active]) <= 1e-13 * np.maximum(cur, 1.0)
+        prev[active] = cur
+        active = active[~converged]
+    vals = _image_ratio(flats, images, p, q, muv, lamv, vol)
+    vals = np.where(vals > 0.0, vals, 0.0)  # a nan restart never wins
+    best = int(np.argmax(vals))
+    if vals[best] == 0.0:
         return NormEstimate(0.0, "random-restart-ascent", None, used, zero_operator=False)
+    best_val, best_flat = float(vals[best]), flats[best]
     witness = SampledFunction(dom, best_flat.reshape(dom.shape))
     check = _ratio(op, best_flat, p, q, muv, lamv, vol)
     if abs(check - best_val) > WITNESS_TOL * max(best_val, 1e-300):
@@ -340,7 +357,7 @@ def _probe_cube_for(b: SampledFunction, generation: int = 3):
     fit = g - 3  # the partner index i + 3 must stay below 2^generation
     if fit <= 0:
         return None
-    blocks = dyadic._generation_blocks(b.values, generation)
+    blocks = dyadic._generation_blocks(b.values, generation, dom.d)
     table = np.mean(np.abs(blocks - blocks.mean(axis=-1, keepdims=True)), axis=-1)
     table = table[(slice(0, fit),) * dom.d]
     index = np.unravel_index(int(np.argmax(table)), table.shape)
@@ -384,8 +401,8 @@ def bmo_vs_norm_sweep(symbols, op: Operator, mu: Weight, lam: Weight,
 
 
 class _SparseStar(Operator):
-    """f -> sum_Q <|b - <b>_Q| f>_Q 1_Q over a family, applied through
-    sparse_apply("star"), with sparse_apply("adjoint") as its adjoint."""
+    """f -> sum_Q <|b - <b>_Q| f>_Q 1_Q over a family: sparse_apply("star")
+    with sparse_apply("adjoint") as its adjoint, a whole batch per call."""
 
     def __init__(self, b: SampledFunction, family: sparse.SparseFamily):
         self.domain, self._b, self._family = b.domain, b, family
@@ -397,12 +414,8 @@ class _SparseStar(Operator):
         return self._run("adjoint", x)
 
     def _run(self, kind, x):
-        rows = [
-            sparse.sparse_apply(kind, SampledFunction(self.domain, row.reshape(self.domain.shape)),
-                                self._family, b=self._b).values.reshape(-1)
-            for row in x.reshape(-1, x.shape[-1])
-        ]
-        return np.reshape(rows, x.shape)
+        grid = x.reshape(x.shape[:-1] + self.domain.shape)
+        return sparse._table_apply(kind, grid, self._family, b=self._b).reshape(x.shape)
 
 
 @dataclass

@@ -258,11 +258,13 @@ class Operator:
 
     `apply` and `adjoint` take flat cell arrays, batched along any leading
     axes, or a SampledFunction on the operator's domain, which comes back
-    as one.  The adjoint is taken under the pairing sum_i f_i conj(g_i).
-    `is_zero` marks an operator that is zero by construction, so a caller
-    never has to read a zero off round-off.  Backends implement `_apply`
-    and `_adjoint` on (..., N) arrays; the kernel backends also give
-    `block(rows, cols)`, the entries between two cell sets.
+    as one.  Each row of a batch comes out bitwise as it would alone, so a
+    batched solver reproduces its one-row-at-a-time form.  The adjoint is
+    taken under the pairing sum_i f_i conj(g_i).  `is_zero` marks an
+    operator that is zero by construction, so a caller never has to read
+    a zero off round-off.  Backends implement `_apply` and `_adjoint` on
+    (..., N) arrays; the kernel backends also give `block(rows, cols)`,
+    the entries between two cell sets.
     """
 
     domain: LatticeDomain
@@ -293,7 +295,9 @@ class Operator:
 
 @dataclass
 class OperatorMatrix(Operator):
-    """Dense backend: the N x N matrix; immutable after assembly."""
+    """Dense backend: the N x N matrix; immutable after assembly.  A batch
+    goes through as stacked matrix-vector products, which round as a lone
+    row does (one matrix-matrix product would not)."""
 
     domain: LatticeDomain
     matrix: np.ndarray
@@ -307,11 +311,11 @@ class OperatorMatrix(Operator):
         return not np.any(self.matrix)
 
     def _apply(self, x):
-        return (self.matrix @ x.T).T
+        return np.matmul(self.matrix, x[..., None])[..., 0]
 
     def _adjoint(self, x):
         m = self.matrix.conj() if self.is_complex else self.matrix
-        return (m.T @ x.T).T
+        return np.matmul(m.T, x[..., None])[..., 0]
 
     def block(self, rows, cols) -> np.ndarray:
         """Entries A[rows[i], cols[j]]."""
@@ -467,13 +471,21 @@ def commutator_matrix(b: SampledFunction, op: OperatorMatrix) -> OperatorMatrix:
 class SplitPart(Operator):
     """One side of the eps-split: compact chi W(chi f) when `base` is None,
     else the residual Tf - chi W(chi f), with W the annulus-windowed T.
-    The residual sends f and chi f through one FFT pair."""
+    When chi is 1 on every cell the residual is chi (T - W)(chi f): one
+    convolution with the spectrum of T minus that of W, shaped as the
+    compact part is with W's.  Otherwise the residual sends f and chi f
+    through one FFT pair."""
 
     def __init__(self, chi: np.ndarray, windowed: Convolution, base: Optional[Convolution]):
         self.domain = windowed.domain
-        self._chi, self._windowed, self._residual = chi, windowed, base is not None
+        self._chi, self._windowed = chi, windowed
         self.is_zero = base is None and (windowed.is_zero or not np.any(chi))
-        parts = [windowed._spectrum] if base is None else [base._spectrum, windowed._spectrum]
+        if base is None:
+            parts = [windowed._spectrum]
+        elif np.all(chi == 1.0):
+            parts = [base._spectrum - windowed._spectrum]
+        else:
+            parts = [base._spectrum, windowed._spectrum]
         self._spectra = np.stack(parts)
         self._conj_spectra = self._spectra.conj()
 
@@ -485,7 +497,7 @@ class SplitPart(Operator):
 
     def _run(self, x, spectra):
         chi, conv = self._chi, self._windowed._convolve
-        if not self._residual:
+        if len(spectra) == 1:
             return chi * conv(chi * x, spectra[0])
         lead = (1,) * (x.ndim - 1)
         both = conv(np.stack([x, chi * x]), spectra.reshape((2,) + lead + spectra.shape[1:]))

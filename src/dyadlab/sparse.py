@@ -199,8 +199,14 @@ def sparse_apply(
                 real pairing)
     fractional: sum mu^p(P)^{1/p} lam^{-q'}(P)^{1/q'} / |P| * <f>_P 1_P
     """
-    dom = f.domain
-    out = np.zeros(dom.shape, dtype=complex)
+    return SampledFunction(f.domain, _table_apply(kind, f.values, family, b, mu, lam, p, q))
+
+
+def _table_apply(kind, values, family, b=None, mu=None, lam=None, p=None, q=None) -> np.ndarray:
+    """sparse_apply on cell values whose leading axes are a batch; each row
+    is bitwise the single-row result.  Complex unless every row is real."""
+    dom = family.domain
+    out = np.zeros(values.shape, dtype=complex)
     if kind in ("star", "adjoint"):
         if b is None:
             raise ValueError(f"kind {kind!r} needs the symbol b")
@@ -216,14 +222,14 @@ def sparse_apply(
         raise ValueError(f"unknown sparse operator kind {kind!r}")
     for j, count in family._counts:
         if kind in ("star", "adjoint"):
-            b_mean = _generation_blocks(b.values, j).mean(axis=-1)
+            b_mean = _generation_blocks(b.values, j, dom.d).mean(axis=-1)
             dev = np.abs(b.values - _broadcast_generation(dom, b_mean, j))
-        g = dev * f.values if kind == "star" else f.values
-        mean = _generation_blocks(g, j).mean(axis=-1)  # <g>_Q per generation-j cube
+        g = dev * values if kind == "star" else values
+        mean = _generation_blocks(g, j, dom.d).mean(axis=-1)  # <g>_Q per generation-j cube
         if kind == "fractional":  # scalar pow per cube: numpy's vector pow can round differently
             hit = count > 0
             mu_mass, lam_mass = (
-                (_generation_blocks(w, j).sum(axis=-1)[hit] * dom.cell_volume).tolist()
+                (_generation_blocks(w, j, dom.d).sum(axis=-1)[hit] * dom.cell_volume).tolist()
                 for w in (mu_p, lam_qp)
             )
             vol = 2 ** (dom.d * (dom.m - j)) * dom.cell_volume
@@ -234,7 +240,7 @@ def sparse_apply(
         out += dev * term if kind == "adjoint" else term
     if np.all(out.imag == 0.0):
         out = out.real
-    return SampledFunction(dom, out)
+    return out
 
 
 def split_family(family: SparseFamily, k: float) -> SparseFamily:
@@ -266,8 +272,8 @@ def carleson_constant(
         raise ValueError("f vanishes in L^p(w)")
     total = 0.0
     for j, count in family._counts:
-        avg = np.abs(_generation_blocks(f.values, j).mean(axis=-1))
-        w_mass = _generation_blocks(w.values, j).sum(axis=-1) * dom.cell_volume
+        avg = np.abs(_generation_blocks(f.values, j, dom.d).mean(axis=-1))
+        w_mass = _generation_blocks(w.values, j, dom.d).sum(axis=-1) * dom.cell_volume
         total += float(np.sum(count * avg**p * w_mass))
     return total ** (1.0 / p) / rhs
 

@@ -114,6 +114,36 @@ def test_overflowing_weight_spec_exits_2(tmp_path, capsys, experiment):
     assert "bad weight spec" in capsys.readouterr().err
 
 
+_INTEGER_PARAM_BASES = {
+    "commutator-sweep": {"domain": {"d": 1, "m": 5}, "kernel": {"variant": "hilbert"}},
+    "compactness-profile": {"domain": {"d": 1, "m": 5}, "kernel": {"variant": "hilbert"},
+                            "params": {"eps_list": [0.5, 0.25]}},
+    "vmo-witness": {"domain": {"d": 1, "m": 4}},
+}
+
+
+@pytest.mark.parametrize("experiment, key, value", [
+    ("commutator-sweep", "budget", 2.7),
+    ("commutator-sweep", "budget", True),
+    ("commutator-sweep", "budget", "3"),
+    ("commutator-sweep", "budget", 0),
+    ("compactness-profile", "budget", 2.0),
+    ("compactness-profile", "budget", -1),
+    ("commutator-sweep", "probe_generation", 2.5),
+    ("commutator-sweep", "probe_generation", False),
+    ("commutator-sweep", "probe_generation", "3"),
+    ("vmo-witness", "min_pairs", 1.5),
+    ("vmo-witness", "min_pairs", True),
+    ("vmo-witness", "min_pairs", "2"),
+])
+def test_integer_params_take_only_json_integers(tmp_path, capsys, experiment, key, value):
+    cfg = copy.deepcopy(_INTEGER_PARAM_BASES[experiment])
+    cfg.update(experiment=experiment, symbols=log_symbols())
+    cfg.setdefault("params", {})[key] = value
+    assert cli.run(write_config(tmp_path, cfg), out_dir=tmp_path / "out") == 2
+    assert f"params.{key}" in capsys.readouterr().err
+
+
 def test_kernel_dimension_mismatch_exits_2(tmp_path):
     cfg = {
         "experiment": "commutator-sweep",
@@ -540,7 +570,10 @@ _WEIGHTS = st.one_of(
                                     "seed": st.integers(0, 9)}),
 )
 _PARAMS = st.fixed_dictionaries({}, optional={
-    "budget": st.integers(0, 3), "probe_generation": st.integers(-1, 6),
+    # integer keys also draw the floats, booleans and strings they must refuse
+    "budget": st.integers(0, 3) | st.floats(0, 3) | st.booleans() | st.text(max_size=2),
+    "probe_generation": (st.integers(-1, 6) | st.floats(-1, 6) | st.booleans()
+                         | st.text(max_size=2)),
     "eps_list": st.lists(st.floats(0.01, 1.2), max_size=3),
     "k_list": st.lists(st.floats(-1, 9), max_size=3),
     "r": st.floats(-1, 4), "c0": st.floats(-1, 2),

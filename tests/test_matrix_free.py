@@ -159,6 +159,26 @@ def test_constant_symbol_commutator_is_structurally_zero():
     assert est.zero_operator and est.value == 0.0
 
 
+@pytest.mark.parametrize("d, eps, spectra", [
+    (1, 0.5, 1), (1, 0.03125, 1),  # chi = 1 on every cell: the residual is T - W
+    (1, 0.75, 2), (2, 0.5, 2),     # chi < 1 near the edge: f and chi f both go through
+])
+def test_split_residual_branches_match_decompose(d, eps, spectra):
+    dom = LatticeDomain(d=d, m=7 if d == 1 else 4, L=1.0)
+    kernel = ops.make_kernel("hilbert") if d == 1 else ops.make_kernel("riesz", {"j": 2})
+    rng = np.random.default_rng(11)
+    f = rng.standard_normal((2, dom.n**d)) + 1j * rng.standard_normal((2, dom.n**d))
+    compact, residual = ops.split(kernel, dom, eps)
+    assert len(residual._spectra) == spectra
+    base = ops.assemble(kernel, dom).matrix
+    scale = max(bound(base, row) for row in f)
+    for fast, slow in zip((compact, residual), ops.decompose(kernel, dom, eps)):
+        for run, matrix in ((fast.apply, slow.matrix), (fast.adjoint, slow.matrix.T)):
+            batch = run(f)
+            assert np.max(np.abs(batch - f @ matrix.T)) <= 1e-12 * scale
+            np.testing.assert_array_equal(batch[1], run(f[1]))
+
+
 def test_split_reads_windows_off_a_wide_domain():
     # L = 8 puts most cells outside supp(chi), so the residual is more than T - W
     dom = LatticeDomain(d=1, m=7, L=8.0)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyadlab import dyadic, sparse
+from dyadlab import dyadic, normest, sparse
 from dyadlab.lattice import LatticeDomain, SampledFunction
 from dyadlab.weights import make_weight
 
@@ -413,6 +413,32 @@ def test_cz_family_tables_match_entry_loops(case, seed, k):
     assert_apply_matches(kept, kept_pairs, b, rng, exact=True)
     assert sparse.augmentation_ratio(b, root, kept) == augmentation_ratio_oracle(b, root, kept_pairs)
     assert sparse.is_sparse(kept).ok
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=cz_cases(), seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 4))
+def test_batched_tables_match_single_rows(case, seed, rows):
+    b, root = case
+    dom, fam = b.domain, sparse.cz_augment(b, root)
+    rng = np.random.default_rng(seed)
+    batch = rng.standard_normal((rows,) + dom.shape) + 1j * rng.standard_normal((rows,) + dom.shape)
+    batch[0] = batch[0].real  # a real row riding in a complex batch
+    mu = make_weight(dom, {"kind": "power", "beta": 0.3})
+    lam = make_weight(dom, {"kind": "power", "beta": -0.2})
+    for values in (batch, batch.real.copy()):
+        for kind in ("plain", "star", "adjoint", "fractional"):
+            extra = {"mu": mu, "lam": lam, "p": 2.0, "q": 3.0} if kind == "fractional" else {}
+            got = sparse._table_apply(kind, values, fam, b=b, **extra)
+            assert got.shape == values.shape
+            for row, out in zip(values, got):
+                one = sparse.sparse_apply(kind, SampledFunction(dom, row), fam, b=b, **extra)
+                np.testing.assert_array_equal(out, one.values)
+    star = normest._SparseStar(b, fam)
+    flat = batch.reshape(rows, -1)
+    for run, kind in ((star.apply, "star"), (star.adjoint, "adjoint")):
+        for row, out in zip(batch, run(flat)):
+            one = sparse.sparse_apply(kind, SampledFunction(dom, row), fam, b=b)
+            np.testing.assert_array_equal(out, one.values.reshape(-1))
 
 
 @st.composite
