@@ -46,7 +46,6 @@ from dyadlab.weights import (
 )
 
 SCHEMA_VERSION = 1
-WORKER_ENV = "DYADLAB_WORKERS"
 HARD_TOL = 1e-9
 
 EXPERIMENTS = (
@@ -274,9 +273,10 @@ def _integer(value) -> int:
     return value
 
 
-def _restarts(value) -> int:
+def _positive(value) -> int:
+    """A JSON integer of at least 1."""
     if _integer(value) < 1:
-        raise ValueError(f"need at least one restart, got {value}")
+        raise ValueError(f"need an integer >= 1, got {value}")
     return value
 
 
@@ -453,10 +453,14 @@ def _exp_sparse_dominate(ctx: RunContext) -> ExperimentResult:
 
 def _exp_commutator_sweep(ctx: RunContext) -> ExperimentResult:
     op = Convolution(ctx.kernel, ctx.domain)
+    budget = _param(ctx, "budget", 8, _positive)
+    probe_generation = _param(ctx, "probe_generation", 3, _integer)
+    if not 0 <= probe_generation <= ctx.domain.m:
+        raise ConfigError(f"params.probe_generation: need 0 <= value <= m = {ctx.domain.m}, "
+                          f"got {probe_generation}")
     sweep_rows = normest.bmo_vs_norm_sweep(
         ctx.symbols, op, ctx.mu, ctx.lam, ctx.setup,
-        budget=_param(ctx, "budget", 8, _restarts),
-        probe_generation=_param(ctx, "probe_generation", 3, _integer),
+        budget=budget, probe_generation=probe_generation,
     )
     rows, assertions, headline = [], [], {}
     for row in sweep_rows:
@@ -488,7 +492,7 @@ def _exp_compactness_profile(ctx: RunContext) -> ExperimentResult:
     if not eps_list:
         raise ConfigError("params.eps_list must not be empty")
     k_list = _param(ctx, "k_list", (1.0, 2.0, 4.0, 8.0), _numbers)
-    budget = _param(ctx, "budget", 8, _restarts)
+    budget = _param(ctx, "budget", 8, _positive)
     tail_rows, sparse_rows, flags, headline = [], [], [], {}
     for sid, b in ctx.symbols:
         rep = normest.compactness_profile(
@@ -536,7 +540,7 @@ def _exp_vmo_witness(ctx: RunContext) -> ExperimentResult:
             mode=ctx.params.get("mode"),
             r=r,
             theta=_param(ctx, "theta", 0.125, float),
-            min_pairs=_param(ctx, "min_pairs", 2, _integer),
+            min_pairs=_param(ctx, "min_pairs", 2, _positive),
         )
         if witness is None:
             witness_rows.append((sid, "none", "", "", "", "", ""))
@@ -692,16 +696,7 @@ def run(config, out_dir=None, seed=None) -> int:
 
 
 def _worker_cap(workers, n_points: int) -> int:
-    env = os.environ.get(WORKER_ENV)
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ConfigError(f"{WORKER_ENV} must be an integer, got {env!r}")
-    elif workers is not None:
-        cap = int(workers)
-    else:
-        cap = 4
+    cap = 4 if workers is None else int(workers)
     if cap < 1:
         raise ConfigError("worker cap must be >= 1")
     return min(cap, max(1, n_points))
@@ -839,7 +834,7 @@ def main(argv=None) -> int:
         sp.add_argument("--seed", type=int, default=None,
                         help="replace the config seed list with this one seed")
         sp.add_argument("--workers", type=int, default=None,
-                        help=f"sweep worker cap (env {WORKER_ENV} overrides)")
+                        help="sweep worker cap")
     args = parser.parse_args(argv)
     if args.command == "run":
         return run(args.config, out_dir=args.out, seed=args.seed)

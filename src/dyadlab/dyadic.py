@@ -323,11 +323,9 @@ def _broadcast_generation(dom: LatticeDomain, table: np.ndarray, generation: int
     return table
 
 
-def dyadic_maximal(f: SampledFunction, grid: DyadicGrid | None = None) -> SampledFunction:
+def dyadic_maximal(f: SampledFunction) -> SampledFunction:
     """Mf(x) = max over canonical dyadic cubes containing x of the average of |f|."""
     dom = f.domain
-    if grid is not None and not grid.is_canonical:
-        raise ValueError("the maximal function is only defined on the canonical grid")
     out = None
     for j in range(dom.m + 1):
         level = _broadcast_generation(dom, generation_averages(f, j, absolute=True), j)

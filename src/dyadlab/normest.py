@@ -50,6 +50,7 @@ ASCENT_ITERATIONS = 200
 GKL_TOL = 1e-14
 GKL_MAX_STEPS = 256
 WITNESS_TOL = 1e-10
+PROBE_FLOOR = 0.05  # least pairing share of the oscillation mass a probe must reach
 
 
 class ProbeRefused(ValueError):
@@ -265,8 +266,7 @@ def _phase_conj(values: np.ndarray) -> np.ndarray:
 
 
 def awf_lower_probe(b: SampledFunction, op: Operator, p: float, mu: Weight,
-                    q: float, lam: Weight, cube: dyadic.DyadicCube,
-                    c_probe: float = 0.05) -> ProbeCertificate:
+                    q: float, lam: Weight, cube: dyadic.DyadicCube) -> ProbeCertificate:
     """Certified lower bound for |[b, T]| from a separated cube pair.
 
     The partner cube is Q shifted by 3 sidelengths along every axis, so
@@ -275,7 +275,7 @@ def awf_lower_probe(b: SampledFunction, op: Operator, p: float, mu: Weight,
     Tested functionals: [b,T] applied to the partner indicator against the
     phase of the result on Q, and applied to a phase-modulated partner
     indicator against 1_Q.  Their sum must reproduce at least
-    c_probe * int_Q |b - <b>_Q|, or the probe is refused as inconclusive.
+    PROBE_FLOOR * int_Q |b - <b>_Q|, or the probe is refused as inconclusive.
     """
     dom = op.domain
     if b.domain != dom:
@@ -318,9 +318,9 @@ def awf_lower_probe(b: SampledFunction, op: Operator, p: float, mu: Weight,
 
     mass = float(np.sum(np.abs(bflat[cells_q] - bflat[cells_q].mean())) * vol)
     total = pairing1 + pairing2
-    if mass > 0.0 and total < c_probe * mass:
+    if mass > 0.0 and total < PROBE_FLOOR * mass:
         raise ProbeRefused(
-            f"pairings {total:.3g} fall under {c_probe} * oscillation mass {mass:.3g}"
+            f"pairings {total:.3g} fall under {PROBE_FLOOR} * oscillation mass {mass:.3g}"
         )
 
     muv, lamv = mu.values.reshape(-1), lam.values.reshape(-1)

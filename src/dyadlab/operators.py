@@ -98,9 +98,6 @@ class KernelSpec:
     evaluator: Callable  # (x, y) arrays of shape (..., d) -> values (...)
     size_constant: float
     antisymmetric: bool
-    nondegenerate: bool
-    omega: Optional[Callable] = None  # modulus t in (0, 1] -> omega(t)
-    dini: float = float("nan")
     translation_invariant: bool = False  # K(x, y) = K(x - y, 0): Convolution applies
 
     def __call__(self, x, y):
@@ -120,13 +117,6 @@ def _riesz_eval(axis):
         with np.errstate(divide="ignore", invalid="ignore"):
             return diff[..., axis] / dist**3
     return evaluate
-
-
-def dini_surrogate(omega: Callable) -> float:
-    """int_0^1 omega(t) dt/t, log-substituted trapezoid (t = e^{-s}, s <= 36)."""
-    s = np.linspace(0.0, 36.0, 4097)
-    t = np.exp(-s)
-    return float(np.trapezoid(np.asarray(omega(t), dtype=float), s))
 
 
 def _sample_size_bound(evaluator, c, d, domain, rng):
@@ -151,11 +141,11 @@ def make_kernel(variant: str, params: Optional[dict] = None) -> KernelSpec:
     """Build a KernelSpec.
 
     variant "hilbert" (d=1, K = 1/(x-y)) and "riesz" (d=2, component j of
-    (x-y)/|x-y|^3, params {"j": 1 or 2}) carry exact size constants and are
-    tagged non-degenerate.  variant "custom" takes params {"evaluator", "C",
-    "domain", optional "omega", "antisymmetric", "d"}; the size bound
-    |K| <= C |x-y|^{-d} is spot-checked on random pairs and a violation
-    raises with the witness pair.  Providing "domain" for the named variants
+    (x-y)/|x-y|^3, params {"j": 1 or 2}) carry exact size constants.
+    variant "custom" takes params {"evaluator", "C", "domain", optional
+    "antisymmetric", "d"}; the size bound |K| <= C |x-y|^{-d} is
+    spot-checked on random pairs and a violation raises with the witness
+    pair.  Providing "domain" for the named variants
     runs the same check on them.
     """
     params = dict(params or {})
@@ -166,9 +156,7 @@ def make_kernel(variant: str, params: Optional[dict] = None) -> KernelSpec:
         d = params.pop("d", 1)
         if d != 1:
             raise ValueError("hilbert kernel is one-dimensional")
-        omega = params.pop("omega", lambda t: 2.0 * np.asarray(t, dtype=float))
-        spec = KernelSpec("hilbert", 1, _hilbert_eval, 1.0, True, True,
-                          omega, dini_surrogate(omega), translation_invariant=True)
+        spec = KernelSpec("hilbert", 1, _hilbert_eval, 1.0, True, translation_invariant=True)
     elif variant == "riesz":
         d = params.pop("d", 2)
         if d != 2:
@@ -176,21 +164,17 @@ def make_kernel(variant: str, params: Optional[dict] = None) -> KernelSpec:
         j = params.pop("j")
         if j not in (1, 2):
             raise ValueError("riesz component j must be 1 or 2")
-        # Crude mean-value modulus; descriptor only, not a tight constant.
-        omega = params.pop("omega", lambda t: 32.0 * np.asarray(t, dtype=float))
-        spec = KernelSpec(f"riesz_{j}", 2, _riesz_eval(j - 1), 1.0, True, True,
-                          omega, dini_surrogate(omega), translation_invariant=True)
+        spec = KernelSpec(f"riesz_{j}", 2, _riesz_eval(j - 1), 1.0, True,
+                          translation_invariant=True)
     elif variant == "custom":
         if domain is None:
             raise ValueError("custom kernels need a domain for the size-bound check")
         evaluator = params.pop("evaluator")
         c = float(params.pop("C"))
         d = params.pop("d", domain.d)
-        omega = params.pop("omega", None)
         antisym = bool(params.pop("antisymmetric", False))
         _sample_size_bound(evaluator, c, d, domain, rng)
-        dini = dini_surrogate(omega) if omega is not None else float("nan")
-        spec = KernelSpec("custom", d, evaluator, c, antisym, False, omega, dini)
+        spec = KernelSpec("custom", d, evaluator, c, antisym)
     else:
         raise ValueError(f"unknown kernel variant {variant!r}")
 
@@ -201,47 +185,6 @@ def make_kernel(variant: str, params: Optional[dict] = None) -> KernelSpec:
             raise ValueError(f"{variant} kernel needs d={spec.d}, domain has d={domain.d}")
         _sample_size_bound(spec.evaluator, spec.size_constant, spec.d, domain, rng)
     return spec
-
-
-def nondegeneracy_probe(kernel: KernelSpec, y, r: float,
-                        domain: Optional[LatticeDomain] = None,
-                        c_min: float = 0.01):
-    """Find x with |x - y| >= r and c = |K(x, y)| r^d as large as possible.
-
-    Named variants return the exact extremizer x = y + r e_1 (c = 1) when it
-    stays inside the domain (always, if no domain is given).  Otherwise the
-    lattice midpoints are searched.  Raises if nothing achieves c >= c_min.
-    """
-    if r <= 0.0:
-        raise ValueError("r must be positive")
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.shape != (kernel.d,):
-        raise ValueError(f"y must have {kernel.d} coordinates")
-    if kernel.nondegenerate:
-        x = y.copy()
-        x[0] += r
-        if domain is None or np.all(np.abs(x) <= domain.L):
-            c = float(np.abs(kernel(x[None, :], y[None, :]))[0]) * r**kernel.d
-            return tuple(x), c
-    if domain is None:
-        raise ValueError("custom kernels need a domain to search")
-    if domain.d != kernel.d:
-        raise ValueError("domain dimension mismatch")
-    pts = np.stack([m.reshape(-1) for m in domain.midpoints()], axis=-1)
-    dist = np.sqrt(np.sum((pts - y[None, :]) ** 2, axis=-1))
-    far = dist >= r
-    if not np.any(far):
-        raise ValueError(f"no lattice point at distance >= {r} from {tuple(y)}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.abs(np.asarray(kernel(pts[far], y[None, :]), dtype=float))
-    vals = np.where(np.isfinite(vals), vals, 0.0)
-    k = int(np.argmax(vals))
-    c = float(vals[k]) * r**kernel.d
-    if c < c_min:
-        raise ValueError(
-            f"kernel degenerate near y={tuple(y)}, r={r}: best c = {c:.3g} < {c_min}"
-        )
-    return tuple(pts[far][k]), c
 
 
 # -- operators -----------------------------------------------------------------

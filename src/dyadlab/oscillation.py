@@ -47,6 +47,8 @@ from dyadlab.lattice import Box, LatticeDomain, SampledFunction, box_cells
 from dyadlab.weights import ExponentSetup, Weight, bloom_weight
 
 _GEN_FLOOR_CELLS = 4  # profile curves stop at cubes of side 4h
+PROFILE_RADII = (0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75)  # distance curve, in units of L
+ESCAPE_RADIUS = 0.75  # far-away witnesses must reach this distance, in units of L
 
 
 # -- region resolution -------------------------------------------------------
@@ -237,7 +239,6 @@ def vmo_profile(
     nu: Weight | None = None,
     alpha: float = 0.0,
     r: float = 1.0,
-    radii=None,
 ) -> VMOProfile:
     """Monotone oscillation envelopes in scale and in distance from 0.
 
@@ -257,9 +258,7 @@ def vmo_profile(
         per_scale[j] = float(np.max(table))
     small = np.maximum.accumulate(per_scale[::-1])[::-1]
     large = np.maximum.accumulate(per_scale)
-    if radii is None:
-        radii = dom.L * np.array([0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75])
-    radii = np.asarray(radii, dtype=float)
+    radii = dom.L * np.array(PROFILE_RADII)
     distance = np.empty(radii.size)
     for k, rad in enumerate(radii):
         best = 0.0
@@ -356,9 +355,9 @@ def _witness_small(b, nu, alpha, r, c0, theta, min_pairs):
     return None
 
 
-def _witness_far(b, nu, alpha, r, c0, min_pairs, escape_radius):
+def _witness_far(b, nu, alpha, r, c0, min_pairs):
     """Disjoint cubes at distances increasing by at least L/8 per step,
-    required to reach escape_radius; E = Q throughout."""
+    required to reach ESCAPE_RADIUS * L; E = Q throughout."""
     cands = _candidate_cubes(b, nu, alpha, r, c0)
     cands.sort(key=lambda t: (t[0].dist_to_origin(), t[0].generation, t[0].index))
     step = b.domain.L / 8.0
@@ -377,7 +376,7 @@ def _witness_far(b, nu, alpha, r, c0, min_pairs, escape_radius):
         accepted.append((cube, cells))
         used = np.concatenate([used, cells])
         last = dist
-    if not accepted or accepted[-1][0].dist_to_origin() < escape_radius:
+    if not accepted or accepted[-1][0].dist_to_origin() < ESCAPE_RADIUS * b.domain.L:
         return None
     entries, oscs = _verify_entries(b, nu, alpha, r, c0, accepted)
     if len(entries) >= min_pairs:
@@ -425,22 +424,19 @@ def vmo_witness(
     r: float = 1.0,
     theta: float = 0.125,
     min_pairs: int = 2,
-    escape_radius: float | None = None,
 ) -> WitnessFamily | None:
     """Disjoint (Q, E) pairs witnessing osc >= c0/2 in the requested
     failure mode, or None when no family of min_pairs exists.
 
-    Far-away families must reach escape_radius (default 3L/4): on a
-    bounded domain a sequence that stalls at moderate distance says
-    nothing about behaviour at infinity."""
+    Far-away families must reach ESCAPE_RADIUS * L: on a bounded domain
+    a sequence that stalls at moderate distance says nothing about
+    behaviour at infinity."""
     _check_exponents(alpha, r)
     if not (theta > 0.0 and math.isfinite(1.0 / theta)):
         raise ValueError(f"theta must be positive with a finite reciprocal, got {theta}")
-    if escape_radius is None:
-        escape_radius = 0.75 * b.domain.L
     searchers = {
         "small-scale": lambda: _witness_small(b, nu, alpha, r, c0, theta, min_pairs),
-        "far-away": lambda: _witness_far(b, nu, alpha, r, c0, min_pairs, escape_radius),
+        "far-away": lambda: _witness_far(b, nu, alpha, r, c0, min_pairs),
         "large-scale": lambda: _witness_large(b, nu, alpha, r, c0, min_pairs),
     }
     if mode is not None:

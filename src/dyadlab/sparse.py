@@ -41,7 +41,7 @@ avoids it, so C_IMPL exceeds 2^d + LAMBDA + 1 at d = 2.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -185,57 +185,29 @@ def sparse_apply(
     kind: str,
     f: SampledFunction,
     family: SparseFamily,
-    b: SampledFunction | None = None,
-    mu: Weight | None = None,
-    lam: Weight | None = None,
-    p: float | None = None,
-    q: float | None = None,
+    b: SampledFunction,
 ) -> SampledFunction:
     """The sparse model operators, one generation table at a time.
 
-    plain:      sum <f>_Q 1_Q
-    star:       sum <|b - <b>_Q| f>_Q 1_Q
-    adjoint:    sum |b - <b>_Q| <f>_Q 1_Q   (adjoint of star under the
-                real pairing)
-    fractional: sum mu^p(P)^{1/p} lam^{-q'}(P)^{1/q'} / |P| * <f>_P 1_P
+    star:    sum <|b - <b>_Q| f>_Q 1_Q
+    adjoint: sum |b - <b>_Q| <f>_Q 1_Q   (adjoint of star under the real
+             pairing)
     """
-    return SampledFunction(f.domain, _table_apply(kind, f.values, family, b, mu, lam, p, q))
+    return SampledFunction(f.domain, _table_apply(kind, f.values, family, b))
 
 
-def _table_apply(kind, values, family, b=None, mu=None, lam=None, p=None, q=None) -> np.ndarray:
+def _table_apply(kind, values, family, b) -> np.ndarray:
     """sparse_apply on cell values whose leading axes are a batch; each row
     is bitwise the single-row result.  Complex unless every row is real."""
+    if kind not in ("star", "adjoint"):
+        raise ValueError(f"unknown sparse operator kind {kind!r}")
     dom = family.domain
     out = np.zeros(values.shape, dtype=complex)
-    if kind in ("star", "adjoint"):
-        if b is None:
-            raise ValueError(f"kind {kind!r} needs the symbol b")
-    elif kind == "fractional":
-        if mu is None or lam is None or p is None or q is None:
-            raise ValueError("fractional kind needs mu, lam, p, q")
-        if not 1.0 < p <= q:
-            raise ValueError("need 1 < p <= q")
-        q_prime = q / (q - 1.0)
-        mu_p = mu.power(p).values
-        lam_qp = lam.power(-q_prime).values
-    elif kind != "plain":
-        raise ValueError(f"unknown sparse operator kind {kind!r}")
     for j, count in family._counts:
-        if kind in ("star", "adjoint"):
-            b_mean = _generation_blocks(b.values, j, dom.d).mean(axis=-1)
-            dev = np.abs(b.values - _broadcast_generation(dom, b_mean, j))
+        b_mean = _generation_blocks(b.values, j, dom.d).mean(axis=-1)
+        dev = np.abs(b.values - _broadcast_generation(dom, b_mean, j))
         g = dev * values if kind == "star" else values
         mean = _generation_blocks(g, j, dom.d).mean(axis=-1)  # <g>_Q per generation-j cube
-        if kind == "fractional":  # scalar pow per cube: numpy's vector pow can round differently
-            hit = count > 0
-            mu_mass, lam_mass = (
-                (_generation_blocks(w, j, dom.d).sum(axis=-1)[hit] * dom.cell_volume).tolist()
-                for w in (mu_p, lam_qp)
-            )
-            vol = 2 ** (dom.d * (dom.m - j)) * dom.cell_volume
-            coef = np.zeros(count.shape)
-            coef[hit] = [a ** (1 / p) * c ** (1 / q_prime) / vol for a, c in zip(mu_mass, lam_mass)]
-            mean = coef * mean
         term = _broadcast_generation(dom, count * mean, j)
         out += dev * term if kind == "adjoint" else term
     if np.all(out.imag == 0.0):
@@ -312,52 +284,3 @@ def almost_orthogonality_check(
     if rhs_p == 0.0:
         raise ValueError("all pieces vanish")
     return lhs / rhs_p ** (1.0 / p)
-
-
-# -- commutator domination search ---------------------------------------------
-
-
-@dataclass
-class DominationReport:
-    constant: float          # max ratio |comm| / (star + adjoint form)
-    uncovered_cells: int     # cells where comm lives but the forms vanish
-    covered: bool
-    argmax_cell: int = -1
-    flags: set = field(default_factory=set)
-
-
-def commutator_domination(
-    comm: SampledFunction,
-    b: SampledFunction,
-    f: SampledFunction,
-    families: list,
-) -> DominationReport:
-    """Falsifiable pointwise check |comm| <= C (A*_{b}|f| + A_{b}|f|)
-    over the given families; reports the certified C or failure."""
-    dom = comm.domain
-    absf = SampledFunction(dom, np.abs(f.values))
-    den = np.zeros(absf.values.size)
-    for fam in families:
-        den += np.abs(sparse_apply("star", absf, fam, b=b).values.reshape(-1))
-        den += np.abs(sparse_apply("adjoint", absf, fam, b=b).values.reshape(-1))
-    num = np.abs(comm.values.reshape(-1))
-    tiny = 1e-14 * max(float(num.max()), 1e-300)
-    live = den > 0.0
-    uncovered = int(np.sum(~live & (num > tiny)))
-    if np.any(live):
-        ratios = num[live] / den[live]
-        k = int(np.argmax(ratios))
-        constant = float(ratios[k])
-        argmax_cell = int(np.flatnonzero(live)[k])
-    else:
-        constant = np.inf if uncovered else 0.0
-        argmax_cell = -1
-    report = DominationReport(
-        constant=constant,
-        uncovered_cells=uncovered,
-        covered=uncovered == 0,
-        argmax_cell=argmax_cell,
-    )
-    if uncovered:
-        report.flags.add("mass-outside-family-support")
-    return report

@@ -4,7 +4,7 @@ Exponent conventions, for 1 < p <= q < infinity:
 
 * alpha/d = 1/p - 1/q, so alpha = 0 exactly when p = q.
 * The joint characteristic is
-      [sigma, omega]_{A_{p,q}} = sup_Q <sigma^q>_Q^{1/q} <omega^{-p'}>_Q^{1/p'},
+      [sigma, tau]_{A_{p,q}} = sup_Q <sigma^q>_Q^{1/q} <tau^{-p'}>_Q^{1/p'},
   with plain (unweighted) cube averages and Q over the canonical dyadic
   cubes, read off per-generation tables; [w]_{A_p} is recovered as
   apq(w^{1/p}, w^{1/p}, p, p)^p.
@@ -45,6 +45,8 @@ _CLIP = 1e300
 _LOG_CLIP = math.log(_CLIP)
 
 _WEIGHT_KINDS = ("unit", "power", "logsmooth")
+
+MEMBERSHIP_DRIFT = 0.10  # relative drift the surrogate allows under one coarsening
 
 
 @dataclass(frozen=True)
@@ -115,20 +117,13 @@ class Weight:
     def power_overflows(self, exponent: float) -> bool:
         return bool(np.max(exponent * self.log_values) > _LOG_CLIP)
 
-    def mass(self) -> float:
-        return float(np.sum(self.values)) * self.domain.cell_volume
-
     def coarsen(self) -> "Weight":
         """Weight at one level coarser; resamples analytic specs, else
         block-averages the cell values."""
         coarse = self.domain.coarsen()
         if self.spec is not None:
             return make_weight(coarse, dict(self.spec))
-        v = self.values
-        if self.domain.d == 1:
-            cv = v.reshape(coarse.n, 2).mean(axis=1)
-        else:
-            cv = v.reshape(coarse.n, 2, coarse.n, 2).mean(axis=(1, 3))
+        cv = dyadic._generation_mean(self.values, coarse.m)
         return as_weight(SampledFunction(coarse, cv), tag=self.tag + "+coarse")
 
 
@@ -211,22 +206,22 @@ def _family_averages(f: SampledFunction) -> np.ndarray:
 
 def apq_characteristic(
     sigma: Weight,
-    omega: Weight,
+    tau: Weight,
     p: float,
     q: float,
 ) -> CharacteristicReport:
-    """[sigma, omega]_{A_{p,q}} over the canonical cubes, with per-cube values."""
+    """[sigma, tau]_{A_{p,q}} over the canonical cubes, with per-cube values."""
     if not (1.0 < p < math.inf and 1.0 < q < math.inf):
         raise ValueError(f"need 1 < p, q < inf, got p={p}, q={q}")
-    if sigma.domain != omega.domain:
-        raise ValueError("sigma and omega must share a domain")
+    if sigma.domain != tau.domain:
+        raise ValueError("sigma and tau must share a domain")
     p_prime = p / (p - 1.0)
     flags = set()
-    if sigma.power_overflows(q) or omega.power_overflows(-p_prime):
+    if sigma.power_overflows(q) or tau.power_overflows(-p_prime):
         flags.add("overflow")
     keys = dyadic.canonical_keys(sigma.domain)
     a = _family_averages(sigma.power(q))
-    b = _family_averages(omega.power(-p_prime))
+    b = _family_averages(tau.power(-p_prime))
     values = a ** (1.0 / q) * b ** (1.0 / p_prime)
     if not np.all(np.isfinite(values)):
         flags.add("overflow")
@@ -252,15 +247,15 @@ def bloom_weight(mu: Weight, lam: Weight, setup: ExponentSetup) -> Weight:
     return Weight(mu.domain, np.exp(logs), logs, tag=f"bloom({mu.tag},{lam.tag})")
 
 
-def membership_surrogate(w: Weight, p: float, rel_tol: float = 0.10) -> dict:
-    """Finite characteristic, stable within rel_tol under one coarsening;
+def membership_surrogate(w: Weight, p: float) -> dict:
+    """Finite characteristic, stable within MEMBERSHIP_DRIFT under one coarsening;
     "overflow" is set when a characteristic was clipped at 1e300."""
     fine = apq_characteristic(w, w, p, p)
     coarse_w = w.coarsen()
     coarse = apq_characteristic(coarse_w, coarse_w, p, p)
     drift = abs(fine.supremum - coarse.supremum) / max(fine.supremum, coarse.supremum)
     overflow = "overflow" in fine.flags | coarse.flags
-    ok = math.isfinite(fine.supremum) and not overflow and drift <= rel_tol
+    ok = math.isfinite(fine.supremum) and not overflow and drift <= MEMBERSHIP_DRIFT
     return {
         "characteristic": fine.supremum,
         "coarse_characteristic": coarse.supremum,

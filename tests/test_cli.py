@@ -132,9 +132,13 @@ _INTEGER_PARAM_BASES = {
     ("commutator-sweep", "probe_generation", 2.5),
     ("commutator-sweep", "probe_generation", False),
     ("commutator-sweep", "probe_generation", "3"),
+    ("commutator-sweep", "probe_generation", -1),
+    ("commutator-sweep", "probe_generation", 6),
     ("vmo-witness", "min_pairs", 1.5),
     ("vmo-witness", "min_pairs", True),
     ("vmo-witness", "min_pairs", "2"),
+    ("vmo-witness", "min_pairs", 0),
+    ("vmo-witness", "min_pairs", -1),
 ])
 def test_integer_params_take_only_json_integers(tmp_path, capsys, experiment, key, value):
     cfg = copy.deepcopy(_INTEGER_PARAM_BASES[experiment])
@@ -504,18 +508,6 @@ def test_sweep_determinism_across_worker_counts(tmp_path):
     assert cli.sweep(cfg, out_dir=out_a, workers=1) == 0
     assert cli.sweep(cfg, out_dir=out_b, workers=3) == 0
     assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
-
-
-def test_worker_env_overrides_flag(tmp_path, monkeypatch):
-    cfg = {
-        "experiment": "bmo-compute",
-        "symbols": log_symbols(),
-        "sweep": {"axis": "m", "values": [6]},
-    }
-    monkeypatch.setenv(cli.WORKER_ENV, "not-a-number")
-    assert cli.sweep(cfg, out_dir=tmp_path / "a") == 2
-    monkeypatch.setenv(cli.WORKER_ENV, "2")
-    assert cli.sweep(cfg, out_dir=tmp_path / "b") == 0
 
 
 # -- entry point ---------------------------------------------------------------

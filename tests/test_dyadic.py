@@ -229,12 +229,6 @@ class TestMaximal:
         cells = cube.flat_cells()
         assert np.allclose(mf.values[cells], 1.0)
 
-    def test_shifted_grid_rejected(self):
-        dom = LatticeDomain(1, 5, 1.0)
-        f = random_function(dom, 19)
-        with pytest.raises(ValueError):
-            dyadic_maximal(f, grids(dom)[1])
-
     def test_ancestor_weight_sum_domination(self):
         # sum over ancestors Q of R of (|R|/|Q|) 1_Q <= C_M * M(1_R), with
         # C_M = 1/(1 - 2^-d) from the geometric series of ancestor volumes.

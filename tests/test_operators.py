@@ -62,7 +62,7 @@ def test_partition_of_unity_exact():
 
 def test_hilbert_point_value(hilbert):
     assert hilbert(np.array([[2.0]]), np.array([[0.0]]))[0] == 0.5
-    assert hilbert.antisymmetric and hilbert.nondegenerate
+    assert hilbert.antisymmetric
 
 
 def test_riesz_point_value(riesz1):
@@ -90,34 +90,6 @@ def test_custom_size_bound_witness(dom):
     spec = ops.make_kernel("custom", {"evaluator": loud, "C": 2.0, "domain": dom,
                                       "antisymmetric": True})
     assert spec.size_constant == 2.0
-
-
-def test_dini_surrogate(hilbert):
-    assert hilbert.dini == pytest.approx(2.0, rel=1e-3)
-    assert ops.dini_surrogate(lambda t: np.asarray(t) ** 0.5) == pytest.approx(2.0, rel=1e-3)
-
-
-# -- nondegeneracy ------------------------------------------------------------
-
-
-def test_probe_hilbert_exact(hilbert):
-    x, c = ops.nondegeneracy_probe(hilbert, 0.0, 1.0)
-    assert x == (1.0,) and c == 1.0
-
-
-def test_probe_riesz_exact(riesz1):
-    x, c = ops.nondegeneracy_probe(riesz1, (0.0, 0.0), 1.0)
-    assert x == (1.0, 0.0) and c == 1.0
-
-
-def test_probe_degenerate_kernel(dom):
-    dead = ops.make_kernel("custom", {
-        "evaluator": lambda x, y: np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1])),
-        "C": 1.0, "domain": dom})
-    with pytest.raises(ValueError, match="degenerate"):
-        ops.nondegeneracy_probe(dead, 0.0, 0.25, domain=dom)
-    with pytest.raises(ValueError):
-        ops.nondegeneracy_probe(dead, 0.0, -1.0, domain=dom)
 
 
 # -- assembly -----------------------------------------------------------------

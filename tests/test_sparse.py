@@ -240,18 +240,6 @@ def test_augmentation_ratio_matches_local_oracle(dom, unit_root):
 # -- model operators ----------------------------------------------------------
 
 
-def test_plain_single_cube(dom, grid):
-    cube = grid.cube(2, (1,))
-    fam = family(dom, [cube])
-    rng = np.random.default_rng(3)
-    f = SampledFunction(dom, rng.standard_normal(dom.n))
-    out = sparse.sparse_apply("plain", f, fam)
-    cells = cube.flat_cells()
-    expect = np.zeros(dom.n)
-    expect[cells] = f.values[cells].mean()
-    np.testing.assert_allclose(out.values, expect, atol=1e-15)
-
-
 def test_star_with_constant_symbol_vanishes(dom, grid):
     fam = family(dom, [grid.cube(1, (1,))])
     b = SampledFunction(dom, np.full(dom.n, 4.0))
@@ -272,74 +260,29 @@ def test_star_adjoint_duality(dom, unit_root):
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
-def test_plain_is_monotone(dom, unit_root):
-    b = SampledFunction(dom, np.log(np.abs(dom.midpoints()[0])))
-    fam = sparse.cz_augment(b, unit_root)
-    rng = np.random.default_rng(17)
-    f = SampledFunction(dom, rng.standard_normal(dom.n))
-    g = SampledFunction(dom, f.values + rng.uniform(0.0, 1.0, dom.n))
-    Af = sparse.sparse_apply("plain", f, fam)
-    Ag = sparse.sparse_apply("plain", g, fam)
-    assert np.all(Af.values <= Ag.values + 1e-15)
-
-
-def test_fractional_single_cube_formula(dom, grid):
-    cube = grid.cube(2, (1,))
-    fam = family(dom, [cube])
-    mu = make_weight(dom, {"kind": "power", "beta": 0.5})
-    lam = make_weight(dom, {"kind": "unit"})
-    p, q = 2.0, 4.0
-    f = SampledFunction(dom, np.ones(dom.n))
-    out = sparse.sparse_apply("fractional", f, fam, mu=mu, lam=lam, p=p, q=q)
-    cells = cube.flat_cells()
-    mu_mass = (mu.power(p).values[cells].sum()) * dom.cell_volume
-    lam_mass = (lam.power(-q / (q - 1)).values[cells].sum()) * dom.cell_volume
-    coef = mu_mass ** (1 / p) * lam_mass ** (1 - 1 / q) / (cells.size * dom.cell_volume)
-    assert out.values[cells[0]] == pytest.approx(coef, rel=1e-12)
-    assert np.all(out.values[: cells[0]] == 0.0)
-
-
 def test_apply_rejects_bad_kind(dom, grid):
     fam = family(dom, [grid.cube(1, (1,))])
     f = SampledFunction(dom, np.ones(dom.n))
     with pytest.raises(ValueError):
-        sparse.sparse_apply("star", f, fam)  # missing b
-    with pytest.raises(ValueError):
-        sparse.sparse_apply("nonsense", f, fam)
+        sparse.sparse_apply("nonsense", f, fam, b=f)
 
 
 # -- table path vs the per-entry loops ------------------------------------------
 
 
-def sparse_apply_oracle(kind, f, dom, pairs, b=None, mu=None, lam=None, p=None, q=None):
+def sparse_apply_oracle(kind, f, dom, pairs, b):
     """The per-entry loop sparse_apply ran before it read generation tables:
     each (cube, core) pair adds its term to the cube's cells in turn."""
     f_flat = f.values.reshape(-1)
+    b_flat = b.values.reshape(-1)
     out = np.zeros(f_flat.size, dtype=complex)
-    if kind in ("star", "adjoint"):
-        b_flat = b.values.reshape(-1)
-    if kind == "fractional":
-        q_prime = q / (q - 1.0)
-        mu_p = mu.power(p).values.reshape(-1)
-        lam_qp = lam.power(-q_prime).values.reshape(-1)
     for cube, _ in pairs:
         cells = cube.flat_cells()
-        if kind in ("star", "adjoint"):
-            dev = np.abs(b_flat[cells] - b_flat[cells].mean())
-        if kind == "plain":
-            out[cells] += f_flat[cells].mean()
-        elif kind == "star":
+        dev = np.abs(b_flat[cells] - b_flat[cells].mean())
+        if kind == "star":
             out[cells] += (dev * f_flat[cells]).mean()
-        elif kind == "adjoint":
-            out[cells] += dev * f_flat[cells].mean()
         else:
-            vol = cells.size * dom.cell_volume
-            coef = (
-                (mu_p[cells].sum() * dom.cell_volume) ** (1.0 / p)
-                * (lam_qp[cells].sum() * dom.cell_volume) ** (1.0 / q_prime)
-                / vol
-            )
-            out[cells] += coef * f_flat[cells].mean()
+            out[cells] += dev * f_flat[cells].mean()
     if np.all(out.imag == 0.0):
         out = out.real
     return out.reshape(dom.shape)
@@ -380,13 +323,10 @@ def assert_apply_matches(fam, pairs, b, rng, exact):
     dom = b.domain
     f = SampledFunction(dom, rng.standard_normal(dom.shape) + 1j * rng.standard_normal(dom.shape))
     real_f = SampledFunction(dom, f.values.real.copy())
-    mu = make_weight(dom, {"kind": "power", "beta": 0.3})
-    lam = make_weight(dom, {"kind": "power", "beta": -0.2})
     for g in (f, real_f):
-        for kind in ("plain", "star", "adjoint", "fractional"):
-            extra = {"mu": mu, "lam": lam, "p": 2.0, "q": 3.0} if kind == "fractional" else {}
-            got = sparse.sparse_apply(kind, g, fam, b=b, **extra).values
-            want = sparse_apply_oracle(kind, g, dom, pairs, b=b, **extra)
+        for kind in ("star", "adjoint"):
+            got = sparse.sparse_apply(kind, g, fam, b=b).values
+            want = sparse_apply_oracle(kind, g, dom, pairs, b=b)
             assert got.dtype == want.dtype
             if exact:
                 np.testing.assert_array_equal(got, want)
@@ -423,15 +363,12 @@ def test_batched_tables_match_single_rows(case, seed, rows):
     rng = np.random.default_rng(seed)
     batch = rng.standard_normal((rows,) + dom.shape) + 1j * rng.standard_normal((rows,) + dom.shape)
     batch[0] = batch[0].real  # a real row riding in a complex batch
-    mu = make_weight(dom, {"kind": "power", "beta": 0.3})
-    lam = make_weight(dom, {"kind": "power", "beta": -0.2})
     for values in (batch, batch.real.copy()):
-        for kind in ("plain", "star", "adjoint", "fractional"):
-            extra = {"mu": mu, "lam": lam, "p": 2.0, "q": 3.0} if kind == "fractional" else {}
-            got = sparse._table_apply(kind, values, fam, b=b, **extra)
+        for kind in ("star", "adjoint"):
+            got = sparse._table_apply(kind, values, fam, b=b)
             assert got.shape == values.shape
             for row, out in zip(values, got):
-                one = sparse.sparse_apply(kind, SampledFunction(dom, row), fam, b=b, **extra)
+                one = sparse.sparse_apply(kind, SampledFunction(dom, row), fam, b=b)
                 np.testing.assert_array_equal(out, one.values)
     star = normest._SparseStar(b, fam)
     flat = batch.reshape(rows, -1)
@@ -618,29 +555,3 @@ def test_almost_orthogonality_nested_bounded():
             pieces.append(v)
         worst = max(worst, sparse.almost_orthogonality_check(fam, pieces, w, 2.0))
     assert worst <= 2.0  # committed bound; observed max 1.212
-
-
-# -- domination search --------------------------------------------------------
-
-
-def test_commutator_domination_certifies_model(dom, unit_root):
-    b = SampledFunction(dom, np.log(np.abs(dom.midpoints()[0])))
-    fam = sparse.cz_augment(b, unit_root)
-    rng = np.random.default_rng(21)
-    f = SampledFunction(dom, rng.standard_normal(dom.n))
-    absf = SampledFunction(dom, np.abs(f.values))
-    model = sparse.sparse_apply("star", absf, fam, b=b)
-    report = sparse.commutator_domination(model, b, f, [fam])
-    assert report.covered
-    assert report.constant <= 1.0 + 1e-12
-
-
-def test_commutator_domination_flags_uncovered(dom, grid):
-    cube = grid.cube(2, (1,))
-    fam = family(dom, [cube])
-    b = SampledFunction(dom, dom.midpoints()[0].copy())
-    f = SampledFunction(dom, np.ones(dom.n))
-    comm = SampledFunction(dom, np.ones(dom.n))  # mass everywhere
-    report = sparse.commutator_domination(comm, b, f, [fam])
-    assert not report.covered
-    assert "mass-outside-family-support" in report.flags
