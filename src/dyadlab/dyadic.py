@@ -281,15 +281,19 @@ def enclosing_cube(domain: LatticeDomain, box: Box) -> DyadicCube:
     return best[1]
 
 
-def _generation_mean(arr: np.ndarray, generation: int) -> np.ndarray:
+def _generation_mean(arr: np.ndarray, generation: int, d: int | None = None) -> np.ndarray:
     """Table of the means of a square cell block over its generation-j
     subcubes: entry [index] is the mean over subcube (j, index), counted
-    from the block's own corner.  The whole domain is one such block."""
+    from the block's own corner.  The whole domain is one such block.
+    The block is the trailing d axes of arr (all of them by default);
+    leading axes are a batch, and each row is bitwise its own call."""
+    d = arr.ndim if d is None else d
     g = 2**generation
-    cells = arr.shape[0] // g
-    if arr.ndim == 1:
-        return arr.reshape(g, cells).mean(axis=1)
-    return arr.reshape(g, cells, g, cells).mean(axis=(1, 3))
+    lead = arr.shape[: arr.ndim - d]
+    cells = arr.shape[-1] // g
+    if d == 1:
+        return arr.reshape(lead + (g, cells)).mean(axis=-1)
+    return arr.reshape(lead + (g, cells, g, cells)).mean(axis=(-3, -1))
 
 
 def _generation_blocks(arr: np.ndarray, generation: int, d: int) -> np.ndarray:

@@ -495,6 +495,8 @@ def jn_verify(
     p_prime = p / (p - 1.0)
     if not (1.0 <= r <= p_prime):
         raise ValueError(f"need 1 <= r <= p' = {p_prime}, got r={r}")
+    if root.domain != dom or w.domain != dom:
+        raise ValueError("domain mismatch")
     if not root.grid.is_canonical:
         raise ValueError("root cube must be canonical")
     r_norm = _subtree_sup(b, w, alpha, r, root)

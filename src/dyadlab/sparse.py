@@ -18,6 +18,17 @@ E_Q keeps the rest of Q.  Chebyshev gives sum |P| <= |Q| / LAMBDA, so
 LAMBDA = 2 makes the output 1/2-sparse (strictly: selection uses a
 strict threshold, and constant-on-Q symbols select nothing at all).
 
+The recursion runs in breadth-first waves: wave 0 is the root, and wave
+w + 1 holds the cubes selected below the cubes of wave w.  A FIFO queue
+that pops a cube and appends its selected cubes in (generation, index)
+order pops all of wave w before any of wave w + 1, and it appends wave
+w + 1 ordered by parent position in wave w, then generation offset k,
+then raveled index; the entries are the waves concatenated in that
+order.  Each wave is handled as one batch per generation present, as
+int key rows, with no DyadicCube built.  Its cubes are pairwise
+disjoint (maximal selected cubes inside pairwise disjoint parents), so
+the batches of one wave hold at most one copy of the domain between them.
+
 The pointwise domination constant.  For a cell x in Q0 let
 Q0 = Q^0 ) Q^1 ) ... ) Q^K be the stopping cubes containing x.  Any
 dyadic R with x in R, R inside Q^k but in no selected subcube of Q^k has
@@ -40,7 +51,6 @@ avoids it, so C_IMPL exceeds 2^d + LAMBDA + 1 at d = 2.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -121,40 +131,62 @@ def is_sparse(family: SparseFamily, gamma: float = 0.5) -> SparseVerdict:
 def cz_augment(b: SampledFunction, root: dyadic.DyadicCube) -> SparseFamily:
     """Stopping-time family for b below root; 1/2-sparse by construction.
 
-    For each stopping cube Q the subcube means of |b - <b>_Q| are read off
-    generation tables of Q's cell block, coarse to fine; a subcube is
-    selected when its mean exceeds LAMBDA * base and no selected cube lies
-    above it.  Selected cubes are queued in (generation, index) order."""
+    Runs one wave at a time (module docstring): each generation present
+    in a wave gathers its cubes' cell blocks into one batch, takes each
+    row's mean, |b - <b>_Q| and base, and reads the subcube means of
+    |b - <b>_Q| off batched generation tables, coarse to fine.  A subcube
+    is selected when its mean exceeds LAMBDA * base and no selected cube
+    lies above it; E_Q keeps the cells under no selected cube.  The
+    entries come out in the order of a FIFO queue fed in (generation,
+    index) order from each stopping cube."""
+    if root.domain != b.domain:
+        raise ValueError("domain mismatch")
     if not root.grid.is_canonical:
         raise ValueError("cz_augment needs a canonical root cube")
-    m, d = b.domain.m, b.domain.d
+    dom = b.domain
+    m, d = dom.m, dom.d
+    cell_ids = np.arange(dom.n**d, dtype=np.int64).reshape(dom.shape)
+    gens = np.array([root.generation], dtype=np.int64)
+    index = np.array([root.index], dtype=np.int64)
     keys, cores = [], []
-    queue = deque([root])
-    while queue:
-        cube = queue.popleft()
-        cells = cube.flat_cells()
-        block = b.values[tuple(slice(lo, hi) for lo, hi in cube.cell_span())]
-        flat = block.reshape(-1)
-        dev = np.abs(flat - flat.mean())
-        base = dev.mean()
-        dev = dev.reshape(block.shape)
-        core = cells
-        if base > 0.0:
-            covered = np.zeros((1,) * d, dtype=bool)  # subcubes under a selected cube
-            for k in range(1, m - cube.generation + 1):
-                for ax in range(d):
+    while gens.size:
+        wave_cores = [None] * gens.size
+        parents, child_gens, child_index = [], [], []
+        for j in np.flatnonzero(np.bincount(gens)).tolist():
+            pos = np.flatnonzero(gens == j)
+            at = tuple(index[pos].T)
+            flat = _generation_blocks(b.values, j, d)[at]  # (count, cells of a cube)
+            dev = np.abs(flat - flat.mean(axis=1, keepdims=True))
+            base = dev.mean(axis=1)
+            dev = dev.reshape((pos.size,) + (2 ** (m - j),) * d)
+            row_shape = (pos.size,) + (1,) * d
+            active = (base > 0.0).reshape(row_shape)
+            bound = (LAMBDA * base).reshape(row_shape)
+            covered = np.zeros(row_shape, dtype=bool)  # subcubes under a selected cube
+            for k in range(1, m - j + 1):
+                for ax in range(1, d + 1):
                     covered = covered.repeat(2, axis=ax)
-                hit = (_generation_mean(dev, k) > LAMBDA * base) & ~covered
-                corner = np.array(cube.index) * 2**k
-                queue.extend(
-                    cube.grid.cube(cube.generation + k, tuple(corner + offset))
-                    for offset in np.argwhere(hit)
-                )
+                hit = (_generation_mean(dev, k, d) > bound) & active & ~covered
+                row, *offset = np.nonzero(hit)
+                parents.append(pos[row])
+                child_gens.append(np.full(row.size, j + k, dtype=np.int64))
+                child_index.append(index[pos[row]] * 2**k + np.stack(offset, axis=1))
                 covered |= hit
-            core = cells[~covered.reshape(-1)]
-        keys.append((0, cube.generation, *cube.index))
-        cores.append(core)
-    return SparseFamily(b.domain, np.array(keys, dtype=np.int64), cores)
+            keep = ~covered.reshape(pos.size, -1)
+            kept = _generation_blocks(cell_ids, j, d)[at][keep]
+            sizes = keep.sum(axis=1)
+            for p, core in zip(pos.tolist(), np.split(kept, np.cumsum(sizes)[:-1])):
+                wave_cores[p] = core
+        keys.append(np.column_stack([np.zeros_like(gens), gens, index]))
+        cores.extend(wave_cores)
+        if not parents:  # every cube of the wave is a single cell
+            break
+        # Queue order of the next wave: by parent, then k, then raveled
+        # index, which is each parent's hit order above.
+        order = np.argsort(np.concatenate(parents), kind="stable")
+        gens = np.concatenate(child_gens)[order]
+        index = np.concatenate(child_index)[order]
+    return SparseFamily(dom, np.concatenate(keys), cores)
 
 
 def augmentation_ratio(
@@ -167,6 +199,8 @@ def augmentation_ratio(
     vanish contribute 0; a nonzero numerator over an empty denominator
     yields inf, which is a genuine domination failure.
     """
+    if root.domain != b.domain or family.domain != b.domain:
+        raise ValueError("domain mismatch")
     b_flat = b.values.reshape(-1)
     root_cells = root.flat_cells()
     numer = np.abs(b_flat[root_cells] - b_flat[root_cells].mean())
@@ -216,12 +250,25 @@ def _table_apply(kind, values, family, b) -> np.ndarray:
 
 
 def split_family(family: SparseFamily, k: float) -> SparseFamily:
-    """Drop entries with sidelength in [1/k, k] AND dist(Q, 0) <= k."""
+    """Drop entries with sidelength in [1/k, k] AND dist(Q, 0) <= k.
+
+    Reads both off the key rows with the float arithmetic of
+    DyadicGrid.sidelength and DyadicCube.dist_to_origin (canonical grid),
+    so the kept entries are exactly those of the per-cube test."""
     if k <= 0:
         raise ValueError("k must be positive")
-    keep = [not (1.0 / k <= c.sidelength <= k and c.dist_to_origin() <= k) for c in family.cubes()]
-    cores = [core for core, kept in zip(family.cores, keep) if kept]
-    return SparseFamily(family.domain, family.entries[np.array(keep, dtype=bool)], cores)
+    dom = family.domain
+    side = dom.width * 2.0 ** -family.entries[:, 1]
+    lo = -dom.L + (family.entries[:, 2:] * side[:, None]) % dom.width
+    hi = lo + side[:, None]
+    # Squared gap from 0 to [lo, hi] per axis, summed in axis order.  A
+    # canonical footprint passes L by rounding at most; were it to wrap,
+    # its piece at -L would lie farther from 0 than lo, so the sum holds.
+    sq = np.where(lo > 0, lo * lo, np.where(hi < 0, hi * hi, 0.0))
+    dist = np.sqrt(np.sum(sq, axis=1))
+    keep = ~((1.0 / k <= side) & (side <= k) & (dist <= k))
+    cores = [core for core, kept in zip(family.cores, keep.tolist()) if kept]
+    return SparseFamily(dom, family.entries[keep], cores)
 
 
 # -- embedding checks ---------------------------------------------------------

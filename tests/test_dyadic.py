@@ -5,6 +5,7 @@ import pytest
 
 from dyadlab.dyadic import (
     EnclosureError,
+    _generation_mean,
     dyadic_maximal,
     enclosing_cube,
     enumerate_cubes,
@@ -265,3 +266,13 @@ class TestAverages:
                 cube = grid.cube(j, idx)
                 average = integral(f, cube) / cube.volume
                 assert average == pytest.approx(table[idx], rel=1e-11)
+
+    @pytest.mark.parametrize("d,m", [(1, 5), (2, 4)])
+    def test_batched_generation_mean_rows_match_single_blocks(self, d, m):
+        rng = np.random.default_rng(31 + d)
+        batch = rng.standard_normal((2, 3) + (2**m,) * d)
+        for j in range(m + 1):
+            got = _generation_mean(batch, j, d)
+            assert got.shape == (2, 3) + (2**j,) * d
+            for lead in itertools.product(range(2), range(3)):
+                np.testing.assert_array_equal(got[lead], _generation_mean(batch[lead], j))

@@ -325,6 +325,17 @@ def test_jn_rejects_r_beyond_dual_exponent(dom, grid, logx):
                       root=grid.cube_containing((0.5,), 1))
 
 
+def test_jn_rejects_root_or_weight_off_the_symbol_domain(dom, grid, logx):
+    other = LatticeDomain(d=1, m=dom.m - 1, L=1.0)
+    w = make_weight(dom, {"kind": "unit"})
+    foreign_root = dyadic.canonical_grid(other).cube(1, (1,))
+    with pytest.raises(ValueError, match="domain mismatch"):
+        osc.jn_verify(logx, w, p=2.0, r=2.0, alpha=0.0, root=foreign_root)
+    with pytest.raises(ValueError, match="domain mismatch"):
+        osc.jn_verify(logx, make_weight(other, {"kind": "unit"}), p=2.0, r=2.0,
+                      alpha=0.0, root=grid.cube_containing((0.5,), 1))
+
+
 def test_jn_random_symbols_hold_bounds():
     dom = LatticeDomain(d=1, m=8, L=1.0)
     grid = dyadic.canonical_grid(dom)
