@@ -25,9 +25,12 @@ order pops all of wave w before any of wave w + 1, and it appends wave
 w + 1 ordered by parent position in wave w, then generation offset k,
 then raveled index; the entries are the waves concatenated in that
 order.  Each wave is handled as one batch per generation present, as
-int key rows, with no DyadicCube built.  Its cubes are pairwise
-disjoint (maximal selected cubes inside pairwise disjoint parents), so
-the batches of one wave hold at most one copy of the domain between them.
+int key rows, with no DyadicCube built: a batch gathers only its own
+cubes' cells from a view of b, and computes their flat cell ids from the
+cube corners.  A wave's cubes are pairwise disjoint (maximal selected
+cubes inside pairwise disjoint parents), so each per-cell temporary of a
+wave (gathered values, |b - <b>_Q|, cell ids) spans at most the domain
+once, and a batch's work is proportional to its cubes' cells.
 
 The pointwise domination constant.  For a cell x in Q0 let
 Q0 = Q^0 ) Q^1 ) ... ) Q^K be the stopping cubes containing x.  Any
@@ -145,7 +148,7 @@ def cz_augment(b: SampledFunction, root: dyadic.DyadicCube) -> SparseFamily:
         raise ValueError("cz_augment needs a canonical root cube")
     dom = b.domain
     m, d = dom.m, dom.d
-    cell_ids = np.arange(dom.n**d, dtype=np.int64).reshape(dom.shape)
+    strides = dom.n ** np.arange(d - 1, -1, -1)  # flat cell = coordinates @ strides
     gens = np.array([root.generation], dtype=np.int64)
     index = np.array([root.index], dtype=np.int64)
     keys, cores = [], []
@@ -154,11 +157,17 @@ def cz_augment(b: SampledFunction, root: dyadic.DyadicCube) -> SparseFamily:
         parents, child_gens, child_index = [], [], []
         for j in np.flatnonzero(np.bincount(gens)).tolist():
             pos = np.flatnonzero(gens == j)
-            at = tuple(index[pos].T)
-            flat = _generation_blocks(b.values, j, d)[at]  # (count, cells of a cube)
+            side = 2 ** (m - j)  # cells per axis of a generation-j cube
+            # Gather only this batch's cubes from a view, one row per cube
+            # in flat_cells order; reshaping the swapped view itself would
+            # copy the whole domain at d = 2.
+            blocks = b.values.reshape((2**j, side) * d)
+            if d == 2:
+                blocks = blocks.swapaxes(1, 2)
+            flat = blocks[tuple(index[pos].T)].reshape(pos.size, -1)
             dev = np.abs(flat - flat.mean(axis=1, keepdims=True))
             base = dev.mean(axis=1)
-            dev = dev.reshape((pos.size,) + (2 ** (m - j),) * d)
+            dev = dev.reshape((pos.size,) + (side,) * d)
             row_shape = (pos.size,) + (1,) * d
             active = (base > 0.0).reshape(row_shape)
             bound = (LAMBDA * base).reshape(row_shape)
@@ -173,7 +182,9 @@ def cz_augment(b: SampledFunction, root: dyadic.DyadicCube) -> SparseFamily:
                 child_index.append(index[pos[row]] * 2**k + np.stack(offset, axis=1))
                 covered |= hit
             keep = ~covered.reshape(pos.size, -1)
-            kept = _generation_blocks(cell_ids, j, d)[at][keep]
+            local = sum(np.ix_(*(np.arange(side) * s for s in strides))).reshape(-1)
+            corner = index[pos] * side @ strides
+            kept = (corner[:, None] + local)[keep]
             sizes = keep.sum(axis=1)
             for p, core in zip(pos.tolist(), np.split(kept, np.cumsum(sizes)[:-1])):
                 wave_cores[p] = core
@@ -250,25 +261,12 @@ def _table_apply(kind, values, family, b) -> np.ndarray:
 
 
 def split_family(family: SparseFamily, k: float) -> SparseFamily:
-    """Drop entries with sidelength in [1/k, k] AND dist(Q, 0) <= k.
-
-    Reads both off the key rows with the float arithmetic of
-    DyadicGrid.sidelength and DyadicCube.dist_to_origin (canonical grid),
-    so the kept entries are exactly those of the per-cube test."""
+    """Drop entries with sidelength in [1/k, k] AND dist(Q, 0) <= k."""
     if k <= 0:
         raise ValueError("k must be positive")
-    dom = family.domain
-    side = dom.width * 2.0 ** -family.entries[:, 1]
-    lo = -dom.L + (family.entries[:, 2:] * side[:, None]) % dom.width
-    hi = lo + side[:, None]
-    # Squared gap from 0 to [lo, hi] per axis, summed in axis order.  A
-    # canonical footprint passes L by rounding at most; were it to wrap,
-    # its piece at -L would lie farther from 0 than lo, so the sum holds.
-    sq = np.where(lo > 0, lo * lo, np.where(hi < 0, hi * hi, 0.0))
-    dist = np.sqrt(np.sum(sq, axis=1))
-    keep = ~((1.0 / k <= side) & (side <= k) & (dist <= k))
-    cores = [core for core, kept in zip(family.cores, keep.tolist()) if kept]
-    return SparseFamily(dom, family.entries[keep], cores)
+    keep = [not (1.0 / k <= c.sidelength <= k and c.dist_to_origin() <= k) for c in family.cubes()]
+    cores = [core for core, kept in zip(family.cores, keep) if kept]
+    return SparseFamily(family.domain, family.entries[np.array(keep, dtype=bool)], cores)
 
 
 # -- embedding checks ---------------------------------------------------------

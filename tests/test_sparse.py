@@ -229,105 +229,50 @@ def cz_cases(draw):
     return SampledFunction(dom, values), dyadic.canonical_grid(dom).cube(g, index)
 
 
-@settings(max_examples=80, deadline=None)
-@given(case=cz_cases())
-def test_cz_matches_children_walk_oracle(case):
-    b, root = case
+def fixed_cz_cases():
+    """Deterministic cz_augment inputs beyond cz_cases, with the root at
+    generation 0: deeper families, multiscale symbols whose waves must be
+    reordered into queue order, and a base that underflows to 0."""
+    cases = {}
+    dom = LatticeDomain(d=2, m=7, L=1.0)
+    for seed in range(1000, 1004):  # about 1.7k entries each
+        cases[f"deep-2d-{seed}"] = cli._random_symbol(dom, seed)
+    # the family compactness-profile splits
+    dom = LatticeDomain(d=1, m=10, L=1.0)
+    cases["log-1d"] = sample_symbol(dom, {"kind": "log_abs"})
+    # several of these seeds queue a wave whose parents differ in generation
+    # or select at more than one depth
+    for d, m, seeds in ((1, 10, range(20)), (2, 6, range(10))):
+        dom = LatticeDomain(d=d, m=m, L=1.0)
+        for seed in seeds:
+            values = multiscale_values(dom, np.random.default_rng(seed))
+            cases[f"multiscale-{d}d-{seed}"] = SampledFunction(dom, values)
+    # base = 5e-324 / 4 rounds to 0 while the cell's own mean stays 5e-324
+    dom = LatticeDomain(d=1, m=2, L=1.0)
+    cases["underflow"] = SampledFunction(dom, np.array([5e-324, 0.0, 0.0, 0.0]))
+    return [pytest.param(b, id=name) for name, b in cases.items()]
+
+
+def assert_matches_walk_oracle(b, root):
     fam = sparse.cz_augment(b, root)
     want = cz_augment_oracle(b, root)
+    assert fam.entries.dtype == np.int64
     assert fam.cubes() == [cube for cube, _ in want]
     for got, (_, core) in zip(fam.cores, want):
         assert got.dtype == core.dtype
         np.testing.assert_array_equal(got, core)
 
 
-def cz_augment_queue_oracle(b, root):
-    """Reference stopping-time family: the per-cube FIFO queue cz_augment
-    ran before it processed whole waves.  Each popped cube reads its
-    subcube means off generation tables of its own cell block and queues
-    its selected subcubes in (generation, index) order.  Returns
-    (entries, cores) as SparseFamily holds them."""
-    m, d = b.domain.m, b.domain.d
-    keys, cores = [], []
-    queue = deque([root])
-    while queue:
-        cube = queue.popleft()
-        cells = cube.flat_cells()
-        block = b.values[tuple(slice(lo, hi) for lo, hi in cube.cell_span())]
-        flat = block.reshape(-1)
-        dev = np.abs(flat - flat.mean())
-        base = dev.mean()
-        dev = dev.reshape(block.shape)
-        core = cells
-        if base > 0.0:
-            covered = np.zeros((1,) * d, dtype=bool)
-            for k in range(1, m - cube.generation + 1):
-                for ax in range(d):
-                    covered = covered.repeat(2, axis=ax)
-                hit = (dyadic._generation_mean(dev, k) > sparse.LAMBDA * base) & ~covered
-                corner = np.array(cube.index) * 2**k
-                queue.extend(
-                    cube.grid.cube(cube.generation + k, tuple(corner + offset))
-                    for offset in np.argwhere(hit)
-                )
-                covered |= hit
-            core = cells[~covered.reshape(-1)]
-        keys.append((0, cube.generation, *cube.index))
-        cores.append(core)
-    return np.array(keys, dtype=np.int64), cores
-
-
-def assert_matches_queue_oracle(b, root):
-    fam = sparse.cz_augment(b, root)
-    keys, cores = cz_augment_queue_oracle(b, root)
-    assert fam.entries.dtype == keys.dtype
-    np.testing.assert_array_equal(fam.entries, keys)
-    assert len(fam.cores) == len(cores)
-    for got, want in zip(fam.cores, cores):
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
-    return fam
-
-
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(case=cz_cases())
-def test_cz_waves_match_queue_oracle(case):
-    assert_matches_queue_oracle(*case)
+def test_cz_matches_children_walk_oracle(case):
+    assert_matches_walk_oracle(*case)
 
 
-@pytest.mark.parametrize("seed", range(1000, 1004))
-def test_cz_waves_match_queue_oracle_deep_2d(seed):
-    dom = LatticeDomain(d=2, m=7, L=1.0)
-    root = dyadic.canonical_grid(dom).cube(0, (0, 0))
-    fam = assert_matches_queue_oracle(cli._random_symbol(dom, seed), root)
-    assert len(fam) > 1500  # deeper and larger than any cz_cases family
-
-
-@pytest.mark.parametrize("d,m,seeds", [(1, 10, range(20)), (2, 6, range(10))], ids=["d1", "d2"])
-def test_cz_waves_match_queue_oracle_multiscale(d, m, seeds):
-    # several of these seeds queue a wave whose parents differ in generation
-    # or select at more than one depth, so the wave's hits must be reordered
-    dom = LatticeDomain(d=d, m=m, L=1.0)
-    root = dyadic.canonical_grid(dom).cube(0, (0,) * d)
-    for seed in seeds:
-        b = SampledFunction(dom, multiscale_values(dom, np.random.default_rng(seed)))
-        assert_matches_queue_oracle(b, root)
-
-
-def test_cz_waves_match_queue_oracle_log_1d():
-    # the family compactness-profile splits: log|x| at d=1 m=10
-    dom = LatticeDomain(d=1, m=10, L=1.0)
-    root = dyadic.canonical_grid(dom).cube(0, (0,))
-    fam = assert_matches_queue_oracle(sample_symbol(dom, {"kind": "log_abs"}), root)
-    assert len(set(fam.entries[:, 1])) > 2
-
-
-def test_cz_base_underflowing_to_zero_selects_nothing():
-    # base = 5e-324 / 4 rounds to 0 while the cell's own mean stays 5e-324
-    dom = LatticeDomain(d=1, m=2, L=1.0)
-    b = SampledFunction(dom, np.array([5e-324, 0.0, 0.0, 0.0]))
-    fam = assert_matches_queue_oracle(b, dyadic.canonical_grid(dom).cube(0, (0,)))
-    assert len(fam) == 1 and fam.cores[0].size == 4
+@pytest.mark.parametrize("b", fixed_cz_cases())
+def test_cz_matches_children_walk_oracle_fixed(b):
+    root = dyadic.canonical_grid(b.domain).cube(0, (0,) * b.domain.d)
+    assert_matches_walk_oracle(b, root)
 
 
 def test_cz_rejects_root_off_the_symbol_domain():
@@ -579,22 +524,6 @@ def test_split_k_one(dom):
     kept = sparse.split_family(fam, 1.0)
     sides = sorted(cube.sidelength for cube in kept.cubes())
     assert sides == [0.125, 0.25, 0.5]  # only the side-1 cube is removed
-
-
-@pytest.mark.parametrize("d,m", [(1, 8), (2, 5)])
-@pytest.mark.parametrize("L", [0.7, 1.0, 2.5, 3.0])
-def test_split_matches_per_cube_window(d, m, L):
-    """The key-row window keeps exactly the cubes the per-cube test keeps,
-    over every canonical cube."""
-    dom = LatticeDomain(d=d, m=m, L=L)
-    keys = dyadic.canonical_keys(dom)
-    fam = sparse.SparseFamily(dom, keys, [np.array([i]) for i in range(len(keys))])
-    cubes = fam.cubes()
-    for k in (0.25, 0.3, 0.5, 1.0, 2.0, L, 1e9, L / 2.0):  # L / 2: dist == k occurs
-        want = [not (1.0 / k <= c.sidelength <= k and c.dist_to_origin() <= k) for c in cubes]
-        kept = sparse.split_family(fam, k)
-        np.testing.assert_array_equal(kept.entries, keys[np.array(want)])
-        assert [int(core[0]) for core in kept.cores] == np.flatnonzero(want).tolist()
 
 
 def test_split_removed_sets_nest_beyond_width(dom, unit_root):
