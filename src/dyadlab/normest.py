@@ -402,10 +402,12 @@ def bmo_vs_norm_sweep(symbols, op: Operator, mu: Weight, lam: Weight,
 
 class _SparseStar(Operator):
     """f -> sum_Q <|b - <b>_Q| f>_Q 1_Q over a family: sparse_apply("star")
-    with sparse_apply("adjoint") as its adjoint, a whole batch per call."""
+    with sparse_apply("adjoint") as its adjoint, a whole batch per call.
+    The |b - <b>_Q| tables are built once, at construction."""
 
     def __init__(self, b: SampledFunction, family: sparse.SparseFamily):
-        self.domain, self._b, self._family = b.domain, b, family
+        self.domain = b.domain
+        self._tables = list(sparse._deviation_tables(family, b))
 
     def _apply(self, x):
         return self._run("star", x)
@@ -415,7 +417,7 @@ class _SparseStar(Operator):
 
     def _run(self, kind, x):
         grid = x.reshape(x.shape[:-1] + self.domain.shape)
-        return sparse._table_apply(kind, grid, self._family, b=self._b).reshape(x.shape)
+        return sparse._apply_tables(kind, grid, self.domain, self._tables).reshape(x.shape)
 
 
 @dataclass

@@ -11,8 +11,10 @@ declared O(h) bias.
 Two backends realize a kernel.  Convolution serves the translation-
 invariant named kernels (Hilbert, Riesz): it stores the stencil
 K(o h) window(|o h|) h^d over the offsets o in (-n, n)^d and applies it
-through one FFT pair on the circulant embedding of side 2n per axis
-(Chan & Ng, SIAM Review 1996), in O(N log N) time and O(N) memory.
+through one FFT pair on a circulant embedding (Chan & Ng, SIAM Review
+1996), in O(N log N) time and O(N) memory.  The circulant is sized to
+the stencil's support: side 2n per axis at full support, less when a
+window cuts the stencil off, as it does for the eps-split residual.
 OperatorMatrix is the dense matrix A[i, j]; it serves custom kernels and
 is the oracle the fast paths are tested against.  Commutators
 [b, T] f = b Tf - T(bf) and the compact/residual split are composites
@@ -277,16 +279,36 @@ def _window_factor(window, dist):
     return window(dist)
 
 
+def _smooth_length(k: int) -> int:
+    """Smallest 2^a 3^b 5^c >= k, a length the FFT factors into short passes."""
+    best, p5 = 2 * k, 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < k:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 class Convolution(Operator):
     """FFT backend for a translation-invariant kernel and a radial window.
 
     `stencil[o + n - 1]` is K(o h, 0) window(|o h|) h^d for the offsets o
-    in (-n, n)^d, with 0 at o = 0.  Placed in a circulant of side 2n per
-    axis, it convolves the zero-padded input with no wrap-around, so the
-    cropped circular convolution is the lattice sum exactly: one
-    rfftn/irfftn pair per call, the adjoint through the conjugate
-    spectrum (the stencil is real).  Complex inputs go through as their
-    real and imaginary parts in the same batch.
+    in (-n, n)^d, with 0 at o = 0.  With w the largest |o_i| at which it
+    is nonzero, it sits in a circulant of side M per axis: the smallest
+    2,3,5-smooth length >= n + w, but 2n when w = n - 1, so a full
+    stencil keeps its power-of-two circulant.  M >= n + w is exactly
+    what keeps the wrapped stencil off the n kept outputs, so the cropped
+    circular convolution of the zero-padded input is the lattice sum
+    exactly: one FFT pair per call, the adjoint through the conjugate
+    spectrum (the stencil is real).  At d = 2 the transforms skip the
+    zero rows: the last-axis rfft runs on the n input rows, and the
+    inverse irfft only on the n output rows.  Complex inputs go through
+    as their real and imaginary parts in the same batch.
 
     window: None, a Bump, an (r, s) annulus pair, or a callable on distances.
     """
@@ -297,7 +319,6 @@ class Convolution(Operator):
         if domain.d != kernel.d:
             raise ValueError(f"kernel is d={kernel.d}, domain is d={domain.d}")
         n, d = domain.n, domain.d
-        self.domain = domain
         axis = np.arange(1 - n, n) * domain.h
         z = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -306,30 +327,54 @@ class Convolution(Operator):
                 vals = vals * _window_factor(window, np.sqrt(np.sum(z**2, axis=-1)))
         vals[~np.isfinite(vals)] = 0.0
         vals[(n - 1,) * d] = 0.0
-        self.stencil = vals * domain.cell_volume
-        self.is_zero = not np.any(self.stencil)
-        self._axes = tuple(range(-d, 0))
-        self._side = (2 * n,) * d
-        embedded = np.roll(np.pad(self.stencil, [(0, 1)] * d), (1 - n,) * d, axis=self._axes)
-        self._spectrum = np.fft.rfftn(embedded, axes=self._axes)
+        self._embed(domain, vals * domain.cell_volume)
+
+    @classmethod
+    def _from_stencil(cls, domain: LatticeDomain, stencil: np.ndarray) -> "Convolution":
+        """The convolution with a given stencil, laid out as `stencil` above."""
+        conv = cls.__new__(cls)
+        conv._embed(domain, stencil)
+        return conv
+
+    def _embed(self, domain, stencil):
+        n, d = domain.n, domain.d
+        self.domain, self.stencil = domain, stencil
+        support = np.argwhere(stencil)
+        self.is_zero = not support.size
+        self._reach = int(np.max(np.abs(support - (n - 1)), initial=0))
+        self._side = 2 * n if self._reach == n - 1 else _smooth_length(n + self._reach)
+        self._spectrum = self._spectrum_at(self._side)
         self._conj_spectrum = self._spectrum.conj()
 
+    def _spectrum_at(self, side: int) -> np.ndarray:
+        """rfftn of the stencil in a circulant of `side` >= n + w per axis."""
+        n, d, w = self.domain.n, self.domain.d, self._reach
+        axes = tuple(range(-d, 0))
+        core = self.stencil[(slice(n - 1 - w, n + w),) * d]
+        embedded = np.roll(np.pad(core, [(0, side - 2 * w - 1)] * d), (-w,) * d, axis=axes)
+        return np.fft.rfftn(embedded, axes=axes)
+
     def _apply(self, x):
-        return self._convolve(x, self._spectrum)
+        return self._convolve(x, self._spectrum, self._side)
 
     def _adjoint(self, x):
-        return self._convolve(x, self._conj_spectrum)
+        return self._convolve(x, self._conj_spectrum, self._side)
 
-    def _convolve(self, x, spectrum):
-        """Convolve each (..., N) row of x; `spectrum` may carry leading axes
-        of its own, which broadcast against the trailing leading axes of x."""
+    def _convolve(self, x, spectrum, side):
+        """Convolve each (..., N) row of x through the side-`side` circulant
+        whose rfftn is `spectrum`; it may carry leading axes of its own,
+        which broadcast against the trailing leading axes of x."""
         if np.iscomplexobj(x):
-            parts = self._convolve(np.stack([x.real, x.imag]), spectrum)
+            parts = self._convolve(np.stack([x.real, x.imag]), spectrum, side)
             return parts[0] + 1j * parts[1]
+        n = self.domain.n
         grid = x.reshape(x.shape[:-1] + self.domain.shape)
-        out = np.fft.irfftn(np.fft.rfftn(grid, s=self._side, axes=self._axes) * spectrum,
-                            s=self._side, axes=self._axes)
-        return out[(...,) + (slice(0, self.domain.n),) * self.domain.d].reshape(x.shape)
+        if self.domain.d == 1:
+            out = np.fft.irfft(np.fft.rfft(grid, side) * spectrum, side)
+        else:
+            freq = np.fft.fft(np.fft.rfft(grid, side), side, axis=-2) * spectrum
+            out = np.fft.irfft(np.fft.ifft(freq, axis=-2)[..., :n, :], side)
+        return out[..., :n].reshape(x.shape)
 
     def block(self, rows, cols) -> np.ndarray:
         """Entries T[rows[i], cols[j]], read off the stencil."""
@@ -414,22 +459,20 @@ def commutator_matrix(b: SampledFunction, op: OperatorMatrix) -> OperatorMatrix:
 class SplitPart(Operator):
     """One side of the eps-split: compact chi W(chi f) when `base` is None,
     else the residual Tf - chi W(chi f), with W the annulus-windowed T.
-    When chi is 1 on every cell the residual is chi (T - W)(chi f): one
-    convolution with the spectrum of T minus that of W, shaped as the
-    compact part is with W's.  Otherwise the residual sends f and chi f
-    through one FFT pair."""
+    The residual sends f and chi f through one FFT pair, with the spectra
+    of T and W in circulants of one side, the larger of their two.  (When
+    chi is 1 on every cell, split returns the residual as one Convolution
+    instead.)"""
 
     def __init__(self, chi: np.ndarray, windowed: Convolution, base: Optional[Convolution]):
         self.domain = windowed.domain
         self._chi, self._windowed = chi, windowed
         self.is_zero = base is None and (windowed.is_zero or not np.any(chi))
         if base is None:
-            parts = [windowed._spectrum]
-        elif np.all(chi == 1.0):
-            parts = [base._spectrum - windowed._spectrum]
+            self._side, self._spectra = windowed._side, windowed._spectrum[None]
         else:
-            parts = [base._spectrum, windowed._spectrum]
-        self._spectra = np.stack(parts)
+            side = self._side = max(base._side, windowed._side)
+            self._spectra = np.stack([base._spectrum_at(side), windowed._spectrum_at(side)])
         self._conj_spectra = self._spectra.conj()
 
     def _apply(self, x):
@@ -439,11 +482,12 @@ class SplitPart(Operator):
         return self._run(x, self._conj_spectra)
 
     def _run(self, x, spectra):
-        chi, conv = self._chi, self._windowed._convolve
+        chi, side, conv = self._chi, self._side, self._windowed._convolve
         if len(spectra) == 1:
-            return chi * conv(chi * x, spectra[0])
+            return chi * conv(chi * x, spectra[0], side)
         lead = (1,) * (x.ndim - 1)
-        both = conv(np.stack([x, chi * x]), spectra.reshape((2,) + lead + spectra.shape[1:]))
+        both = conv(np.stack([x, chi * x]), spectra.reshape((2,) + lead + spectra.shape[1:]),
+                    side)
         return both[0] - chi * both[1]
 
 
@@ -484,7 +528,11 @@ def split(kernel: KernelSpec, domain: LatticeDomain, eps: float):
             )
     windowed = Convolution(kernel, domain, window=(eps, 10.0 / eps))
     base = Convolution(kernel, domain)
-    return SplitPart(chi, windowed, None), SplitPart(chi, windowed, base)
+    compact = SplitPart(chi, windowed, None)
+    if np.all(chi == 1.0):
+        # The residual is T - W, whose stencil vanishes beyond |o h| >= eps.
+        return compact, Convolution._from_stencil(domain, base.stencil - windowed.stencil)
+    return compact, SplitPart(chi, windowed, base)
 
 
 def decompose(kernel: KernelSpec, domain: LatticeDomain, eps: float):

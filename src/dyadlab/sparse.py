@@ -238,24 +238,42 @@ def sparse_apply(
     adjoint: sum |b - <b>_Q| <f>_Q 1_Q   (adjoint of star under the real
              pairing)
     """
+    if f.domain != family.domain:
+        raise ValueError("domain mismatch")
     return SampledFunction(f.domain, _table_apply(kind, f.values, family, b))
 
 
 def _table_apply(kind, values, family, b) -> np.ndarray:
     """sparse_apply on cell values whose leading axes are a batch; each row
-    is bitwise the single-row result.  Complex unless every row is real."""
-    if kind not in ("star", "adjoint"):
-        raise ValueError(f"unknown sparse operator kind {kind!r}")
+    is bitwise the single-row result."""
+    return _apply_tables(kind, values, family.domain, _deviation_tables(family, b))
+
+
+def _deviation_tables(family: SparseFamily, b: SampledFunction):
+    """Yield (j, count, |b - <b>_Q| on the cells of each generation-j cube Q)
+    per generation j of the family, coarse to fine; one table at a time,
+    so a single apply holds no more than one."""
+    if b.domain != family.domain:
+        raise ValueError("domain mismatch")
     dom = family.domain
-    out = np.zeros(values.shape, dtype=complex)
     for j, count in family._counts:
         b_mean = _generation_blocks(b.values, j, dom.d).mean(axis=-1)
-        dev = np.abs(b.values - _broadcast_generation(dom, b_mean, j))
+        yield j, count, np.abs(b.values - _broadcast_generation(dom, b_mean, j))
+
+
+def _apply_tables(kind, values, dom, tables) -> np.ndarray:
+    """The model operator off _deviation_tables; complex unless every row
+    is real."""
+    if kind not in ("star", "adjoint"):
+        raise ValueError(f"unknown sparse operator kind {kind!r}")
+    is_complex = np.iscomplexobj(values)
+    out = np.zeros(values.shape, dtype=complex if is_complex else float)
+    for j, count, dev in tables:
         g = dev * values if kind == "star" else values
         mean = _generation_blocks(g, j, dom.d).mean(axis=-1)  # <g>_Q per generation-j cube
         term = _broadcast_generation(dom, count * mean, j)
         out += dev * term if kind == "adjoint" else term
-    if np.all(out.imag == 0.0):
+    if is_complex and np.all(out.imag == 0.0):
         out = out.real
     return out
 
@@ -281,6 +299,8 @@ def carleson_constant(
     integrates |f|^p w dx."""
     if not 1.0 < p < np.inf:
         raise ValueError("p must lie in (1, inf)")
+    if w.domain != f.domain or family.domain != f.domain:
+        raise ValueError("domain mismatch")
     dom = f.domain
     f_flat = f.values.reshape(-1)
     w_flat = w.values.reshape(-1)

@@ -147,6 +147,56 @@ def test_gkl_matches_dense_svd_at_largest_oracle_size():
     )
 
 
+@SETTINGS
+@given(data=st.data())
+def test_short_stencils_match_dense_assembly(data):
+    # A Bump vanishing at b = (w + u) h leaves the stencil nonzero out to
+    # offset w along an axis, so the circulant is sized from n + w.
+    dom, kernel = data.draw(lattices())
+    w = data.draw(st.sampled_from((0, 1, 2, 3)) | st.integers(0, dom.n - 1))
+    w = min(w, dom.n - 1)
+    b = (w + data.draw(st.floats(0.25, 0.75))) * dom.h
+    window = ops.Bump(data.draw(st.floats(0.0, 0.9)) * b, b)
+    dense = ops.assemble(kernel, dom, window=window).matrix
+    conv = ops.Convolution(kernel, dom, window=window)
+    f = cells(data.draw, dom, data.draw(st.booleans()))
+    assert np.max(np.abs(conv.apply(f) - dense @ f)) <= 1e-12 * bound(dense, f)
+    adj = dense.conj().T
+    assert np.max(np.abs(conv.adjoint(f) - adj @ f)) <= 1e-12 * bound(adj, f)
+    assert conv._reach == w and conv.is_zero == (w == 0)
+    assert dom.n + w <= conv._side <= 2 * dom.n
+
+
+@pytest.mark.parametrize("d, m", [(1, 3), (1, 6), (2, 3)])
+def test_full_support_convolution_keeps_side_2n(d, m):
+    # at n = 8, n + w = 2n - 1 = 15 is itself 2,3,5-smooth
+    dom = LatticeDomain(d=d, m=m, L=1.0)
+    kernel = ops.make_kernel("hilbert") if d == 1 else ops.make_kernel("riesz", {"j": 1})
+    conv = ops.Convolution(kernel, dom)
+    assert conv._reach == dom.n - 1 and conv._side == 2 * dom.n
+
+
+def test_chi_one_residual_circulant_shrinks_with_eps():
+    dom = LatticeDomain(d=1, m=10, L=1.0)
+    kernel = ops.make_kernel("hilbert")
+    sides = [ops.split(kernel, dom, eps)[1]._side for eps in (0.5, 0.25, 0.125, 0.0625, 0.03125)]
+    assert sides == [1280, 1152, 1125, 1080, 1080]
+
+
+@pytest.mark.parametrize("side", [8, 9, 12, 15, 16, 20])
+def test_pruned_2d_transforms_match_the_full_pair_bitwise(side):
+    dom = LatticeDomain(d=2, m=3, L=1.0)
+    conv = ops.Convolution(ops.make_kernel("riesz", {"j": 1}), dom)
+    rng = np.random.default_rng(side)
+    spectrum = rng.standard_normal((side, side // 2 + 1)) + 1j * rng.standard_normal(
+        (side, side // 2 + 1))
+    x = rng.standard_normal((3, dom.n**2))
+    s, axes = (side, side), (-2, -1)
+    full = np.fft.irfftn(np.fft.rfftn(x.reshape(3, dom.n, dom.n), s=s, axes=axes) * spectrum,
+                         s=s, axes=axes)[:, :dom.n, :dom.n]
+    np.testing.assert_array_equal(conv._convolve(x, spectrum, side), full.reshape(3, -1))
+
+
 def test_constant_symbol_commutator_is_structurally_zero():
     dom = LatticeDomain(d=2, m=3, L=1.0)
     conv = ops.Convolution(ops.make_kernel("riesz", {"j": 2}), dom)
@@ -169,7 +219,10 @@ def test_split_residual_branches_match_decompose(d, eps, spectra):
     rng = np.random.default_rng(11)
     f = rng.standard_normal((2, dom.n**d)) + 1j * rng.standard_normal((2, dom.n**d))
     compact, residual = ops.split(kernel, dom, eps)
-    assert len(residual._spectra) == spectra
+    if spectra == 1:  # T - W as one convolution in a circulant shorter than 2n
+        assert isinstance(residual, ops.Convolution) and residual._side < 2 * dom.n
+    else:
+        assert isinstance(residual, ops.SplitPart) and len(residual._spectra) == 2
     base = ops.assemble(kernel, dom).matrix
     scale = max(bound(base, row) for row in f)
     for fast, slow in zip((compact, residual), ops.decompose(kernel, dom, eps)):

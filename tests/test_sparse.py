@@ -572,6 +572,23 @@ def test_carleson_random_bounded():
     assert worst <= 2.0  # committed bound; observed max 0.735
 
 
+def test_lattice_mismatch_is_refused():
+    small, big = LatticeDomain(d=1, m=5, L=1.0), LatticeDomain(d=1, m=6, L=1.0)
+    b = {dom: SampledFunction(dom, np.log(np.abs(dom.midpoints()[0]))) for dom in (small, big)}
+    f = {dom: SampledFunction(dom, np.abs(dom.midpoints()[0]) + 1.0) for dom in (small, big)}
+    w = {dom: make_weight(dom, {"kind": "unit"}) for dom in (small, big)}
+    fam = sparse.cz_augment(b[small], dyadic.canonical_grid(small).cube_containing((0.5,), 1))
+    for args in ((f[big], w[big]), (f[small], w[big]), (f[big], w[small])):
+        with pytest.raises(ValueError, match="domain mismatch"):
+            sparse.carleson_constant(*args, 2.0, fam)
+    for kind in ("star", "adjoint"):
+        for args in ((f[big], b[small]), (f[small], b[big]), (f[big], b[big])):
+            with pytest.raises(ValueError, match="domain mismatch"):
+                sparse.sparse_apply(kind, args[0], fam, b=args[1])
+    with pytest.raises(ValueError, match="domain mismatch"):
+        normest._SparseStar(b[big], fam)
+
+
 def test_almost_orthogonality_disjoint_exact(dom, grid):
     cubes = [grid.cube(3, (k,)) for k in (0, 2, 5)]
     fam = family(dom, cubes)
