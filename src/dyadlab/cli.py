@@ -13,16 +13,16 @@ worker cap but every file is written from the coordinating thread.
 
 A result table is a set of columns (numpy arrays, lists or tuples), and
 the CSV format is defined per column: a float column is written with 17
-significant digits, an int, bool or string column through str, so
-identical config and seeds reproduce byte-identical CSVs.  No plotting:
-tables are long-format, the CSV is the plot interface.
+significant digits, an int, bool or string column through str, and a 2-D
+int column of cube key rows as `i_j`, so identical config and seeds
+reproduce byte-identical CSVs.  No plotting: tables are long-format, the
+CSV is the plot interface.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import json
 import math
 import os
@@ -329,8 +329,6 @@ def _exp_weights_check(ctx: RunContext) -> ExperimentResult:
 
 def _exp_bloom_verify(ctx: RunContext) -> ExperimentResult:
     rep = bloom_sandwich_report(ctx.mu, ctx.lam, ctx.setup)
-    index = "_".join(["%d"] * ctx.domain.d).__mod__
-    index_column = list(map(index, zip(*rep.cubes[:, 2:].T.tolist())))
     summary_rows = [(rep.min_ratio, rep.max_ratio, rep.upper, rep.s,
                      rep.intermediate_characteristic, rep.intermediate_bound)]
     assertions = [
@@ -347,7 +345,7 @@ def _exp_bloom_verify(ctx: RunContext) -> ExperimentResult:
     return ExperimentResult(
         tables={
             "sandwich_cubes": (("generation", "index", "ratio"),
-                               [rep.cubes[:, 1], index_column, rep.ratios]),
+                               [rep.cubes[:, 1], rep.cubes[:, 2:], rep.ratios]),
             "sandwich_summary": (("min_ratio", "max_ratio", "upper", "s",
                                   "intermediate_characteristic",
                                   "intermediate_bound"), list(zip(*summary_rows))),
@@ -594,45 +592,82 @@ def _fmt(value) -> str:
     return str(value)
 
 
+_CHUNK_ROWS = 4096  # rows formatted per write
+# The characters that make csv.writer(lineterminator="\n") quote a cell
+# under QUOTE_MINIMAL.  A bare "\r" is not among them on Python 3.11.
+_QUOTE_TRIGGERS = (",", '"', "\n")
+
+
+def _quoted(cells: list) -> list:
+    """String cells as QUOTE_MINIMAL writes them: a cell holding a comma, a
+    quote or a newline is enclosed in quotes, its own quotes doubled.  The
+    test runs once over the joined column; only a column that needs it is
+    quoted cell by cell."""
+    joined = "".join(cells)
+    if not any(t in joined for t in _QUOTE_TRIGGERS):
+        return cells
+    return ['"%s"' % c.replace('"', '""') if any(t in c for t in _QUOTE_TRIGGERS) else c
+            for c in cells]
+
+
 def _column_cells(column):
-    """The CSV cells of one column.  A numeric array gets one formatter by
-    its dtype: floats to 17 significant digits, ints and bools through str.
-    A list (or tuple) of strings is written as it is; any other list goes
-    cell by cell through `_fmt`.  A list column is held in full by its
-    caller; only an array column's cells are made lazily, as the writer
-    takes the rows."""
+    """The `%` code and the cell lists of one column.  A float array is
+    written with `%.17g`, an int array with `%d`, and a 2-D int array of key
+    rows (one row per cell) with one `%d` per entry, joined by `_`.  A bool
+    array, and a list (or tuple), get `%s`: a list of strings is taken as
+    it is, any other list goes cell by cell through `_fmt`, and the strings
+    are then quoted by `_quoted`."""
     if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
+        if column.ndim == 2:
+            return "_".join(["%d"] * column.shape[1]), column.T.tolist()
         if column.dtype.kind == "f":
-            return map("{:.17g}".format, column.astype(float, copy=False).tolist())
-        return map(str, column.tolist())
-    if set(map(type, column)) <= {str}:
-        return column
-    return map(_fmt, column)
+            return "%.17g", [column.astype(float, copy=False).tolist()]
+        return "%s" if column.dtype.kind == "b" else "%d", [column.tolist()]
+    cells = list(column)
+    if not set(map(type, cells)) <= {str}:
+        cells = list(map(_fmt, cells))
+    return "%s", [_quoted(cells)]
+
+
+def _table_text(columns):
+    """The CSV lines of equal-length columns through one row template, one
+    `%` code per column, in chunks of `_CHUNK_ROWS` rows."""
+    codes, cells = [], []
+    for column in columns:
+        code, lists = _column_cells(column)
+        codes.append(code)
+        cells += lists
+    if len(set(map(len, cells))) > 1:
+        raise ValueError("table columns differ in length")
+    if not cells:  # no columns, no rows
+        return
+    if codes == ["%s"] and "" in cells[0]:  # csv writes a lone empty field as ""
+        cells = [['""' if c == "" else c for c in cells[0]]]
+    template = ",".join(codes) + "\n"
+    for start in range(0, len(cells[0]), _CHUNK_ROWS):
+        chunk = [c[start:start + _CHUNK_ROWS] for c in cells]
+        yield "".join(map(template.__mod__, zip(*chunk)))
 
 
 def _write_table(path: Path, header, columns) -> None:
-    """One CSV: the header, then one row per position of the equal-length columns."""
-    cells = [_column_cells(c) for c in columns]
+    """One CSV: the header, then one row per position of the equal-length
+    columns.  The header is a table of one-cell string columns, so it is
+    written, quoted and checked by the same template path as the rows."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(zip(*cells, strict=True))
+        fh.writelines(_table_text([[name] for name in header]))
+        fh.writelines(_table_text(columns))
 
 
 def emit_report(experiment: str, result: ExperimentResult, out_dir: Path,
                 config_echo: dict) -> list:
-    """One CSV per table, each column formatted once by `_column_cells`,
-    plus summary.json; returns the written paths."""
+    """One CSV per table, each written by `_write_table` through one row
+    template, plus summary.json; returns the written paths.  A directory or
+    file that cannot be made or written raises ConfigError."""
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output dir {out_dir}: {exc}") from exc
-    written = []
-    for name, (header, columns) in result.tables.items():
-        path = out_dir / f"{name}.csv"
-        _write_table(path, header, columns)
-        written.append(path)
     summary = {
         "experiment": experiment,
         "schema": SCHEMA_VERSION,
@@ -643,9 +678,17 @@ def emit_report(experiment: str, result: ExperimentResult, out_dir: Path,
         "headline": result.headline,
         "config": config_echo,
     }
-    path = out_dir / "summary.json"
-    path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    written = []
+    try:
+        for name, (header, columns) in result.tables.items():
+            path = out_dir / f"{name}.csv"
+            _write_table(path, header, columns)
+            written.append(path)
+        path = out_dir / "summary.json"
+        path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
+                        encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
     written.append(path)
     return written
 
@@ -809,13 +852,22 @@ def sweep(config, out_dir=None, seed=None, workers=None) -> int:
         passed = sum(1 for a in res.assertions if a["hard"] and a["ok"])
         status = "ok" if failed == 0 else "assertion-failed"
         any_bad = any_bad or failed > 0
-        point_dir = out / _point_tag(axis, value)
-        emit_report(cfg["experiment"], res, point_dir, {"axis": axis, "value": value})
+        try:
+            emit_report(cfg["experiment"], res, out / _point_tag(axis, value),
+                        {"axis": axis, "value": value})
+        except ConfigError as exc:  # the point's files could not be written
+            rows.append((value, "config-error", str(exc), "", "", *[""] * len(headline_keys)))
+            any_bad = True
+            continue
         rows.append((value, status, detail, passed, failed,
                      *[res.headline.get(k, "") for k in headline_keys]))
 
     path = out / "sweep.csv"
-    _write_table(path, header, list(zip(*rows)))
+    try:
+        _write_table(path, header, list(zip(*rows)))
+    except OSError as exc:
+        print(f"config error: cannot write {path}: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {path} ({len(rows)} points)")
     return 1 if any_bad else 0
 

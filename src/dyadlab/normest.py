@@ -66,6 +66,7 @@ class NormEstimate:
     iterations: int
     zero_operator: bool = False
     residual: float = float("nan")  # GKL Ritz residual |M* u - sigma v|
+    capped: int = 0  # ascent restarts still moving when `iterations` ran out
 
 
 def _flat_norm(flat: np.ndarray, p: float, wvals: np.ndarray, cell_volume: float) -> np.ndarray:
@@ -150,7 +151,8 @@ def opnorm_estimate(op: Operator, p: float, mu: Weight, q: float, lam: Weight,
     steps only while its ratio moves by more than 1e-13 (relative) and its
     image and gradient are nonzero, for at most `iterations` steps, and
     converged rows leave the batch.  `iterations` in the estimate counts
-    the steps of all restarts; the first best restart supplies the
+    the steps of all restarts and `capped` the restarts still moving when
+    the step budget ran out; the first best restart supplies the
     witness.  method "svd" or "ascent" forces a path (svd only exists at
     p = q = 2); "auto" picks.  The operator is only applied, never formed.
     """
@@ -227,13 +229,13 @@ def opnorm_estimate(op: Operator, p: float, mu: Weight, q: float, lam: Weight,
     vals = np.where(vals > 0.0, vals, 0.0)  # a nan restart never wins
     best = int(np.argmax(vals))
     if vals[best] == 0.0:
-        return NormEstimate(0.0, "random-restart-ascent", None, used, zero_operator=False)
+        return NormEstimate(0.0, "random-restart-ascent", None, used, capped=active.size)
     best_val, best_flat = float(vals[best]), flats[best]
     witness = SampledFunction(dom, best_flat.reshape(dom.shape))
     check = _ratio(op, best_flat, p, q, muv, lamv, vol)
     if abs(check - best_val) > WITNESS_TOL * max(best_val, 1e-300):
         raise NumericalError("ascent witness does not reproduce its value")
-    return NormEstimate(best_val, "random-restart-ascent", witness, used)
+    return NormEstimate(best_val, "random-restart-ascent", witness, used, capped=active.size)
 
 
 # -- separation probe ----------------------------------------------------------

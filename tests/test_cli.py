@@ -178,6 +178,27 @@ def test_bloom_verify_unit_weights_all_ratios_one(tmp_path):
     }
 
 
+@pytest.mark.parametrize("d, m", [(1, 6), (2, 4)])
+def test_sandwich_cubes_csv_round_trips(tmp_path, d, m):
+    cfg = {
+        "experiment": "bloom-verify",
+        "domain": {"d": d, "m": m},
+        "exponents": {"p": 2.0, "q": 4.0},
+        "weights": {"mu": {"kind": "power", "beta": 0.3},
+                    "lambda": {"kind": "logsmooth", "amplitude": 0.6, "seed": 2}},
+    }
+    out = tmp_path / "out"
+    assert cli.run(cfg, out_dir=out) == 0
+    header, rows = read_csv(out / "sandwich_cubes.csv")
+    ctx = cli._build_context(cfg)
+    rep = cli.bloom_sandwich_report(ctx.mu, ctx.lam, ctx.setup)
+    assert header == ["generation", "index", "ratio"]
+    assert len(rows) == len(rep.cubes) == sum(2 ** (d * j) for j in range(m + 1))
+    keys = [[int(r[0]), *map(int, r[1].split("_"))] for r in rows]
+    np.testing.assert_array_equal(np.array(keys), rep.cubes[:, 1:])
+    np.testing.assert_array_equal(np.array([float(r[2]) for r in rows]), rep.ratios)
+
+
 def test_weights_check_divergence_is_flag_not_failure(tmp_path):
     cfg = {
         "experiment": "weights-check",
@@ -434,6 +455,47 @@ def test_empty_axis_empty_table(tmp_path):
     assert cli.sweep(cfg, out_dir=out) == 0
     header, rows = read_csv(out / "sweep.csv")
     assert header[0] == "m" and rows == []
+
+
+def test_unwritable_csv_exits_2(tmp_path, capsys):
+    cfg = {"experiment": "bmo-compute", "domain": {"d": 1, "m": 5}, "symbols": log_symbols()}
+    out = tmp_path / "out"
+    (out / "bmo.csv").mkdir(parents=True)
+    assert cli.run(cfg, out_dir=out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out / 'bmo.csv'}: ")
+
+
+def test_sweep_point_that_cannot_be_written_is_a_config_error_row(tmp_path):
+    cfg = {
+        "experiment": "bmo-compute",
+        "domain": {"d": 1, "m": 5},
+        "symbols": log_symbols(),
+        "sweep": {"axis": "m", "values": [4, 5, 6]},
+    }
+    out = tmp_path / "out"
+    (out / "m-4" / "summary.json").mkdir(parents=True)  # the file cannot be written
+    (out / "m-5").write_text("", encoding="utf-8")  # the directory cannot be made
+    assert cli.sweep(cfg, out_dir=out, workers=1) == 1
+    _, rows = read_csv(out / "sweep.csv")
+    assert [r[1] for r in rows] == ["config-error", "config-error", "ok"]
+    assert rows[0][2].startswith(f"cannot write {out / 'm-4' / 'summary.json'}: ")
+    assert rows[1][2].startswith(f"cannot create output dir {out / 'm-5'}: ")
+    assert rows[0][3:] == rows[1][3:] == [""] * (len(rows[0]) - 3)
+    assert (out / "m-6" / "bmo.csv").is_file()
+
+
+def test_unwritable_sweep_csv_exits_2(tmp_path, capsys):
+    cfg = {
+        "experiment": "bmo-compute",
+        "domain": {"d": 1, "m": 4},
+        "symbols": log_symbols(),
+        "sweep": {"axis": "m", "values": [4]},
+    }
+    out = tmp_path / "out"
+    (out / "sweep.csv").mkdir(parents=True)
+    assert cli.sweep(cfg, out_dir=out, workers=1) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot write {out / 'sweep.csv'}: ")
 
 
 def test_sweep_row_level_errors(tmp_path):
@@ -738,6 +800,38 @@ def test_column_writer_matches_the_row_path(table):
     with tempfile.TemporaryDirectory() as tmp:
         old, new = f"{tmp}/rows.csv", f"{tmp}/columns.csv"
         _write_rows(old, header, zip(*columns))
+        cli._write_table(new, header, columns)
+        with open(old, "rb") as a, open(new, "rb") as b:
+            assert b.read() == a.read()
+
+
+@st.composite
+def _tables_with_key_rows(draw):
+    """A table of `_tables` with key-row columns (2-D int64, widths 1-3) put
+    in at random positions, alone or among the other kinds; returns the
+    table and the same table with each key-row column as `_`-joined strings."""
+    header, columns = draw(_tables())
+    n_rows = len(columns[0])
+    if draw(st.booleans()):
+        header, columns = [], []
+    for _ in range(draw(st.integers(1, 2))):
+        width = draw(st.integers(1, 3))
+        keys = draw(hnp.arrays(np.int64, (n_rows, width), elements=_INT64))
+        at = draw(st.integers(0, len(columns)))
+        header.insert(at, draw(_CELL_TEXT))
+        columns.insert(at, keys)
+    joined = [["_".join(map(str, row)) for row in c.tolist()] if getattr(c, "ndim", 1) == 2
+              else c for c in columns]
+    return header, columns, joined
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_tables_with_key_rows())
+def test_key_row_columns_match_joined_strings_on_the_row_path(table):
+    header, columns, joined = table
+    with tempfile.TemporaryDirectory() as tmp:
+        old, new = f"{tmp}/rows.csv", f"{tmp}/columns.csv"
+        _write_rows(old, header, zip(*joined))
         cli._write_table(new, header, columns)
         with open(old, "rb") as a, open(new, "rb") as b:
             assert b.read() == a.read()

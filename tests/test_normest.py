@@ -411,3 +411,31 @@ def test_batched_ascent_matches_per_restart_loop(p, q, kind, d, complex_symbol, 
         assert est.witness is None
     else:
         np.testing.assert_array_equal(est.witness.values.reshape(-1), flat)
+
+
+@pytest.mark.parametrize("kind", ["convolution", "split", "sparse", "gated"])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the gated rows divide by zero
+def test_capped_counts_the_restarts_still_moving(kind, d):
+    op = ascent_operator(kind, d, False)
+    mu = make_weight(op.domain, {"kind": "power", "beta": 0.3})
+    lam = make_weight(op.domain, {"kind": "logsmooth", "amplitude": 0.6, "seed": 1})
+    runs = [normest.opnorm_estimate(op, 2.0, mu, 3.0, lam, budget=6, iterations=k, seed=5)
+            for k in range(5)]
+    # the restarts still moving after k steps are exactly those that take step k + 1
+    assert [r.capped for r in runs[:-1]] == [
+        b.iterations - a.iterations for a, b in zip(runs, runs[1:])]
+    if kind != "gated":  # one step never converges: every restart is still moving
+        assert runs[1].capped == 6
+
+
+def test_capped_is_zero_when_every_restart_converges():
+    op = ascent_operator("convolution", 1, False)
+    mu = make_weight(op.domain, {"kind": "power", "beta": 0.3})
+    lam = make_weight(op.domain, {"kind": "logsmooth", "amplitude": 0.6, "seed": 1})
+    est = normest.opnorm_estimate(op, 2.0, mu, 3.0, lam)
+    assert est.capped == 0
+    assert 0 < est.iterations < normest.ASCENT_RESTARTS * normest.ASCENT_ITERATIONS
+    capped = normest.opnorm_estimate(op, 2.0, mu, 3.0, lam, iterations=1)
+    assert capped.capped == normest.ASCENT_RESTARTS
+    assert normest.opnorm_estimate(op, 2.0, mu, 2.0, lam).capped == 0  # the GKL path
