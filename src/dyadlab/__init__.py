@@ -1,5 +1,5 @@
 """Numerical workbench for weighted oscillation and singular-integral bounds
-on a uniform lattice: dyadic grids, Muckenhoupt-type weights, sparse
+on a uniform lattice: the dyadic grid, Muckenhoupt-type weights, sparse
 operators, discretized kernels and operator-norm estimation."""
 
 from dyadlab import dyadic, lattice, normest, operators, oscillation, sparse, weights

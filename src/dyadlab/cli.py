@@ -345,7 +345,7 @@ def _exp_bloom_verify(ctx: RunContext) -> ExperimentResult:
     return ExperimentResult(
         tables={
             "sandwich_cubes": (("generation", "index", "ratio"),
-                               [rep.cubes[:, 1], rep.cubes[:, 2:], rep.ratios]),
+                               [rep.cubes[:, 0], rep.cubes[:, 1:], rep.ratios]),
             "sandwich_summary": (("min_ratio", "max_ratio", "upper", "s",
                                   "intermediate_characteristic",
                                   "intermediate_bound"), list(zip(*summary_rows))),
@@ -380,8 +380,7 @@ def _exp_bmo_compute(ctx: RunContext) -> ExperimentResult:
 
 def _exp_jn_verify(ctx: RunContext) -> ExperimentResult:
     r = _param(ctx, "r", 2.0, float)
-    grid = dyadic.canonical_grid(ctx.domain)
-    root = grid.cube(1, (1,) * ctx.domain.d)  # [0, L)^d: origin on the boundary
+    root = dyadic.cube(ctx.domain, 1, (1,) * ctx.domain.d)  # [0, L)^d: origin on the boundary
     bound = sparse.cz_constant(ctx.domain.d)
     rows, assertions, headline = [], [], {}
     for sid, b in ctx.symbols:
@@ -418,8 +417,7 @@ def _random_symbol(domain: LatticeDomain, seed: int) -> SampledFunction:
 
 
 def _exp_sparse_dominate(ctx: RunContext) -> ExperimentResult:
-    grid = dyadic.canonical_grid(ctx.domain)
-    root = grid.cube(0, (0,) * ctx.domain.d)
+    root = dyadic.cube(ctx.domain, 0, (0,) * ctx.domain.d)
     bound = sparse.cz_constant(ctx.domain.d)
     cases = list(ctx.symbols)
     cases.extend((f"seed{s}", _random_symbol(ctx.domain, s)) for s in ctx.seeds)

@@ -282,14 +282,14 @@ def awf_lower_probe(b: SampledFunction, op: Operator, p: float, mu: Weight,
     dom = op.domain
     if b.domain != dom:
         raise ValueError("symbol/operator domain mismatch")
-    if cube.grid.shift != (0.0,) * dom.d:
-        raise ValueError("probe cubes come from the canonical grid")
+    if cube.domain != dom:
+        raise ValueError("domain mismatch")
     gen = cube.generation
     limit = 2**gen
     shifted_index = tuple(i + 3 for i in cube.index)
     if any(i >= limit for i in shifted_index):
         raise ProbeRefused(f"partner of {cube.index} at generation {gen} leaves the domain")
-    partner = cube.grid.cube(gen, shifted_index)
+    partner = dyadic.cube(dom, gen, shifted_index)
 
     cells_q = cube.flat_cells()
     cells_s = partner.flat_cells()
@@ -363,7 +363,7 @@ def _probe_cube_for(b: SampledFunction, generation: int = 3):
     table = np.mean(np.abs(blocks - blocks.mean(axis=-1, keepdims=True)), axis=-1)
     table = table[(slice(0, fit),) * dom.d]
     index = np.unravel_index(int(np.argmax(table)), table.shape)
-    return dyadic.canonical_grid(dom).cube(generation, tuple(int(i) for i in index))
+    return dyadic.cube(dom, generation, index)
 
 
 def bmo_vs_norm_sweep(symbols, op: Operator, mu: Weight, lam: Weight,
@@ -456,8 +456,7 @@ def compactness_profile(b: SampledFunction, kernel: KernelSpec, setup: ExponentS
                               budget=budget)
         tails.append(est.value)
 
-    grid = dyadic.canonical_grid(dom)
-    root = grid.cube(0, (0,) * dom.d)
+    root = dyadic.cube(dom, 0, (0,) * dom.d)
     family = sparse.cz_augment(b, root)
     sparse_tails = []
     flags = set()

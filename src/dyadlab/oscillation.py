@@ -57,11 +57,10 @@ ESCAPE_RADIUS = 0.75  # far-away witnesses must reach this distance, in units of
 def region_cells(domain: LatticeDomain, region) -> tuple[np.ndarray, np.ndarray]:
     """Resolve a region to (flat cell indices, per-cell volume weights)."""
     if isinstance(region, dyadic.DyadicCube):
-        if region.grid.is_canonical:
-            idx = region.flat_cells()
-            return idx, np.full(idx.size, domain.cell_volume)
-        idx, w = zip(*(box_cells(domain, lo, hi) for lo, hi in region.pieces()))
-        return np.concatenate(idx), np.concatenate(w)
+        if region.domain != domain:
+            raise ValueError("domain mismatch")
+        idx = region.flat_cells()
+        return idx, np.full(idx.size, domain.cell_volume)
     if isinstance(region, Box):
         return box_cells(domain, region.lo, region.hi)
     arr = np.asarray(region)
@@ -291,13 +290,12 @@ class WitnessFamily:
 
 def _candidate_cubes(b, nu, alpha, r, c0):
     dom = b.domain
-    grid = dyadic.canonical_grid(dom)
     out = []
     for j in range(dom.m + 1):
         table = _generation_oscillations(b, j, nu, alpha, r)
         hits = np.argwhere(np.atleast_1d(table) >= c0)
         for idx in hits:
-            cube = grid.cube(j, tuple(int(v) for v in idx))
+            cube = dyadic.cube(dom, j, idx)
             out.append((cube, float(table[tuple(idx)])))
     return out
 
@@ -326,7 +324,7 @@ def _witness_small(b, nu, alpha, r, c0, theta, min_pairs):
     cands = _candidate_cubes(b, nu, alpha, r, c0)
     # big first; deterministic tie-break by generation and index
     cands.sort(key=lambda t: (-t[0].volume, t[0].generation, t[0].index))
-    inv_theta = round(1.0 / theta)
+    inv_theta = math.ceil(1.0 / theta)
     for inv in (inv_theta, 2 * inv_theta):
         accepted = []  # [cube, cells, removed cell count]
         for cube, _val in cands:
@@ -497,8 +495,6 @@ def jn_verify(
         raise ValueError(f"need 1 <= r <= p' = {p_prime}, got r={r}")
     if root.domain != dom or w.domain != dom:
         raise ValueError("domain mismatch")
-    if not root.grid.is_canonical:
-        raise ValueError("root cube must be canonical")
     r_norm = _subtree_sup(b, w, alpha, r, root)
     one_norm = _subtree_sup(b, w, alpha, 1.0, root)
     family = sparse.cz_augment(b, root)

@@ -1,9 +1,9 @@
 """Sparse cube families and sparse model operators.
 
-A family holds `entries`, key rows (grid_id, generation, index...) of
-canonical cubes Q_i in selection order (as in dyadic.canonical_keys), and
-`cores`, where cores[i] lists the sorted flat cells of E_i, a subset of
-Q_i.  Gamma-sparsity means the E's are pairwise disjoint and each keeps
+A family holds `entries`, key rows (generation, index...) of cubes Q_i
+in selection order (as in dyadic.canonical_keys), and `cores`, where
+cores[i] lists the sorted flat cells of E_i, a subset of Q_i.
+Gamma-sparsity means the E's are pairwise disjoint and each keeps
 strictly more than a gamma fraction of its cube, in integer cell counts.
 
 The model operators add, coarse to fine, a count table of the family's
@@ -75,7 +75,7 @@ def cz_constant(d: int) -> float:
 @dataclass(frozen=True, eq=False)
 class SparseFamily:
     domain: LatticeDomain
-    entries: np.ndarray  # int64 key rows (grid_id, generation, index...)
+    entries: np.ndarray  # int64 key rows (generation, index...)
     cores: list          # cores[i]: sorted flat cell indices of E_i
 
     def __len__(self) -> int:
@@ -84,10 +84,10 @@ class SparseFamily:
     @cached_property
     def _counts(self) -> list:
         """(j, copies of each generation-j cube in the family), coarse to fine."""
-        gens, tables = self.entries[:, 1], []
+        gens, tables = self.entries[:, 0], []
         for j in np.flatnonzero(np.bincount(gens)):
             count = np.zeros((2**j,) * self.domain.d, dtype=np.int64)
-            np.add.at(count, tuple(self.entries[gens == j, 2:].T), 1)
+            np.add.at(count, tuple(self.entries[gens == j, 1:].T), 1)
             tables.append((int(j), count))
         return tables
 
@@ -115,8 +115,8 @@ def is_sparse(family: SparseFamily, gamma: float = 0.5) -> SparseVerdict:
     owner = np.repeat(np.arange(size), sizes)
     cells = np.concatenate(family.cores).astype(np.int64)
     coords = np.stack([cells // dom.n, cells % dom.n], axis=1) if dom.d == 2 else cells[:, None]
-    shift = dom.m - family.entries[:, 1]
-    escapes = np.any(coords >> shift[owner, None] != family.entries[owner, 2:], axis=1)
+    shift = dom.m - family.entries[:, 0]
+    escapes = np.any(coords >> shift[owner, None] != family.entries[owner, 1:], axis=1)
     leaves = np.bincount(owner[escapes], minlength=size) > 0
     thin = sizes <= gamma * 2 ** (dom.d * shift)  # strict, in integer cell counts
     bad = np.flatnonzero(leaves | thin)
@@ -144,8 +144,6 @@ def cz_augment(b: SampledFunction, root: dyadic.DyadicCube) -> SparseFamily:
     index) order from each stopping cube."""
     if root.domain != b.domain:
         raise ValueError("domain mismatch")
-    if not root.grid.is_canonical:
-        raise ValueError("cz_augment needs a canonical root cube")
     dom = b.domain
     m, d = dom.m, dom.d
     strides = dom.n ** np.arange(d - 1, -1, -1)  # flat cell = coordinates @ strides
@@ -188,7 +186,7 @@ def cz_augment(b: SampledFunction, root: dyadic.DyadicCube) -> SparseFamily:
             sizes = keep.sum(axis=1)
             for p, core in zip(pos.tolist(), np.split(kept, np.cumsum(sizes)[:-1])):
                 wave_cores[p] = core
-        keys.append(np.column_stack([np.zeros_like(gens), gens, index]))
+        keys.append(np.column_stack([gens, index]))
         cores.extend(wave_cores)
         if not parents:  # every cube of the wave is a single cell
             break

@@ -134,8 +134,7 @@ def test_c03_bmo_equivalence_per_cube(dom10):
 
 
 def test_c04_cz_augmentation(dom10):
-    grid = dyadic.canonical_grid(dom10)
-    root = grid.cube(0, (0,))
+    root = dyadic.cube(dom10, 0, (0,))
     bound = sparse.cz_constant(1)
     mids = dom10.midpoints()[0]
     ok = True
@@ -155,7 +154,7 @@ def test_c04_cz_augmentation(dom10):
         worst = max(worst, ratio)
         ok = ok and sparse.is_sparse(fam).ok and ratio <= bound
     # Hand-run check: a half indicator never selects, one entry, ratio 1.
-    unit_root = grid.cube(1, (1,))
+    unit_root = dyadic.cube(dom10, 1, (1,))
     half = indicator(dom10, Box((0.0,), (0.5,)))
     fam = sparse.cz_augment(half, unit_root)
     ok = ok and len(fam.entries) == 1
@@ -166,8 +165,7 @@ def test_c04_cz_augmentation(dom10):
 
 
 def test_c05_john_nirenberg(dom10, unit10):
-    grid = dyadic.canonical_grid(dom10)
-    root = grid.cube(1, (1,))
+    root = dyadic.cube(dom10, 1, (1,))
     mids = dom10.midpoints()[0]
     half = make_weight(dom10, {"kind": "power", "beta": 0.5})
     rng = np.random.default_rng(42)
@@ -288,13 +286,12 @@ def test_c10_maximal_domination():
     worst = 0.0
     for d, m, count in ((1, 10, 20), (2, 6, 5)):
         dom = LatticeDomain(d=d, m=m, L=1.0)
-        grid = dyadic.canonical_grid(dom)
         c_m = 2.0**d / (2.0**d - 1.0)
         rng = np.random.default_rng(7)
         for _ in range(count):
             gen = int(rng.integers(1, m + 1))
             idx = tuple(int(v) for v in rng.integers(0, 2**gen, size=d))
-            r_cube = grid.cube(gen, idx)
+            r_cube = dyadic.cube(dom, gen, idx)
             lhs = np.zeros(dom.n**d)
             q = r_cube
             while True:

@@ -195,7 +195,7 @@ def test_sandwich_cubes_csv_round_trips(tmp_path, d, m):
     assert header == ["generation", "index", "ratio"]
     assert len(rows) == len(rep.cubes) == sum(2 ** (d * j) for j in range(m + 1))
     keys = [[int(r[0]), *map(int, r[1].split("_"))] for r in rows]
-    np.testing.assert_array_equal(np.array(keys), rep.cubes[:, 1:])
+    np.testing.assert_array_equal(np.array(keys), rep.cubes)
     np.testing.assert_array_equal(np.array([float(r[2]) for r in rows]), rep.ratios)
 
 
@@ -309,7 +309,7 @@ def test_vmo_witness_asserts_the_guaranteed_half_threshold(tmp_path):
 
 def test_vmo_witness_below_half_threshold_exits_1(tmp_path, monkeypatch, capsys):
     def weak_witness(b, *args, **kwargs):
-        cube = cli.dyadic.canonical_grid(b.domain).cube(2, (1,))
+        cube = cli.dyadic.cube(b.domain, 2, (1,))
         entries = [(cube, cube.flat_cells())]
         return cli.oscillation.WitnessFamily("small-scale", 0.5, entries, [0.2])
 

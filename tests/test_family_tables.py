@@ -73,10 +73,11 @@ def cases(draw, m_min=2):
 @given(cases())
 def test_canonical_tables_match_object_path(case):
     dom, b, mu, lam, setup, r, alpha = case
-    cubes = dyadic.enumerate_cubes(dyadic.canonical_grid(dom))
+    cubes = dyadic.enumerate_cubes(dom)
 
     keys = dyadic.canonical_keys(dom)
-    assert keys.tolist() == [[c.grid.grid_id, c.generation, *c.index] for c in cubes]
+    assert keys.tolist() == [[c.generation, *c.index] for c in cubes]
+    assert [dyadic.key_cube(dom, key) for key in keys] == cubes
 
     frac = osc.bmo_norm(b, nu=mu, alpha=alpha, r=r)
     close(frac.values, [osc.oscillation(b, c, nu=mu, alpha=alpha, r=r) for c in cubes])
@@ -95,11 +96,10 @@ def test_canonical_tables_match_object_path(case):
 @given(cases(m_min=3), st.data())  # jn_verify coarsens the weight once
 def test_jn_subtree_norms_match_per_cube_oscillation(case, data):
     dom, b, mu, _lam, _setup, r, alpha = case
-    grid = dyadic.canonical_grid(dom)
     gen = data.draw(st.integers(0, dom.m - 1))
-    root = grid.cube(gen, tuple(data.draw(st.integers(0, 2**gen - 1)) for _ in range(dom.d)))
+    root = dyadic.cube(dom, gen, tuple(data.draw(st.integers(0, 2**gen - 1)) for _ in range(dom.d)))
     rep = osc.jn_verify(b, mu, 2.0, r, alpha, root)
-    subtree = [c for c in dyadic.enumerate_cubes(grid) if root.contains_cube(c)]
+    subtree = [c for c in dyadic.enumerate_cubes(dom) if root.contains_cube(c)]
     for rr, got in ((r, rep.r_norm), (1.0, rep.one_norm)):
         want = max(osc.oscillation(b, c, nu=mu, alpha=alpha, r=rr) for c in subtree)
         close(got, want)

@@ -130,7 +130,7 @@ def test_ascent_budget_monotone(dom, unit, log_comm):
 
 
 def test_probe_log_certificate(dom, unit, b_log, hilbert_op):
-    cube = dyadic.canonical_grid(dom).cube_containing((0.125,), 3)  # [0, 1/4)
+    cube = dyadic.cube(dom, 3, (4,))  # [0, 1/4)
     cert = normest.awf_lower_probe(b_log, hilbert_op, 2.0, unit, 2.0, unit, cube)
     assert cert.certificate == pytest.approx(0.7327241811746044, rel=1e-9)
     norm = normest.opnorm_estimate(
@@ -140,7 +140,7 @@ def test_probe_log_certificate(dom, unit, b_log, hilbert_op):
 
 
 def test_probe_pair_geometry(dom, unit, b_log, hilbert_op):
-    cube = dyadic.canonical_grid(dom).cube_containing((0.125,), 3)
+    cube = dyadic.cube(dom, 3, (4,))
     cert = normest.awf_lower_probe(b_log, hilbert_op, 2.0, unit, 2.0, unit, cube)
     pair = cert.pair
     assert pair.partner.sidelength == pair.cube.sidelength
@@ -157,26 +157,35 @@ def test_probe_pair_geometry(dom, unit, b_log, hilbert_op):
 
 
 def test_probe_constant_symbol(dom, unit, hilbert_op):
-    cube = dyadic.canonical_grid(dom).cube_containing((0.125,), 3)
+    cube = dyadic.cube(dom, 3, (4,))
     b = SampledFunction(dom, np.full(dom.n, 2.0))
     cert = normest.awf_lower_probe(b, hilbert_op, 2.0, unit, 2.0, unit, cube)
     assert cert.certificate == 0.0 and cert.oscillation_mass == 0.0
 
 
 def test_probe_refusals(dom, unit, b_log):
-    grid = dyadic.canonical_grid(dom)
     masked = ops.assemble(ops.make_kernel("hilbert"), dom,
                           window=lambda t: (t > 10.0).astype(float))
-    cube = grid.cube_containing((0.125,), 3)
+    cube = dyadic.cube(dom, 3, (4,))
     with pytest.raises(normest.ProbeRefused, match="sign-definite"):
         normest.awf_lower_probe(b_log, masked, 2.0, unit, 2.0, unit, cube)
     hilbert_op = ops.assemble(ops.make_kernel("hilbert"), dom)
     with pytest.raises(normest.ProbeRefused, match="leaves the domain"):
         normest.awf_lower_probe(b_log, hilbert_op, 2.0, unit, 2.0, unit,
-                                grid.cube(2, (1,)))
-    shifted = dyadic.grids(dom)[1].cube(3, (0,))
-    with pytest.raises(ValueError, match="canonical"):
-        normest.awf_lower_probe(b_log, hilbert_op, 2.0, unit, 2.0, unit, shifted)
+                                dyadic.cube(dom, 2, (1,)))
+
+
+@pytest.mark.parametrize("m", [6, 10])
+def test_probe_rejects_a_cube_from_another_lattice(m):
+    # An m = 6 cube names the wrong cells of an m = 8 lattice; an m = 10
+    # one indexes past its end.
+    dom8 = LatticeDomain(d=1, m=8, L=1.0)
+    unit8 = make_weight(dom8, {"kind": "unit"})
+    b = SampledFunction(dom8, np.log(np.abs(dom8.midpoints()[0])))
+    op = ops.assemble(ops.make_kernel("hilbert"), dom8)
+    cube = dyadic.cube(LatticeDomain(d=1, m=m, L=1.0), 3, (4,))
+    with pytest.raises(ValueError, match="domain mismatch"):
+        normest.awf_lower_probe(b, op, 2.0, unit8, 2.0, unit8, cube)
 
 
 def test_probe_riesz_diagonal_shift():
@@ -185,7 +194,7 @@ def test_probe_riesz_diagonal_shift():
     op2 = ops.assemble(ops.make_kernel("riesz", {"j": 1}), dom2)
     mx, my = dom2.midpoints()
     b2 = SampledFunction(dom2, np.log(np.sqrt(mx**2 + my**2)))
-    cube = dyadic.canonical_grid(dom2).cube(3, (0, 0))
+    cube = dyadic.cube(dom2, 3, (0, 0))
     cert = normest.awf_lower_probe(b2, op2, 2.0, unit2, 2.0, unit2, cube)
     assert cert.pair.separation == pytest.approx(2.0 * np.sqrt(2.0) * cube.sidelength)
     norm = normest.opnorm_estimate(
@@ -248,7 +257,7 @@ def dense_star(b, family):
 
 
 def test_sparse_tail_operator_matches_dense_star(dom, b_log):
-    root = dyadic.canonical_grid(dom).cube_containing((0.5,), 1)
+    root = dyadic.cube(dom, 1, (1,))
     fam = sparse.cz_augment(b_log, root)
     mat = dense_star(b_log, fam)
     star = normest._SparseStar(b_log, fam)
@@ -386,7 +395,7 @@ def ascent_operator(kind, d, complex_symbol):
     if kind == "dense":
         return ops.commutator_matrix(b, ops.assemble(kernel, dom))
     if kind == "sparse":
-        root = dyadic.canonical_grid(dom).cube(0, (0,) * d)
+        root = dyadic.cube(dom, 0, (0,) * d)
         return normest._SparseStar(b, sparse.cz_augment(b, root))
     return _Gated(dom)
 

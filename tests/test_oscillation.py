@@ -2,6 +2,7 @@
 r-power comparison."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,55 +22,50 @@ def dom():
 
 
 @pytest.fixture(scope="module")
-def grid(dom):
-    return dyadic.canonical_grid(dom)
-
-
-@pytest.fixture(scope="module")
 def logx(dom):
     return SampledFunction(dom, np.log(np.abs(dom.midpoints()[0])))
 
 
-def test_constant_symbol_is_null(dom, grid):
+def test_constant_symbol_is_null(dom):
     b = SampledFunction(dom, np.full(dom.n, 2.5))
     w = make_weight(dom, {"kind": "power", "beta": 0.5})
-    Q = grid.cube_containing((0.25,), 3)
+    Q = dyadic.cube(dom, 3, (5,))
     for r in (1.0, 2.0):
         assert osc.oscillation(b, Q, nu=w, alpha=0.2, r=r) == 0.0
 
 
-def test_coordinate_symbol_quarter(dom, grid):
+def test_coordinate_symbol_quarter(dom):
     # midpoint sampling integrates |x - 1/2| exactly on [0,1)
     b = SampledFunction(dom, dom.midpoints()[0].copy())
-    Q = grid.cube_containing((0.5,), 1)
+    Q = dyadic.cube(dom, 1, (1,))
     assert osc.oscillation(b, Q) == pytest.approx(0.25, abs=1e-14)
 
 
 @pytest.mark.parametrize("t,gen", [(1.0, 1), (0.5, 2), (0.25, 3)])
-def test_log_anchor_scale_invariant(logx, grid, t, gen):
-    Q = grid.cube_containing((t / 2.0,), gen)
+def test_log_anchor_scale_invariant(dom, logx, t, gen):
+    Q = dyadic.cube(dom, gen, (2 ** (gen - 1),))
     value = osc.oscillation(logx, Q)
     assert abs(value - TWO_OVER_E) / TWO_OVER_E < 0.02
 
 
-def test_unit_weight_reduces_to_length_normalization(logx, grid, dom):
+def test_unit_weight_reduces_to_length_normalization(logx, dom):
     alpha = 0.3
-    Q = grid.cube_containing((0.5,), 2)
+    Q = dyadic.cube(dom, 2, (3,))
     plain = osc.oscillation(logx, Q, alpha=0.0)
     scaled = osc.oscillation(logx, Q, alpha=alpha)
     assert scaled == pytest.approx(Q.sidelength**-alpha * plain, rel=1e-12)
 
 
-def test_r_monotonicity(logx, grid):
+def test_r_monotonicity(dom, logx):
     w = make_weight(logx.domain, {"kind": "power", "beta": 0.5})
-    Q = grid.cube_containing((0.5,), 1)
+    Q = dyadic.cube(dom, 1, (1,))
     values = [osc.oscillation(logx, Q, nu=w, alpha=0.1, r=r) for r in (1.0, 1.5, 2.0, 3.0)]
     for lo, hi in zip(values, values[1:]):
         assert hi >= lo * (1.0 - 1e-12)
 
 
-def test_rejects_bad_parameters(logx, grid):
-    Q = grid.cube_containing((0.5,), 1)
+def test_rejects_bad_parameters(dom, logx):
+    Q = dyadic.cube(dom, 1, (1,))
     with pytest.raises(ValueError):
         osc.oscillation(logx, Q, alpha=-0.1)
     with pytest.raises(ValueError):
@@ -106,30 +102,26 @@ def test_bmo_norm_resolves_nu_and_alpha(case):
                                   osc.bmo_norm(b, **explicit).values)
 
 
-def test_region_forms_agree(logx, grid):
-    Q = grid.cube_containing((0.5,), 2)
+@pytest.mark.parametrize("m", [6, 10])
+def test_cube_from_another_lattice_is_refused(m):
+    # An m = 6 cube names the wrong cells of an m = 8 lattice; an m = 10
+    # one indexes past its end.
+    dom8 = LatticeDomain(d=1, m=8, L=1.0)
+    b = SampledFunction(dom8, np.log(np.abs(dom8.midpoints()[0])))
+    cube = dyadic.cube(LatticeDomain(d=1, m=m, L=1.0), 3, (4,))
+    with pytest.raises(ValueError, match="domain mismatch"):
+        osc.region_cells(dom8, cube)
+    with pytest.raises(ValueError, match="domain mismatch"):
+        osc.oscillation(b, cube)
+
+
+def test_region_forms_agree(dom, logx):
+    Q = dyadic.cube(dom, 2, (3,))
     by_cube = osc.oscillation(logx, Q)
     by_mask = osc.oscillation(logx, Q.flat_cells())
     by_box = osc.oscillation(logx, Q.box())
     assert by_mask == pytest.approx(by_cube, rel=1e-14)
     assert by_box == pytest.approx(by_cube, rel=1e-14)
-
-
-def test_shifted_cube_region_matches_overlap_oracle(dom):
-    b = SampledFunction(dom, np.cos(3.0 * dom.midpoints()[0]))
-    cube = dyadic.grids(dom)[1].cube(3, (2,))
-    idx, w = osc.region_cells(dom, cube)
-    # oracle: clipped per-cell overlap lengths against every piece
-    edges = -dom.L + dom.h * np.arange(dom.n + 1)
-    ow = np.zeros(dom.n)
-    for lo, hi in cube.pieces():
-        ow += np.clip(np.minimum(edges[1:], hi[0]) - np.maximum(edges[:-1], lo[0]), 0.0, None)
-    got = np.zeros(dom.n)
-    np.add.at(got, idx, w)
-    np.testing.assert_allclose(got, ow, atol=1e-15)
-    mean = (b.values * ow).sum() / ow.sum()
-    want = (np.abs(b.values - mean) * ow).sum() / ow.sum()
-    assert osc.oscillation(b, cube) == pytest.approx(want, rel=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -140,10 +132,9 @@ def test_shifted_cube_region_matches_overlap_oracle(dom):
 )
 def test_shift_invariance_and_scaling(re, im, t):
     dom = LatticeDomain(d=1, m=6, L=1.0)
-    grid = dyadic.canonical_grid(dom)
     rng = np.random.default_rng(11)
     b = SampledFunction(dom, rng.standard_normal(dom.n) + 1j * rng.standard_normal(dom.n))
-    Q = grid.cube_containing((0.5,), 1)
+    Q = dyadic.cube(dom, 1, (1,))
     base = osc.oscillation(b, Q)
     shifted = SampledFunction(dom, b.values + complex(re, im))
     assert osc.oscillation(shifted, Q) == pytest.approx(base, rel=1e-12, abs=1e-12)
@@ -256,6 +247,22 @@ def test_small_scale_witness_for_log(log12):
         assert 8 * (ncells - mask.size) <= ncells  # |E| >= (1 - theta)|Q|
 
 
+@pytest.mark.parametrize("theta", [0.3, 0.4, 0.7])
+def test_small_scale_witness_keeps_budget_that_is_not_a_unit_fraction(theta):
+    # 1/theta is not an integer here: the integer budget must round down.
+    num, den = Fraction(str(theta)).as_integer_ratio()
+    dom = LatticeDomain(d=1, m=7, L=1.0)
+    for seed in range(4):
+        for scale in (1.0, 4.0):
+            rng = np.random.default_rng(seed)
+            b = SampledFunction(dom, np.cumsum(rng.standard_normal(dom.n)) / scale)
+            fam = osc.vmo_witness(b, c0=0.3, mode="small-scale", theta=theta, min_pairs=1)
+            assert fam is not None
+            for cube, mask in fam.entries:
+                ncells = cube.flat_cells().size
+                assert den * (ncells - mask.size) <= num * ncells  # |E| >= (1 - theta)|Q|
+
+
 def test_witness_modes_for_smooth_symbol(dom12):
     bump = sample_symbol(dom12, {"kind": "bump", "center": [0.0], "radius": 0.75})
     assert osc.vmo_witness(bump, c0=0.1, mode="small-scale") is None
@@ -293,53 +300,52 @@ def test_large_scale_witness_for_log(log12):
 # -- power comparison ---------------------------------------------------------
 
 
-def test_jn_constant_trivial(dom, grid):
+def test_jn_constant_trivial(dom):
     b = SampledFunction(dom, np.ones(dom.n))
     w = make_weight(dom, {"kind": "unit"})
-    rep = osc.jn_verify(b, w, p=2.0, r=2.0, alpha=0.0, root=grid.cube_containing((0.5,), 1))
+    rep = osc.jn_verify(b, w, p=2.0, r=2.0, alpha=0.0, root=dyadic.cube(dom, 1, (1,)))
     assert rep.r_norm == 0.0 and rep.one_norm == 0.0
     assert rep.ratio == 1.0
     assert rep.sparse_ratio == 0.0
 
 
-def test_jn_log_lebesgue_fixture(dom, grid, logx):
+def test_jn_log_lebesgue_fixture(dom, logx):
     rep = osc.jn_verify(logx, make_weight(dom, {"kind": "unit"}), p=2.0, r=2.0,
-                        alpha=0.0, root=grid.cube_containing((0.5,), 1))
+                        alpha=0.0, root=dyadic.cube(dom, 1, (1,)))
     assert rep.ratio >= 1.0 - 1e-9
     assert rep.ratio == pytest.approx(1.3538715943472384, rel=1e-12)
     assert rep.sparse_ratio == pytest.approx(1.2699572405735884, rel=1e-12)
 
 
-def test_jn_weighted_endpoint(dom, grid, logx):
+def test_jn_weighted_endpoint(dom, logx):
     w = make_weight(dom, {"kind": "power", "beta": 0.5})
     rep = osc.jn_verify(logx, w, p=2.0, r=2.0, alpha=0.0,
-                        root=grid.cube_containing((0.5,), 1))
+                        root=dyadic.cube(dom, 1, (1,)))
     assert rep.ratio >= 1.0 - 1e-9
     assert rep.sparse_ratio <= 4.0  # C_impl = 2^d * LAMBDA
 
 
-def test_jn_rejects_r_beyond_dual_exponent(dom, grid, logx):
+def test_jn_rejects_r_beyond_dual_exponent(dom, logx):
     w = make_weight(dom, {"kind": "unit"})
     with pytest.raises(ValueError):
         osc.jn_verify(logx, w, p=2.0, r=2.5, alpha=0.0,
-                      root=grid.cube_containing((0.5,), 1))
+                      root=dyadic.cube(dom, 1, (1,)))
 
 
-def test_jn_rejects_root_or_weight_off_the_symbol_domain(dom, grid, logx):
+def test_jn_rejects_root_or_weight_off_the_symbol_domain(dom, logx):
     other = LatticeDomain(d=1, m=dom.m - 1, L=1.0)
     w = make_weight(dom, {"kind": "unit"})
-    foreign_root = dyadic.canonical_grid(other).cube(1, (1,))
+    foreign_root = dyadic.cube(other, 1, (1,))
     with pytest.raises(ValueError, match="domain mismatch"):
         osc.jn_verify(logx, w, p=2.0, r=2.0, alpha=0.0, root=foreign_root)
     with pytest.raises(ValueError, match="domain mismatch"):
         osc.jn_verify(logx, make_weight(other, {"kind": "unit"}), p=2.0, r=2.0,
-                      alpha=0.0, root=grid.cube_containing((0.5,), 1))
+                      alpha=0.0, root=dyadic.cube(dom, 1, (1,)))
 
 
 def test_jn_random_symbols_hold_bounds():
     dom = LatticeDomain(d=1, m=8, L=1.0)
-    grid = dyadic.canonical_grid(dom)
-    root = grid.cube_containing((0.5,), 1)
+    root = dyadic.cube(dom, 1, (1,))
     w = make_weight(dom, {"kind": "power", "beta": 0.5})
     for seed in range(10):
         rng = np.random.default_rng(2000 + seed)

@@ -19,21 +19,16 @@ def dom():
 
 
 @pytest.fixture(scope="module")
-def grid(dom):
-    return dyadic.canonical_grid(dom)
-
-
-@pytest.fixture(scope="module")
-def unit_root(grid):
-    return grid.cube_containing((0.5,), 1)  # [0, 1)
+def unit_root(dom):
+    return dyadic.cube(dom, 1, (1,))  # [0, 1)
 
 
 def family(dom, cubes, cores=None):
     """A hand-made family; each core defaults to its whole cube."""
-    keys = [(cube.grid.grid_id, cube.generation, *cube.index) for cube in cubes]
+    keys = [(cube.generation, *cube.index) for cube in cubes]
     if cores is None:
         cores = [cube.flat_cells() for cube in cubes]
-    return sparse.SparseFamily(dom, np.array(keys, dtype=np.int64).reshape(-1, 2 + dom.d), list(cores))
+    return sparse.SparseFamily(dom, np.array(keys, dtype=np.int64).reshape(-1, 1 + dom.d), list(cores))
 
 
 def domination_ratio(b, root, family):
@@ -53,14 +48,14 @@ def domination_ratio(b, root, family):
 # -- verdicts -----------------------------------------------------------------
 
 
-def test_disjoint_full_cores_are_sparse(dom, grid):
-    cubes = [grid.cube(3, (k,)) for k in (0, 2, 5)]
+def test_disjoint_full_cores_are_sparse(dom):
+    cubes = [dyadic.cube(dom, 3, (k,)) for k in (0, 2, 5)]
     fam = family(dom, cubes)
     assert sparse.is_sparse(fam, gamma=0.9).ok
 
 
-def test_nested_full_cores_violate(dom, grid):
-    big = grid.cube(2, (1,))
+def test_nested_full_cores_violate(dom):
+    big = dyadic.cube(dom, 2, (1,))
     small = big.children()[0]
     fam = family(dom, [big, small])
     verdict = sparse.is_sparse(fam)
@@ -68,17 +63,17 @@ def test_nested_full_cores_violate(dom, grid):
     assert "intersect" in verdict.reason
 
 
-def test_thin_core_violates(dom, grid):
-    cube = grid.cube(3, (1,))
+def test_thin_core_violates(dom):
+    cube = dyadic.cube(dom, 3, (1,))
     cells = cube.flat_cells()
     fam = family(dom, [cube], [cells[: cells.size // 2]])
     verdict = sparse.is_sparse(fam)
     assert not verdict.ok and verdict.worst_entry == 0
 
 
-def test_core_escaping_cube_violates(dom, grid):
-    cube = grid.cube(3, (1,))
-    other = grid.cube(3, (2,))
+def test_core_escaping_cube_violates(dom):
+    cube = dyadic.cube(dom, 3, (1,))
+    other = dyadic.cube(dom, 3, (2,))
     fam = family(dom, [cube], [other.flat_cells()])
     assert not sparse.is_sparse(fam).ok
 
@@ -106,24 +101,16 @@ def test_constant_symbol_single_entry(dom, unit_root):
 
 def test_log_family_multi_generation():
     dom = LatticeDomain(d=1, m=12, L=1.0)
-    grid = dyadic.canonical_grid(dom)
-    root = grid.cube_containing((0.5,), 1)
+    root = dyadic.cube(dom, 1, (1,))
     b = SampledFunction(dom, np.log(np.abs(dom.midpoints()[0])))
     fam = sparse.cz_augment(b, root)
-    assert len(set(fam.entries[:, 1])) >= 3
+    assert len(set(fam.entries[:, 0])) >= 3
     assert sparse.is_sparse(fam).ok
     assert domination_ratio(b, root, fam) <= sparse.cz_constant(1)
     # selection is strictly sub-half at every node, in integer cells
     for cube, core in zip(fam.cubes(), fam.cores):
         ncells = cube.flat_cells().size
         assert 2 * (ncells - core.size) <= ncells
-
-
-def test_cz_rejects_shifted_root(dom):
-    b = SampledFunction(dom, dom.midpoints()[0].copy())
-    shifted = dyadic.grids(dom)[1].cube(2, (1,))
-    with pytest.raises(ValueError):
-        sparse.cz_augment(b, shifted)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -145,7 +132,7 @@ def test_cz_random_symbols_sparse_and_dominating(dom, unit_root, seed):
 
 def test_cz_two_dimensional_domination():
     dom = LatticeDomain(d=2, m=4, L=1.0)
-    root = dyadic.canonical_grid(dom).cube(0, (0, 0))
+    root = dyadic.cube(dom, 0, (0, 0))
     mx, my = dom.midpoints()
     b = SampledFunction(dom, np.log(np.sqrt(mx**2 + my**2)))
     fam = sparse.cz_augment(b, root)
@@ -226,7 +213,7 @@ def cz_cases(draw):
         values = np.full(dom.shape, draw(st.floats(-10.0, 10.0)))
     g = draw(st.integers(0, m))
     index = tuple(draw(st.integers(0, 2**g - 1)) for _ in range(d))
-    return SampledFunction(dom, values), dyadic.canonical_grid(dom).cube(g, index)
+    return SampledFunction(dom, values), dyadic.cube(dom, g, index)
 
 
 def fixed_cz_cases():
@@ -271,7 +258,7 @@ def test_cz_matches_children_walk_oracle(case):
 
 @pytest.mark.parametrize("b", fixed_cz_cases())
 def test_cz_matches_children_walk_oracle_fixed(b):
-    root = dyadic.canonical_grid(b.domain).cube(0, (0,) * b.domain.d)
+    root = dyadic.cube(b.domain, 0, (0,) * b.domain.d)
     assert_matches_walk_oracle(b, root)
 
 
@@ -280,7 +267,7 @@ def test_cz_rejects_root_off_the_symbol_domain():
     rng = np.random.default_rng(5)
     for b_dom, root_dom in ((small, large), (large, small)):
         b = SampledFunction(b_dom, rng.standard_normal(b_dom.shape))
-        root = dyadic.canonical_grid(root_dom).cube(1, (1,))
+        root = dyadic.cube(root_dom, 1, (1,))
         with pytest.raises(ValueError, match="domain mismatch"):
             sparse.cz_augment(b, root)
 
@@ -288,9 +275,9 @@ def test_cz_rejects_root_off_the_symbol_domain():
 def test_augmentation_ratio_rejects_foreign_root_or_family():
     small, large = LatticeDomain(d=1, m=5, L=1.0), LatticeDomain(d=1, m=6, L=1.0)
     b = SampledFunction(small, np.random.default_rng(6).standard_normal(small.shape))
-    root = dyadic.canonical_grid(small).cube(1, (1,))
+    root = dyadic.cube(small, 1, (1,))
     fam = sparse.cz_augment(b, root)
-    foreign_root = dyadic.canonical_grid(large).cube(1, (1,))
+    foreign_root = dyadic.cube(large, 1, (1,))
     with pytest.raises(ValueError, match="domain mismatch"):
         sparse.augmentation_ratio(b, foreign_root, fam)
     b_large = SampledFunction(large, np.random.default_rng(7).standard_normal(large.shape))
@@ -311,8 +298,8 @@ def test_augmentation_ratio_matches_local_oracle(dom, unit_root):
 # -- model operators ----------------------------------------------------------
 
 
-def test_star_with_constant_symbol_vanishes(dom, grid):
-    fam = family(dom, [grid.cube(1, (1,))])
+def test_star_with_constant_symbol_vanishes(dom):
+    fam = family(dom, [dyadic.cube(dom, 1, (1,))])
     b = SampledFunction(dom, np.full(dom.n, 4.0))
     f = SampledFunction(dom, np.sin(dom.midpoints()[0]))
     out = sparse.sparse_apply("star", f, fam, b=b)
@@ -331,8 +318,8 @@ def test_star_adjoint_duality(dom, unit_root):
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
-def test_apply_rejects_bad_kind(dom, grid):
-    fam = family(dom, [grid.cube(1, (1,))])
+def test_apply_rejects_bad_kind(dom):
+    fam = family(dom, [dyadic.cube(dom, 1, (1,))])
     f = SampledFunction(dom, np.ones(dom.n))
     with pytest.raises(ValueError):
         sparse.sparse_apply("nonsense", f, fam, b=f)
@@ -456,7 +443,6 @@ def hand_made_families(draw):
     d = draw(st.sampled_from((1, 2)))
     m = draw(st.integers(2, 5))
     dom = LatticeDomain(d=d, m=m, L=1.0)
-    grid = dyadic.canonical_grid(dom)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pairs = []
     for _ in range(draw(st.integers(0, 6))):
@@ -464,7 +450,7 @@ def hand_made_families(draw):
             cube = pairs[draw(st.integers(0, len(pairs) - 1))][0]  # a repeated cube
         else:
             g = draw(st.integers(0, m))
-            cube = grid.cube(g, tuple(draw(st.integers(0, 2**g - 1)) for _ in range(d)))
+            cube = dyadic.cube(dom, g, tuple(draw(st.integers(0, 2**g - 1)) for _ in range(d)))
         cells = cube.flat_cells()
         kind = draw(st.sampled_from(("whole", "majority", "thin", "escape", "empty")))
         if kind == "whole":
@@ -498,10 +484,9 @@ def test_hand_made_family_verdicts_match_entry_loop(case, seed):
 
 
 def nested_origin_family(dom):
-    grid = dyadic.canonical_grid(dom)
     cubes = []
     for gen in (1, 2, 3, 4):  # [0,1), [0,1/2), [0,1/4), [0,1/8)
-        cubes.append(grid.cube_containing((2.0**-gen / 2.0,), gen))
+        cubes.append(dyadic.cube(dom, gen, (2 ** (gen - 1),)))
     return family(dom, cubes, [np.empty(0, dtype=np.int64)] * len(cubes))
 
 
@@ -548,8 +533,8 @@ def test_carleson_single_cube_unity(dom, unit_root):
     assert sparse.carleson_constant(f, w, 2.0, fam) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_carleson_off_support_zero(dom, grid):
-    fam = family(dom, [grid.cube(1, (1,))])
+def test_carleson_off_support_zero(dom):
+    fam = family(dom, [dyadic.cube(dom, 1, (1,))])
     mids = dom.midpoints()[0]
     f = SampledFunction(dom, (mids < 0).astype(float))
     w = make_weight(dom, {"kind": "unit"})
@@ -560,7 +545,7 @@ def test_carleson_off_support_zero(dom, grid):
 
 def test_carleson_random_bounded():
     dom = LatticeDomain(d=1, m=8, L=1.0)
-    root = dyadic.canonical_grid(dom).cube_containing((0.5,), 1)
+    root = dyadic.cube(dom, 1, (1,))
     w = make_weight(dom, {"kind": "unit"})
     worst = 0.0
     for seed in range(50):
@@ -577,7 +562,7 @@ def test_lattice_mismatch_is_refused():
     b = {dom: SampledFunction(dom, np.log(np.abs(dom.midpoints()[0]))) for dom in (small, big)}
     f = {dom: SampledFunction(dom, np.abs(dom.midpoints()[0]) + 1.0) for dom in (small, big)}
     w = {dom: make_weight(dom, {"kind": "unit"}) for dom in (small, big)}
-    fam = sparse.cz_augment(b[small], dyadic.canonical_grid(small).cube_containing((0.5,), 1))
+    fam = sparse.cz_augment(b[small], dyadic.cube(small, 1, (1,)))
     for args in ((f[big], w[big]), (f[small], w[big]), (f[big], w[small])):
         with pytest.raises(ValueError, match="domain mismatch"):
             sparse.carleson_constant(*args, 2.0, fam)
@@ -589,8 +574,8 @@ def test_lattice_mismatch_is_refused():
         normest._SparseStar(b[big], fam)
 
 
-def test_almost_orthogonality_disjoint_exact(dom, grid):
-    cubes = [grid.cube(3, (k,)) for k in (0, 2, 5)]
+def test_almost_orthogonality_disjoint_exact(dom):
+    cubes = [dyadic.cube(dom, 3, (k,)) for k in (0, 2, 5)]
     fam = family(dom, cubes)
     rng = np.random.default_rng(9)
     pieces = []
@@ -602,8 +587,8 @@ def test_almost_orthogonality_disjoint_exact(dom, grid):
     assert sparse.almost_orthogonality_check(fam, pieces, w, 2.0) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_almost_orthogonality_preconditions(dom, grid):
-    big = grid.cube(2, (1,))
+def test_almost_orthogonality_preconditions(dom):
+    big = dyadic.cube(dom, 2, (1,))
     small = big.children()[1]
     fam = family(dom, [big, small],
                  [np.setdiff1d(big.flat_cells(), small.flat_cells()), small.flat_cells()])
@@ -623,7 +608,7 @@ def test_almost_orthogonality_preconditions(dom, grid):
 
 def test_almost_orthogonality_nested_bounded():
     dom = LatticeDomain(d=1, m=8, L=1.0)
-    root = dyadic.canonical_grid(dom).cube_containing((0.5,), 1)
+    root = dyadic.cube(dom, 1, (1,))
     w = make_weight(dom, {"kind": "power", "beta": 0.5})
     worst = 0.0
     for seed in range(50):
