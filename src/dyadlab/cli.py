@@ -329,6 +329,7 @@ def _exp_weights_check(ctx: RunContext) -> ExperimentResult:
 
 def _exp_bloom_verify(ctx: RunContext) -> ExperimentResult:
     rep = bloom_sandwich_report(ctx.mu, ctx.lam, ctx.setup)
+    keys = dyadic.canonical_keys(ctx.domain)
     summary_rows = [(rep.min_ratio, rep.max_ratio, rep.upper, rep.s,
                      rep.intermediate_characteristic, rep.intermediate_bound)]
     assertions = [
@@ -345,7 +346,7 @@ def _exp_bloom_verify(ctx: RunContext) -> ExperimentResult:
     return ExperimentResult(
         tables={
             "sandwich_cubes": (("generation", "index", "ratio"),
-                               [rep.cubes[:, 0], rep.cubes[:, 1:], rep.ratios]),
+                               [keys[:, 0], keys[:, 1:], rep.ratios]),
             "sandwich_summary": (("min_ratio", "max_ratio", "upper", "s",
                                   "intermediate_characteristic",
                                   "intermediate_bound"), list(zip(*summary_rows))),
@@ -358,13 +359,12 @@ def _exp_bloom_verify(ctx: RunContext) -> ExperimentResult:
 
 def _exp_bmo_compute(ctx: RunContext) -> ExperimentResult:
     rows, assertions, headline = [], [], {}
+    nu = bloom_weight(ctx.mu, ctx.lam, ctx.setup)
+    r = _param(ctx, "r", 1.0, float)
     for sid, b in ctx.symbols:
-        rep = oscillation.bmo_norm(
-            b, mode="fractional", mu=ctx.mu, lam=ctx.lam, setup=ctx.setup,
-            r=_param(ctx, "r", 1.0, float),
-        )
+        rep = oscillation.bmo_norm(b, nu, ctx.setup.alpha, r)
         gen, idx = _cube_key(rep.argmax_cube)
-        rows.append((sid, rep.mode, rep.supremum, gen, idx))
+        rows.append((sid, "fractional", rep.supremum, gen, idx))
         assertions.append(
             _assertion(f"bmo-finite:{sid}", math.isfinite(rep.supremum),
                        detail=f"sup = {rep.supremum:.6g}")
@@ -474,6 +474,7 @@ def _exp_commutator_sweep(ctx: RunContext) -> ExperimentResult:
         headline[f"ratio_{sid}"] = row["norm_over_bmo"]
     flags = [f"probe-refused:{r['symbol']}" for r in sweep_rows
              if not math.isfinite(r["probe"])]
+    flags.extend(f"ascent-cap:{r['symbol']}" for r in sweep_rows if r["capped"])
     return ExperimentResult(
         tables={"commutator": (("symbol", "bmo", "norm", "probe", "norm_over_bmo",
                                 "probe_over_norm"), list(zip(*rows)))},

@@ -7,17 +7,20 @@ experiment runs on this one grid.
 
 A cube family is held as its per-generation tables: entry [index] of
 the generation-j table belongs to cube (j, index), and no DyadicCube is
-built per cube.  Family reports and stopping-time families
-(sparse.SparseFamily) name their cubes by key rows (generation,
-index...), one integer row per cube (canonical_keys gives them in
-enumerate_cubes order); a DyadicCube is built from a single row
-(key_cube) where one is needed, such as the argmax.
+built per cube.  A whole-family functional returns a FamilyReport: one
+value per canonical cube, position i belonging to row i of
+canonical_keys (enumerate_cubes order).  family_cube maps a position to
+its cube by arithmetic, so a report builds no key rows unless its
+`cubes` are read.  Stopping-time families (sparse.SparseFamily) name
+their cubes by key rows (generation, index...); a DyadicCube is built
+from a single row (key_cube) where one is needed.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -124,6 +127,40 @@ def _family_vector(tables) -> np.ndarray:
     """Per-generation tables, coarse to fine, as one vector whose entries
     line up with the canonical_keys rows."""
     return np.concatenate([table.ravel() for table in tables])
+
+
+def family_cube(domain: LatticeDomain, position: int) -> DyadicCube:
+    """The cube of row `position` of canonical_keys(domain)."""
+    per_cube = 2**domain.d
+    for j in range(domain.m + 1):
+        count = per_cube**j
+        if position < count:
+            return cube(domain, j, np.unravel_index(position, (2**j,) * domain.d))
+        position -= count
+    raise ValueError("position past the end of the canonical family")
+
+
+@dataclass
+class FamilyReport:
+    """One value per canonical cube: values[i] belongs to row i of
+    canonical_keys(domain)."""
+
+    domain: LatticeDomain
+    values: np.ndarray
+    flags: set = field(default_factory=set)
+
+    @property
+    def supremum(self) -> float:
+        return float(np.max(self.values))
+
+    @property
+    def argmax_cube(self) -> DyadicCube:
+        return family_cube(self.domain, int(np.argmax(self.values)))
+
+    @functools.cached_property
+    def cubes(self) -> np.ndarray:
+        """Key rows of the family, built on first read."""
+        return canonical_keys(self.domain)
 
 
 def key_cube(domain: LatticeDomain, key) -> DyadicCube:

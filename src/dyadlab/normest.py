@@ -43,7 +43,7 @@ from dyadlab.operators import (  # noqa: F401  (commutator_matrix: public dense 
     commutator_matrix,
     split,
 )
-from dyadlab.weights import ExponentSetup, Weight
+from dyadlab.weights import ExponentSetup, Weight, bloom_weight
 
 ASCENT_RESTARTS = 32
 ASCENT_ITERATIONS = 200
@@ -374,15 +374,17 @@ def bmo_vs_norm_sweep(symbols, op: Operator, mu: Weight, lam: Weight,
     `op` is the kernel operator T (any backend); each commutator [b, T] is
     applied, never formed.  Ratio columns divide by zero as 0 (constant
     symbols produce all-zero rows); a refused probe shows up as nan rather
-    than killing the sweep.
+    than killing the sweep.  `capped` counts the ascent restarts that ran
+    out of steps.
     """
     if isinstance(symbols, dict):
         items = list(symbols.items())
     else:
         items = list(symbols)
+    nu = bloom_weight(mu, lam, setup)
     rows = []
     for name, b in items:
-        bmo = oscillation.bmo_norm(b, mode="fractional", mu=mu, lam=lam, setup=setup).supremum
+        bmo = oscillation.bmo_norm(b, nu, setup.alpha).supremum
         est = opnorm_estimate(Commutator(b, op), setup.p, mu, setup.q, lam, budget=budget)
         cube = _probe_cube_for(b, probe_generation)
         try:
@@ -398,6 +400,7 @@ def bmo_vs_norm_sweep(symbols, op: Operator, mu: Weight, lam: Weight,
             "probe": probe,
             "norm_over_bmo": est.value / bmo if bmo > 0.0 else 0.0,
             "probe_over_norm": probe / est.value if est.value > 0.0 else 0.0,
+            "capped": est.capped,
         })
     return rows
 
@@ -441,6 +444,7 @@ def compactness_profile(b: SampledFunction, kernel: KernelSpec, setup: ExponentS
     vanishing sequence is the compactness signature, a floor is the
     obstruction.  The companion columns estimate the norm of the sparse
     star operator restricted to what survives splitting at threshold k.
+    Flag "ascent-cap" means some estimate had restarts that ran out of steps.
     """
     dom = b.domain
     eps_list = tuple(float(e) for e in eps_list)
@@ -450,16 +454,18 @@ def compactness_profile(b: SampledFunction, kernel: KernelSpec, setup: ExponentS
         raise ValueError(f"eps below resolution floor 4h = {4.0 * dom.h}")
 
     tails = []
+    flags = set()
     for eps in eps_list:
         _, residual = split(kernel, dom, eps)
         est = opnorm_estimate(Commutator(b, residual), setup.p, mu, setup.q, lam,
                               budget=budget)
         tails.append(est.value)
+        if est.capped:
+            flags.add("ascent-cap")
 
     root = dyadic.cube(dom, 0, (0,) * dom.d)
     family = sparse.cz_augment(b, root)
     sparse_tails = []
-    flags = set()
     for k in k_list:
         kept = sparse.split_family(family, float(k))
         if len(kept) == 0:
@@ -468,6 +474,8 @@ def compactness_profile(b: SampledFunction, kernel: KernelSpec, setup: ExponentS
         est = opnorm_estimate(_SparseStar(b, kept), setup.p, mu, setup.q, lam,
                               budget=budget)
         sparse_tails.append(est.value)
+        if est.capped:
+            flags.add("ascent-cap")
     if len(family) and not sparse_tails:
         flags.add("no-split-thresholds")
     return CompactnessReport(eps_list, tuple(tails), tuple(k_list), tuple(sparse_tails), flags)

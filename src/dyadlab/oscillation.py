@@ -15,10 +15,11 @@ nu dx:
 which reduces to osc at r = 1 and is nondecreasing in r by Jensen's
 inequality, cube by cube.
 
-Two norm normalizations over the canonical cube family:
+Two norms over the canonical cube family, each a dyadic.FamilyReport
+of per-cube values:
 
-* fractional: sup_Q osc(b; Q) with the nu-normalization above;
-* two-weight: sup_Q int_Q |b - <b>_Q| / (mu^p(Q)^{1/p} lam^{-q'}(Q)^{1/q'}).
+* bmo_norm, fractional: sup_Q osc_r(b; Q) with the nu-normalization above;
+* two_weight_norm: sup_Q int_Q |b - <b>_Q| / (mu^p(Q)^{1/p} lam^{-q'}(Q)^{1/q'}).
 
 When nu is the intermediate weight of (mu, lam) at exponents (p, q),
 every cube's fractional value equals its two-weight value times the mass
@@ -37,14 +38,14 @@ and, verified numerically per pair, osc(b; E) >= c0/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from dyadlab import dyadic, sparse
 from dyadlab.dyadic import _broadcast_generation, _generation_mean
 from dyadlab.lattice import Box, LatticeDomain, SampledFunction, box_cells
-from dyadlab.weights import ExponentSetup, Weight, bloom_weight
+from dyadlab.weights import ExponentSetup, Weight
 
 _GEN_FLOOR_CELLS = 4  # profile curves stop at cubes of side 4h
 PROFILE_RADII = (0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75)  # distance curve, in units of L
@@ -113,16 +114,6 @@ def oscillation(
 # -- cube-family reports -----------------------------------------------------
 
 
-@dataclass
-class OscillationReport:
-    values: np.ndarray
-    cubes: np.ndarray  # key rows (dyadic.canonical_keys), one per value
-    supremum: float
-    argmax_cube: object
-    mode: str
-    flags: set = field(default_factory=set)
-
-
 def _generation_oscillations(
     b: SampledFunction,
     generation: int,
@@ -152,61 +143,37 @@ def _generation_oscillations(
     return nu_mass ** (-alpha / dom.d) * inner
 
 
-def _generation_two_weight(
-    b: SampledFunction, generation: int, mu: Weight, lam: Weight, setup: ExponentSetup
-) -> np.ndarray:
-    dom = b.domain
-    vol = (dom.width * 2.0**-generation) ** dom.d
-    mean = _broadcast_generation(dom, _generation_mean(b.values, generation), generation)
-    dev_int = _generation_mean(np.abs(b.values - mean), generation) * vol
-    mu_mass = _generation_mean(mu.power(setup.p).values, generation) * vol
-    lam_mass = _generation_mean(lam.power(-setup.q_prime).values, generation) * vol
-    return dev_int / (mu_mass ** (1.0 / setup.p) * lam_mass ** (1.0 / setup.q_prime))
-
-
 def bmo_norm(
     b: SampledFunction,
-    mode: str = "fractional",
     nu: Weight | None = None,
-    alpha: float | None = None,
-    mu: Weight | None = None,
-    lam: Weight | None = None,
-    setup: ExponentSetup | None = None,
+    alpha: float = 0.0,
     r: float = 1.0,
-) -> OscillationReport:
-    """Supremum of the chosen per-cube functional over the canonical cubes.
+) -> dyadic.FamilyReport:
+    """sup_Q osc_r(b; Q) over the canonical cubes; unweighted without nu."""
+    _check_exponents(alpha, r)
+    return dyadic.FamilyReport(b.domain, dyadic._family_vector(
+        _generation_oscillations(b, j, nu, alpha, r) for j in range(b.domain.m + 1)
+    ))
 
-    mode "fractional" uses (nu, alpha); without nu, (mu, lam, setup) give
-    the Bloom weight, else the functional is unweighted.  alpha defaults
-    to setup.alpha when there is a weight and a setup, else to 0.  Mode
-    "two-weight" needs (mu, lam, setup) and has no r knob.
-    """
+
+def two_weight_norm(
+    b: SampledFunction, mu: Weight, lam: Weight, setup: ExponentSetup
+) -> dyadic.FamilyReport:
+    """sup_Q int_Q |b - <b>_Q| / (mu^p(Q)^{1/p} lam^{-q'}(Q)^{1/q'}) over
+    the canonical cubes."""
     dom = b.domain
-    if mode not in ("fractional", "two-weight"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "two-weight":
-        if mu is None or lam is None or setup is None:
-            raise ValueError("two-weight mode needs mu, lam and setup")
-        if r != 1.0:
-            raise ValueError("two-weight mode is defined at r = 1")
-        tables = (_generation_two_weight(b, j, mu, lam, setup) for j in range(dom.m + 1))
-    else:
-        if nu is None and mu is not None and lam is not None and setup is not None:
-            nu = bloom_weight(mu, lam, setup)
-        if alpha is None:
-            alpha = setup.alpha if nu is not None and setup is not None else 0.0
-        _check_exponents(alpha, r)
-        tables = (_generation_oscillations(b, j, nu, alpha, r) for j in range(dom.m + 1))
-    keys = dyadic.canonical_keys(dom)
-    values = dyadic._family_vector(tables)
-    sup_idx = int(np.argmax(values))
-    return OscillationReport(
-        values=values,
-        cubes=keys,
-        supremum=float(values[sup_idx]),
-        argmax_cube=dyadic.key_cube(dom, keys[sup_idx]),
-        mode=mode,
-    )
+    mu_p = mu.power(setup.p).values
+    lam_q = lam.power(-setup.q_prime).values
+    tables = []
+    for j in range(dom.m + 1):
+        vol = (dom.width * 2.0**-j) ** dom.d
+        mean = _broadcast_generation(dom, _generation_mean(b.values, j), j)
+        dev_int = _generation_mean(np.abs(b.values - mean), j) * vol
+        mu_mass = _generation_mean(mu_p, j) * vol
+        lam_mass = _generation_mean(lam_q, j) * vol
+        tables.append(dev_int / (mu_mass ** (1.0 / setup.p)
+                                 * lam_mass ** (1.0 / setup.q_prime)))
+    return dyadic.FamilyReport(dom, dyadic._family_vector(tables))
 
 
 # -- vanishing-oscillation profile and witnesses -----------------------------
@@ -312,7 +279,7 @@ def _verify_entries(b, nu, alpha, r, c0, picked):
     return entries, oscs
 
 
-def _witness_small(b, nu, alpha, r, c0, theta, min_pairs):
+def _witness_small(b, nu, alpha, r, c0, cands, theta, min_pairs):
     """Greedy subsequence extraction with integer-exact removal budgets.
 
     A candidate nested inside an accepted cube A must (a) keep A's total
@@ -321,9 +288,8 @@ def _witness_small(b, nu, alpha, r, c0, theta, min_pairs):
     removal at (theta/4)/(1 - theta/4) < theta, so budgets only bind when
     several disjoint chains share an ancestor.  All checks are exact cell
     counts."""
-    cands = _candidate_cubes(b, nu, alpha, r, c0)
     # big first; deterministic tie-break by generation and index
-    cands.sort(key=lambda t: (-t[0].volume, t[0].generation, t[0].index))
+    cands = sorted(cands, key=lambda t: (-t[0].volume, t[0].generation, t[0].index))
     inv_theta = math.ceil(1.0 / theta)
     for inv in (inv_theta, 2 * inv_theta):
         accepted = []  # [cube, cells, removed cell count]
@@ -353,11 +319,10 @@ def _witness_small(b, nu, alpha, r, c0, theta, min_pairs):
     return None
 
 
-def _witness_far(b, nu, alpha, r, c0, min_pairs):
+def _witness_far(b, nu, alpha, r, c0, cands, min_pairs):
     """Disjoint cubes at distances increasing by at least L/8 per step,
     required to reach ESCAPE_RADIUS * L; E = Q throughout."""
-    cands = _candidate_cubes(b, nu, alpha, r, c0)
-    cands.sort(key=lambda t: (t[0].dist_to_origin(), t[0].generation, t[0].index))
+    cands = sorted(cands, key=lambda t: (t[0].dist_to_origin(), t[0].generation, t[0].index))
     step = b.domain.L / 8.0
     accepted = []
     used = np.empty(0, dtype=np.int64)
@@ -382,11 +347,10 @@ def _witness_far(b, nu, alpha, r, c0, min_pairs):
     return None
 
 
-def _witness_large(b, nu, alpha, r, c0, min_pairs):
+def _witness_large(b, nu, alpha, r, c0, cands, min_pairs):
     """Nested escape to ever larger cubes: E strips off everything already
     used, oscillation re-verified on each strip before acceptance."""
-    cands = _candidate_cubes(b, nu, alpha, r, c0)
-    cands.sort(key=lambda t: (t[0].volume, t[0].generation, t[0].index))
+    cands = sorted(cands, key=lambda t: (t[0].volume, t[0].generation, t[0].index))
     picked = []
     used = np.empty(0, dtype=np.int64)
     last_vol = None
@@ -433,16 +397,16 @@ def vmo_witness(
     if not (theta > 0.0 and math.isfinite(1.0 / theta)):
         raise ValueError(f"theta must be positive with a finite reciprocal, got {theta}")
     searchers = {
-        "small-scale": lambda: _witness_small(b, nu, alpha, r, c0, theta, min_pairs),
-        "far-away": lambda: _witness_far(b, nu, alpha, r, c0, min_pairs),
-        "large-scale": lambda: _witness_large(b, nu, alpha, r, c0, min_pairs),
+        "small-scale": lambda cands: _witness_small(b, nu, alpha, r, c0, cands, theta,
+                                                    min_pairs),
+        "far-away": lambda cands: _witness_far(b, nu, alpha, r, c0, cands, min_pairs),
+        "large-scale": lambda cands: _witness_large(b, nu, alpha, r, c0, cands, min_pairs),
     }
-    if mode is not None:
-        if mode not in searchers:
-            raise ValueError(f"unknown witness mode {mode!r}")
-        return searchers[mode]()
-    for name in ("small-scale", "far-away", "large-scale"):
-        found = searchers[name]()
+    if mode is not None and mode not in searchers:
+        raise ValueError(f"unknown witness mode {mode!r}")
+    cands = _candidate_cubes(b, nu, alpha, r, c0)
+    for name in (mode,) if mode is not None else searchers:
+        found = searchers[name](cands)
         if found is not None:
             return found
     return None

@@ -6,7 +6,8 @@ Exponent conventions, for 1 < p <= q < infinity:
 * The joint characteristic is
       [sigma, tau]_{A_{p,q}} = sup_Q <sigma^q>_Q^{1/q} <tau^{-p'}>_Q^{1/p'},
   with plain (unweighted) cube averages and Q over the canonical dyadic
-  cubes, read off per-generation tables; [w]_{A_p} is recovered as
+  cubes, read off per-generation tables and returned as a
+  dyadic.FamilyReport; [w]_{A_p} is recovered as
   apq(w^{1/p}, w^{1/p}, p, p)^p.
 * Given mu in A_{p,p} and lambda in A_{q,q}, the intermediate weight is
       nu = (mu/lambda)^{1/(1 + alpha/d)},
@@ -15,8 +16,8 @@ Exponent conventions, for 1 < p <= q < infinity:
         <= [mu]_{A_{p,p}} [lambda]_{A_{q,q}}
   holds (Jensen and Hoelder on the left, the two characteristics on the
   right).  Both steps are inequalities between weighted means of the cell
-  values, so they hold verbatim for lattice averages; the report checks
-  them cube by cube.
+  values, so they hold verbatim for lattice averages; the sandwich report
+  checks them cube by cube, its ratios in FamilyReport order.
 * With s = 2/(1 + alpha/d), nu^{1/s} = (mu/lambda)^{1/2} and
   [nu^{1/s}]_{A_{s,s}} <= ([mu]_{A_{p,p}} [lambda]_{A_{q,q}})^{1/2}.
 
@@ -173,32 +174,15 @@ def make_weight(domain: LatticeDomain, spec: dict) -> Weight:
                 proj = mids[0] * np.cos(theta) + mids[1] * np.sin(theta)
             logw = logw + a * np.cos(np.pi * k * proj / domain.L + phase)
         tag = f"logsmooth[{seed}]"
-    values = np.exp(logw)
+    with np.errstate(over="ignore"):  # the check below names the weight
+        values = np.exp(logw)
     if not (np.all(np.isfinite(values)) and np.all(values > 0.0)):
         raise ValueError(f"weight {tag} leaves the floating-point range")
     return Weight(domain, values, logw, tag=tag, spec=tuple(sorted(spec.items())))
 
 
-@dataclass
-class CharacteristicReport:
-    """Per-cube characteristic values over the canonical cube family; cubes
-    holds its key rows (dyadic.canonical_keys)."""
-
-    values: np.ndarray
-    cubes: np.ndarray
-    supremum: float
-    argmax_cube: object
-    flags: set = field(default_factory=set)
-
-    def __post_init__(self):
-        if self.values.size and not math.isclose(
-            self.supremum, float(np.max(self.values)), rel_tol=1e-12
-        ):
-            raise ValueError("supremum must equal the max of the per-cube values")
-
-
 def _family_averages(f: SampledFunction) -> np.ndarray:
-    """Plain averages of f over every canonical cube, in canonical_keys order."""
+    """Plain averages of f over every canonical cube, in family order."""
     return dyadic._family_vector(
         np.real(dyadic.generation_averages(f, j)) for j in range(f.domain.m + 1)
     )
@@ -209,7 +193,7 @@ def apq_characteristic(
     tau: Weight,
     p: float,
     q: float,
-) -> CharacteristicReport:
+) -> dyadic.FamilyReport:
     """[sigma, tau]_{A_{p,q}} over the canonical cubes, with per-cube values."""
     if not (1.0 < p < math.inf and 1.0 < q < math.inf):
         raise ValueError(f"need 1 < p, q < inf, got p={p}, q={q}")
@@ -219,21 +203,13 @@ def apq_characteristic(
     flags = set()
     if sigma.power_overflows(q) or tau.power_overflows(-p_prime):
         flags.add("overflow")
-    keys = dyadic.canonical_keys(sigma.domain)
     a = _family_averages(sigma.power(q))
     b = _family_averages(tau.power(-p_prime))
     values = a ** (1.0 / q) * b ** (1.0 / p_prime)
     if not np.all(np.isfinite(values)):
         flags.add("overflow")
         values = np.nan_to_num(values, posinf=_CLIP)
-    sup_idx = int(np.argmax(values))
-    return CharacteristicReport(
-        values=values,
-        cubes=keys,
-        supremum=float(values[sup_idx]),
-        argmax_cube=dyadic.key_cube(sigma.domain, keys[sup_idx]),
-        flags=flags,
-    )
+    return dyadic.FamilyReport(sigma.domain, values, flags)
 
 
 def bloom_weight(mu: Weight, lam: Weight, setup: ExponentSetup) -> Weight:
@@ -267,8 +243,7 @@ def membership_surrogate(w: Weight, p: float) -> dict:
 
 @dataclass
 class SandwichReport:
-    cubes: np.ndarray  # key rows, as in CharacteristicReport
-    ratios: np.ndarray
+    ratios: np.ndarray  # one per canonical cube, in dyadic.FamilyReport order
     lower: float
     upper: float
     mu_characteristic: float
@@ -310,7 +285,6 @@ def bloom_sandwich_report(
     flags = set()
     nu = bloom_weight(mu, lam, setup)
     p, q = setup.p, setup.q
-    keys = dyadic.canonical_keys(mu.domain)
     if mu.power_overflows(p) or lam.power_overflows(-setup.q_prime):
         flags.add("overflow")
     mu_p = _family_averages(mu.power(p))
@@ -332,7 +306,6 @@ def bloom_sandwich_report(
     if not membership["mu"]["ok"] or not membership["lam"]["ok"]:
         flags.add("membership-surrogate-failed")
     return SandwichReport(
-        cubes=keys,
         ratios=ratios,
         lower=1.0,
         upper=mu_char * lam_char,

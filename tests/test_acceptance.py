@@ -18,6 +18,7 @@ from dyadlab.weights import (
     ExponentSetup,
     apq_characteristic,
     bloom_sandwich_report,
+    bloom_weight,
     make_weight,
 )
 
@@ -123,8 +124,8 @@ def test_c03_bmo_equivalence_per_cube(dom10):
         upper = (apq_characteristic(mu, mu, st.p, st.p).supremum
                  * apq_characteristic(lam, lam, st.q, st.q).supremum)
         for b in symbols:
-            tw = oscillation.bmo_norm(b, mode="two-weight", mu=mu, lam=lam, setup=st).values
-            fr = oscillation.bmo_norm(b, mode="fractional", mu=mu, lam=lam, setup=st).values
+            tw = oscillation.two_weight_norm(b, mu, lam, st).values
+            fr = oscillation.bmo_norm(b, bloom_weight(mu, lam, st), st.alpha).values
             ok = ok and bool(np.all(tw <= fr * (1 + 1e-9)))
             ok = ok and bool(np.all(fr <= upper * tw * (1 + 1e-9)))
             with np.errstate(invalid="ignore", divide="ignore"):
@@ -251,8 +252,8 @@ def test_c08_fractional_norms(unit10):
         dom = LatticeDomain(d=1, m=m, L=1.0)
         unit = make_weight(dom, {"kind": "unit"})
         b = SampledFunction(dom, np.abs(dom.midpoints()[0]) ** 0.25)
-        bmos.append(oscillation.bmo_norm(b, mode="fractional", mu=unit, lam=unit,
-                                         setup=setup).supremum)
+        bmos.append(oscillation.bmo_norm(b, bloom_weight(unit, unit, setup),
+                                         setup.alpha).supremum)
         comm = ops.commutator_matrix(b, ops.assemble(ops.make_kernel("hilbert"), dom))
         norms.append(normest.opnorm_estimate(comm, 2.0, unit, 4.0, unit).value)
     ok = max(bmos) <= 1.05 * min(bmos)

@@ -110,7 +110,9 @@ def test_overflowing_weight_spec_exits_2(tmp_path, capsys, experiment):
         "domain": {"d": 1, "m": 8},
         "weights": {"mu": {"kind": "logsmooth", "amplitude": 2000.0}},
     }
-    assert cli.run(cfg, out_dir=tmp_path / "out") == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.run(cfg, out_dir=tmp_path / "out") == 2
     assert "bad weight spec" in capsys.readouterr().err
 
 
@@ -193,9 +195,10 @@ def test_sandwich_cubes_csv_round_trips(tmp_path, d, m):
     ctx = cli._build_context(cfg)
     rep = cli.bloom_sandwich_report(ctx.mu, ctx.lam, ctx.setup)
     assert header == ["generation", "index", "ratio"]
-    assert len(rows) == len(rep.cubes) == sum(2 ** (d * j) for j in range(m + 1))
+    cubes = cli.dyadic.canonical_keys(ctx.domain)
+    assert len(rows) == len(cubes) == sum(2 ** (d * j) for j in range(m + 1))
     keys = [[int(r[0]), *map(int, r[1].split("_"))] for r in rows]
-    np.testing.assert_array_equal(np.array(keys), rep.cubes)
+    np.testing.assert_array_equal(np.array(keys), cubes)
     np.testing.assert_array_equal(np.array([float(r[2]) for r in rows]), rep.ratios)
 
 
@@ -266,6 +269,21 @@ def test_compactness_profile_long_format(tmp_path):
     assert [float(r[1]) for r in rows] == eps
     _, k_rows = read_csv(out / "sparse_tails.csv")
     assert [float(r[1]) for r in k_rows] == [1.0, 2.0]
+
+
+def test_commutator_sweep_flags_capped_ascent(tmp_path):
+    cfg = {
+        "experiment": "commutator-sweep",
+        "domain": {"d": 1, "m": 6},
+        "exponents": {"p": 2.0, "q": 3.0},
+        "kernel": {"variant": "hilbert"},
+        "symbols": [{"id": "half", "terms": [{"kind": "abs_power", "exponent": 0.5}]}],
+        "params": {"budget": 8},
+    }
+    out = tmp_path / "out"
+    assert cli.run(cfg, out_dir=out) == 0
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert "ascent-cap:half" in summary["flags"]
 
 
 def test_vmo_witness_dump_and_flags(tmp_path):
@@ -584,7 +602,7 @@ def test_main_wires_subcommands(tmp_path):
     assert (tmp_path / "out" / "summary.json").exists()
 
 
-def test_module_invocation(tmp_path):
+def test_module_invocation(tmp_path, child_env):
     path = write_config(tmp_path, {
         "experiment": "weights-check",
         "domain": {"d": 1, "m": 6},
@@ -592,7 +610,7 @@ def test_module_invocation(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "dyadlab.cli", "run", "--config", path,
          "--out", str(tmp_path / "out")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env,
     )
     assert proc.returncode == 0, proc.stderr
     assert "wrote" in proc.stdout

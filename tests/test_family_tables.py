@@ -79,17 +79,23 @@ def test_canonical_tables_match_object_path(case):
     assert keys.tolist() == [[c.generation, *c.index] for c in cubes]
     assert [dyadic.key_cube(dom, key) for key in keys] == cubes
 
+    assert [dyadic.family_cube(dom, i) for i in range(len(cubes))] == cubes
+
     frac = osc.bmo_norm(b, nu=mu, alpha=alpha, r=r)
+    assert "cubes" not in vars(frac)  # key rows are built only when read
     close(frac.values, [osc.oscillation(b, c, nu=mu, alpha=alpha, r=r) for c in cubes])
     assert np.array_equal(frac.cubes, keys)
 
-    two = osc.bmo_norm(b, mode="two-weight", mu=mu, lam=lam, setup=setup)
+    two = osc.two_weight_norm(b, mu, lam, setup)
     close(two.values, [two_weight_value(b, c, mu, lam, setup) for c in cubes])
     assert dyadic.key_cube(dom, two.cubes[np.argmax(two.values)]) == two.argmax_cube
 
     apq = apq_characteristic(mu, lam, setup.p, setup.q)
     close(apq.values, [apq_value(mu, lam, setup.p, setup.q, c) for c in cubes])
     assert np.array_equal(apq.cubes, keys)
+
+    for rep in (frac, two, apq):
+        assert rep.argmax_cube == cubes[int(np.argmax(rep.values))]
 
 
 @settings(max_examples=12, deadline=None)

@@ -275,9 +275,10 @@ raise SystemExit(1)
 """
 
 
-def test_split_identity_check_survives_optimize_flag():
+def test_split_identity_check_survives_optimize_flag(child_env):
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", _BROKEN_SPLIT], capture_output=True, text=True
+        [sys.executable, "-O", "-c", _BROKEN_SPLIT], capture_output=True, text=True,
+        env=child_env,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "splitting identity broke" in proc.stdout

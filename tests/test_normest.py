@@ -241,6 +241,22 @@ def test_sweep_scale_invariant_ratios(dom, unit, b_log, hilbert_op):
     assert r5["norm_over_bmo"] == pytest.approx(r1["norm_over_bmo"], rel=1e-9)
 
 
+@pytest.fixture(scope="module")
+def capping():
+    """d = 1, m = 6, (p, q) = (2, 3), unit weights: at budget 8 the default
+    step cap stops ascents on these symbols before they settle."""
+    dom6 = LatticeDomain(d=1, m=6, L=1.0)
+    return dom6, make_weight(dom6, {"kind": "unit"}), ExponentSetup(p=2.0, q=3.0, d=1)
+
+
+def test_sweep_rows_count_capped_restarts(capping):
+    dom6, unit6, setup = capping
+    b = sample_symbol(dom6, [{"kind": "abs_power", "exponent": 0.5}])
+    op = ops.Convolution(ops.make_kernel("hilbert"), dom6)
+    [row] = normest.bmo_vs_norm_sweep([("half", b)], op, unit6, unit6, setup, budget=8)
+    assert row["capped"] == 8
+
+
 # -- compactness --------------------------------------------------------------
 
 
@@ -299,6 +315,14 @@ def test_compactness_constant_symbol(m8):
         ExponentSetup(p=2.0, q=2.0, d=1), [0.5, 0.25], unit8, unit8)
     assert rep.tail_norms == (0.0, 0.0)
     assert all(v == 0.0 for v in rep.sparse_tail_norms)
+
+
+def test_compactness_flags_capped_ascent(capping):
+    dom6, unit6, setup = capping
+    b = sample_symbol(dom6, [{"kind": "coordinate"}])
+    rep = normest.compactness_profile(b, ops.make_kernel("hilbert"), setup, (0.5, 0.25),
+                                      unit6, unit6, k_list=(1.0,), budget=8)
+    assert rep.flags == {"ascent-cap"}
 
 
 def test_compactness_eps_guards(m8):

@@ -81,27 +81,6 @@ def test_bmo_norm_rejects_negative_alpha_on_every_family_path():
         osc.bmo_norm(b, alpha=-1.0)
 
 
-@pytest.mark.parametrize("case", ["nu", "nu-and-setup", "mu-lam-setup", "setup-alone"])
-def test_bmo_norm_resolves_nu_and_alpha(case):
-    # Without alpha, the weight and alpha resolve to the explicit call.
-    dom = LatticeDomain(d=1, m=5, L=1.0)
-    b = SampledFunction(dom, np.log(np.abs(dom.midpoints()[0])))
-    setup = ExponentSetup(2.0, 4.0, 1)
-    mu = make_weight(dom, {"kind": "power", "beta": 0.3})
-    lam = make_weight(dom, {"kind": "logsmooth", "seed": 7})
-    nu = bloom_weight(mu, lam, setup)
-    implicit, explicit = {
-        "nu": ({"nu": mu}, {"nu": mu, "alpha": 0.0}),
-        "nu-and-setup": ({"nu": mu, "setup": setup}, {"nu": mu, "alpha": setup.alpha}),
-        "mu-lam-setup": ({"mu": mu, "lam": lam, "setup": setup},
-                         {"nu": nu, "alpha": setup.alpha}),
-        "setup-alone": ({"setup": setup}, {"nu": None, "alpha": 0.0}),
-    }[case]
-    assert setup.alpha > 0.0
-    np.testing.assert_array_equal(osc.bmo_norm(b, **implicit).values,
-                                  osc.bmo_norm(b, **explicit).values)
-
-
 @pytest.mark.parametrize("m", [6, 10])
 def test_cube_from_another_lattice_is_refused(m):
     # An m = 6 cube names the wrong cells of an m = 8 lattice; an m = 10
@@ -150,8 +129,8 @@ def test_bmo_norm_constant_zero(dom):
     mu = make_weight(dom, {"kind": "unit"})
     lam = make_weight(dom, {"kind": "power", "beta": 0.5})
     setup = ExponentSetup(2.0, 2.0, 1)
-    frac = osc.bmo_norm(b, mode="fractional", mu=mu, lam=lam, setup=setup)
-    tw = osc.bmo_norm(b, mode="two-weight", mu=mu, lam=lam, setup=setup)
+    frac = osc.bmo_norm(b, bloom_weight(mu, lam, setup), setup.alpha)
+    tw = osc.two_weight_norm(b, mu, lam, setup)
     assert frac.supremum == 0.0
     assert tw.supremum == 0.0
 
@@ -172,8 +151,8 @@ def test_per_cube_norm_sandwich(dom, logx, p, q, mu_spec, lam_spec):
     mu = make_weight(dom, mu_spec)
     lam = make_weight(dom, lam_spec)
     nu = bloom_weight(mu, lam, setup)
-    frac = osc.bmo_norm(b=logx, mode="fractional", nu=nu, alpha=setup.alpha)
-    tw = osc.bmo_norm(b=logx, mode="two-weight", mu=mu, lam=lam, setup=setup)
+    frac = osc.bmo_norm(b=logx, nu=nu, alpha=setup.alpha)
+    tw = osc.two_weight_norm(logx, mu, lam, setup)
     cmu = apq_characteristic(mu, mu, p, p).supremum
     clam = apq_characteristic(lam, lam, q, q).supremum
     assert len(frac.values) == len(tw.values)
@@ -267,6 +246,16 @@ def test_witness_modes_for_smooth_symbol(dom12):
     bump = sample_symbol(dom12, {"kind": "bump", "center": [0.0], "radius": 0.75})
     assert osc.vmo_witness(bump, c0=0.1, mode="small-scale") is None
     assert osc.vmo_witness(bump, c0=0.1, mode="far-away") is None
+
+
+def test_default_witness_search_builds_candidates_once(dom12, monkeypatch):
+    # small-scale and far-away find nothing, so all three searchers run
+    bump = sample_symbol(dom12, {"kind": "bump", "center": [0.0], "radius": 0.75})
+    calls = []
+    build = osc._candidate_cubes
+    monkeypatch.setattr(osc, "_candidate_cubes", lambda *a: calls.append(a) or build(*a))
+    osc.vmo_witness(bump, c0=0.1)
+    assert len(calls) == 1
 
 
 def test_witness_none_for_constant(dom12):
