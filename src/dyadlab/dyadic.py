@@ -14,6 +14,12 @@ its cube by arithmetic, so a report builds no key rows unless its
 `cubes` are read.  Stopping-time families (sparse.SparseFamily) name
 their cubes by key rows (generation, index...); a DyadicCube is built
 from a single row (key_cube) where one is needed.
+
+Table helpers act on a square cell block, the trailing d axes of an
+array (the domain, or one cube's cells); leading axes are a batch, each
+row bitwise its own call.  Every whole-family table comes from one
+pyramid: each generation's sums, built up from the cells (a cube adds its
+2^d children), coarse to fine in one family vector (canonical_keys order).
 """
 
 from __future__ import annotations
@@ -123,12 +129,6 @@ def canonical_keys(domain: LatticeDomain) -> np.ndarray:
     return np.concatenate(rows)
 
 
-def _family_vector(tables) -> np.ndarray:
-    """Per-generation tables, coarse to fine, as one vector whose entries
-    line up with the canonical_keys rows."""
-    return np.concatenate([table.ravel() for table in tables])
-
-
 def family_cube(domain: LatticeDomain, position: int) -> DyadicCube:
     """The cube of row `position` of canonical_keys(domain)."""
     per_cube = 2**domain.d
@@ -169,33 +169,78 @@ def key_cube(domain: LatticeDomain, key) -> DyadicCube:
     return cube(domain, generation, index)
 
 
-def _generation_mean(arr: np.ndarray, generation: int, d: int | None = None) -> np.ndarray:
-    """Table of the means of a square cell block over its generation-j
-    subcubes: entry [index] is the mean over subcube (j, index), counted
-    from the block's own corner.  The whole domain is one such block.
-    The block is the trailing d axes of arr (all of them by default);
-    leading axes are a batch, and each row is bitwise its own call."""
-    d = arr.ndim if d is None else d
+def _cube_distance_table(dom: LatticeDomain, generation: int) -> np.ndarray:
+    """Distance from the origin to each closed generation-j cube; entry
+    [index] is bitwise DyadicCube.dist_to_origin of cube (j, index)."""
+    ell = dom.width * 2.0**-generation
+    lo = -dom.L + np.arange(2**generation) * ell
+    dist = np.maximum(np.maximum(lo, -(lo + ell)), 0.0)
+    return dist if dom.d == 1 else np.sqrt(dist[:, None] ** 2 + dist[None, :] ** 2)
+
+
+def _split(arr: np.ndarray, generation: int, d: int) -> np.ndarray:
+    """View of a block with each axis split into (cube, cell) axes at
+    generation j; a generation-j table gets c = 1 and broadcasts."""
     g = 2**generation
-    lead = arr.shape[: arr.ndim - d]
-    cells = arr.shape[-1] // g
-    if d == 1:
-        return arr.reshape(lead + (g, cells)).mean(axis=-1)
-    return arr.reshape(lead + (g, cells, g, cells)).mean(axis=(-3, -1))
+    return arr.reshape(arr.shape[: arr.ndim - d] + (g, arr.shape[-1] // g) * d)
+
+
+def _generation_mean(arr: np.ndarray, generation: int, d: int | None = None) -> np.ndarray:
+    """Table of a block's means over its generation-j subcubes (d: all axes
+    by default), reduced directly from the cells."""
+    d = arr.ndim if d is None else d
+    return _split(arr, generation, d).mean(axis=-1 if d == 1 else (-3, -1))
 
 
 def _generation_blocks(arr: np.ndarray, generation: int, d: int) -> np.ndarray:
-    """Row [index] lists the cells of subcube (j, index) of a square cell
-    block in flat_cells order: a last-axis sum is bitwise a per-cube sum
-    over flat_cells (unlike _generation_mean, whose order is canonical).
-    The block is the trailing d axes of arr; leading axes are a batch."""
-    g = 2**generation
-    lead = arr.shape[: arr.ndim - d]
-    cells = arr.shape[-1] // g
+    """Row [index] lists the cells of a block's subcube (j, index) in
+    flat_cells order: a last-axis sum is bitwise a per-cube sum over
+    flat_cells (unlike _generation_mean, whose order is canonical)."""
+    grid = _split(arr, generation, d)
     if d == 1:
-        return arr.reshape(lead + (g, cells))
-    grid = arr.reshape(lead + (g, cells, g, cells)).swapaxes(-3, -2)
-    return grid.reshape(lead + (g, g, cells * cells))
+        return grid
+    return grid.swapaxes(-3, -2).reshape(grid.shape[:-4] + (2**generation,) * 2 + (-1,))
+
+
+def _block_sums(arr: np.ndarray, generation: int, d: int) -> np.ndarray:
+    """Table of a block's sums over its generation-j subcubes: large cubes
+    reshape-sum their contiguous cell axis, small ones halve (each cube the
+    strided sum of its 2^d children); at the cells, the block itself."""
+    cells = arr.shape[-1] >> generation
+    if cells >= 32:  # the faster of the two from here up (measured at d = 2, m = 9)
+        sums = _split(arr, generation, d).sum(axis=-1)
+        return sums if d == 1 else sums.sum(axis=-2)
+    for _ in range(cells.bit_length() - 1):
+        arr = arr[..., 0::2] + arr[..., 1::2]
+        if d == 2:
+            arr = arr[..., 0::2, :] + arr[..., 1::2, :]
+    return arr
+
+
+def _levels(vec: np.ndarray, d: int) -> list[np.ndarray]:
+    """Views of a family vector's generation tables, coarse to fine."""
+    levels, start = [], 0
+    while start < vec.shape[-1]:
+        g = 2 ** len(levels)
+        levels.append(vec[..., start : start + g**d].reshape(vec.shape[:-1] + (g,) * d))
+        start += g**d
+    return levels
+
+
+def _pyramid(arr: np.ndarray, d: int | None = None, means: bool = False) -> np.ndarray:
+    """Family vector of a block's sums (or means) over all its dyadic
+    subcubes (d: all axes by default).  A cube's sum does not depend on
+    the block that holds it; a mean is the sum times 2^-d(m-j), exactly."""
+    d = arr.ndim if d is None else d
+    m = arr.shape[-1].bit_length() - 1
+    vec = np.empty(arr.shape[: arr.ndim - d] + ((2 ** (d * m + d) - 1) // (2**d - 1),), arr.dtype)
+    levels = _levels(vec, d)
+    levels[m][...] = arr
+    for j in range(m, 0, -1):
+        levels[j - 1][...] = _block_sums(levels[j], j - 1, d)
+        if means:  # the mean of 2^d child means, exactly
+            levels[j - 1] *= 2.0**-d
+    return vec
 
 
 def generation_averages(f: SampledFunction, generation: int, absolute: bool = False) -> np.ndarray:
@@ -206,20 +251,12 @@ def generation_averages(f: SampledFunction, generation: int, absolute: bool = Fa
     return _generation_mean(np.abs(f.values) if absolute else f.values, generation)
 
 
-def _broadcast_generation(dom: LatticeDomain, table: np.ndarray, generation: int) -> np.ndarray:
-    """Spread a generation-j table (trailing d axes; leading axes a batch)
-    over the cells of each cube."""
-    cells = 2 ** (dom.m - generation)
-    for axis in range(-dom.d, 0):
-        table = np.repeat(table, cells, axis=axis)
-    return table
-
-
 def dyadic_maximal(f: SampledFunction) -> SampledFunction:
     """Mf(x) = max over canonical dyadic cubes containing x of the average of |f|."""
     dom = f.domain
-    out = None
-    for j in range(dom.m + 1):
-        level = _broadcast_generation(dom, generation_averages(f, j, absolute=True), j)
-        out = level if out is None else np.maximum(out, level)
+    means = _levels(_pyramid(np.abs(f.values), means=True), dom.d)
+    out = means[dom.m].copy()
+    for j in range(dom.m):
+        cells = _split(out, j, dom.d)
+        np.maximum(cells, _split(means[j], j, dom.d), out=cells)
     return SampledFunction(dom, out)

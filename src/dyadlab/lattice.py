@@ -75,12 +75,14 @@ class LatticeDomain:
         k = np.arange(self.n)
         return -self.L + (k + 0.5) * self.h
 
+    def axis_grids(self) -> tuple[np.ndarray, ...]:
+        """Midpoint coordinates, one array per axis, that broadcast to `shape`."""
+        mids = self.axis_midpoints()
+        return (mids,) if self.d == 1 else (mids[:, None], mids[None, :])
+
     def midpoints(self) -> tuple[np.ndarray, ...]:
         """Midpoint coordinate arrays, one per axis, each of shape `shape`."""
-        mids = self.axis_midpoints()
-        if self.d == 1:
-            return (mids,)
-        return (mids[:, None] * np.ones((1, self.n)), np.ones((self.n, 1)) * mids[None, :])
+        return tuple(x * np.ones(self.shape) for x in self.axis_grids())
 
     def coarsen(self) -> "LatticeDomain":
         if self.m <= 2:
@@ -254,14 +256,14 @@ def parse_symbol(spec) -> tuple[SymbolTerm, ...]:
 
 
 def _eval_term(domain: LatticeDomain, term: SymbolTerm) -> np.ndarray:
-    mids = domain.midpoints()
+    axes = domain.axis_grids()
     if term.kind == "constant":
         return np.ones(domain.shape)
     if term.kind == "coordinate":
         if not (0 <= term.axis < domain.d):
             raise ValueError(f"axis {term.axis} out of range for d={domain.d}")
-        return mids[term.axis].copy()
-    r = np.sqrt(sum(m**2 for m in mids))
+        return np.broadcast_to(axes[term.axis], domain.shape).copy()
+    r = np.sqrt(sum(x**2 for x in axes))
     if term.kind == "abs_power":
         if term.exponent <= -domain.d / 2.0:
             raise ValueError(f"abs_power exponent must exceed -d/2, got {term.exponent}")
@@ -270,7 +272,7 @@ def _eval_term(domain: LatticeDomain, term: SymbolTerm) -> np.ndarray:
         return np.log(r)
     # bump: C-infinity, == 1 at the center, supported on |x - c| < radius
     center = term.center if len(term.center) == domain.d else term.center + (0.0,) * (domain.d - len(term.center))
-    s2 = sum((m - c) ** 2 for m, c in zip(mids, center)) / term.radius**2
+    s2 = sum((x - c) ** 2 for x, c in zip(axes, center)) / term.radius**2
     out = np.zeros(domain.shape)
     inside = s2 < 1.0
     out[inside] = np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
@@ -280,11 +282,11 @@ def _eval_term(domain: LatticeDomain, term: SymbolTerm) -> np.ndarray:
 def sample_symbol(domain: LatticeDomain, spec) -> SampledFunction:
     """Sample a catalog symbol (finite complex combination of terms)."""
     terms = parse_symbol(spec)
-    total = np.zeros(domain.shape, dtype=np.complex128)
-    for term in terms:
-        total = total + term.coefficient * _eval_term(domain, term)
+    real = all(term.coefficient.imag == 0.0 for term in terms)  # then no complex temporaries
+    total = sum((t.coefficient.real if real else t.coefficient) * _eval_term(domain, t)
+                for t in terms)
     if not np.all(np.isfinite(total)):
         raise ValueError("symbol evaluates to a non-finite value at a midpoint")
-    if np.all(total.imag == 0.0):
+    if not real and np.all(total.imag == 0.0):
         return SampledFunction(domain, total.real)
     return SampledFunction(domain, total)

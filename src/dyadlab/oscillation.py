@@ -16,7 +16,7 @@ which reduces to osc at r = 1 and is nondecreasing in r by Jensen's
 inequality, cube by cube.
 
 Two norms over the canonical cube family, each a dyadic.FamilyReport
-of per-cube values:
+of per-cube values off the cube pyramid and one |b - <b>_Q| pass:
 
 * bmo_norm, fractional: sup_Q osc_r(b; Q) with the nu-normalization above;
 * two_weight_norm: sup_Q int_Q |b - <b>_Q| / (mu^p(Q)^{1/p} lam^{-q'}(Q)^{1/q'}).
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dyadlab import dyadic, sparse
-from dyadlab.dyadic import _broadcast_generation, _generation_mean
+from dyadlab.dyadic import _cube_distance_table, _split
 from dyadlab.lattice import Box, LatticeDomain, SampledFunction, box_cells
 from dyadlab.weights import ExponentSetup, Weight
 
@@ -114,33 +114,46 @@ def oscillation(
 # -- cube-family reports -----------------------------------------------------
 
 
-def _generation_oscillations(
-    b: SampledFunction,
-    generation: int,
-    nu: Weight | None,
-    alpha: float,
-    r: float,
-) -> np.ndarray:
-    """Vectorized osc_r over all canonical generation-j cubes."""
-    dom = b.domain
-    vol = (dom.width * 2.0**-generation) ** dom.d
-    mean = _broadcast_generation(dom, _generation_mean(b.values, generation), generation)
-    dev = np.abs(b.values - mean)
-    if nu is None:
-        nu_mass = np.full((2**generation,) * dom.d, vol)
-        inner_avg = _generation_mean(dev if r == 1.0 else dev**r, generation)
-    else:
-        nu_mass = _generation_mean(nu.values, generation) * vol
-        if r == 1.0:
-            inner_avg = _generation_mean(dev, generation)
-        else:
-            inner_avg = _generation_mean((dev / nu.values) ** r * nu.values, generation)
-    integral = inner_avg * vol
-    if r == 1.0:
-        inner = integral / nu_mass
-    else:
-        inner = (integral / nu_mass) ** (1.0 / r)
-    return nu_mass ** (-alpha / dom.d) * inner
+def _deviation_sums(values: np.ndarray, nu_values, d: int, rs) -> list[np.ndarray]:
+    """Family vectors, one per r in rs, of a block's sums over every dyadic
+    subcube Q of |b - <b>_Q| (r = 1), else (|b - <b>_Q| / nu)^r nu.  Each
+    generation's buffer is summed for r = 1, then raised in place, so one
+    deviation pass serves both exponents; r = 1 comes first in rs."""
+    means = dyadic._pyramid(values, d, means=True)
+    sums = [np.empty(means.shape[-1]) for _ in rs]
+    levels = [dyadic._levels(vec, d) for vec in sums]
+    dev = np.empty(values.shape)
+    diff = np.empty(values.shape, values.dtype) if np.iscomplexobj(values) else dev
+    for j, mean in enumerate(dyadic._levels(means, d)):
+        np.subtract(_split(values, j, d), _split(mean, j, d), out=_split(diff, j, d))
+        np.absolute(diff, out=dev)
+        for r, level in zip(rs, levels):
+            if r != 1.0:
+                dev /= nu_values
+                dev **= r
+                dev *= nu_values
+            level[j][...] = dyadic._block_sums(dev, j, d)
+    return sums
+
+
+def _oscillation_families(
+    values: np.ndarray, nu_values, dom: LatticeDomain, alpha: float, rs
+) -> list[np.ndarray]:
+    """osc_r over every dyadic subcube of a block of b (and of nu; None:
+    unweighted), one family vector per r in rs, computed in place."""
+    nu_values = np.ones(values.shape) if nu_values is None else nu_values
+    mass = dyadic._pyramid(nu_values, dom.d)
+    mass *= dom.cell_volume
+    out = _deviation_sums(values, nu_values, dom.d, rs)
+    for r, vec in zip(rs, out):
+        vec *= dom.cell_volume
+        vec /= mass
+        if r != 1.0:
+            vec **= 1.0 / r
+    mass **= -alpha / dom.d
+    for vec in out:
+        vec *= mass
+    return out
 
 
 def bmo_norm(
@@ -151,9 +164,9 @@ def bmo_norm(
 ) -> dyadic.FamilyReport:
     """sup_Q osc_r(b; Q) over the canonical cubes; unweighted without nu."""
     _check_exponents(alpha, r)
-    return dyadic.FamilyReport(b.domain, dyadic._family_vector(
-        _generation_oscillations(b, j, nu, alpha, r) for j in range(b.domain.m + 1)
-    ))
+    nu_values = None if nu is None else nu.values
+    (values,) = _oscillation_families(b.values, nu_values, b.domain, alpha, (r,))
+    return dyadic.FamilyReport(b.domain, values)
 
 
 def two_weight_norm(
@@ -162,18 +175,11 @@ def two_weight_norm(
     """sup_Q int_Q |b - <b>_Q| / (mu^p(Q)^{1/p} lam^{-q'}(Q)^{1/q'}) over
     the canonical cubes."""
     dom = b.domain
-    mu_p = mu.power(setup.p).values
-    lam_q = lam.power(-setup.q_prime).values
-    tables = []
-    for j in range(dom.m + 1):
-        vol = (dom.width * 2.0**-j) ** dom.d
-        mean = _broadcast_generation(dom, _generation_mean(b.values, j), j)
-        dev_int = _generation_mean(np.abs(b.values - mean), j) * vol
-        mu_mass = _generation_mean(mu_p, j) * vol
-        lam_mass = _generation_mean(lam_q, j) * vol
-        tables.append(dev_int / (mu_mass ** (1.0 / setup.p)
-                                 * lam_mass ** (1.0 / setup.q_prime)))
-    return dyadic.FamilyReport(dom, dyadic._family_vector(tables))
+    (dev_sums,) = _deviation_sums(b.values, None, dom.d, (1.0,))
+    mu_mass = dyadic._pyramid(mu.power(setup.p).values) * dom.cell_volume
+    lam_mass = dyadic._pyramid(lam.power(-setup.q_prime).values) * dom.cell_volume
+    return dyadic.FamilyReport(dom, dev_sums * dom.cell_volume / (
+        mu_mass ** (1.0 / setup.p) * lam_mass ** (1.0 / setup.q_prime)))
 
 
 # -- vanishing-oscillation profile and witnesses -----------------------------
@@ -189,17 +195,6 @@ class VMOProfile:
     distance: np.ndarray        # sup over dist(Q, 0) >= radii[k]
 
 
-def _cube_distance_table(dom: LatticeDomain, generation: int) -> np.ndarray:
-    ell = dom.width * 2.0**-generation
-    k = np.arange(2**generation)
-    lo = -dom.L + k * ell
-    hi = lo + ell
-    dist_axis = np.maximum(np.maximum(lo, -hi), 0.0)
-    if dom.d == 1:
-        return dist_axis
-    return np.sqrt(dist_axis[:, None] ** 2 + dist_axis[None, :] ** 2)
-
-
 def vmo_profile(
     b: SampledFunction,
     nu: Weight | None = None,
@@ -210,38 +205,17 @@ def vmo_profile(
 
     Curves stop at cubes of side 4h; below that the per-cube means are
     supported on too few cells to say anything about the symbol."""
-    _check_exponents(alpha, r)
     dom = b.domain
     j_max = dom.m - int(math.log2(_GEN_FLOOR_CELLS))
-    gens = list(range(j_max + 1))
-    per_scale = np.empty(len(gens))
-    osc_tables = []
-    dist_tables = []
-    for j in gens:
-        table = _generation_oscillations(b, j, nu, alpha, r)
-        osc_tables.append(table)
-        dist_tables.append(_cube_distance_table(dom, j))
-        per_scale[j] = float(np.max(table))
+    values = bmo_norm(b, nu, alpha, r).values
+    per_scale = np.array([np.max(table) for table in dyadic._levels(values, dom.d)[: j_max + 1]])
     small = np.maximum.accumulate(per_scale[::-1])[::-1]
     large = np.maximum.accumulate(per_scale)
     radii = dom.L * np.array(PROFILE_RADII)
-    distance = np.empty(radii.size)
-    for k, rad in enumerate(radii):
-        best = 0.0
-        for j in gens:
-            sel = dist_tables[j] >= rad
-            if np.any(sel):
-                best = max(best, float(np.max(osc_tables[j][sel])))
-        distance[k] = best
-    scales = dom.width * 2.0 ** (-np.array(gens, dtype=float))
-    return VMOProfile(
-        scales=scales,
-        per_scale_sup=per_scale,
-        small_scale=small,
-        large_scale=large,
-        radii=radii,
-        distance=distance,
-    )
+    dist = np.concatenate([_cube_distance_table(dom, j).ravel() for j in range(j_max + 1)])
+    distance = np.array([np.max(values[: dist.size][dist >= rad], initial=0.0) for rad in radii])
+    scales = dom.width * 2.0 ** -np.arange(j_max + 1.0)
+    return VMOProfile(scales, per_scale, small, large, radii, distance)
 
 
 @dataclass
@@ -256,15 +230,9 @@ class WitnessFamily:
 
 
 def _candidate_cubes(b, nu, alpha, r, c0):
-    dom = b.domain
-    out = []
-    for j in range(dom.m + 1):
-        table = _generation_oscillations(b, j, nu, alpha, r)
-        hits = np.argwhere(np.atleast_1d(table) >= c0)
-        for idx in hits:
-            cube = dyadic.cube(dom, j, idx)
-            out.append((cube, float(table[tuple(idx)])))
-    return out
+    tables = dyadic._levels(bmo_norm(b, nu, alpha, r).values, b.domain.d)
+    return [(dyadic.cube(b.domain, j, idx), float(table[tuple(idx)]))
+            for j, table in enumerate(tables) for idx in np.argwhere(table >= c0)]
 
 
 def _verify_entries(b, nu, alpha, r, c0, picked):
@@ -427,18 +395,6 @@ class JNReport:
     family_size: int
 
 
-def _subtree_sup(b, nu, alpha, r, root) -> float:
-    """Max of osc_r over root and its dyadic subcubes, read off the
-    generation tables sliced to root's subtree."""
-    best = -math.inf
-    for j in range(root.generation, b.domain.m + 1):
-        gap = j - root.generation
-        window = tuple(slice(k << gap, (k + 1) << gap) for k in root.index)
-        table = _generation_oscillations(b, j, nu, alpha, r)
-        best = max(best, float(np.max(table[window])))
-    return best
-
-
 def jn_verify(
     b: SampledFunction,
     w: Weight,
@@ -459,8 +415,9 @@ def jn_verify(
         raise ValueError(f"need 1 <= r <= p' = {p_prime}, got r={r}")
     if root.domain != dom or w.domain != dom:
         raise ValueError("domain mismatch")
-    r_norm = _subtree_sup(b, w, alpha, r, root)
-    one_norm = _subtree_sup(b, w, alpha, 1.0, root)
+    window = tuple(slice(*span) for span in root.cell_span())  # root's subtree
+    one_norm, r_norm = (float(np.max(values)) for values in _oscillation_families(
+        b.values[window], w.values[window], dom, alpha, (1.0, r)))
     family = sparse.cz_augment(b, root)
     exponent = 1.0 + alpha * r / dom.d
     w_flat = w.values.reshape(-1)

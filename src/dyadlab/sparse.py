@@ -60,7 +60,7 @@ from functools import cached_property
 import numpy as np
 
 from dyadlab import dyadic
-from dyadlab.dyadic import _broadcast_generation, _generation_blocks, _generation_mean
+from dyadlab.dyadic import _generation_blocks, _generation_mean, _split
 from dyadlab.lattice import LatticeDomain, SampledFunction
 from dyadlab.weights import Weight
 
@@ -256,7 +256,8 @@ def _deviation_tables(family: SparseFamily, b: SampledFunction):
     dom = family.domain
     for j, count in family._counts:
         b_mean = _generation_blocks(b.values, j, dom.d).mean(axis=-1)
-        yield j, count, np.abs(b.values - _broadcast_generation(dom, b_mean, j))
+        dev = np.abs(_split(b.values, j, dom.d) - _split(b_mean, j, dom.d))
+        yield j, count, dev.reshape(dom.shape)
 
 
 def _apply_tables(kind, values, dom, tables) -> np.ndarray:
@@ -269,8 +270,8 @@ def _apply_tables(kind, values, dom, tables) -> np.ndarray:
     for j, count, dev in tables:
         g = dev * values if kind == "star" else values
         mean = _generation_blocks(g, j, dom.d).mean(axis=-1)  # <g>_Q per generation-j cube
-        term = _broadcast_generation(dom, count * mean, j)
-        out += dev * term if kind == "adjoint" else term
+        cells, term = _split(out, j, dom.d), _split(count * mean, j, dom.d)
+        cells += _split(dev, j, dom.d) * term if kind == "adjoint" else term
     if is_complex and np.all(out.imag == 0.0):
         out = out.real
     return out
@@ -280,9 +281,14 @@ def split_family(family: SparseFamily, k: float) -> SparseFamily:
     """Drop entries with sidelength in [1/k, k] AND dist(Q, 0) <= k."""
     if k <= 0:
         raise ValueError("k must be positive")
-    keep = [not (1.0 / k <= c.sidelength <= k and c.dist_to_origin() <= k) for c in family.cubes()]
+    dom, gens = family.domain, family.entries[:, 0]
+    keep = np.ones(len(family), dtype=bool)
+    for j in np.flatnonzero(np.bincount(gens)).tolist():  # as sidelength, dist_to_origin
+        rows = np.flatnonzero(gens == j)
+        dist = dyadic._cube_distance_table(dom, j)[tuple(family.entries[rows, 1:].T)]
+        keep[rows] = ~((1.0 / k <= dom.width * 2.0 ** (-j) <= k) & (dist <= k))
     cores = [core for core, kept in zip(family.cores, keep) if kept]
-    return SparseFamily(family.domain, family.entries[np.array(keep, dtype=bool)], cores)
+    return SparseFamily(dom, family.entries[keep], cores)
 
 
 # -- embedding checks ---------------------------------------------------------

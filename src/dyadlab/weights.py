@@ -6,7 +6,7 @@ Exponent conventions, for 1 < p <= q < infinity:
 * The joint characteristic is
       [sigma, tau]_{A_{p,q}} = sup_Q <sigma^q>_Q^{1/q} <tau^{-p'}>_Q^{1/p'},
   with plain (unweighted) cube averages and Q over the canonical dyadic
-  cubes, read off per-generation tables and returned as a
+  cubes, read off the cube pyramid (dyadic) and returned as a
   dyadic.FamilyReport; [w]_{A_p} is recovered as
   apq(w^{1/p}, w^{1/p}, p, p)^p.
 * Given mu in A_{p,p} and lambda in A_{q,q}, the intermediate weight is
@@ -149,13 +149,13 @@ def make_weight(domain: LatticeDomain, spec: dict) -> Weight:
     kind = spec.get("kind")
     if kind not in _WEIGHT_KINDS:
         raise ValueError(f"unknown weight kind {kind!r}")
-    mids = domain.midpoints()
+    axes = domain.axis_grids()
     if kind == "unit":
         logw = np.zeros(domain.shape)
         tag = "unit"
     elif kind == "power":
         beta = float(spec.get("beta", 0.0))
-        r = np.sqrt(sum(m**2 for m in mids))
+        r = np.sqrt(sum(x**2 for x in axes))
         logw = beta * np.log(r)
         tag = f"power[{beta:g}]"
     else:
@@ -168,10 +168,10 @@ def make_weight(domain: LatticeDomain, spec: dict) -> Weight:
             a = rng.uniform(-amplitude, amplitude) / k
             phase = rng.uniform(0.0, 2.0 * np.pi)
             if domain.d == 1:
-                proj = mids[0]
+                proj = axes[0]
             else:
                 theta = rng.uniform(0.0, 2.0 * np.pi)
-                proj = mids[0] * np.cos(theta) + mids[1] * np.sin(theta)
+                proj = axes[0] * np.cos(theta) + axes[1] * np.sin(theta)
             logw = logw + a * np.cos(np.pi * k * proj / domain.L + phase)
         tag = f"logsmooth[{seed}]"
     with np.errstate(over="ignore"):  # the check below names the weight
@@ -183,9 +183,7 @@ def make_weight(domain: LatticeDomain, spec: dict) -> Weight:
 
 def _family_averages(f: SampledFunction) -> np.ndarray:
     """Plain averages of f over every canonical cube, in family order."""
-    return dyadic._family_vector(
-        np.real(dyadic.generation_averages(f, j)) for j in range(f.domain.m + 1)
-    )
+    return dyadic._pyramid(np.real(f.values), means=True)
 
 
 def apq_characteristic(

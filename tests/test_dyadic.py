@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyadlab import dyadic
 from dyadlab.dyadic import (
@@ -166,3 +168,39 @@ class TestAverages:
             assert got.shape == (2, 3) + (2**j,) * d
             for lead in itertools.product(range(2), range(3)):
                 np.testing.assert_array_equal(got[lead], _generation_mean(batch[lead], j))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from((1, 2)),
+    m=st.integers(0, 6),
+    lead=st.lists(st.integers(1, 3), max_size=2).map(tuple),
+    kind=st.sampled_from(("real", "complex", "integer")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pyramid_matches_generation_means(d, m, lead, kind, seed):
+    rng = np.random.default_rng(seed)
+    shape = lead + (2**m,) * d
+    if kind == "integer":  # every partial sum is exact
+        arr = rng.integers(-1000, 1000, size=shape).astype(float)
+    else:
+        arr = rng.standard_normal(shape)
+        if kind == "complex":
+            arr = arr + 1j * rng.standard_normal(shape)
+    sums = dyadic._pyramid(arr, d)
+    means = dyadic._pyramid(arr, d, means=True)
+    levels = dyadic._levels(sums, d)
+    assert sums.shape == lead + ((2 ** (d * (m + 1)) - 1) // (2**d - 1),)
+    assert len(levels) == m + 1
+    for j, (level, mean) in enumerate(zip(levels, dyadic._levels(means, d))):
+        cells = 2 ** (d * (m - j))
+        want = _generation_mean(arr, j, d) * cells
+        for got in (level, dyadic._block_sums(arr, j, d)):
+            if kind == "integer":
+                np.testing.assert_array_equal(got, want)
+            else:
+                scale = _generation_mean(np.abs(arr), j, d) * cells
+                assert np.all(np.abs(got - want) <= 1e-13 * scale)
+        np.testing.assert_array_equal(mean, level / cells)  # an exact scale
+    for row in itertools.product(*map(range, lead)):
+        np.testing.assert_array_equal(sums[row], dyadic._pyramid(arr[row], d))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dyadlab import dyadic, oscillation as osc
 from dyadlab.lattice import LatticeDomain, SampledFunction
-from dyadlab.weights import ExponentSetup, apq_characteristic, make_weight
+from dyadlab.weights import ExponentSetup, _family_averages, apq_characteristic, make_weight
 
 REL = 1e-11
 
@@ -37,12 +37,43 @@ def apq_value(sigma, omega, p, q, cube):
     return a ** (1.0 / q) * b ** (1.0 / p_prime)
 
 
-def close(got, want):
+def close(got, want, rel=REL):
     """Relative agreement; near-zero cubes (single cells, where the object
     path leaves rounding residue) are measured against the family's scale."""
     got, want = np.asarray(got), np.asarray(want)
     scale = float(np.max(np.abs(want)))
-    np.testing.assert_allclose(got, want, rtol=REL, atol=REL * scale)
+    np.testing.assert_allclose(got, want, rtol=rel, atol=rel * scale)
+
+
+def spread(dom, table, j):
+    """A generation-j table on the cells of each cube."""
+    for axis in range(dom.d):
+        table = np.repeat(table, 2 ** (dom.m - j), axis=axis)
+    return table
+
+
+def fractional_reference(dom, b, nu, alpha, r):
+    """osc_r per cube off per-generation dyadic._generation_mean tables."""
+    tables = []
+    for j in range(dom.m + 1):
+        vol = (dom.width * 2.0**-j) ** dom.d
+        dev = np.abs(b - spread(dom, dyadic._generation_mean(b, j), j))
+        nu_mass = dyadic._generation_mean(nu, j) * vol
+        integral = dyadic._generation_mean((dev / nu) ** r * nu, j) * vol
+        tables.append(nu_mass ** (-alpha / dom.d) * (integral / nu_mass) ** (1.0 / r))
+    return np.concatenate([table.ravel() for table in tables])
+
+
+def two_weight_reference(dom, b, mu_p, lam_q, setup):
+    """Two-weight value per cube off per-generation dyadic._generation_mean tables."""
+    tables = []
+    for j in range(dom.m + 1):
+        vol = (dom.width * 2.0**-j) ** dom.d
+        dev = np.abs(b - spread(dom, dyadic._generation_mean(b, j), j))
+        mass = (dyadic._generation_mean(mu_p, j) * vol) ** (1.0 / setup.p) * (
+            dyadic._generation_mean(lam_q, j) * vol) ** (1.0 / setup.q_prime)
+        tables.append(dyadic._generation_mean(dev, j) * vol / mass)
+    return np.concatenate([table.ravel() for table in tables])
 
 
 @st.composite
@@ -109,3 +140,19 @@ def test_jn_subtree_norms_match_per_cube_oscillation(case, data):
     for rr, got in ((r, rep.r_norm), (1.0, rep.one_norm)):
         want = max(osc.oscillation(b, c, nu=mu, alpha=alpha, r=rr) for c in subtree)
         close(got, want)
+
+
+@settings(max_examples=12, deadline=None)
+@given(cases())
+def test_pyramid_families_match_generation_means(case):
+    dom, b, mu, lam, setup, r, alpha = case
+    for nu in (mu, None):
+        nu_values = np.ones(dom.shape) if nu is None else nu.values
+        close(osc.bmo_norm(b, nu, alpha, r).values,
+              fractional_reference(dom, b.values, nu_values, alpha, r), rel=1e-13)
+    mu_p, lam_q = mu.power(setup.p).values, lam.power(-setup.q_prime).values
+    close(osc.two_weight_norm(b, mu, lam, setup).values,
+          two_weight_reference(dom, b.values, mu_p, lam_q, setup), rel=1e-13)
+    close(_family_averages(mu.function()),
+          np.concatenate([dyadic._generation_mean(mu.values, j).ravel()
+                          for j in range(dom.m + 1)]), rel=1e-13)

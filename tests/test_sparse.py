@@ -174,12 +174,19 @@ def cz_augment_oracle(b, root):
     return entries
 
 
+def broadcast_generation(dom, table, j):
+    """Spread a generation-j table over the cells of each cube."""
+    for axis in range(dom.d):
+        table = np.repeat(table, 2 ** (dom.m - j), axis=axis)
+    return table
+
+
 def multiscale_values(dom, rng):
     """Random levels at every generation with heavy-tailed amplitudes: one
     wave holds stopping cubes of several generations, and a cube's selected
     subcubes lie several generations down."""
     return sum(
-        dyadic._broadcast_generation(dom, rng.standard_normal((2**j,) * dom.d), j)
+        broadcast_generation(dom, rng.standard_normal((2**j,) * dom.d), j)
         * rng.exponential() ** 3
         for j in range(dom.m + 1)
     )
@@ -208,7 +215,7 @@ def cz_cases(draw):
         # summation orders must break them the same way.
         j = draw(st.integers(0, m))
         levels = rng.integers(-3, 4, size=(2**j,) * d).astype(float)
-        values = dyadic._broadcast_generation(dom, levels, j)
+        values = broadcast_generation(dom, levels, j)
     else:
         values = np.full(dom.shape, draw(st.floats(-10.0, 10.0)))
     g = draw(st.integers(0, m))
@@ -509,6 +516,18 @@ def test_split_k_one(dom):
     kept = sparse.split_family(fam, 1.0)
     sides = sorted(cube.sidelength for cube in kept.cubes())
     assert sides == [0.125, 0.25, 0.5]  # only the side-1 cube is removed
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 3.0])
+def test_split_matches_cube_objects(d, k):
+    # L = 2 puts cube corners at distance exactly k from the origin
+    wide = LatticeDomain(d=d, m=4, L=2.0)
+    cubes = dyadic.enumerate_cubes(wide)
+    kept = sparse.split_family(family(wide, cubes), k)
+    want = [c for c in cubes if not (1.0 / k <= c.sidelength <= k and c.dist_to_origin() <= k)]
+    assert [dyadic.key_cube(wide, key) for key in kept.entries] == want
+    assert all(np.array_equal(core, c.flat_cells()) for core, c in zip(kept.cores, want))
 
 
 def test_split_removed_sets_nest_beyond_width(dom, unit_root):
