@@ -9,7 +9,7 @@ A cube family is held as its per-generation tables: entry [index] of
 the generation-j table belongs to cube (j, index), and no DyadicCube is
 built per cube.  A whole-family functional returns a FamilyReport: one
 value per canonical cube, position i belonging to row i of
-canonical_keys (enumerate_cubes order).  family_cube maps a position to
+canonical_keys ((generation, index) order).  family_cube maps a position to
 its cube by arithmetic, so a report builds no key rows unless its
 `cubes` are read.  Stopping-time families (sparse.SparseFamily) name
 their cubes by key rows (generation, index...); a DyadicCube is built
@@ -110,17 +110,8 @@ def cube(domain: LatticeDomain, generation: int, index) -> DyadicCube:
     return DyadicCube(domain, generation, tuple(int(k) for k in index))
 
 
-def enumerate_cubes(domain: LatticeDomain) -> list[DyadicCube]:
-    """All cubes as objects, ordered by (generation, index)."""
-    return [
-        cube(domain, j, idx)
-        for j in range(domain.m + 1)
-        for idx in itertools.product(range(2**j), repeat=domain.d)
-    ]
-
-
 def canonical_keys(domain: LatticeDomain) -> np.ndarray:
-    """Key rows (generation, index...) in enumerate_cubes order, so they
+    """Key rows (generation, index...) in (generation, index) order: they
     line up with the raveled per-generation tables, coarse to fine."""
     rows = []
     for j in range(domain.m + 1):
@@ -241,14 +232,6 @@ def _pyramid(arr: np.ndarray, d: int | None = None, means: bool = False) -> np.n
         if means:  # the mean of 2^d child means, exactly
             levels[j - 1] *= 2.0**-d
     return vec
-
-
-def generation_averages(f: SampledFunction, generation: int, absolute: bool = False) -> np.ndarray:
-    """Per-cube plain averages over canonical generation-j cubes (vectorized)."""
-    dom = f.domain
-    if not (0 <= generation <= dom.m):
-        raise ValueError(f"generation must be in [0, {dom.m}]")
-    return _generation_mean(np.abs(f.values) if absolute else f.values, generation)
 
 
 def dyadic_maximal(f: SampledFunction) -> SampledFunction:

@@ -408,6 +408,9 @@ def jn_verify(
     stopping-family bound
 
         ( w(Q0)^{-(1+alpha*r/d)} * sum_S osc_1(b;Q)^r w(Q)^{1+alpha*r/d} )^{1/r}.
+
+    The sum reads the family's own cubes a generation at a time, as rows
+    of cell values, not one oscillation() call per cube.
     """
     dom = b.domain
     p_prime = p / (p - 1.0)
@@ -420,14 +423,15 @@ def jn_verify(
         b.values[window], w.values[window], dom, alpha, (1.0, r)))
     family = sparse.cz_augment(b, root)
     exponent = 1.0 + alpha * r / dom.d
-    w_flat = w.values.reshape(-1)
     total = 0.0
-    for cube in family.cubes():
-        w_mass = float(w_flat[cube.flat_cells()].sum()) * dom.cell_volume
-        osc1 = oscillation(b, cube, nu=w, alpha=alpha, r=1.0)
-        total += osc1**r * w_mass**exponent
-    root_cells = root.flat_cells()
-    w_root = float(w_flat[root_cells].sum()) * dom.cell_volume
+    for j, count in family._counts:  # osc_1 of the family's generation-j cubes
+        index = np.argwhere(count)
+        rows = sparse._gather_blocks(b.values, j, index)
+        w_mass = sparse._gather_blocks(w.values, j, index).sum(axis=1) * dom.cell_volume
+        dev = np.abs(rows - rows.mean(axis=1, keepdims=True)).sum(axis=1) * dom.cell_volume
+        osc1 = w_mass ** (-alpha / dom.d) * (dev / w_mass)
+        total += float(np.sum(count[tuple(index.T)] * osc1**r * w_mass**exponent))
+    w_root = float(w.values.reshape(-1)[root.flat_cells()].sum()) * dom.cell_volume
     sparse_bound = (total / w_root**exponent) ** (1.0 / r)
     root_r = oscillation(b, root, nu=w, alpha=alpha, r=r)
     # degenerate symbols: 0 <= C * 0 holds, report neutral ratios

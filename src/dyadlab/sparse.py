@@ -1,15 +1,18 @@
 """Sparse cube families and sparse model operators.
 
 A family holds `entries`, key rows (generation, index...) of cubes Q_i
-in selection order (as in dyadic.canonical_keys), and `cores`, where
-cores[i] lists the sorted flat cells of E_i, a subset of Q_i.
-Gamma-sparsity means the E's are pairwise disjoint and each keeps
-strictly more than a gamma fraction of its cube, in integer cell counts.
+in selection order (as in dyadic.canonical_keys), and its cores in
+compressed sparse row form: E_i, a subset of Q_i, is the sorted flat
+cells cells[offsets[i]:offsets[i + 1]].  Gamma-sparsity means the E's
+are pairwise disjoint and each keeps strictly more than a gamma
+fraction of its cube, in integer cell counts.
 
 The model operators add, coarse to fine, a count table of the family's
 generation-j cubes times cube means off dyadic._generation_blocks.  The
 stopping cubes over a cell are nested and were selected coarse to fine,
 so each cell sums its entries in selection order, as an entry loop does.
+The checks (augmentation_ratio, oscillation.jn_verify) read the family's
+own cubes only (_gather_blocks), times the same count tables.
 
 cz_augment runs the stopping-time recursion for a symbol b: from an
 active cube Q with base = <|b - <b>_Q|>_Q, the children-maximal subcubes
@@ -27,7 +30,8 @@ then raveled index; the entries are the waves concatenated in that
 order.  Each wave is handled as one batch per generation present, as
 int key rows, with no DyadicCube built: a batch gathers only its own
 cubes' cells from a view of b, and computes their flat cell ids from the
-cube corners.  A wave's cubes are pairwise disjoint (maximal selected
+cube corners; one stable argsort on the owner puts every kept cell in
+entry order.  A wave's cubes are pairwise disjoint (maximal selected
 cubes inside pairwise disjoint parents), so each per-cell temporary of a
 wave (gathered values, |b - <b>_Q|, cell ids) spans at most the domain
 once, and a batch's work is proportional to its cubes' cells.
@@ -76,7 +80,8 @@ def cz_constant(d: int) -> float:
 class SparseFamily:
     domain: LatticeDomain
     entries: np.ndarray  # int64 key rows (generation, index...)
-    cores: list          # cores[i]: sorted flat cell indices of E_i
+    cells: np.ndarray    # int64 flat cells of the cores, E_i sorted at offsets[i]:offsets[i + 1]
+    offsets: np.ndarray  # int64, len(entries) + 1 of them, from 0 to cells.size
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -111,12 +116,14 @@ def is_sparse(family: SparseFamily, gamma: float = 0.5) -> SparseVerdict:
     dom, size = family.domain, len(family)
     if not size:
         return SparseVerdict(True)
-    sizes = np.array([core.size for core in family.cores])
+    sizes = np.diff(family.offsets)
     owner = np.repeat(np.arange(size), sizes)
-    cells = np.concatenate(family.cores).astype(np.int64)
-    coords = np.stack([cells // dom.n, cells % dom.n], axis=1) if dom.d == 2 else cells[:, None]
+    cells = family.cells
     shift = dom.m - family.entries[:, 0]
-    escapes = np.any(coords >> shift[owner, None] != family.entries[owner, 1:], axis=1)
+    cell_shift = shift[owner]
+    escapes = np.zeros(cells.size, dtype=bool)
+    for axis, coord in enumerate((cells // dom.n, cells % dom.n) if dom.d == 2 else (cells,)):
+        escapes |= coord >> cell_shift != family.entries[owner, 1 + axis]
     leaves = np.bincount(owner[escapes], minlength=size) > 0
     thin = sizes <= gamma * 2 ** (dom.d * shift)  # strict, in integer cell counts
     bad = np.flatnonzero(leaves | thin)
@@ -149,20 +156,14 @@ def cz_augment(b: SampledFunction, root: dyadic.DyadicCube) -> SparseFamily:
     strides = dom.n ** np.arange(d - 1, -1, -1)  # flat cell = coordinates @ strides
     gens = np.array([root.generation], dtype=np.int64)
     index = np.array([root.index], dtype=np.int64)
-    keys, cores = [], []
+    keys, kept, owner = [], [], []
+    start = 0  # entry position of the wave's first cube
     while gens.size:
-        wave_cores = [None] * gens.size
         parents, child_gens, child_index = [], [], []
         for j in np.flatnonzero(np.bincount(gens)).tolist():
             pos = np.flatnonzero(gens == j)
             side = 2 ** (m - j)  # cells per axis of a generation-j cube
-            # Gather only this batch's cubes from a view, one row per cube
-            # in flat_cells order; reshaping the swapped view itself would
-            # copy the whole domain at d = 2.
-            blocks = b.values.reshape((2**j, side) * d)
-            if d == 2:
-                blocks = blocks.swapaxes(1, 2)
-            flat = blocks[tuple(index[pos].T)].reshape(pos.size, -1)
+            flat = _gather_blocks(b.values, j, index[pos])
             dev = np.abs(flat - flat.mean(axis=1, keepdims=True))
             base = dev.mean(axis=1)
             dev = dev.reshape((pos.size,) + (side,) * d)
@@ -179,15 +180,13 @@ def cz_augment(b: SampledFunction, root: dyadic.DyadicCube) -> SparseFamily:
                 child_gens.append(np.full(row.size, j + k, dtype=np.int64))
                 child_index.append(index[pos[row]] * 2**k + np.stack(offset, axis=1))
                 covered |= hit
-            keep = ~covered.reshape(pos.size, -1)
             local = sum(np.ix_(*(np.arange(side) * s for s in strides))).reshape(-1)
             corner = index[pos] * side @ strides
-            kept = (corner[:, None] + local)[keep]
-            sizes = keep.sum(axis=1)
-            for p, core in zip(pos.tolist(), np.split(kept, np.cumsum(sizes)[:-1])):
-                wave_cores[p] = core
+            row, cell = np.nonzero(~covered.reshape(pos.size, -1))
+            kept.append(corner[row] + local[cell])
+            owner.append(start + pos[row])
         keys.append(np.column_stack([gens, index]))
-        cores.extend(wave_cores)
+        start += gens.size
         if not parents:  # every cube of the wave is a single cell
             break
         # Queue order of the next wave: by parent, then k, then raveled
@@ -195,7 +194,21 @@ def cz_augment(b: SampledFunction, root: dyadic.DyadicCube) -> SparseFamily:
         order = np.argsort(np.concatenate(parents), kind="stable")
         gens = np.concatenate(child_gens)[order]
         index = np.concatenate(child_index)[order]
-    return SparseFamily(dom, np.concatenate(keys), cores)
+    owner = np.concatenate(owner)
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=start))))
+    cells = np.concatenate(kept)[np.argsort(owner, kind="stable")]
+    return SparseFamily(dom, np.concatenate(keys), cells, offsets)
+
+
+def _gather_blocks(values: np.ndarray, generation: int, index: np.ndarray) -> np.ndarray:
+    """Each generation-j cube of `index` (a column per axis) as a row of
+    its cell values in flat_cells order, gathered from a view: reshaping
+    the swapped view itself would copy the whole domain at d = 2."""
+    side = values.shape[-1] >> generation
+    blocks = values.reshape((2**generation, side) * values.ndim)
+    if values.ndim == 2:
+        blocks = blocks.swapaxes(1, 2)
+    return blocks[tuple(index.T)].reshape(len(index), -1)
 
 
 def augmentation_ratio(
@@ -203,20 +216,28 @@ def augmentation_ratio(
 ) -> float:
     """Worst cell ratio |b - <b>_root| / sum_Q <|b - <b>_Q|>_Q 1_Q.
 
-    The denominator is sparse_apply("star") of the constant 1.  cz_augment
-    guarantees this stays below cz_constant(d).  Cells where both sides
-    vanish contribute 0; a nonzero numerator over an empty denominator
-    yields inf, which is a genuine domination failure.
+    The denominator is sparse_apply("star") of the constant 1, count
+    times base on the family's own cubes only; cz_augment keeps the
+    ratio below cz_constant(d).  Cells where both sides vanish
+    contribute 0; a nonzero numerator over an empty denominator yields
+    inf, which is a genuine domination failure.
     """
     if root.domain != b.domain or family.domain != b.domain:
         raise ValueError("domain mismatch")
+    dom = b.domain
+    denom = np.zeros(dom.shape)
+    for j, count in family._counts:
+        index = np.argwhere(count)
+        flat = _gather_blocks(b.values, j, index)
+        table = count.astype(float)  # 0.0 off the family: adding it is exact
+        table[tuple(index.T)] *= np.abs(flat - flat.mean(axis=1, keepdims=True)).mean(axis=1)
+        cells = _split(denom, j, dom.d)
+        cells += _split(table, j, dom.d)
     b_flat = b.values.reshape(-1)
     root_cells = root.flat_cells()
     numer = np.abs(b_flat[root_cells] - b_flat[root_cells].mean())
-    ones = SampledFunction(b.domain, np.ones(b.domain.shape))
-    denom = sparse_apply("star", ones, family, b=b).values.reshape(-1)[root_cells]
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = numer / denom
+        ratio = numer / denom.reshape(-1)[root_cells]
     ratio[numer == 0.0] = 0.0
     return float(ratio.max()) if ratio.size else 0.0
 
@@ -287,8 +308,9 @@ def split_family(family: SparseFamily, k: float) -> SparseFamily:
         rows = np.flatnonzero(gens == j)
         dist = dyadic._cube_distance_table(dom, j)[tuple(family.entries[rows, 1:].T)]
         keep[rows] = ~((1.0 / k <= dom.width * 2.0 ** (-j) <= k) & (dist <= k))
-    cores = [core for core, kept in zip(family.cores, keep) if kept]
-    return SparseFamily(dom, family.entries[keep], cores)
+    sizes = np.diff(family.offsets)
+    offsets = np.concatenate(([0], np.cumsum(sizes[keep])))
+    return SparseFamily(dom, family.entries[keep], family.cells[np.repeat(keep, sizes)], offsets)
 
 
 # -- embedding checks ---------------------------------------------------------

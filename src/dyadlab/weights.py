@@ -193,6 +193,11 @@ def apq_characteristic(
     q: float,
 ) -> dyadic.FamilyReport:
     """[sigma, tau]_{A_{p,q}} over the canonical cubes, with per-cube values."""
+    return _apq_tables(sigma, tau, p, q)[0]
+
+
+def _apq_tables(sigma: Weight, tau: Weight, p: float, q: float):
+    """apq_characteristic and its family vectors <sigma^q> and <tau^{-p'}>."""
     if not (1.0 < p < math.inf and 1.0 < q < math.inf):
         raise ValueError(f"need 1 < p, q < inf, got p={p}, q={q}")
     if sigma.domain != tau.domain:
@@ -207,7 +212,7 @@ def apq_characteristic(
     if not np.all(np.isfinite(values)):
         flags.add("overflow")
         values = np.nan_to_num(values, posinf=_CLIP)
-    return dyadic.FamilyReport(sigma.domain, values, flags)
+    return dyadic.FamilyReport(sigma.domain, values, flags), a, b
 
 
 def bloom_weight(mu: Weight, lam: Weight, setup: ExponentSetup) -> Weight:
@@ -224,19 +229,19 @@ def bloom_weight(mu: Weight, lam: Weight, setup: ExponentSetup) -> Weight:
 def membership_surrogate(w: Weight, p: float) -> dict:
     """Finite characteristic, stable within MEMBERSHIP_DRIFT under one coarsening;
     "overflow" is set when a characteristic was clipped at 1e300."""
-    fine = apq_characteristic(w, w, p, p)
+    return _membership(w, p)[0]
+
+
+def _membership(w: Weight, p: float):
+    """membership_surrogate and the fine family vectors <w^p>, <w^{-p'}>."""
+    fine, w_p, w_pp = _apq_tables(w, w, p, p)
     coarse_w = w.coarsen()
     coarse = apq_characteristic(coarse_w, coarse_w, p, p)
     drift = abs(fine.supremum - coarse.supremum) / max(fine.supremum, coarse.supremum)
     overflow = "overflow" in fine.flags | coarse.flags
     ok = math.isfinite(fine.supremum) and not overflow and drift <= MEMBERSHIP_DRIFT
-    return {
-        "characteristic": fine.supremum,
-        "coarse_characteristic": coarse.supremum,
-        "drift": drift,
-        "overflow": overflow,
-        "ok": ok,
-    }
+    return dict(characteristic=fine.supremum, coarse_characteristic=coarse.supremum,
+                drift=drift, overflow=overflow, ok=ok), w_p, w_pp
 
 
 @dataclass
@@ -285,16 +290,14 @@ def bloom_sandwich_report(
     p, q = setup.p, setup.q
     if mu.power_overflows(p) or lam.power_overflows(-setup.q_prime):
         flags.add("overflow")
-    mu_p = _family_averages(mu.power(p))
-    lam_qp = _family_averages(lam.power(-setup.q_prime))
+    # <mu^p> and <lambda^{-q'}> are the fine families of the memberships
+    mu_member, mu_p, _ = _membership(mu, p)
+    lam_member, _, lam_qp = _membership(lam, q)
     nu_avg = _family_averages(nu.function())
     ratios = mu_p ** (1.0 / p) * lam_qp ** (1.0 / setup.q_prime) / nu_avg ** (
         1.0 + setup.alpha_frac
     )
-    membership = {
-        "mu": membership_surrogate(mu, p),
-        "lam": membership_surrogate(lam, q),
-    }
+    membership = {"mu": mu_member, "lam": lam_member}
     mu_char = membership["mu"]["characteristic"]
     lam_char = membership["lam"]["characteristic"]
     half_log = (mu.log_values - lam.log_values) / 2.0

@@ -21,6 +21,7 @@ from dyadlab.weights import (
     bloom_weight,
     make_weight,
 )
+from oracles import core_arrays
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = ""):
@@ -159,7 +160,7 @@ def test_c04_cz_augmentation(dom10):
     half = indicator(dom10, Box((0.0,), (0.5,)))
     fam = sparse.cz_augment(half, unit_root)
     ok = ok and len(fam.entries) == 1
-    ok = ok and np.array_equal(fam.cores[0], unit_root.flat_cells())
+    ok = ok and np.array_equal(core_arrays(fam)[0], unit_root.flat_cells())
     ok = ok and sparse.augmentation_ratio(half, unit_root, fam) == pytest.approx(1.0)
     _verdict(4, "CZ augmentation sparse + dominating", ok,
              f"50 seeds at m=10, worst ratio {worst:.3g} vs C = {bound:g}")

@@ -6,14 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadlab import dyadic
-from dyadlab.dyadic import (
-    _generation_mean,
-    dyadic_maximal,
-    enumerate_cubes,
-    generation_averages,
-)
+from dyadlab.dyadic import _generation_mean, dyadic_maximal
 from dyadlab.lattice import Box, LatticeDomain, SampledFunction, indicator
 from dyadlab.oscillation import _cube_distance_table, region_cells
+from oracles import enumerate_cubes
 
 
 def random_function(domain, seed):
@@ -95,7 +91,7 @@ class TestMaximal:
         dom = f.domain
         out = np.zeros(dom.shape)
         for j in range(dom.m + 1):
-            avg = generation_averages(f, j, absolute=True)
+            avg = _generation_mean(np.abs(f.values), j)
             cells = 2 ** (dom.m - j)
             if dom.d == 1:
                 out = np.maximum(out, np.repeat(avg, cells))
@@ -149,11 +145,11 @@ class TestMaximal:
 
 
 class TestAverages:
-    def test_generation_averages_match_cube_average(self):
+    def test_generation_mean_matches_cube_average(self):
         dom = LatticeDomain(2, 3, 1.0)
         f = random_function(dom, 23)
         for j in (0, 1, 3):
-            table = generation_averages(f, j)
+            table = _generation_mean(f.values, j)
             for idx in itertools.product(range(2**j), repeat=2):
                 cube = dyadic.cube(dom, j, idx)
                 average = integral(f, cube) / cube.volume

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadlab import cli, dyadic, normest, sparse
+from dyadlab import oscillation as osc
 from dyadlab.lattice import LatticeDomain, SampledFunction, sample_symbol
 from dyadlab.weights import make_weight
+from oracles import core_arrays, enumerate_cubes
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +30,9 @@ def family(dom, cubes, cores=None):
     keys = [(cube.generation, *cube.index) for cube in cubes]
     if cores is None:
         cores = [cube.flat_cells() for cube in cubes]
-    return sparse.SparseFamily(dom, np.array(keys, dtype=np.int64).reshape(-1, 1 + dom.d), list(cores))
+    cells = np.concatenate([np.empty(0, dtype=np.int64)] + list(cores)).astype(np.int64)
+    offsets = np.concatenate(([0], np.cumsum([len(core) for core in cores], dtype=np.int64)))
+    return sparse.SparseFamily(dom, np.array(keys, dtype=np.int64).reshape(-1, 1 + dom.d), cells, offsets)
 
 
 def domination_ratio(b, root, family):
@@ -87,7 +91,7 @@ def test_half_indicator_gives_single_entry(dom, unit_root):
     fam = sparse.cz_augment(b, unit_root)
     assert len(fam) == 1
     assert fam.cubes() == [unit_root]
-    assert fam.cores[0].size == unit_root.flat_cells().size
+    assert core_arrays(fam)[0].size == unit_root.flat_cells().size
     # <|b - 1/2|> == 1/2 at every scale: domination constant exactly 1
     assert domination_ratio(b, unit_root, fam) == pytest.approx(1.0, abs=1e-15)
 
@@ -108,7 +112,7 @@ def test_log_family_multi_generation():
     assert sparse.is_sparse(fam).ok
     assert domination_ratio(b, root, fam) <= sparse.cz_constant(1)
     # selection is strictly sub-half at every node, in integer cells
-    for cube, core in zip(fam.cubes(), fam.cores):
+    for cube, core in zip(fam.cubes(), core_arrays(fam)):
         ncells = cube.flat_cells().size
         assert 2 * (ncells - core.size) <= ncells
 
@@ -172,6 +176,83 @@ def cz_augment_oracle(b, root):
             core = cells
         entries.append((cube, core))
     return entries
+
+
+def cz_augment_lists(b, root):
+    """cz_augment as it ran with one array per core: (entries, cores), each
+    batch's cores cut apart by np.split and placed at their wave position."""
+    dom = b.domain
+    m, d = dom.m, dom.d
+    strides = dom.n ** np.arange(d - 1, -1, -1)
+    gens = np.array([root.generation], dtype=np.int64)
+    index = np.array([root.index], dtype=np.int64)
+    keys, all_cores = [], []
+    while gens.size:
+        wave_cores = [None] * gens.size
+        parents, child_gens, child_index = [], [], []
+        for j in np.flatnonzero(np.bincount(gens)).tolist():
+            pos = np.flatnonzero(gens == j)
+            side = 2 ** (m - j)
+            blocks = b.values.reshape((2**j, side) * d)
+            if d == 2:
+                blocks = blocks.swapaxes(1, 2)
+            flat = blocks[tuple(index[pos].T)].reshape(pos.size, -1)
+            dev = np.abs(flat - flat.mean(axis=1, keepdims=True))
+            base = dev.mean(axis=1)
+            dev = dev.reshape((pos.size,) + (side,) * d)
+            row_shape = (pos.size,) + (1,) * d
+            active = (base > 0.0).reshape(row_shape)
+            bound = (sparse.LAMBDA * base).reshape(row_shape)
+            covered = np.zeros(row_shape, dtype=bool)
+            for k in range(1, m - j + 1):
+                for ax in range(1, d + 1):
+                    covered = covered.repeat(2, axis=ax)
+                hit = (dyadic._generation_mean(dev, k, d) > bound) & active & ~covered
+                row, *offset = np.nonzero(hit)
+                parents.append(pos[row])
+                child_gens.append(np.full(row.size, j + k, dtype=np.int64))
+                child_index.append(index[pos[row]] * 2**k + np.stack(offset, axis=1))
+                covered |= hit
+            keep = ~covered.reshape(pos.size, -1)
+            local = sum(np.ix_(*(np.arange(side) * s for s in strides))).reshape(-1)
+            corner = index[pos] * side @ strides
+            kept = (corner[:, None] + local)[keep]
+            for p, core in zip(pos.tolist(), np.split(kept, np.cumsum(keep.sum(axis=1))[:-1])):
+                wave_cores[p] = core
+        keys.append(np.column_stack([gens, index]))
+        all_cores.extend(wave_cores)
+        if not parents:
+            break
+        order = np.argsort(np.concatenate(parents), kind="stable")
+        gens = np.concatenate(child_gens)[order]
+        index = np.concatenate(child_index)[order]
+    return np.concatenate(keys), all_cores
+
+
+def is_sparse_lists(dom, entries, cores, gamma):
+    """is_sparse as it ran on a list of cores: key rows gathered per cell,
+    the escape test over all axes at once, overlaps by one lexsort."""
+    size = len(entries)
+    if not size:
+        return True, "", None
+    sizes = np.array([core.size for core in cores])
+    owner = np.repeat(np.arange(size), sizes)
+    cells = np.concatenate(cores).astype(np.int64)
+    coords = np.stack([cells // dom.n, cells % dom.n], axis=1) if dom.d == 2 else cells[:, None]
+    shift = dom.m - entries[:, 0]
+    escapes = np.any(coords >> shift[owner, None] != entries[owner, 1:], axis=1)
+    leaves = np.bincount(owner[escapes], minlength=size) > 0
+    thin = sizes <= gamma * 2 ** (dom.d * shift)
+    bad = np.flatnonzero(leaves | thin)
+    if bad.size:
+        reason = "core leaves its cube" if leaves[bad[0]] else "core fraction at or below gamma"
+        return False, reason, int(bad[0])
+    order = np.lexsort((owner, cells))
+    cells, owner = cells[order], owner[order]
+    shared = (cells[1:] == cells[:-1]) & (owner[1:] != owner[:-1])
+    if shared.any():
+        return False, "cores intersect", int(owner[1:][shared].min())
+    return True, "", None
 
 
 def broadcast_generation(dom, table, j):
@@ -252,9 +333,20 @@ def assert_matches_walk_oracle(b, root):
     want = cz_augment_oracle(b, root)
     assert fam.entries.dtype == np.int64
     assert fam.cubes() == [cube for cube, _ in want]
-    for got, (_, core) in zip(fam.cores, want):
+    for got, (_, core) in zip(core_arrays(fam), want):
         assert got.dtype == core.dtype
         np.testing.assert_array_equal(got, core)
+    # the flat family against the list-of-cores implementation
+    entries, cores = cz_augment_lists(b, root)
+    np.testing.assert_array_equal(fam.entries, entries)
+    assert fam.cells.dtype == fam.offsets.dtype == np.int64
+    assert fam.offsets.size == len(entries) + 1 and fam.offsets[0] == 0
+    assert fam.offsets[-1] == fam.cells.size
+    for got, core in zip(core_arrays(fam), cores, strict=True):
+        np.testing.assert_array_equal(got, core)
+    verdict = sparse.is_sparse(fam)
+    assert (verdict.ok, verdict.reason, verdict.worst_entry) == is_sparse_lists(
+        b.domain, entries, cores, 0.5)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -368,6 +460,19 @@ def augmentation_ratio_oracle(b, root, pairs):
     return float(ratio.max()) if ratio.size else 0.0
 
 
+def augmentation_ratio_star_route(b, root, fam):
+    """augmentation_ratio with its denominator from sparse_apply("star") of 1."""
+    b_flat = b.values.reshape(-1)
+    root_cells = root.flat_cells()
+    numer = np.abs(b_flat[root_cells] - b_flat[root_cells].mean())
+    ones = SampledFunction(b.domain, np.ones(b.domain.shape))
+    denom = sparse.sparse_apply("star", ones, fam, b=b).values.reshape(-1)[root_cells]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = numer / denom
+    ratio[numer == 0.0] = 0.0
+    return float(ratio.max()) if ratio.size else 0.0
+
+
 def is_sparse_oracle(pairs, gamma):
     """(ok, reason, index of the first failing entry) of the per-entry check."""
     for i, (cube, core) in enumerate(pairs):
@@ -405,18 +510,20 @@ def assert_apply_matches(fam, pairs, b, rng, exact):
 def test_cz_family_tables_match_entry_loops(case, seed, k):
     b, root = case
     fam = sparse.cz_augment(b, root)
-    pairs = list(zip(fam.cubes(), fam.cores))
+    pairs = list(zip(fam.cubes(), core_arrays(fam)))
     rng = np.random.default_rng(seed)
     assert_apply_matches(fam, pairs, b, rng, exact=True)
     assert sparse.augmentation_ratio(b, root, fam) == augmentation_ratio_oracle(b, root, pairs)
+    assert sparse.augmentation_ratio(b, root, fam) == augmentation_ratio_star_route(b, root, fam)
     verdict = sparse.is_sparse(fam)
     assert (verdict.ok, verdict.reason, verdict.worst_entry) == is_sparse_oracle(pairs, 0.5)
     kept = sparse.split_family(fam, k)
     if k == 1e9:
         assert len(kept) == 0  # every lattice sidelength lies in [1/k, k]
-    kept_pairs = list(zip(kept.cubes(), kept.cores))
+    kept_pairs = list(zip(kept.cubes(), core_arrays(kept)))
     assert_apply_matches(kept, kept_pairs, b, rng, exact=True)
     assert sparse.augmentation_ratio(b, root, kept) == augmentation_ratio_oracle(b, root, kept_pairs)
+    assert sparse.augmentation_ratio(b, root, kept) == augmentation_ratio_star_route(b, root, kept)
     assert sparse.is_sparse(kept).ok
 
 
@@ -481,10 +588,61 @@ def test_hand_made_family_verdicts_match_entry_loop(case, seed):
     fam = family(dom, [cube for cube, _ in pairs], [core for _, core in pairs])
     verdict = sparse.is_sparse(fam, gamma)
     assert (verdict.ok, verdict.reason, verdict.worst_entry) == is_sparse_oracle(pairs, gamma)
+    assert (verdict.ok, verdict.reason, verdict.worst_entry) == is_sparse_lists(
+        dom, fam.entries, [core for _, core in pairs], gamma)
     # repeated or unordered cubes sum each cell in another order: equal to rounding
     rng = np.random.default_rng(seed)
     b = SampledFunction(dom, rng.standard_normal(dom.shape))
     assert_apply_matches(fam, pairs, b, rng, exact=False)
+    g = int(rng.integers(0, dom.m + 1))
+    root = dyadic.cube(dom, g, tuple(rng.integers(0, 2**g, size=dom.d)))
+    assert sparse.augmentation_ratio(b, root, fam) == augmentation_ratio_star_route(b, root, fam)
+
+
+def test_hand_made_verdicts_escape_thin_intersect():
+    dom = LatticeDomain(d=2, m=3, L=1.0)
+    big, other = dyadic.cube(dom, 1, (0, 1)), dyadic.cube(dom, 1, (1, 0))
+    small = big.children()[3]
+    cells = big.flat_cells()
+    cases = {
+        "core leaves its cube": [(big, np.sort(np.append(cells[1:], other.flat_cells()[0])))],
+        "core fraction at or below gamma": [(other, other.flat_cells()), (big, cells[:8])],
+        "cores intersect": [(other, other.flat_cells()), (big, cells), (small, small.flat_cells())],
+    }
+    for reason, pairs in cases.items():
+        fam = family(dom, [cube for cube, _ in pairs], [core for _, core in pairs])
+        verdict = sparse.is_sparse(fam)
+        want = is_sparse_lists(dom, fam.entries, [core for _, core in pairs], 0.5)
+        assert (verdict.ok, verdict.reason, verdict.worst_entry) == want
+        assert verdict.reason == reason and verdict.worst_entry == len(pairs) - 1
+
+
+def jn_sparse_bound_loop(b, w, r, alpha, root):
+    """jn_verify's sparse bound by one oscillation() call per family cube,
+    and the same bound with 2|b| in place of |b - <b>_Q|, an upper bound
+    that sets the scale of the rounding."""
+    dom = b.domain
+    exponent = 1.0 + alpha * r / dom.d
+    b_flat, w_flat = b.values.reshape(-1), w.values.reshape(-1)
+    total = scale = 0.0
+    for cube in sparse.cz_augment(b, root).cubes():
+        cells = cube.flat_cells()
+        w_mass = float(w_flat[cells].sum()) * dom.cell_volume
+        total += osc.oscillation(b, cube, nu=w, alpha=alpha, r=1.0) ** r * w_mass**exponent
+        magnitude = 2.0 * float(np.abs(b_flat[cells]).sum()) * dom.cell_volume / w_mass
+        scale += (w_mass ** (-alpha / dom.d) * magnitude) ** r * w_mass**exponent
+    w_root = float(w_flat[root.flat_cells()].sum()) * dom.cell_volume
+    return (total / w_root**exponent) ** (1.0 / r), (scale / w_root**exponent) ** (1.0 / r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=cz_cases(), r=st.sampled_from((1.0, 2.0)), alpha=st.sampled_from((0.0, 0.5)))
+def test_jn_sparse_bound_matches_cube_loop(case, r, alpha):
+    b, root = case
+    w = make_weight(b.domain, {"kind": "power", "beta": 0.3})
+    rep = osc.jn_verify(b, w, 2.0, r, alpha, root)
+    want, scale = jn_sparse_bound_loop(b, w, r, alpha, root)
+    assert abs(rep.sparse_bound - want) <= 1e-12 * max(want, 1e-3 * scale)
 
 
 # -- splitting ----------------------------------------------------------------
@@ -523,11 +681,11 @@ def test_split_k_one(dom):
 def test_split_matches_cube_objects(d, k):
     # L = 2 puts cube corners at distance exactly k from the origin
     wide = LatticeDomain(d=d, m=4, L=2.0)
-    cubes = dyadic.enumerate_cubes(wide)
+    cubes = enumerate_cubes(wide)
     kept = sparse.split_family(family(wide, cubes), k)
     want = [c for c in cubes if not (1.0 / k <= c.sidelength <= k and c.dist_to_origin() <= k)]
     assert [dyadic.key_cube(wide, key) for key in kept.entries] == want
-    assert all(np.array_equal(core, c.flat_cells()) for core, c in zip(kept.cores, want))
+    assert all(np.array_equal(core, c.flat_cells()) for core, c in zip(core_arrays(kept), want))
 
 
 def test_split_removed_sets_nest_beyond_width(dom, unit_root):
