@@ -524,7 +524,8 @@ def _exp_vmo_witness(ctx: RunContext) -> ExperimentResult:
     profile_rows, distance_rows, witness_rows = [], [], []
     assertions, flags = [], []
     for sid, b in ctx.symbols:
-        prof = oscillation.vmo_profile(b, nu, alpha, r=r)
+        report = oscillation.bmo_norm(b, nu, alpha, r)
+        prof = oscillation.vmo_profile(report)
         profile_rows.extend(
             (sid, s, ps, sm, lg)
             for s, ps, sm, lg in zip(prof.scales, prof.per_scale_sup,
@@ -532,7 +533,7 @@ def _exp_vmo_witness(ctx: RunContext) -> ExperimentResult:
         )
         distance_rows.extend((sid, rad, d) for rad, d in zip(prof.radii, prof.distance))
         witness = oscillation.vmo_witness(
-            b, nu, alpha,
+            b, report, nu, alpha,
             c0=_param(ctx, "c0", 0.5, float),
             mode=ctx.params.get("mode"),
             r=r,

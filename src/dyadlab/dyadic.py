@@ -87,16 +87,6 @@ class DyadicCube:
         gap = other.generation - self.generation
         return all(ok // 2**gap == k for ok, k in zip(other.index, self.index))
 
-    def dist_to_origin(self) -> float:
-        """Euclidean distance from the origin to the closed cube."""
-        box, sq = self.box(), 0.0
-        for a, b in zip(box.lo, box.hi):
-            if a > 0:
-                sq += a * a
-            elif b < 0:
-                sq += b * b
-        return float(np.sqrt(sq))
-
 
 def cube(domain: LatticeDomain, generation: int, index) -> DyadicCube:
     """The generation-j cube with the given per-axis index, validated."""
@@ -161,8 +151,8 @@ def key_cube(domain: LatticeDomain, key) -> DyadicCube:
 
 
 def _cube_distance_table(dom: LatticeDomain, generation: int) -> np.ndarray:
-    """Distance from the origin to each closed generation-j cube; entry
-    [index] is bitwise DyadicCube.dist_to_origin of cube (j, index)."""
+    """Euclidean distance from the origin to each closed generation-j cube:
+    entry [index] belongs to cube (j, index)."""
     ell = dom.width * 2.0**-generation
     lo = -dom.L + np.arange(2**generation) * ell
     dist = np.maximum(np.maximum(lo, -(lo + ell)), 0.0)

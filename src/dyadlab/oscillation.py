@@ -27,12 +27,16 @@ ratio checked by weights.bloom_sandwich_report, so the two norms agree
 up to [mu][lam] cube by cube; tests assert this both ways.
 
 Vanishing-oscillation diagnostics discretize three failure modes:
-small scales, large scales, and regions escaping to infinity.  Profile
-curves are cumulative suprema over shrinking cube families, so they are
-monotone in their parameter by construction.  Witness extraction keeps a
-removal budget theta = 1/8 per selected cube: later selections may eat
-at most theta of an earlier cube's volume, which keeps |E| >= (1-theta)|Q|
-and, verified numerically per pair, osc(b; E) >= c0/2.
+small scales, large scales, and regions escaping to infinity, off one
+bmo_norm report per symbol.  Profile curves are cumulative suprema over
+shrinking cube families, so they are monotone in their parameter by
+construction.  Witness searches take the report's cubes with osc >= c0
+as key rows (generation, index...), each searcher in its own order, and
+mark cells in one label array over the domain; a DyadicCube is built
+only per accepted pair.  Witness extraction keeps a removal budget
+theta = 1/8 per selected cube: later selections may eat at most theta
+of an earlier cube's volume, which keeps |E| >= (1-theta)|Q| and,
+verified numerically per pair, osc(b; E) >= c0/2.
 """
 
 from __future__ import annotations
@@ -195,19 +199,14 @@ class VMOProfile:
     distance: np.ndarray        # sup over dist(Q, 0) >= radii[k]
 
 
-def vmo_profile(
-    b: SampledFunction,
-    nu: Weight | None = None,
-    alpha: float = 0.0,
-    r: float = 1.0,
-) -> VMOProfile:
-    """Monotone oscillation envelopes in scale and in distance from 0.
+def vmo_profile(report: dyadic.FamilyReport) -> VMOProfile:
+    """Monotone oscillation envelopes in scale and in distance from 0, read
+    off a bmo_norm report.
 
     Curves stop at cubes of side 4h; below that the per-cube means are
     supported on too few cells to say anything about the symbol."""
-    dom = b.domain
+    dom, values = report.domain, report.values
     j_max = dom.m - int(math.log2(_GEN_FLOOR_CELLS))
-    values = bmo_norm(b, nu, alpha, r).values
     per_scale = np.array([np.max(table) for table in dyadic._levels(values, dom.d)[: j_max + 1]])
     small = np.maximum.accumulate(per_scale[::-1])[::-1]
     large = np.maximum.accumulate(per_scale)
@@ -222,32 +221,29 @@ def vmo_profile(
 class WitnessFamily:
     mode: str
     threshold: float
-    entries: list  # (DyadicCube, flat cell indices of E)
+    entries: list  # (DyadicCube, flat cell indices of E), one per accepted pair
     oscillations: list  # verified osc(b; E) per entry
 
     def __len__(self):
         return len(self.entries)
 
 
-def _candidate_cubes(b, nu, alpha, r, c0):
-    tables = dyadic._levels(bmo_norm(b, nu, alpha, r).values, b.domain.d)
-    return [(dyadic.cube(b.domain, j, idx), float(table[tuple(idx)]))
-            for j, table in enumerate(tables) for idx in np.argwhere(table >= c0)]
+def _candidate_keys(report: dyadic.FamilyReport, c0: float) -> np.ndarray:
+    """Key rows (generation, index...) of the report's cubes with value
+    >= c0, in (generation, index) order."""
+    hits = [np.argwhere(table >= c0) for table in dyadic._levels(report.values, report.domain.d)]
+    return np.concatenate([np.column_stack([np.full(len(index), j), index])
+                           for j, index in enumerate(hits)])
 
 
-def _verify_entries(b, nu, alpha, r, c0, picked):
-    entries, oscs = [], []
-    for cube, mask in picked:
-        if mask.size == 0:
-            continue
-        val = oscillation(b, mask, nu=nu, alpha=alpha, r=r)
-        if val >= c0 / 2.0:
-            entries.append((cube, mask))
-            oscs.append(val)
-    return entries, oscs
+def _block(m: int, key) -> tuple:
+    """The cells of cube (generation, index...) in a domain-shaped array,
+    one slice per axis; raveled, a block of flat cell ids is sorted."""
+    side = 1 << (m - key[0])
+    return tuple(slice(k * side, (k + 1) * side) for k in key[1:])
 
 
-def _witness_small(b, nu, alpha, r, c0, cands, theta, min_pairs):
+def _witness_small(dom, keys, theta):
     """Greedy subsequence extraction with integer-exact removal budgets.
 
     A candidate nested inside an accepted cube A must (a) keep A's total
@@ -255,98 +251,86 @@ def _witness_small(b, nu, alpha, r, c0, cands, theta, min_pairs):
     nearest accepted ancestor.  The step rule caps each nested chain's
     removal at (theta/4)/(1 - theta/4) < theta, so budgets only bind when
     several disjoint chains share an ancestor.  All checks are exact cell
-    counts."""
-    # big first; deterministic tie-break by generation and index
-    cands = sorted(cands, key=lambda t: (-t[0].volume, t[0].generation, t[0].index))
+    counts.  Candidates come big first, so a candidate's accepted
+    ancestors are the owner of its first cell (the finest accepted cube
+    over it) and that owner's chain of nearest accepted ancestors.
+    Yields one (key row, E) family per budget divisor: ceil(1/theta), then
+    twice that."""
+    ids = np.arange(dom.n**dom.d).reshape(dom.shape)
     inv_theta = math.ceil(1.0 / theta)
     for inv in (inv_theta, 2 * inv_theta):
-        accepted = []  # [cube, cells, removed cell count]
-        for cube, _val in cands:
-            cells = cube.flat_cells()
-            ancestors = [a for a in accepted if a[0].contains_cube(cube)]
-            if ancestors:
-                nearest = min(ancestors, key=lambda a: a[1].size)
-                if 4 * inv * cells.size > nearest[1].size:
-                    continue
-                if any(inv * (a[2] + cells.size) > a[1].size for a in ancestors):
-                    continue
-                for a in ancestors:
-                    a[2] += cells.size
-            accepted.append([cube, cells, 0])
-        picked = []
-        for i, (cube, cells, _removed) in enumerate(accepted):
-            later = [a[1] for a in accepted[i + 1 :]]
-            if later:
-                mask = np.setdiff1d(cells, np.concatenate(later))
-            else:
-                mask = cells
-            picked.append((cube, mask))
-        entries, oscs = _verify_entries(b, nu, alpha, r, c0, picked)
-        if len(entries) >= min_pairs:
-            return WitnessFamily("small-scale", c0, entries, oscs)
-    return None
+        owner = np.full(dom.shape, -1)
+        accepted = []  # [key row, cell block, cell count, removed cell count, nearest ancestor]
+        for key in keys.tolist():
+            block, size = _block(dom.m, key), 1 << (dom.d * (dom.m - key[0]))
+            chain = [int(owner[block].flat[0])]
+            while chain[-1] >= 0:
+                chain.append(accepted[chain[-1]][4])
+            ancestors = [accepted[a] for a in chain[:-1]]
+            if ancestors and (4 * inv * size > ancestors[0][2]
+                              or any(inv * (a[3] + size) > a[2] for a in ancestors)):
+                continue
+            for a in ancestors:
+                a[3] += size
+            accepted.append([key, block, size, 0, chain[0]])
+            owner[block] = len(accepted) - 1
+        yield [(key, ids[block].ravel()[owner[block].ravel() == i])
+               for i, (key, block, *_) in enumerate(accepted)]
 
 
-def _witness_far(b, nu, alpha, r, c0, cands, min_pairs):
+def _witness_far(dom, keys):
     """Disjoint cubes at distances increasing by at least L/8 per step,
-    required to reach ESCAPE_RADIUS * L; E = Q throughout."""
-    cands = sorted(cands, key=lambda t: (t[0].dist_to_origin(), t[0].generation, t[0].index))
-    step = b.domain.L / 8.0
-    accepted = []
-    used = np.empty(0, dtype=np.int64)
-    last = None
-    for cube, _val in cands:
-        dist = cube.dist_to_origin()
-        if dist <= 0.0:
+    required to reach ESCAPE_RADIUS * L; E = Q throughout.  Candidates
+    come nearest first, ties in (generation, index) order; yields the
+    (key row, E) family if it escapes."""
+    dist = np.concatenate([_cube_distance_table(dom, j)[tuple(keys[keys[:, 0] == j, 1:].T)]
+                           for j in range(dom.m + 1)])  # keys come by generation
+    ids, used = np.arange(dom.n**dom.d).reshape(dom.shape), np.zeros(dom.shape, dtype=bool)
+    step = dom.L / 8.0
+    picked, last = [], None
+    for row in np.argsort(dist, kind="stable").tolist():
+        key, dist_q = keys[row].tolist(), float(dist[row])
+        block = _block(dom.m, key)
+        if dist_q <= 0.0 or (last is not None and dist_q < last + step) or used[block].any():
             continue
-        if last is not None and dist < last + step:
-            continue
-        cells = cube.flat_cells()
-        if np.intersect1d(cells, used).size:
-            continue
-        accepted.append((cube, cells))
-        used = np.concatenate([used, cells])
-        last = dist
-    if not accepted or accepted[-1][0].dist_to_origin() < ESCAPE_RADIUS * b.domain.L:
-        return None
-    entries, oscs = _verify_entries(b, nu, alpha, r, c0, accepted)
-    if len(entries) >= min_pairs:
-        return WitnessFamily("far-away", c0, entries, oscs)
-    return None
+        used[block] = True
+        picked.append((key, ids[block].ravel()))
+        last = dist_q
+    if last is not None and last >= ESCAPE_RADIUS * dom.L:
+        yield picked
 
 
-def _witness_large(b, nu, alpha, r, c0, cands, min_pairs):
+def _witness_large(b, nu, alpha, r, c0, keys):
     """Nested escape to ever larger cubes: E strips off everything already
-    used, oscillation re-verified on each strip before acceptance."""
-    cands = sorted(cands, key=lambda t: (t[0].volume, t[0].generation, t[0].index))
-    picked = []
-    used = np.empty(0, dtype=np.int64)
-    last_vol = None
-    for cube, _val in cands:
-        cells = cube.flat_cells()
-        if last_vol is None:
-            picked.append((cube, cells))
-            used = cells
-            last_vol = cube.volume
+    used, oscillation re-verified on each strip before acceptance.
+    Candidates come small first, in (generation, index) order; yields
+    the (key row, E) family."""
+    dom = b.domain
+    ids, used = np.arange(dom.n**dom.d).reshape(dom.shape), np.zeros(dom.shape, dtype=bool)
+    picked, last_gen = [], None
+    for row in np.argsort(-keys[:, 0], kind="stable").tolist():
+        key = keys[row].tolist()
+        block = _block(dom.m, key)
+        cells = ids[block].ravel()
+        if last_gen is None:
+            mask = cells
+        elif key[0] >= last_gen:  # the volume must at least double
             continue
-        if cube.volume < 2.0 * last_vol:
-            continue
-        mask = np.setdiff1d(cells, used)
-        if 2 * mask.size < cells.size:
-            continue
-        if oscillation(b, mask, nu=nu, alpha=alpha, r=r) < c0 / 2.0:
-            continue
-        picked.append((cube, mask))
-        used = np.union1d(used, cells)
-        last_vol = cube.volume
-    entries, oscs = _verify_entries(b, nu, alpha, r, c0, picked)
-    if len(entries) >= min_pairs:
-        return WitnessFamily("large-scale", c0, entries, oscs)
-    return None
+        else:
+            mask = cells[~used[block].ravel()]
+            if 2 * mask.size < cells.size:
+                continue
+            if oscillation(b, mask, nu=nu, alpha=alpha, r=r) < c0 / 2.0:
+                continue
+        picked.append((key, mask))
+        used[block] = True
+        last_gen = key[0]
+    yield picked
 
 
 def vmo_witness(
     b: SampledFunction,
+    report: dyadic.FamilyReport,
     nu: Weight | None = None,
     alpha: float = 0.0,
     c0: float = 0.5,
@@ -358,25 +342,41 @@ def vmo_witness(
     """Disjoint (Q, E) pairs witnessing osc >= c0/2 in the requested
     failure mode, or None when no family of min_pairs exists.
 
-    Far-away families must reach ESCAPE_RADIUS * L: on a bounded domain
-    a sequence that stalls at moderate distance says nothing about
-    behaviour at infinity."""
+    The candidates are the cubes Q with osc_r(b; Q) >= c0 in report,
+    which must be bmo_norm(b, nu, alpha, r).  Each searcher yields
+    families of (key row, E); the first with min_pairs pairs whose E is
+    nonempty with osc(b; E) >= c0/2 is kept.  Far-away families must
+    reach ESCAPE_RADIUS * L: on a bounded domain a sequence that stalls
+    at moderate distance says nothing about behaviour at infinity."""
     _check_exponents(alpha, r)
-    if not (theta > 0.0 and math.isfinite(1.0 / theta)):
-        raise ValueError(f"theta must be positive with a finite reciprocal, got {theta}")
+    if report.domain != b.domain:
+        raise ValueError("report must live on the domain of b")
+    if not c0 > 0.0:
+        raise ValueError(f"c0 must be > 0, got {c0}")
+    if not (0.0 < theta < 1.0 and math.isfinite(1.0 / theta)):
+        raise ValueError(f"theta must lie in (0, 1) with a finite reciprocal, got {theta}")
+    if min_pairs < 1:
+        raise ValueError(f"min_pairs must be >= 1, got {min_pairs}")
     searchers = {
-        "small-scale": lambda cands: _witness_small(b, nu, alpha, r, c0, cands, theta,
-                                                    min_pairs),
-        "far-away": lambda cands: _witness_far(b, nu, alpha, r, c0, cands, min_pairs),
-        "large-scale": lambda cands: _witness_large(b, nu, alpha, r, c0, cands, min_pairs),
+        "small-scale": lambda: _witness_small(b.domain, keys, theta),
+        "far-away": lambda: _witness_far(b.domain, keys),
+        "large-scale": lambda: _witness_large(b, nu, alpha, r, c0, keys),
     }
     if mode is not None and mode not in searchers:
         raise ValueError(f"unknown witness mode {mode!r}")
-    cands = _candidate_cubes(b, nu, alpha, r, c0)
+    keys = _candidate_keys(report, c0)
     for name in (mode,) if mode is not None else searchers:
-        found = searchers[name](cands)
-        if found is not None:
-            return found
+        for picked in searchers[name]():
+            entries, oscs = [], []
+            for key, mask in picked:
+                if mask.size == 0:
+                    continue
+                val = oscillation(b, mask, nu=nu, alpha=alpha, r=r)
+                if val >= c0 / 2.0:
+                    entries.append((dyadic.key_cube(b.domain, key), mask))
+                    oscs.append(val)
+            if len(entries) >= min_pairs:
+                return WitnessFamily(name, c0, entries, oscs)
     return None
 
 

@@ -304,7 +304,7 @@ def split_family(family: SparseFamily, k: float) -> SparseFamily:
         raise ValueError("k must be positive")
     dom, gens = family.domain, family.entries[:, 0]
     keep = np.ones(len(family), dtype=bool)
-    for j in np.flatnonzero(np.bincount(gens)).tolist():  # as sidelength, dist_to_origin
+    for j in np.flatnonzero(np.bincount(gens)).tolist():  # as sidelength and _cube_distance_table
         rows = np.flatnonzero(gens == j)
         dist = dyadic._cube_distance_table(dom, j)[tuple(family.entries[rows, 1:].T)]
         keep[rows] = ~((1.0 / k <= dom.width * 2.0 ** (-j) <= k) & (dist <= k))

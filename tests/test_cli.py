@@ -336,6 +336,26 @@ def test_vmo_witness_below_half_threshold_exits_1(tmp_path, monkeypatch, capsys)
     assert "first failure: witness-oscillation:log" in capsys.readouterr().err
 
 
+def test_vmo_witness_builds_one_oscillation_family_per_symbol(tmp_path, monkeypatch):
+    # the profile and the witness search read the same bmo_norm report
+    calls = []
+    build = cli.oscillation.bmo_norm
+    monkeypatch.setattr(cli.oscillation, "bmo_norm", lambda *a: calls.append(a) or build(*a))
+    cfg = _vmo_config()
+    cfg["symbols"] += [{"id": "holder", "terms": [{"kind": "abs_power", "exponent": 0.25}]}]
+    assert cli.run(cfg, out_dir=tmp_path / "out") == 0
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("key,value", [("c0", 0.0), ("c0", -1.0), ("theta", 1.0),
+                                       ("theta", 2.0), ("theta", 0.0)])
+def test_vmo_witness_threshold_that_cannot_fail_is_config_error(tmp_path, capsys, key, value):
+    cfg = _vmo_config()
+    cfg["params"] = {key: value}
+    assert cli.run(cfg, out_dir=tmp_path / "out") == 2
+    assert key in capsys.readouterr().err
+
+
 def test_invalid_eps_list_is_config_error(tmp_path):
     # eps below the 4h resolution floor is a bad parameter combination.
     cfg = {

@@ -9,7 +9,7 @@ from dyadlab import dyadic
 from dyadlab.dyadic import _generation_mean, dyadic_maximal
 from dyadlab.lattice import Box, LatticeDomain, SampledFunction, indicator
 from dyadlab.oscillation import _cube_distance_table, region_cells
-from oracles import enumerate_cubes
+from oracles import dist_to_origin, enumerate_cubes
 
 
 def random_function(domain, seed):
@@ -62,19 +62,22 @@ class TestGridGeometry:
         dom = LatticeDomain(1, 4, 1.0)
         ell = dyadic.cube(dom, 3, (0,)).sidelength
         mid = 2**2  # cube [0, ell)
-        assert dyadic.cube(dom, 3, (mid,)).dist_to_origin() == 0.0
-        assert dyadic.cube(dom, 3, (mid + 1,)).dist_to_origin() == pytest.approx(ell)
-        assert dyadic.cube(dom, 3, (mid - 1,)).dist_to_origin() == 0.0
-        assert dyadic.cube(dom, 3, (mid - 2,)).dist_to_origin() == pytest.approx(ell)
+        table = _cube_distance_table(dom, 3)
+        assert table[mid] == 0.0
+        assert table[mid + 1] == pytest.approx(ell)
+        assert table[mid - 1] == 0.0
+        assert table[mid - 2] == pytest.approx(ell)
+        assert [table[k] for k in range(2**3)] == [
+            dist_to_origin(dyadic.cube(dom, 3, (k,))) for k in range(2**3)]
 
     @pytest.mark.parametrize("d,m,L", [(1, 6, 1.0), (2, 4, 1.0), (1, 5, 2.5), (2, 3, 0.75)])
     def test_dist_to_origin_matches_distance_table_bitwise(self, d, m, L):
-        # vmo_witness orders cubes by dist_to_origin and vmo_profile reads
-        # the table, so both must give the same float for every cube.
+        # vmo_profile, the far-away witness order and split_family read the
+        # table; it must give the closed-box distance's float for every cube.
         dom = LatticeDomain(d, m, L)
         for cube in enumerate_cubes(dom):
-            want = _cube_distance_table(dom, cube.generation)[cube.index]
-            assert cube.dist_to_origin() == want
+            want = dist_to_origin(cube)
+            assert _cube_distance_table(dom, cube.generation)[cube.index] == want
 
 
 class TestEnumerate:

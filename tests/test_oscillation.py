@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from dyadlab import dyadic, oscillation as osc
 from dyadlab.lattice import Box, LatticeDomain, SampledFunction, sample_symbol
 from dyadlab.weights import ExponentSetup, bloom_weight, make_weight
+from oracles import vmo_witness_objects
 
 TWO_OVER_E = 2.0 / math.e
 
@@ -174,10 +175,11 @@ def test_norm_triangle_inequality(dom, logx):
 
 def test_profile_monotone_and_null_for_constant(dom):
     b = SampledFunction(dom, np.full(dom.n, 3.0))
-    prof = osc.vmo_profile(b)
+    prof = osc.vmo_profile(osc.bmo_norm(b))
     assert np.all(prof.per_scale_sup == 0.0)
     assert np.all(prof.distance == 0.0)
-    prof_log = osc.vmo_profile(SampledFunction(dom, np.log(np.abs(dom.midpoints()[0]))))
+    logx = SampledFunction(dom, np.log(np.abs(dom.midpoints()[0])))
+    prof_log = osc.vmo_profile(osc.bmo_norm(logx))
     assert np.all(np.diff(prof_log.small_scale) <= 1e-15)
     assert np.all(np.diff(prof_log.large_scale) >= -1e-15)
     assert np.all(np.diff(prof_log.distance) <= 1e-15)
@@ -186,14 +188,14 @@ def test_profile_monotone_and_null_for_constant(dom):
 def test_smooth_profile_obeys_lipschitz_oracle(dom):
     bump = sample_symbol(dom, {"kind": "bump", "center": [0.0], "radius": 0.75})
     lip = np.max(np.abs(np.diff(bump.values))) / dom.h
-    prof = osc.vmo_profile(bump)
+    prof = osc.vmo_profile(osc.bmo_norm(bump))
     assert np.all(prof.per_scale_sup <= lip * prof.scales / 2.0 + 1e-12)
     # small scales genuinely vanish
     assert prof.small_scale[-1] < 0.01
 
 
 def test_log_profile_floor(dom, logx):
-    prof = osc.vmo_profile(logx)
+    prof = osc.vmo_profile(osc.bmo_norm(logx))
     # cubes [0, 2^-j) keep the 2/e oscillation; >= 64-cell scales within 2%
     fine = dom.m - 6
     assert np.all(prof.small_scale[: fine + 1] >= TWO_OVER_E * 0.98)
@@ -215,7 +217,7 @@ def log12(dom12):
 
 
 def test_small_scale_witness_for_log(log12):
-    fam = osc.vmo_witness(log12, c0=0.5, mode="small-scale")
+    fam = osc.vmo_witness(log12, osc.bmo_norm(log12), c0=0.5, mode="small-scale")
     assert fam is not None and fam.mode == "small-scale"
     assert len(fam) >= 5
     assert all(v >= 0.25 for v in fam.oscillations)
@@ -235,7 +237,8 @@ def test_small_scale_witness_keeps_budget_that_is_not_a_unit_fraction(theta):
         for scale in (1.0, 4.0):
             rng = np.random.default_rng(seed)
             b = SampledFunction(dom, np.cumsum(rng.standard_normal(dom.n)) / scale)
-            fam = osc.vmo_witness(b, c0=0.3, mode="small-scale", theta=theta, min_pairs=1)
+            fam = osc.vmo_witness(b, osc.bmo_norm(b), c0=0.3, mode="small-scale",
+                                  theta=theta, min_pairs=1)
             assert fam is not None
             for cube, mask in fam.entries:
                 ncells = cube.flat_cells().size
@@ -244,32 +247,34 @@ def test_small_scale_witness_keeps_budget_that_is_not_a_unit_fraction(theta):
 
 def test_witness_modes_for_smooth_symbol(dom12):
     bump = sample_symbol(dom12, {"kind": "bump", "center": [0.0], "radius": 0.75})
-    assert osc.vmo_witness(bump, c0=0.1, mode="small-scale") is None
-    assert osc.vmo_witness(bump, c0=0.1, mode="far-away") is None
+    report = osc.bmo_norm(bump)
+    assert osc.vmo_witness(bump, report, c0=0.1, mode="small-scale") is None
+    assert osc.vmo_witness(bump, report, c0=0.1, mode="far-away") is None
 
 
 def test_default_witness_search_builds_candidates_once(dom12, monkeypatch):
     # small-scale and far-away find nothing, so all three searchers run
     bump = sample_symbol(dom12, {"kind": "bump", "center": [0.0], "radius": 0.75})
     calls = []
-    build = osc._candidate_cubes
-    monkeypatch.setattr(osc, "_candidate_cubes", lambda *a: calls.append(a) or build(*a))
-    osc.vmo_witness(bump, c0=0.1)
+    build = osc._candidate_keys
+    monkeypatch.setattr(osc, "_candidate_keys", lambda *a: calls.append(a) or build(*a))
+    osc.vmo_witness(bump, osc.bmo_norm(bump), c0=0.1)
     assert len(calls) == 1
 
 
 def test_witness_none_for_constant(dom12):
     b = SampledFunction(dom12, np.zeros(dom12.n))
-    assert osc.vmo_witness(b, c0=0.1) is None
+    assert osc.vmo_witness(b, osc.bmo_norm(b), c0=0.1) is None
 
 
 def test_far_away_witness_for_boundary_comb(dom12):
     mids = dom12.midpoints()[0]
     vals = np.where(np.abs(mids) > 0.4, np.sign(np.sin(2**9 * np.pi * mids)), 0.0)
     comb = SampledFunction(dom12, vals)
-    fam = osc.vmo_witness(comb, c0=0.5, mode="far-away")
+    fam = osc.vmo_witness(comb, osc.bmo_norm(comb), c0=0.5, mode="far-away")
     assert fam is not None and fam.mode == "far-away"
-    dists = [cube.dist_to_origin() for cube, _ in fam.entries]
+    dists = [float(dyadic._cube_distance_table(dom12, cube.generation)[cube.index])
+             for cube, _ in fam.entries]
     assert dists == sorted(dists)
     assert dists[-1] >= 0.75 * dom12.L
     allcells = np.concatenate([mask for _, mask in fam.entries])
@@ -277,13 +282,107 @@ def test_far_away_witness_for_boundary_comb(dom12):
 
 
 def test_large_scale_witness_for_log(log12):
-    fam = osc.vmo_witness(log12, c0=0.5, mode="large-scale")
+    fam = osc.vmo_witness(log12, osc.bmo_norm(log12), c0=0.5, mode="large-scale")
     assert fam is not None and len(fam) >= 2
     vols = [cube.volume for cube, _ in fam.entries]
     assert vols == sorted(vols)
     allcells = np.concatenate([mask for _, mask in fam.entries])
     assert np.unique(allcells).size == allcells.size
     assert all(v >= 0.25 for v in fam.oscillations)
+
+
+def test_witness_rejects_thresholds_that_cannot_fail():
+    # c0 <= 0 makes osc(b; E) >= c0/2 hold for any pair, theta >= 1 makes
+    # |E| >= (1 - theta)|Q| vacuous and min_pairs = 0 accepts no pairs: on
+    # the zero symbol each would return a family of oscillation 0.
+    dom = LatticeDomain(d=1, m=8, L=1.0)
+    b = SampledFunction(dom, np.zeros(dom.n))
+    report = osc.bmo_norm(b)
+    for c0 in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="c0"):
+            osc.vmo_witness(b, report, c0=c0)
+    for theta in (0.0, -0.5, 1.0, 2.0, math.nan, 5e-324):
+        with pytest.raises(ValueError, match="theta"):
+            osc.vmo_witness(b, report, c0=0.1, theta=theta)
+    with pytest.raises(ValueError, match="min_pairs"):  # an empty family
+        osc.vmo_witness(b, report, c0=0.1, min_pairs=0)
+
+
+def test_witness_rejects_report_from_another_domain(log12):
+    other = LatticeDomain(d=1, m=11, L=1.0)
+    report = osc.bmo_norm(SampledFunction(other, np.log(np.abs(other.midpoints()[0]))))
+    with pytest.raises(ValueError, match="domain"):
+        osc.vmo_witness(log12, report)
+
+
+def _witness_symbol(dom, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "log":
+        return sample_symbol(dom, {"kind": "log_abs"})
+    if kind == "holder":
+        return sample_symbol(dom, {"kind": "abs_power", "exponent": 0.25})
+    noise = rng.standard_normal(dom.shape)
+    if kind == "walk":
+        for axis in range(dom.d):
+            noise = np.cumsum(noise, axis=axis)
+        return SampledFunction(dom, noise / dom.n ** (dom.d / 2.0))
+    if kind == "complex":
+        return SampledFunction(dom, noise + 1j * rng.standard_normal(dom.shape))
+    return SampledFunction(dom, noise)
+
+
+def assert_same_witness(got, want):
+    if want is None:
+        assert got is None
+        return
+    assert got is not None and got.mode == want.mode and got.threshold == want.threshold
+    assert [cube for cube, _ in got.entries] == [cube for cube, _ in want.entries]
+    for (_, mask), (_, want_mask) in zip(got.entries, want.entries):
+        assert mask.dtype == want_mask.dtype and np.array_equal(mask, want_mask)
+    assert got.oscillations == want.oscillations
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lattice=st.sampled_from([(1, 5), (1, 7), (1, 8), (2, 3), (2, 4), (2, 5)]),
+    kind=st.sampled_from(["log", "holder", "noise", "walk", "complex"]),
+    seed=st.integers(0, 2**16),
+    weight=st.sampled_from([{"kind": "unit"}, {"kind": "power", "beta": 0.3}]),
+    alpha=st.sampled_from([0.0, 0.5]),
+    r=st.sampled_from([1.0, 2.0]),
+    frac=st.floats(0.05, 1.0),
+    theta=st.floats(0.01, 0.99),
+    mode=st.sampled_from([None, "small-scale", "far-away", "large-scale"]),
+    min_pairs=st.integers(1, 3),
+)
+def test_key_row_witness_search_matches_object_oracle(
+    lattice, kind, seed, weight, alpha, r, frac, theta, mode, min_pairs
+):
+    d, m = lattice
+    dom = LatticeDomain(d=d, m=m, L=1.0)
+    b = _witness_symbol(dom, kind, seed)
+    nu = make_weight(dom, weight)
+    report = osc.bmo_norm(b, nu, alpha, r)
+    c0 = frac * report.supremum
+    got = osc.vmo_witness(b, report, nu, alpha, c0=c0, mode=mode, r=r, theta=theta,
+                          min_pairs=min_pairs)
+    want = vmo_witness_objects(b, nu, alpha, c0=c0, mode=mode, r=r, theta=theta,
+                               min_pairs=min_pairs)
+    assert_same_witness(got, want)
+
+
+@pytest.mark.parametrize("d,m", [(1, 10), (2, 6)])
+@pytest.mark.parametrize("mode", [None, "small-scale", "far-away", "large-scale"])
+def test_key_row_witness_search_matches_object_oracle_deep(d, m, mode):
+    dom = LatticeDomain(d=d, m=m, L=1.0)
+    nu = make_weight(dom, {"kind": "power", "beta": 0.3})
+    comb = np.sign(np.sin(2 ** (m - 2) * np.pi * dom.midpoints()[0]))
+    for b in (sample_symbol(dom, {"kind": "log_abs"}), _witness_symbol(dom, "walk", 7),
+              SampledFunction(dom, np.where(np.abs(dom.midpoints()[0]) > 0.4, comb, 0.0))):
+        for c0 in (0.3, 0.5):
+            report = osc.bmo_norm(b, nu, 0.25)
+            got = osc.vmo_witness(b, report, nu, 0.25, c0=c0, mode=mode)
+            assert_same_witness(got, vmo_witness_objects(b, nu, 0.25, c0=c0, mode=mode))
 
 
 # -- power comparison ---------------------------------------------------------

@@ -12,7 +12,7 @@ from dyadlab import cli, dyadic, normest, sparse
 from dyadlab import oscillation as osc
 from dyadlab.lattice import LatticeDomain, SampledFunction, sample_symbol
 from dyadlab.weights import make_weight
-from oracles import core_arrays, enumerate_cubes
+from oracles import core_arrays, dist_to_origin, enumerate_cubes
 
 
 @pytest.fixture(scope="module")
@@ -683,7 +683,7 @@ def test_split_matches_cube_objects(d, k):
     wide = LatticeDomain(d=d, m=4, L=2.0)
     cubes = enumerate_cubes(wide)
     kept = sparse.split_family(family(wide, cubes), k)
-    want = [c for c in cubes if not (1.0 / k <= c.sidelength <= k and c.dist_to_origin() <= k)]
+    want = [c for c in cubes if not (1.0 / k <= c.sidelength <= k and dist_to_origin(c) <= k)]
     assert [dyadic.key_cube(wide, key) for key in kept.entries] == want
     assert all(np.array_equal(core, c.flat_cells()) for core, c in zip(core_arrays(kept), want))
 
