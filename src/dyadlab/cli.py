@@ -281,9 +281,21 @@ def _positive(value) -> int:
 
 
 def _numbers(value) -> tuple:
+    """A JSON list of numbers: strings and booleans are refused, not cast."""
     if not isinstance(value, (list, tuple)):
         raise TypeError(f"need a list of numbers, got {type(value).__name__}")
+    for v in value:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise TypeError(f"need a list of numbers, got {v!r}")
     return tuple(float(v) for v in value)
+
+
+def _positive_numbers(value) -> tuple:
+    """A JSON list of numbers, each > 0."""
+    numbers = _numbers(value)
+    if any(not v > 0.0 for v in numbers):
+        raise ValueError(f"need numbers > 0, got {list(value)}")
+    return numbers
 
 
 def _cube_key(cube) -> tuple:
@@ -488,7 +500,7 @@ def _exp_compactness_profile(ctx: RunContext) -> ExperimentResult:
     eps_list = _param(ctx, "eps_list", (0.5, 0.25, 0.125, 0.0625, 0.03125), _numbers)
     if not eps_list:
         raise ConfigError("params.eps_list must not be empty")
-    k_list = _param(ctx, "k_list", (1.0, 2.0, 4.0, 8.0), _numbers)
+    k_list = _param(ctx, "k_list", (1.0, 2.0, 4.0, 8.0), _positive_numbers)
     budget = _param(ctx, "budget", 8, _positive)
     tail_rows, sparse_rows, flags, headline = [], [], [], {}
     for sid, b in ctx.symbols:

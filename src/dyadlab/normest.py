@@ -9,12 +9,19 @@ computes it by Golub-Kahan-Lanczos bidiagonalization (Golub & Kahan
 |M* u - sigma v| falls to GKL_TOL * sigma.  Every other exponent pair
 runs a multi-start ascent on the norm ratio, Boyd's p-norm power method
 (Higham 1992), whose fixed points are the stationary points of the
-Lagrangian.  The restarts run as one batch through the operator: restart
-i starts from the i-th draw of the seeded generator, and a row leaves the
-batch once its ratio settles or its image or gradient vanishes, so every
-restart ends bitwise where it would alone.  The returned value is always
-a certified lower bound: a witness function attaining it is part of the
-estimate and is re-checked on return, and a drift raises NumericalError.
+Lagrangian.  The iterates are Anderson-mixed with memory 1 (Walker & Ni
+2011): from the plain step g_k and its residual f_k = g_k - x_k, the next
+iterate is g_k - gamma (g_k - g_{k-1}), gamma = <df, f_k> / <df, df> with
+df = f_k - f_{k-1}, renormalized.  A mixed iterate is kept only when its
+own ratio beats the previous one by more than the stop tolerance;
+otherwise the row takes the plain step and forgets its history, so the
+ratio never falls and only a plain step can stop a row.  The restarts
+run as one batch through the operator: restart i starts from the i-th
+draw of the seeded generator, and a row leaves the batch once its ratio
+settles or its image or gradient vanishes, so every restart ends bitwise
+where it would alone.  The returned value is always a certified lower
+bound: a witness function attaining it is part of the estimate and is
+re-checked on return, and a drift raises NumericalError.
 
 The separation probe pairs a cube Q with its shift by 3 sidelengths,
 where the Hilbert/Riesz kernels are sign-definite: testing the
@@ -47,6 +54,7 @@ from dyadlab.weights import ExponentSetup, Weight, bloom_weight
 
 ASCENT_RESTARTS = 32
 ASCENT_ITERATIONS = 200
+ASCENT_TOL = 1e-13  # relative move of the ratio that ends an ascent
 GKL_TOL = 1e-14
 GKL_MAX_STEPS = 256
 WITNESS_TOL = 1e-10
@@ -83,6 +91,32 @@ def _image_ratio(flat, image, p, q, muv, lamv, vol) -> np.ndarray:
     den = _flat_norm(flat, p, muv, vol)
     num = _flat_norm(image, q, lamv, vol)
     return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a, b> = sum conj(a) b of each row (leading axes are a batch); a
+    row's value does not depend on the batch it rides in."""
+    return np.einsum("...i,...i->...", a.conj(), b)
+
+
+def _anderson_mix(plain, resid, g_last, f_last, has_last, p, muv, vol):
+    """Memory-1 Anderson iterate of each row, and which rows it mixed.
+
+    A row with a last plain step g_last (residual f_last) mixes its plain
+    step g (residual f) into g - gamma (g - g_last), renormalized, with
+    gamma = <df, f> / <df, df> for df = f - f_last.  A row with no last
+    step, or with df = 0, keeps g.
+    """
+    if not has_last.any():
+        return plain, has_last
+    df = resid - f_last
+    den = _row_dot(df, df).real
+    mixed = has_last & (den > 0.0)
+    gamma = np.divide(_row_dot(df, resid), den, out=np.zeros(den.size, resid.dtype),
+                      where=mixed)
+    step = plain - gamma[:, None] * (plain - g_last)
+    step = step / np.where(mixed, _flat_norm(step, p, muv, vol), 1.0)[:, None]
+    return (step if mixed.all() else np.where(mixed[:, None], step, plain)), mixed
 
 
 def _ratio(op: Operator, flat, p, q, muv, lamv, vol) -> float:
@@ -150,11 +184,17 @@ def opnorm_estimate(op: Operator, p: float, mu: Weight, q: float, lam: Weight,
     batch: restart i starts from the i-th start vector drawn from `seed`,
     steps only while its ratio moves by more than 1e-13 (relative) and its
     image and gradient are nonzero, for at most `iterations` steps, and
-    converged rows leave the batch.  `iterations` in the estimate counts
-    the steps of all restarts and `capped` the restarts still moving when
-    the step budget ran out; the first best restart supplies the
-    witness.  method "svd" or "ascent" forces a path (svd only exists at
-    p = q = 2); "auto" picks.  The operator is only applied, never formed.
+    converged rows leave the batch.  Each step computes the plain duality
+    step and mixes it with the row's previous plain step (memory-1
+    Anderson); the mixed iterate is applied, and a row whose ratio it does
+    not raise by more than 1e-13 (relative) applies the plain step instead
+    and clears its history.  Every kept iterate is a vector whose ratio
+    was computed from its own image.  `iterations` in the estimate counts
+    row-steps, one per restart per step whether or not the mixed iterate
+    was kept, and `capped` the restarts still moving when the step budget
+    ran out; the first best restart supplies the witness.  method "svd" or
+    "ascent" forces a path (svd only exists at p = q = 2); "auto" picks.
+    The operator is only applied, never formed.
     """
     if not (1.0 < p <= q < np.inf):
         raise ValueError(f"need 1 < p <= q < inf, got ({p}, {q})")
@@ -202,40 +242,71 @@ def opnorm_estimate(op: Operator, p: float, mu: Weight, q: float, lam: Weight,
     inv_p1 = 1.0 / (p - 1.0)
     flats = np.stack([start_vector() for _ in range(budget)])
     images = op.apply(flats)
-    prev = np.zeros(budget)
-    active = np.arange(budget)  # rows still ascending
+    # the rows still ascending: restart index, iterate x, its image and
+    # ratio, and the row's last plain step g with its residual g - x
+    rows, x, img, prev = np.arange(budget), flats, images, np.zeros(budget)
+    g_last = f_last = np.zeros_like(flats)
+    has_last = np.zeros(budget, dtype=bool)
+
+    def leave(stay):  # rows off `stay` leave the batch where they stand
+        nonlocal rows, x, img, prev, g_last, f_last, has_last
+        flats[rows[~stay]], images[rows[~stay]] = x[~stay], img[~stay]
+        rows, x, img, prev, g_last, f_last, has_last = (
+            a[stay] for a in (rows, x, img, prev, g_last, f_last, has_last))
+
     used = 0
     for _ in range(iterations):
-        if not active.size:
+        if not rows.size:
             break
-        used += active.size
-        image = images[active]
-        mag = np.abs(image)
+        used += rows.size
+        mag = np.abs(img)
         live = np.any(mag, axis=-1)  # a zero image or gradient stops its row
-        active, image, mag = active[live], image[live], mag[live]
-        grad = op.adjoint(lam_q * mag ** (q - 2.0) * image)
+        if not live.all():
+            leave(live)
+            if not rows.size:  # no operator sees an empty batch
+                break
+            mag = mag[live]
+        grad = op.adjoint(lam_q * mag ** (q - 2.0) * img)
         gm = np.abs(grad)
         live = np.any(gm, axis=-1)
-        active, grad, gm = active[live], grad[live], gm[live]
-        flat = np.sign(grad) * (gm / mu_p) ** inv_p1
-        flat = flat / _flat_norm(flat, p, muv, vol)[:, None]
-        image = op.apply(flat)
-        cur = _image_ratio(flat, image, p, q, muv, lamv, vol)
-        flats[active], images[active] = flat, image
-        converged = np.abs(cur - prev[active]) <= 1e-13 * np.maximum(cur, 1.0)
-        prev[active] = cur
-        active = active[~converged]
+        if not live.all():
+            leave(live)
+            if not rows.size:
+                break
+            grad, gm = grad[live], gm[live]
+        plain = np.sign(grad) * (gm / mu_p) ** inv_p1
+        plain = plain / _flat_norm(plain, p, muv, vol)[:, None]
+        resid = plain - x
+        x, mixed = _anderson_mix(plain, resid, g_last, f_last, has_last, p, muv, vol)
+        g_last, f_last = plain, resid
+        img = op.apply(x)
+        cur = _image_ratio(x, img, p, q, muv, lamv, vol)
+        # safeguard: a mixed iterate that does not raise its row's ratio by
+        # more than the stop tolerance (or is nan) gives way to the plain
+        # step, and the row's history is cleared; only a plain step can stop
+        # a row, so a stalled mixing step never ends an ascent early
+        rejected = mixed & ~(cur - prev > ASCENT_TOL * np.maximum(cur, 1.0))
+        back = np.flatnonzero(rejected)
+        if back.size:
+            x[back] = plain[back]
+            img[back] = op.apply(plain[back])
+            cur[back] = _image_ratio(plain[back], img[back], p, q, muv, lamv, vol)
+        converged = np.abs(cur - prev) <= ASCENT_TOL * np.maximum(cur, 1.0)
+        prev, has_last = cur, ~rejected
+        if converged.any():
+            leave(~converged)
+    flats[rows], images[rows] = x, img  # rows still moving when the steps ran out
     vals = _image_ratio(flats, images, p, q, muv, lamv, vol)
     vals = np.where(vals > 0.0, vals, 0.0)  # a nan restart never wins
     best = int(np.argmax(vals))
     if vals[best] == 0.0:
-        return NormEstimate(0.0, "random-restart-ascent", None, used, capped=active.size)
+        return NormEstimate(0.0, "random-restart-ascent", None, used, capped=rows.size)
     best_val, best_flat = float(vals[best]), flats[best]
     witness = SampledFunction(dom, best_flat.reshape(dom.shape))
     check = _ratio(op, best_flat, p, q, muv, lamv, vol)
     if abs(check - best_val) > WITNESS_TOL * max(best_val, 1e-300):
         raise NumericalError("ascent witness does not reproduce its value")
-    return NormEstimate(best_val, "random-restart-ascent", witness, used, capped=active.size)
+    return NormEstimate(best_val, "random-restart-ascent", witness, used, capped=rows.size)
 
 
 # -- separation probe ----------------------------------------------------------

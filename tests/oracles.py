@@ -162,3 +162,63 @@ def vmo_witness_objects(b, nu=None, alpha=0.0, c0=0.5, mode=None, r=1.0, theta=0
         if found is not None:
             return found
     return None
+
+
+# The plain duality-map ascent (Boyd's p-norm power method), one restart at
+# a time: the ascent normest.opnorm_estimate ran before Anderson mixing.
+
+
+def lp_norm(flat, p, wvals, vol):
+    """|f|_{p,w} of one vector."""
+    return float(np.sum((np.abs(flat) * wvals) ** p) * vol) ** (1.0 / p)
+
+
+def ascent_ratio(flat, image, p, q, muv, lamv, vol):
+    """|image|_{q,lam} / |flat|_{p,mu}, 0 where flat vanishes."""
+    den = lp_norm(flat, p, muv, vol)
+    if den == 0.0:
+        return 0.0
+    return lp_norm(image, q, lamv, vol) / den
+
+
+def start_vectors(op, budget, seed):
+    """The ascent's start vectors, drawn in order from `seed`."""
+    rng = np.random.default_rng(seed)
+    for _ in range(budget):
+        flat = rng.standard_normal(op.size)
+        yield flat + 1j * rng.standard_normal(op.size) if op.is_complex else flat
+
+
+def plain_ascent(op, p, mu, q, lam, budget, iterations, seed):
+    """Best of `budget` plain ascents, each stepping until its ratio moves
+    by at most 1e-13 (relative) or its image or gradient vanishes:
+    (value, iterations used, witness cells or None)."""
+    muv, lamv = mu.values.reshape(-1), lam.values.reshape(-1)
+    vol = op.domain.cell_volume
+    lam_q = lamv**q
+    mu_p = muv**p
+    inv_p1 = 1.0 / (p - 1.0)
+    best_val, best_flat, used = 0.0, None, 0
+    for flat in start_vectors(op, budget, seed):
+        image = op.apply(flat)
+        prev = 0.0
+        for _ in range(iterations):
+            used += 1
+            mag = np.abs(image)
+            if not np.any(mag):
+                break
+            grad = op.adjoint(lam_q * mag ** (q - 2.0) * image)
+            gm = np.abs(grad)
+            if not np.any(gm):
+                break
+            flat = np.sign(grad) * (gm / mu_p) ** inv_p1
+            flat = flat / lp_norm(flat, p, muv, vol)
+            image = op.apply(flat)
+            cur = ascent_ratio(flat, image, p, q, muv, lamv, vol)
+            if abs(cur - prev) <= 1e-13 * max(cur, 1.0):
+                break
+            prev = cur
+        val = ascent_ratio(flat, image, p, q, muv, lamv, vol)
+        if val > best_val:
+            best_val, best_flat = val, flat
+    return best_val, used, best_flat

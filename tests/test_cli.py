@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import csv
+import functools
 import io
 import json
 import math
@@ -271,7 +272,26 @@ def test_compactness_profile_long_format(tmp_path):
     assert [float(r[1]) for r in k_rows] == [1.0, 2.0]
 
 
-def test_commutator_sweep_flags_capped_ascent(tmp_path):
+def test_compactness_profile_of_a_constant_symbol_off_the_diagonal(tmp_path):
+    # every star image vanishes: the tails are 0, not a config error
+    cfg = {
+        "experiment": "compactness-profile",
+        "domain": {"d": 2, "m": 5},
+        "exponents": {"p": 2.0, "q": 3.0},
+        "kernel": {"variant": "riesz", "j": 1},
+        "symbols": [{"id": "c", "terms": [{"kind": "constant"}]}],
+        "params": {"eps_list": [0.5, 0.25], "budget": 2},
+    }
+    out = tmp_path / "out"
+    assert cli.run(cfg, out_dir=out) == 0
+    _, k_rows = read_csv(out / "sparse_tails.csv")
+    assert [float(r[2]) for r in k_rows] == [0.0] * 4
+
+
+def test_commutator_sweep_flags_capped_ascent(tmp_path, monkeypatch):
+    # two steps per restart: none of them settles
+    monkeypatch.setattr(cli.normest, "opnorm_estimate",
+                        functools.partial(cli.normest.opnorm_estimate, iterations=2))
     cfg = {
         "experiment": "commutator-sweep",
         "domain": {"d": 1, "m": 6},
@@ -354,6 +374,26 @@ def test_vmo_witness_threshold_that_cannot_fail_is_config_error(tmp_path, capsys
     cfg["params"] = {key: value}
     assert cli.run(cfg, out_dir=tmp_path / "out") == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("k_list", [0, 2]), ("k_list", [-1]), ("k_list", ["2"]), ("k_list", [True]),
+    ("eps_list", ["0.5"]),
+])
+def test_compactness_list_param_is_config_error_naming_the_key(tmp_path, monkeypatch, capsys,
+                                                               key, value):
+    calls = []
+    monkeypatch.setattr(cli.normest, "compactness_profile", lambda *a, **k: calls.append(a))
+    cfg = {
+        "experiment": "compactness-profile",
+        "domain": {"d": 1, "m": 6},
+        "kernel": {"variant": "hilbert"},
+        "symbols": log_symbols(),
+        "params": {key: value},
+    }
+    assert cli.run(cfg, out_dir=tmp_path / "out") == 2
+    assert f"params.{key}" in capsys.readouterr().err
+    assert calls == []  # refused before any ascent runs
 
 
 def test_invalid_eps_list_is_config_error(tmp_path):

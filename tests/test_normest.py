@@ -1,12 +1,19 @@
 """Operator-norm estimation, separation probes, sweeps, compactness tails."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dyadlab import dyadic, normest, sparse
 from dyadlab import operators as ops
 from dyadlab.lattice import LatticeDomain, SampledFunction, sample_symbol
 from dyadlab.weights import ExponentSetup, make_weight
+
+from oracles import ascent_ratio, lp_norm, plain_ascent, start_vectors
+from test_matrix_free import _weight
 
 
 @pytest.fixture(scope="module")
@@ -244,13 +251,17 @@ def test_sweep_scale_invariant_ratios(dom, unit, b_log, hilbert_op):
 @pytest.fixture(scope="module")
 def capping():
     """d = 1, m = 6, (p, q) = (2, 3), unit weights: at budget 8 the default
-    step cap stops ascents on these symbols before they settle."""
+    step cap stops the coordinate symbol's eps = 0.25 tail before it
+    settles, and the plain ascent's |x|^0.5 restarts too."""
     dom6 = LatticeDomain(d=1, m=6, L=1.0)
     return dom6, make_weight(dom6, {"kind": "unit"}), ExponentSetup(p=2.0, q=3.0, d=1)
 
 
-def test_sweep_rows_count_capped_restarts(capping):
+def test_sweep_rows_count_capped_restarts(capping, monkeypatch):
     dom6, unit6, setup = capping
+    # two steps per restart: none of them settles
+    monkeypatch.setattr(normest, "opnorm_estimate",
+                        functools.partial(normest.opnorm_estimate, iterations=2))
     b = sample_symbol(dom6, [{"kind": "abs_power", "exponent": 0.5}])
     op = ops.Convolution(ops.make_kernel("hilbert"), dom6)
     [row] = normest.bmo_vs_norm_sweep([("half", b)], op, unit6, unit6, setup, budget=8)
@@ -338,36 +349,18 @@ def test_compactness_eps_guards(m8):
 # -- batched ascent against the per-restart loop -------------------------------
 
 
-def _oracle_norm(flat, p, wvals, vol):
-    return float(np.sum((np.abs(flat) * wvals) ** p) * vol) ** (1.0 / p)
-
-
-def _oracle_ratio(flat, image, p, q, muv, lamv, vol):
-    den = _oracle_norm(flat, p, muv, vol)
-    if den == 0.0:
-        return 0.0
-    return _oracle_norm(image, q, lamv, vol) / den
-
-
 def ascent_oracle(op, p, mu, q, lam, budget, iterations, seed):
-    """The ascent as a loop over restarts, one row through the operator at
-    a time: (value, iterations used, witness cells or None)."""
+    """The Anderson-mixed ascent as a loop over restarts, one row through
+    the operator at a time: (value, iterations used, witness cells or None)."""
     muv, lamv = mu.values.reshape(-1), lam.values.reshape(-1)
     vol = op.domain.cell_volume
-    rng = np.random.default_rng(seed)
-
-    def start_vector():
-        flat = rng.standard_normal(op.size)
-        return flat + 1j * rng.standard_normal(op.size) if op.is_complex else flat
-
     lam_q = lamv**q
     mu_p = muv**p
     inv_p1 = 1.0 / (p - 1.0)
     best_val, best_flat, used = 0.0, None, 0
-    for _ in range(budget):
-        flat = start_vector()
+    for flat in start_vectors(op, budget, seed):
         image = op.apply(flat)
-        prev = 0.0
+        prev, history = 0.0, None
         for _ in range(iterations):
             used += 1
             mag = np.abs(image)
@@ -377,14 +370,29 @@ def ascent_oracle(op, p, mu, q, lam, budget, iterations, seed):
             gm = np.abs(grad)
             if not np.any(gm):
                 break
-            flat = np.sign(grad) * (gm / mu_p) ** inv_p1
-            flat = flat / _oracle_norm(flat, p, muv, vol)
+            plain = np.sign(grad) * (gm / mu_p) ** inv_p1
+            plain = plain / lp_norm(plain, p, muv, vol)
+            resid = plain - flat
+            flat, mixed = plain, False
+            if history is not None:
+                f_prev, g_prev = history
+                df = resid - f_prev
+                den = np.einsum("i,i->", df.conj(), df).real
+                if den > 0.0:
+                    gamma = np.einsum("i,i->", df.conj(), resid) / den
+                    x = plain - gamma * (plain - g_prev)
+                    flat, mixed = x / lp_norm(x, p, muv, vol), True
             image = op.apply(flat)
-            cur = _oracle_ratio(flat, image, p, q, muv, lamv, vol)
+            cur = ascent_ratio(flat, image, p, q, muv, lamv, vol)
+            history = (resid, plain)
+            if mixed and not cur - prev > 1e-13 * max(cur, 1.0):
+                flat, history = plain, None
+                image = op.apply(flat)
+                cur = ascent_ratio(flat, image, p, q, muv, lamv, vol)
             if abs(cur - prev) <= 1e-13 * max(cur, 1.0):
                 break
             prev = cur
-        val = _oracle_ratio(flat, image, p, q, muv, lamv, vol)
+        val = ascent_ratio(flat, image, p, q, muv, lamv, vol)
         if val > best_val:
             best_val, best_flat = val, flat
     return best_val, used, best_flat
@@ -462,6 +470,18 @@ def test_capped_counts_the_restarts_still_moving(kind, d):
         assert runs[1].capped == 6
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_ascent_ends_when_every_image_vanishes(d):
+    # a constant symbol's star operator is zero on every row, and the star
+    # tables cannot take an empty batch
+    dom = LatticeDomain(d=d, m=6 if d == 1 else 3, L=1.0)
+    b = SampledFunction(dom, np.full(dom.shape, 1.5))
+    star = normest._SparseStar(b, sparse.cz_augment(b, dyadic.cube(dom, 0, (0,) * d)))
+    unit = make_weight(dom, {"kind": "unit"})
+    est = normest.opnorm_estimate(star, 2.0, unit, 3.0, unit, budget=3)
+    assert (est.value, est.iterations, est.capped, est.witness) == (0.0, 3, 0, None)
+
+
 def test_capped_is_zero_when_every_restart_converges():
     op = ascent_operator("convolution", 1, False)
     mu = make_weight(op.domain, {"kind": "power", "beta": 0.3})
@@ -472,3 +492,69 @@ def test_capped_is_zero_when_every_restart_converges():
     capped = normest.opnorm_estimate(op, 2.0, mu, 3.0, lam, iterations=1)
     assert capped.capped == normest.ASCENT_RESTARTS
     assert normest.opnorm_estimate(op, 2.0, mu, 2.0, lam).capped == 0  # the GKL path
+
+
+# -- the mixed ascent against the plain ascent ---------------------------------
+
+
+def _symbol(draw, dom):
+    """A catalog symbol with real or complex coefficients, or seeded noise."""
+    complex_symbol = draw(st.booleans())
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 999)))
+        values = rng.standard_normal(dom.shape)
+        if complex_symbol:
+            values = values + 1j * rng.standard_normal(dom.shape)
+        return SampledFunction(dom, values)
+    terms = []
+    for kind in draw(st.lists(st.sampled_from(("log_abs", "abs_power", "coordinate", "bump")),
+                              min_size=1, max_size=2)):
+        term = {"kind": kind}
+        if kind == "abs_power":
+            term["exponent"] = draw(st.floats(0.1, 1.0))
+        if kind == "bump":
+            term["center"] = draw(st.floats(-0.5, 0.5))
+            term["radius"] = draw(st.floats(0.2, 0.8))
+        if complex_symbol:
+            term["coefficient"] = [draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))]
+        terms.append(term)
+    return sample_symbol(dom, terms)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # tiny symbols underflow the dual map
+def test_mixed_ascent_never_ends_below_the_plain_ascent(data):
+    d = data.draw(st.sampled_from((1, 2)))
+    dom = LatticeDomain(d=d, m=data.draw(st.integers(4, 7) if d == 1 else st.integers(3, 4)),
+                        L=1.0)
+    b = _symbol(data.draw, dom)
+    kernel = (ops.make_kernel("hilbert") if d == 1
+              else ops.make_kernel("riesz", {"j": data.draw(st.sampled_from((1, 2)))}))
+    kind = data.draw(st.sampled_from(("convolution", "split", "sparse")))
+    if kind == "convolution":
+        op = ops.Commutator(b, ops.Convolution(kernel, dom))
+    elif kind == "split":
+        op = ops.Commutator(b, ops.split(kernel, dom, data.draw(st.floats(0.1, 0.9)))[1])
+    else:
+        op = normest._SparseStar(b, sparse.cz_augment(b, dyadic.cube(dom, 0, (0,) * d)))
+    mu, lam = _weight(data.draw, dom), _weight(data.draw, dom)
+    q = data.draw(st.floats(2.0, 5.0, exclude_min=True))
+    budget, seed = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 999))
+    est = normest.opnorm_estimate(op, 2.0, mu, q, lam, budget=budget, seed=seed)
+    value, _, _ = plain_ascent(op, 2.0, mu, q, lam, budget, normest.ASCENT_ITERATIONS, seed)
+    # on the stop rule's own scale: relative above 1, absolute below
+    assert est.value >= value - 1e-12 * max(value, 1.0)
+
+
+def test_mixed_ascent_settles_where_the_plain_ascent_caps(capping):
+    # the plain ascent takes all 8 * 200 steps here and caps every restart
+    dom6, unit6, _ = capping
+    b = sample_symbol(dom6, [{"kind": "abs_power", "exponent": 0.5}])
+    op = ops.Commutator(b, ops.Convolution(ops.make_kernel("hilbert"), dom6))
+    est = normest.opnorm_estimate(op, 2.0, unit6, 3.0, unit6, budget=8)
+    assert est.capped == 0
+    assert est.iterations <= 200
+    value, used, _ = plain_ascent(op, 2.0, unit6, 3.0, unit6, 8, normest.ASCENT_ITERATIONS, 0)
+    assert used == 8 * normest.ASCENT_ITERATIONS
+    assert est.value >= value
