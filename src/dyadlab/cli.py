@@ -2,14 +2,18 @@
 
 Configs are JSON (schema 1): a lattice domain, an exponent pair, weight
 and symbol specs from the catalogs, optionally a kernel, and one of the
-eight experiment ids.  `run` executes the experiment, writes one CSV
-per result table plus a summary.json with per-assertion pass/fail, and
-returns 0 only if every hard assertion passed (1 on assertion failure
-with the first failure echoed, 2 on an unusable config, 3 on a numerical
-failure such as a solver missing its tolerance).  `sweep`
-repeats the experiment along one axis -- m, p, q, pq, or symbol -- one
-row per point with row-level status; points run concurrently under a
-worker cap but every file is written from the coordinating thread.
+eight experiment ids with its params.  Each section is read through a
+table of one typed reader and default per key: an unknown key, or a value
+of the wrong type (a string for a number; a boolean or a fraction for an
+integer), is a ConfigError naming the dotted key, never a cast.  `run`
+executes the experiment, writes one CSV per result table plus a
+summary.json with per-assertion pass/fail, and returns 0 only if every
+hard assertion passed (1 on assertion failure with the first failure
+echoed, 2 on an unusable config, 3 on a numerical failure such as a
+solver missing its tolerance).  `sweep` repeats the experiment along one
+axis -- m, p, q, pq, or symbol -- one row per point with row-level
+status; points run concurrently under a worker cap but every file is
+written from the coordinating thread.
 
 A result table is a set of columns (numpy arrays, lists or tuples), and
 the CSV format is defined per column: a float column is written with 17
@@ -27,7 +31,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -48,17 +51,105 @@ from dyadlab.weights import (
 SCHEMA_VERSION = 1
 HARD_TOL = 1e-9
 
-EXPERIMENTS = (
-    "weights-check",
-    "bloom-verify",
-    "bmo-compute",
-    "jn-verify",
-    "sparse-dominate",
-    "commutator-sweep",
-    "compactness-profile",
-    "vmo-witness",
-)
+
+class ConfigError(ValueError):
+    """Unusable configuration; maps to exit code 2."""
+
+
+# -- config key tables -----------------------------------------------------------
+# A reader returns one JSON value typed, or raises TypeError or ValueError.
+
+
+def _integer(value) -> int:
+    """A JSON integer: floats, booleans and strings are refused, not cast."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"need an integer, got {value!r}")
+    return value
+
+
+def _number(value) -> float:
+    """A JSON number, as a float: strings and booleans are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"need a number, got {value!r}")
+    return float(value)
+
+
+def _list(reader):
+    """A reader of a JSON list whose entries `reader` takes, as a tuple."""
+    def read(value):
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"need a list, got {value!r}")
+        return tuple(map(reader, value))
+    return read
+
+
+_numbers = _list(_number)
+
+
+def _positive(reader):
+    """A reader of what `reader` takes, if it is > 0."""
+    def read(value):
+        typed = reader(value)
+        if not typed > 0:
+            raise ValueError(f"need a value > 0, got {value!r}")
+        return typed
+    return read
+
+
+def _coefficient(value) -> complex:
+    """A JSON number, or a pair [re, im] of them, as a complex number."""
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        return complex(*_numbers(value))
+    return complex(_number(value))
+
+
+def _choice(*options):
+    """A reader of one of `options`, type included (true and 1.0 are not 1)."""
+    def read(value):
+        if not any(type(value) is type(o) and value == o for o in options):
+            raise ValueError(f"need one of {list(options)}, got {value!r}")
+        return value
+    return read
+
+
+# key -> (reader, default); an absent key reads its default through the reader.  A
+# catalog section has a table per kind, picked by its "kind" (a kernel's "variant").
+_DOMAIN = {"d": (_choice(1, 2), 1), "m": (_integer, 8), "L": (_number, 1.0)}
+_EXPONENTS = {"p": (_number, 2.0), "q": (_number, 2.0)}
+_WEIGHTS = {
+    "unit": {},
+    "power": {"beta": (_number, 0.0)},
+    "logsmooth": {"amplitude": (_number, 0.5), "modes": (_integer, 3), "seed": (_integer, 0)},
+}
+_WEIGHT_SLOTS = {"mu": (_WEIGHTS, {"kind": "unit"}), "lambda": (_WEIGHTS, {"kind": "unit"})}
+_KERNELS = {"hilbert": {}, "riesz": {"j": (_choice(1, 2), None)}}  # the reader refuses None
+_COEFFICIENT = {"coefficient": (_coefficient, 1.0)}
+_TERMS = {
+    "constant": _COEFFICIENT,
+    "coordinate": {**_COEFFICIENT, "axis": (_integer, 0)},
+    "abs_power": {**_COEFFICIENT, "exponent": (_number, 1.0)},
+    "log_abs": _COEFFICIENT,
+    "bump": {**_COEFFICIENT, "center": (_numbers, [0.0]), "radius": (_number, 1.0)},
+}
+_PARAMS = {  # one table per experiment
+    "weights-check": {},
+    "bloom-verify": {},
+    "bmo-compute": {"r": (_number, 1.0)},
+    "jn-verify": {"r": (_number, 2.0)},
+    "sparse-dominate": {},
+    "commutator-sweep": {"budget": (_positive(_integer), 8), "probe_generation": (_integer, 3)},
+    "compactness-profile": {"eps_list": (_numbers, [0.5, 0.25, 0.125, 0.0625, 0.03125]),
+                            "k_list": (_list(_positive(_number)), [1.0, 2.0, 4.0, 8.0]),
+                            "budget": (_positive(_integer), 8)},
+    "vmo-witness": {"r": (_number, 1.0), "c0": (_number, 0.5), "theta": (_number, 0.125),
+                    "mode": (_choice(None, "small-scale", "far-away", "large-scale"), None),
+                    "min_pairs": (_positive(_integer), 2)},
+}
+
+EXPERIMENTS = tuple(_PARAMS)
 SWEEP_AXES = ("m", "p", "q", "pq", "symbol")
+# each value is read at its point, by the reader of the key the axis sets
+_SWEEP = {"axis": (_choice(*SWEEP_AXES), None), "values": (_list(lambda value: value), None)}
 _KNOWN_KEYS = frozenset(
     {"schema", "experiment", "domain", "exponents", "weights", "symbols",
      "kernel", "seeds", "params", "out", "sweep"}
@@ -68,10 +159,6 @@ _NEED_SYMBOLS = frozenset(
      "vmo-witness"}
 )
 _NEED_KERNEL = frozenset({"commutator-sweep", "compactness-profile"})
-
-
-class ConfigError(ValueError):
-    """Unusable configuration; maps to exit code 2."""
 
 
 @dataclass
@@ -86,7 +173,7 @@ class RunContext:
     symbols: list  # (id, SampledFunction) pairs
     kernel: object  # KernelSpec or None
     seeds: tuple
-    params: dict
+    params: dict  # typed, every key of the experiment's table
 
 
 @dataclass
@@ -103,9 +190,6 @@ class ExperimentResult:
 
 def _assertion(name: str, ok: bool, hard: bool = True, detail: str = "") -> dict:
     return {"name": name, "ok": bool(ok), "hard": hard, "detail": detail}
-
-
-# -- config loading ------------------------------------------------------------
 
 
 def _load(config) -> dict:
@@ -139,107 +223,91 @@ def _reject_non_finite(value, path: str) -> None:
             _reject_non_finite(item, f"{path}[{i}]")
 
 
-def _section(cfg: dict, key: str) -> dict:
-    """A copy of the mapping under `key`; absent or null reads as empty."""
-    value = cfg.get(key)
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key} must be a mapping, got {type(value).__name__}")
-    return dict(value)
+def _value(reader, value, path: str):
+    """One value through its reader, or a catalog spec through its kind
+    tables; a refused value is a ConfigError naming its dotted key."""
+    if isinstance(reader, dict):
+        return _read(value, reader, path, tag="kind")
+    try:
+        return reader(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _read(spec, table: dict, path: str, tag: str = "") -> dict:
+    """Every key of `table` read from the mapping `spec` (null reads as
+    empty), an absent key as its default.  With a `tag`, `table` holds a
+    table per kind, and `spec[tag]` names the one read.  A key outside the
+    table is a ConfigError naming it."""
+    spec = {} if spec is None else spec
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{path} must be a mapping, got {type(spec).__name__}")
+    if tag:
+        kind = _value(_choice(*table), spec.get(tag), f"{path}.{tag}")
+        table = {tag: (_choice(kind), kind), **table[kind]}
+    for key in spec:
+        if key not in table:
+            raise ConfigError(f"{path}.{key}: unknown key; {path} takes {sorted(table)}")
+    return {key: _value(reader, spec.get(key, default), f"{path}.{key}")
+            for key, (reader, default) in table.items()}
+
+
+def _made(what: str, make, *args, **kwargs):
+    """make(*args, **kwargs); a ValueError from it is a ConfigError led by `what`."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 def _build_context(cfg: dict) -> RunContext:
-    """Resolve a validated config into live objects; ConfigError on anything off."""
+    """Resolve a config into live objects, every section read through its
+    key table; ConfigError on anything off."""
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a mapping")
     _reject_non_finite(cfg, "")
     unknown = set(cfg) - _KNOWN_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    schema = cfg.get("schema", SCHEMA_VERSION)
-    if schema != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema version {schema!r}")
-    experiment = cfg.get("experiment")
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}; choose from {EXPERIMENTS}")
-
-    dom_spec = _section(cfg, "domain")
-    try:
-        domain = LatticeDomain(
-            d=int(dom_spec.pop("d", 1)),
-            m=int(dom_spec.pop("m", 8)),
-            L=float(dom_spec.pop("L", 1.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad domain: {exc}") from exc
-    if dom_spec:
-        raise ConfigError(f"unknown domain keys: {sorted(dom_spec)}")
-
-    exp_spec = _section(cfg, "exponents")
-    try:
-        setup = ExponentSetup(
-            p=float(exp_spec.pop("p", 2.0)), q=float(exp_spec.pop("q", 2.0)), d=domain.d
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad exponents: {exc}") from exc
-    if exp_spec:
-        raise ConfigError(f"unknown exponent keys: {sorted(exp_spec)}")
-
-    w_spec = _section(cfg, "weights")
-    mu_spec = w_spec.pop("mu", {"kind": "unit"})
-    lam_spec = w_spec.pop("lambda", {"kind": "unit"})
-    if w_spec:
-        raise ConfigError(f"unknown weight slots: {sorted(w_spec)} (use mu / lambda)")
-    try:
-        mu = make_weight(domain, mu_spec)
-        lam = make_weight(domain, lam_spec)
-    except (TypeError, ValueError, KeyError) as exc:
-        raise ConfigError(f"bad weight spec: {exc}") from exc
+    _value(_choice(SCHEMA_VERSION), cfg.get("schema", SCHEMA_VERSION), "schema")
+    experiment = _value(_choice(*EXPERIMENTS), cfg.get("experiment"), "experiment")
+    domain = _made("domain", LatticeDomain, **_read(cfg.get("domain"), _DOMAIN, "domain"))
+    setup = _made("exponents", ExponentSetup, d=domain.d,
+                  **_read(cfg.get("exponents"), _EXPONENTS, "exponents"))
+    weights = _read(cfg.get("weights"), _WEIGHT_SLOTS, "weights")
+    mu, lam = (_made(f"bad weight spec weights.{slot}", make_weight, domain, weights[slot])
+               for slot in ("mu", "lambda"))
 
     symbols = []
     seen = set()
     symbol_specs = cfg.get("symbols") or []
     if not isinstance(symbol_specs, list):
         raise ConfigError("symbols must be a list")
-    for entry in symbol_specs:
+    for i, entry in enumerate(symbol_specs):
         if not isinstance(entry, dict) or "id" not in entry or "terms" not in entry:
-            raise ConfigError("each symbol needs an 'id' and 'terms'")
+            raise ConfigError(f"symbols[{i}] needs an 'id' and 'terms'")
         sid = str(entry["id"])
         if sid in seen:
             raise ConfigError(f"duplicate symbol id {sid!r}")
         seen.add(sid)
-        try:
-            symbols.append((sid, sample_symbol(domain, entry["terms"])))
-        except (TypeError, ValueError, KeyError) as exc:
-            raise ConfigError(f"bad symbol {sid!r}: {exc}") from exc
+        terms = entry["terms"]
+        if not isinstance(terms, list):
+            raise ConfigError(f"symbols[{i}].terms must be a list")
+        terms = [_read(t, _TERMS, f"symbols[{i}].terms[{j}]", tag="kind")
+                 for j, t in enumerate(terms)]
+        symbols.append((sid, _made(f"bad symbol {sid!r}", sample_symbol, domain, terms)))
     if experiment in _NEED_SYMBOLS and not symbols:
         raise ConfigError(f"experiment {experiment} needs at least one symbol")
 
     kernel = None
     if cfg.get("kernel") is not None:
-        k_spec = _section(cfg, "kernel")
-        variant = k_spec.pop("variant", None)
-        if variant == "custom":
-            raise ConfigError("custom kernels need a Python evaluator; not configurable")
-        try:
-            kernel = make_kernel(variant, k_spec)
-        except (TypeError, ValueError, KeyError) as exc:
-            raise ConfigError(f"bad kernel spec: {exc}") from exc
+        spec = _read(cfg["kernel"], _KERNELS, "kernel", tag="variant")
+        kernel = make_kernel(spec.pop("variant"), spec)
         if kernel.d != domain.d:
-            raise ConfigError(
-                f"kernel {variant!r} lives at d={kernel.d}, domain has d={domain.d}"
-            )
+            raise ConfigError(f"kernel {kernel.variant!r} lives at d={kernel.d}, "
+                              f"domain has d={domain.d}")
     if experiment in _NEED_KERNEL and kernel is None:
         raise ConfigError(f"experiment {experiment} needs a kernel")
-
-    seeds = cfg.get("seeds", [0])
-    if not isinstance(seeds, (list, tuple)) or not all(
-        isinstance(s, int) and not isinstance(s, bool) for s in seeds
-    ):
-        raise ConfigError("seeds must be a list of integers")
-
-    params = _section(cfg, "params")
 
     return RunContext(
         experiment=experiment,
@@ -249,53 +317,12 @@ def _build_context(cfg: dict) -> RunContext:
         lam=lam,
         symbols=symbols,
         kernel=kernel,
-        seeds=tuple(seeds),
-        params=params,
+        seeds=_value(_list(_integer), cfg.get("seeds", [0]), "seeds"),
+        params=_read(cfg.get("params"), _PARAMS[experiment], "params"),
     )
 
 
 # -- experiments ---------------------------------------------------------------
-
-
-def _param(ctx: RunContext, key: str, default, cast):
-    """params[key] (or the default) through cast; a rejected value is a
-    ConfigError naming the key."""
-    try:
-        return cast(ctx.params.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"params.{key}: {exc}") from exc
-
-
-def _integer(value) -> int:
-    """A JSON integer: floats, booleans and strings are refused, not cast."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"need an integer, got {value!r}")
-    return value
-
-
-def _positive(value) -> int:
-    """A JSON integer of at least 1."""
-    if _integer(value) < 1:
-        raise ValueError(f"need an integer >= 1, got {value}")
-    return value
-
-
-def _numbers(value) -> tuple:
-    """A JSON list of numbers: strings and booleans are refused, not cast."""
-    if not isinstance(value, (list, tuple)):
-        raise TypeError(f"need a list of numbers, got {type(value).__name__}")
-    for v in value:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise TypeError(f"need a list of numbers, got {v!r}")
-    return tuple(float(v) for v in value)
-
-
-def _positive_numbers(value) -> tuple:
-    """A JSON list of numbers, each > 0."""
-    numbers = _numbers(value)
-    if any(not v > 0.0 for v in numbers):
-        raise ValueError(f"need numbers > 0, got {list(value)}")
-    return numbers
 
 
 def _cube_key(cube) -> tuple:
@@ -372,9 +399,8 @@ def _exp_bloom_verify(ctx: RunContext) -> ExperimentResult:
 def _exp_bmo_compute(ctx: RunContext) -> ExperimentResult:
     rows, assertions, headline = [], [], {}
     nu = bloom_weight(ctx.mu, ctx.lam, ctx.setup)
-    r = _param(ctx, "r", 1.0, float)
     for sid, b in ctx.symbols:
-        rep = oscillation.bmo_norm(b, nu, ctx.setup.alpha, r)
+        rep = oscillation.bmo_norm(b, nu, ctx.setup.alpha, ctx.params["r"])
         gen, idx = _cube_key(rep.argmax_cube)
         rows.append((sid, "fractional", rep.supremum, gen, idx))
         assertions.append(
@@ -391,7 +417,7 @@ def _exp_bmo_compute(ctx: RunContext) -> ExperimentResult:
 
 
 def _exp_jn_verify(ctx: RunContext) -> ExperimentResult:
-    r = _param(ctx, "r", 2.0, float)
+    r = ctx.params["r"]
     root = dyadic.cube(ctx.domain, 1, (1,) * ctx.domain.d)  # [0, L)^d: origin on the boundary
     bound = sparse.cz_constant(ctx.domain.d)
     rows, assertions, headline = [], [], {}
@@ -461,15 +487,12 @@ def _exp_sparse_dominate(ctx: RunContext) -> ExperimentResult:
 
 def _exp_commutator_sweep(ctx: RunContext) -> ExperimentResult:
     op = Convolution(ctx.kernel, ctx.domain)
-    budget = _param(ctx, "budget", 8, _positive)
-    probe_generation = _param(ctx, "probe_generation", 3, _integer)
+    probe_generation = ctx.params["probe_generation"]
     if not 0 <= probe_generation <= ctx.domain.m:
         raise ConfigError(f"params.probe_generation: need 0 <= value <= m = {ctx.domain.m}, "
                           f"got {probe_generation}")
-    sweep_rows = normest.bmo_vs_norm_sweep(
-        ctx.symbols, op, ctx.mu, ctx.lam, ctx.setup,
-        budget=budget, probe_generation=probe_generation,
-    )
+    sweep_rows = normest.bmo_vs_norm_sweep(ctx.symbols, op, ctx.mu, ctx.lam, ctx.setup,
+                                           **ctx.params)
     rows, assertions, headline = [], [], {}
     for row in sweep_rows:
         sid = row["symbol"]
@@ -497,17 +520,12 @@ def _exp_commutator_sweep(ctx: RunContext) -> ExperimentResult:
 
 
 def _exp_compactness_profile(ctx: RunContext) -> ExperimentResult:
-    eps_list = _param(ctx, "eps_list", (0.5, 0.25, 0.125, 0.0625, 0.03125), _numbers)
-    if not eps_list:
+    if not ctx.params["eps_list"]:
         raise ConfigError("params.eps_list must not be empty")
-    k_list = _param(ctx, "k_list", (1.0, 2.0, 4.0, 8.0), _positive_numbers)
-    budget = _param(ctx, "budget", 8, _positive)
     tail_rows, sparse_rows, flags, headline = [], [], [], {}
     for sid, b in ctx.symbols:
-        rep = normest.compactness_profile(
-            b, ctx.kernel, ctx.setup, eps_list, ctx.mu, ctx.lam,
-            k_list=k_list, budget=budget,
-        )
+        rep = normest.compactness_profile(b, ctx.kernel, ctx.setup, mu=ctx.mu, lam=ctx.lam,
+                                          **ctx.params)
         tail_rows.extend((sid, e, t) for e, t in zip(rep.eps_list, rep.tail_norms))
         sparse_rows.extend((sid, k, t) for k, t in zip(rep.k_list, rep.sparse_tail_norms))
         first, last = rep.tail_norms[0], rep.tail_norms[-1]
@@ -532,11 +550,10 @@ def _exp_compactness_profile(ctx: RunContext) -> ExperimentResult:
 def _exp_vmo_witness(ctx: RunContext) -> ExperimentResult:
     nu = bloom_weight(ctx.mu, ctx.lam, ctx.setup)
     alpha = ctx.setup.alpha
-    r = _param(ctx, "r", 1.0, float)
     profile_rows, distance_rows, witness_rows = [], [], []
     assertions, flags = [], []
     for sid, b in ctx.symbols:
-        report = oscillation.bmo_norm(b, nu, alpha, r)
+        report = oscillation.bmo_norm(b, nu, alpha, ctx.params["r"])
         prof = oscillation.vmo_profile(report)
         profile_rows.extend(
             (sid, s, ps, sm, lg)
@@ -544,14 +561,7 @@ def _exp_vmo_witness(ctx: RunContext) -> ExperimentResult:
                                      prof.small_scale, prof.large_scale)
         )
         distance_rows.extend((sid, rad, d) for rad, d in zip(prof.radii, prof.distance))
-        witness = oscillation.vmo_witness(
-            b, report, nu, alpha,
-            c0=_param(ctx, "c0", 0.5, float),
-            mode=ctx.params.get("mode"),
-            r=r,
-            theta=_param(ctx, "theta", 0.125, float),
-            min_pairs=_param(ctx, "min_pairs", 2, _positive),
-        )
+        witness = oscillation.vmo_witness(b, report, nu, alpha, **ctx.params)
         if witness is None:
             witness_rows.append((sid, "none", "", "", "", "", ""))
             flags.append(f"no-witness:{sid}")
@@ -762,15 +772,12 @@ def _point_config(cfg: dict, axis: str, value) -> dict:
     point.pop("sweep", None)
     point.pop("out", None)
     if axis == "m":
-        if value != int(value):
-            raise ConfigError(f"m must be an integer, got {value!r}")
-        point.setdefault("domain", {})["m"] = int(value)
-    elif axis in ("p", "q"):
-        point.setdefault("exponents", {})[axis] = float(value)
-    elif axis == "pq":
-        point.setdefault("exponents", {})
-        point["exponents"]["p"] = float(value)
-        point["exponents"]["q"] = float(value)
+        if isinstance(value, float) and value.is_integer():  # 6.0 names the m = 6 point
+            value = int(value)
+        point.setdefault("domain", {})["m"] = _value(_integer, value, "domain.m")
+    elif axis != "symbol":  # p, q or pq
+        for key in ("p", "q") if axis == "pq" else (axis,):
+            point.setdefault("exponents", {})[key] = _value(_number, value, f"exponents.{key}")
     else:  # symbol
         keep = [s for s in point.get("symbols") or []
                 if isinstance(s, dict) and str(s.get("id")) == str(value)]
@@ -798,18 +805,9 @@ def sweep(config, out_dir=None, seed=None, workers=None) -> int:
         cfg = _load(config)
         if seed is not None:
             cfg["seeds"] = [int(seed)]
-        spec = cfg.get("sweep")
-        if not isinstance(spec, dict):
-            raise ConfigError("sweep needs a 'sweep' object with axis and values")
-        axis = spec.get("axis")
-        if axis not in SWEEP_AXES:
-            raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
-        values = spec.get("values")
-        if not isinstance(values, (list, tuple)):
-            raise ConfigError("sweep values must be a list")
-        experiment = cfg.get("experiment")
-        if experiment not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {experiment!r}")
+        spec = _read(cfg.get("sweep"), _SWEEP, "sweep")
+        axis, values = spec["axis"], spec["values"]
+        experiment = _value(_choice(*EXPERIMENTS), cfg.get("experiment"), "experiment")
         cap = _worker_cap(workers, len(values))
         out = _resolve_out(cfg, out_dir, f"sweep-{experiment}")
         out.mkdir(parents=True, exist_ok=True)
@@ -826,17 +824,15 @@ def sweep(config, out_dir=None, seed=None, workers=None) -> int:
                 raise ConfigError(f"point directory {tag} is taken by an earlier point")
             tags.add(tag)
             points.append((value, point_cfg, None))
-        except (TypeError, ValueError, OverflowError) as exc:  # ConfigError included
+        except (TypeError, ValueError) as exc:  # ConfigError included
             points.append((value, None, str(exc)))
+
+    from concurrent.futures import ThreadPoolExecutor  # only a sweep needs it
 
     outcomes = []
     with ThreadPoolExecutor(max_workers=cap) as pool:
-        futures = []
-        for value, point_cfg, err in points:
-            if point_cfg is None:
-                futures.append(None)
-            else:
-                futures.append(pool.submit(_run_point, point_cfg))
+        futures = [None if point_cfg is None else pool.submit(_run_point, point_cfg)
+                   for _, point_cfg, _ in points]
         for (value, point_cfg, err), future in zip(points, futures):
             if future is None:
                 outcomes.append((value, "config-error", err, None))

@@ -219,37 +219,20 @@ class SymbolTerm:
 
 
 def parse_symbol(spec) -> tuple[SymbolTerm, ...]:
-    """Normalize a symbol spec (term, dict, or sequence of either) to terms."""
-    if isinstance(spec, SymbolTerm):
-        return (spec,)
-    if isinstance(spec, dict):
+    """Normalize a symbol spec (term, mapping of SymbolTerm fields, or a
+    sequence of either) to terms.  Values are taken as typed, not cast: a
+    complex coefficient, a float exponent and radius, an int axis, a tuple
+    center."""
+    if isinstance(spec, (SymbolTerm, dict)):
         spec = [spec]
     terms = []
     for item in spec:
-        if isinstance(item, SymbolTerm):
-            terms.append(item)
-            continue
-        item = dict(item)
-        kind = item.pop("kind")
-        coeff = item.pop("coefficient", 1.0)
-        if isinstance(coeff, (list, tuple)):
-            real, imag = coeff  # [re, im]; another length is a ValueError
-            coeff = complex(real, imag)
-        else:
-            coeff = complex(coeff)
-        kwargs = {"kind": kind, "coefficient": coeff}
-        if "exponent" in item:
-            kwargs["exponent"] = float(item.pop("exponent"))
-        if "axis" in item:
-            kwargs["axis"] = int(item.pop("axis"))
-        if "center" in item:
-            c = item.pop("center")
-            kwargs["center"] = tuple(float(x) for x in (c if isinstance(c, (list, tuple)) else (c,)))
-        if "radius" in item:
-            kwargs["radius"] = float(item.pop("radius"))
-        if item:
-            raise ValueError(f"unknown symbol keys {sorted(item)}")
-        terms.append(SymbolTerm(**kwargs))
+        if not isinstance(item, SymbolTerm):
+            unknown = set(item) - set(SymbolTerm.__dataclass_fields__)
+            if unknown:
+                raise ValueError(f"unknown symbol keys {sorted(unknown)}")
+            item = SymbolTerm(**item)
+        terms.append(item)
     if not terms:
         raise ValueError("empty symbol spec")
     return tuple(terms)

@@ -536,14 +536,17 @@ def compactness_profile(b: SampledFunction, kernel: KernelSpec, setup: ExponentS
 
     root = dyadic.cube(dom, 0, (0,) * dom.d)
     family = sparse.cz_augment(b, root)
-    sparse_tails = []
+    sparse_tails, estimates = [], {}  # one estimate per distinct kept family
     for k in k_list:
         kept = sparse.split_family(family, float(k))
         if len(kept) == 0:
             sparse_tails.append(0.0)
             continue
-        est = opnorm_estimate(_SparseStar(b, kept), setup.p, mu, setup.q, lam,
-                              budget=budget)
+        key = kept.entries.tobytes()
+        if key not in estimates:
+            estimates[key] = opnorm_estimate(_SparseStar(b, kept), setup.p, mu, setup.q, lam,
+                                             budget=budget)
+        est = estimates[key]
         sparse_tails.append(est.value)
         if est.capped:
             flags.add("ascent-cap")

@@ -148,7 +148,7 @@ def make_kernel(variant: str, params: Optional[dict] = None) -> KernelSpec:
     "antisymmetric", "d"}; the size bound |K| <= C |x-y|^{-d} is
     spot-checked on random pairs and a violation raises with the witness
     pair.  Providing "domain" for the named variants
-    runs the same check on them.
+    runs the same check on them.  Params are taken as typed, not cast.
     """
     params = dict(params or {})
     domain = params.pop("domain", None)
@@ -172,9 +172,9 @@ def make_kernel(variant: str, params: Optional[dict] = None) -> KernelSpec:
         if domain is None:
             raise ValueError("custom kernels need a domain for the size-bound check")
         evaluator = params.pop("evaluator")
-        c = float(params.pop("C"))
+        c = params.pop("C")
         d = params.pop("d", domain.d)
-        antisym = bool(params.pop("antisymmetric", False))
+        antisym = params.pop("antisymmetric", False)
         _sample_size_bound(evaluator, c, d, domain, rng)
         spec = KernelSpec("custom", d, evaluator, c, antisym)
     else:

@@ -254,8 +254,8 @@ def _witness_small(dom, keys, theta):
     counts.  Candidates come big first, so a candidate's accepted
     ancestors are the owner of its first cell (the finest accepted cube
     over it) and that owner's chain of nearest accepted ancestors.
-    Yields one (key row, E) family per budget divisor: ceil(1/theta), then
-    twice that."""
+    Yields one (key row, E, None) family per budget divisor: ceil(1/theta),
+    then twice that."""
     ids = np.arange(dom.n**dom.d).reshape(dom.shape)
     inv_theta = math.ceil(1.0 / theta)
     for inv in (inv_theta, 2 * inv_theta):
@@ -274,7 +274,7 @@ def _witness_small(dom, keys, theta):
                 a[3] += size
             accepted.append([key, block, size, 0, chain[0]])
             owner[block] = len(accepted) - 1
-        yield [(key, ids[block].ravel()[owner[block].ravel() == i])
+        yield [(key, ids[block].ravel()[owner[block].ravel() == i], None)
                for i, (key, block, *_) in enumerate(accepted)]
 
 
@@ -282,7 +282,7 @@ def _witness_far(dom, keys):
     """Disjoint cubes at distances increasing by at least L/8 per step,
     required to reach ESCAPE_RADIUS * L; E = Q throughout.  Candidates
     come nearest first, ties in (generation, index) order; yields the
-    (key row, E) family if it escapes."""
+    (key row, E, None) family if it escapes."""
     dist = np.concatenate([_cube_distance_table(dom, j)[tuple(keys[keys[:, 0] == j, 1:].T)]
                            for j in range(dom.m + 1)])  # keys come by generation
     ids, used = np.arange(dom.n**dom.d).reshape(dom.shape), np.zeros(dom.shape, dtype=bool)
@@ -294,7 +294,7 @@ def _witness_far(dom, keys):
         if dist_q <= 0.0 or (last is not None and dist_q < last + step) or used[block].any():
             continue
         used[block] = True
-        picked.append((key, ids[block].ravel()))
+        picked.append((key, ids[block].ravel(), None))
         last = dist_q
     if last is not None and last >= ESCAPE_RADIUS * dom.L:
         yield picked
@@ -304,7 +304,8 @@ def _witness_large(b, nu, alpha, r, c0, keys):
     """Nested escape to ever larger cubes: E strips off everything already
     used, oscillation re-verified on each strip before acceptance.
     Candidates come small first, in (generation, index) order; yields
-    the (key row, E) family."""
+    the (key row, E, osc(b; E)) family, osc None on the first cube, which
+    is not stripped."""
     dom = b.domain
     ids, used = np.arange(dom.n**dom.d).reshape(dom.shape), np.zeros(dom.shape, dtype=bool)
     picked, last_gen = [], None
@@ -312,6 +313,7 @@ def _witness_large(b, nu, alpha, r, c0, keys):
         key = keys[row].tolist()
         block = _block(dom.m, key)
         cells = ids[block].ravel()
+        osc = None
         if last_gen is None:
             mask = cells
         elif key[0] >= last_gen:  # the volume must at least double
@@ -320,9 +322,10 @@ def _witness_large(b, nu, alpha, r, c0, keys):
             mask = cells[~used[block].ravel()]
             if 2 * mask.size < cells.size:
                 continue
-            if oscillation(b, mask, nu=nu, alpha=alpha, r=r) < c0 / 2.0:
+            osc = oscillation(b, mask, nu=nu, alpha=alpha, r=r)
+            if osc < c0 / 2.0:
                 continue
-        picked.append((key, mask))
+        picked.append((key, mask, osc))
         used[block] = True
         last_gen = key[0]
     yield picked
@@ -344,8 +347,9 @@ def vmo_witness(
 
     The candidates are the cubes Q with osc_r(b; Q) >= c0 in report,
     which must be bmo_norm(b, nu, alpha, r).  Each searcher yields
-    families of (key row, E); the first with min_pairs pairs whose E is
-    nonempty with osc(b; E) >= c0/2 is kept.  Far-away families must
+    families of (key row, E, osc(b; E) or None where it did not compute
+    it); the first with min_pairs pairs whose E is nonempty with
+    osc(b; E) >= c0/2 is kept.  Far-away families must
     reach ESCAPE_RADIUS * L: on a bounded domain a sequence that stalls
     at moderate distance says nothing about behaviour at infinity."""
     _check_exponents(alpha, r)
@@ -368,10 +372,11 @@ def vmo_witness(
     for name in (mode,) if mode is not None else searchers:
         for picked in searchers[name]():
             entries, oscs = [], []
-            for key, mask in picked:
+            for key, mask, val in picked:
                 if mask.size == 0:
                     continue
-                val = oscillation(b, mask, nu=nu, alpha=alpha, r=r)
+                if val is None:
+                    val = oscillation(b, mask, nu=nu, alpha=alpha, r=r)
                 if val >= c0 / 2.0:
                     entries.append((dyadic.key_cube(b.domain, key), mask))
                     oscs.append(val)

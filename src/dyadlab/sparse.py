@@ -270,12 +270,15 @@ def _table_apply(kind, values, family, b) -> np.ndarray:
 
 def _deviation_tables(family: SparseFamily, b: SampledFunction):
     """Yield (j, count, |b - <b>_Q| on the cells of each generation-j cube Q)
-    per generation j of the family, coarse to fine; one table at a time,
-    so a single apply holds no more than one."""
+    per generation j < m of the family, coarse to fine; one table at a time,
+    so a single apply holds no more than one.  A one-cell cube (j = m) has
+    |b - <b>_Q| = 0, so its terms would add zero."""
     if b.domain != family.domain:
         raise ValueError("domain mismatch")
     dom = family.domain
     for j, count in family._counts:
+        if j == dom.m:
+            continue
         b_mean = _generation_blocks(b.values, j, dom.d).mean(axis=-1)
         dev = np.abs(_split(b.values, j, dom.d) - _split(b_mean, j, dom.d))
         yield j, count, dev.reshape(dom.shape)
@@ -288,7 +291,7 @@ def _apply_tables(kind, values, dom, tables) -> np.ndarray:
         raise ValueError(f"unknown sparse operator kind {kind!r}")
     is_complex = np.iscomplexobj(values)
     out = np.zeros(values.shape, dtype=complex if is_complex else float)
-    for j, count, dev in tables:
+    for j, count, dev in tables if values.size else ():  # an empty batch has no blocks
         g = dev * values if kind == "star" else values
         mean = _generation_blocks(g, j, dom.d).mean(axis=-1)  # <g>_Q per generation-j cube
         cells, term = _split(out, j, dom.d), _split(count * mean, j, dom.d)

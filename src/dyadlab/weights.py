@@ -144,7 +144,9 @@ def as_weight(f: SampledFunction, tag: str = "weight", spec: dict | None = None)
 
 
 def make_weight(domain: LatticeDomain, spec: dict) -> Weight:
-    """Catalog weights: unit, |x|^beta, or a seeded log-smooth sample."""
+    """Catalog weights: unit, |x|^beta, or a seeded log-smooth sample.  The
+    spec's values are taken as typed (beta and amplitude floats, modes and
+    seed ints), not cast."""
     spec = dict(spec)
     kind = spec.get("kind")
     if kind not in _WEIGHT_KINDS:
@@ -154,14 +156,14 @@ def make_weight(domain: LatticeDomain, spec: dict) -> Weight:
         logw = np.zeros(domain.shape)
         tag = "unit"
     elif kind == "power":
-        beta = float(spec.get("beta", 0.0))
+        beta = spec.get("beta", 0.0)
         r = np.sqrt(sum(x**2 for x in axes))
         logw = beta * np.log(r)
         tag = f"power[{beta:g}]"
     else:
-        amplitude = float(spec.get("amplitude", 0.5))
-        modes = int(spec.get("modes", 3))
-        seed = int(spec.get("seed", 0))
+        amplitude = spec.get("amplitude", 0.5)
+        modes = spec.get("modes", 3)
+        seed = spec.get("seed", 0)
         rng = np.random.default_rng(seed)
         logw = np.zeros(domain.shape)
         for k in range(1, modes + 1):

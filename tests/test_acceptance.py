@@ -61,8 +61,8 @@ def weight_pairs(dom, n):
 
 def symbol_family(dom):
     mids = dom.midpoints()[0]
-    bump_wide = sample_symbol(dom, {"kind": "bump", "center": 0.0, "radius": 0.5})
-    bump_off = sample_symbol(dom, {"kind": "bump", "center": 0.375, "radius": 0.25})
+    bump_wide = sample_symbol(dom, {"kind": "bump", "center": (0.0,), "radius": 0.5})
+    bump_off = sample_symbol(dom, {"kind": "bump", "center": (0.375,), "radius": 0.25})
     return [
         ("log", SampledFunction(dom, np.log(np.abs(mids)))),
         ("bump_wide", bump_wide),
@@ -268,7 +268,7 @@ def test_c09_compactness_dichotomy(dom10, unit10):
     kern = ops.make_kernel("hilbert")
     eps_list = (0.5, 0.25, 0.125, 0.0625, 0.03125)
     mids = dom10.midpoints()[0]
-    smooth = sample_symbol(dom10, {"kind": "bump", "center": 0.0, "radius": 0.75})
+    smooth = sample_symbol(dom10, {"kind": "bump", "center": (0.0,), "radius": 0.75})
     blog = SampledFunction(dom10, np.log(np.abs(mids)))
     rep_s = normest.compactness_profile(smooth, kern, setup, eps_list, unit10, unit10)
     rep_l = normest.compactness_profile(blog, kern, setup, eps_list, unit10, unit10)

@@ -151,6 +151,51 @@ def test_integer_params_take_only_json_integers(tmp_path, capsys, experiment, ke
     assert f"params.{key}" in capsys.readouterr().err
 
 
+def _typed_case(path, value):
+    """A config that runs with `value` at the dotted `path` taken from a
+    valid one: bmo-compute at d=1 (a Riesz kernel moves it to d=2)."""
+    cfg = {"experiment": "bmo-compute", "domain": {"d": 1, "m": 5},
+           "weights": {"mu": {"kind": "power", "beta": 0.3},
+                       "lambda": {"kind": "logsmooth", "modes": 3, "seed": 0}},
+           "symbols": [{"id": "x", "terms": [{"kind": "abs_power", "exponent": 0.5}]}]}
+    if path.startswith("kernel"):
+        cfg["domain"]["d"], cfg["kernel"] = 2, {"variant": "riesz", "j": 1}
+    if path.endswith("axis"):
+        cfg["symbols"][0]["terms"][0] = {"kind": "coordinate"}
+    node, keys = cfg, path.replace("[", ".").replace("]", "").split(".")
+    for key in keys[:-1]:
+        node = node[int(key)] if key.isdigit() else node.setdefault(key, {})
+    node[keys[-1]] = value
+    return cfg
+
+
+@pytest.mark.parametrize("path, value, kind", [
+    ("domain.m", 6.9, None),
+    ("domain.m", "6", None),
+    ("domain.d", True, None),
+    ("exponents.p", "2", None),
+    ("weights.mu.beta", "0.3", None),
+    ("weights.lambda.modes", 2.7, None),
+    ("weights.lambda.seed", 1.9, None),
+    ("weights.mu.betta", 0.3, None),  # a misspelled key
+    ("weights.mu.beta", 0.3, "unit"),  # a key the kind does not take
+    ("kernel.j", True, None),
+    ("params.r", "1", None),
+    ("params.rr", 2.0, None),  # a key bmo-compute does not read
+    ("symbols[0].terms[0].exponent", "0.5", None),
+    ("symbols[0].terms[0].axis", 0.7, None),
+    ("symbols[0].terms[0].exponent", 0.5, "log_abs"),
+])
+def test_config_values_are_read_typed_and_refused_naming_the_key(tmp_path, capsys, path,
+                                                                  value, kind):
+    cfg = _typed_case(path, value)
+    if kind is not None:  # the kind of the mapping that holds the key
+        node = cfg["weights"]["mu"] if kind == "unit" else cfg["symbols"][0]["terms"][0]
+        node["kind"] = kind
+    assert cli.run(cfg, out_dir=tmp_path / "out") == 2
+    assert path in capsys.readouterr().err
+
+
 def test_kernel_dimension_mismatch_exits_2(tmp_path):
     cfg = {
         "experiment": "commutator-sweep",
@@ -311,7 +356,7 @@ def test_vmo_witness_dump_and_flags(tmp_path):
         "experiment": "vmo-witness",
         "domain": {"d": 1, "m": 8},
         "symbols": log_symbols()
-        + [{"id": "bump", "terms": [{"kind": "bump", "center": 0.0, "radius": 0.5}]}],
+        + [{"id": "bump", "terms": [{"kind": "bump", "center": [0.0], "radius": 0.5}]}],
         "params": {"c0": 0.4},
     }
     out = tmp_path / "out"
@@ -691,7 +736,8 @@ _TERMS = st.one_of(
                                     | st.lists(st.floats(-3, 3), min_size=2, max_size=2)}),
     st.fixed_dictionaries({"kind": st.just("coordinate"), "axis": st.integers(-1, 2)}),
     st.fixed_dictionaries({"kind": st.just("abs_power"), "exponent": st.floats(-1.5, 2)}),
-    st.fixed_dictionaries({"kind": st.just("bump"), "center": st.floats(-1, 1),
+    st.fixed_dictionaries({"kind": st.just("bump"),
+                           "center": st.lists(st.floats(-1, 1), min_size=1, max_size=2),
                            "radius": st.floats(-0.5, 2)}),
 )
 _WEIGHTS = st.one_of(
@@ -701,17 +747,22 @@ _WEIGHTS = st.one_of(
                           optional={"amplitude": st.floats(0, 5), "modes": st.integers(0, 4),
                                     "seed": st.integers(0, 9)}),
 )
-_PARAMS = st.fixed_dictionaries({}, optional={
-    # integer keys also draw the floats, booleans and strings they must refuse
-    "budget": st.integers(0, 3) | st.floats(0, 3) | st.booleans() | st.text(max_size=2),
-    "probe_generation": (st.integers(-1, 6) | st.floats(-1, 6) | st.booleans()
-                         | st.text(max_size=2)),
-    "eps_list": st.lists(st.floats(0.01, 1.2), max_size=3),
-    "k_list": st.lists(st.floats(-1, 9), max_size=3),
-    "r": st.floats(-1, 4), "c0": st.floats(-1, 2),
-    "mode": st.sampled_from(["small-scale", "large-scale", "distance", "bogus"]),
-    "theta": st.floats(-1, 1), "min_pairs": st.integers(-1, 4),
-})
+# The params each experiment reads; integer keys also draw the floats,
+# booleans and strings they must refuse.
+_BUDGET = st.integers(0, 3) | st.floats(0, 3) | st.booleans() | st.text(max_size=2)
+_PARAMS = {
+    "bmo-compute": {"r": st.floats(-1, 4)},
+    "jn-verify": {"r": st.floats(-1, 4)},
+    "commutator-sweep": {"budget": _BUDGET,
+                         "probe_generation": (st.integers(-1, 6) | st.floats(-1, 6)
+                                              | st.booleans() | st.text(max_size=2))},
+    "compactness-profile": {"eps_list": st.lists(st.floats(0.01, 1.2), max_size=3),
+                            "k_list": st.lists(st.floats(-1, 9), max_size=3),
+                            "budget": _BUDGET},
+    "vmo-witness": {"r": st.floats(-1, 4), "c0": st.floats(-1, 2),
+                    "mode": st.sampled_from(["small-scale", "large-scale", "distance", "bogus"]),
+                    "theta": st.floats(-1, 1), "min_pairs": st.integers(-1, 4)},
+}
 
 
 def _paths(value, prefix=()):
@@ -722,14 +773,23 @@ def _paths(value, prefix=()):
         yield from _paths(item, prefix + (key,))
 
 
+def _get(cfg, path):
+    """The value at a key path of `_paths`."""
+    return functools.reduce(lambda node, key: node[key], path, cfg)
+
+
 @st.composite
 def _configs(draw):
-    """A config that reaches the experiments (m <= 5), then up to two of its
-    values (the whole config included) swapped for arbitrary JSON."""
+    """A config that reaches the experiments (m <= 5), then either up to two
+    of its values (the whole config included) swapped for arbitrary JSON,
+    or one or two of its numbers, in any section, swapped for a value of
+    the wrong type: a boolean, a fraction or a string for an integer, a
+    string for a float.  Returns the config and whether a type was swapped."""
     d = draw(st.integers(1, 2))
     p = draw(st.floats(1.05, 4))
+    experiment = draw(st.sampled_from(cli.EXPERIMENTS))
     cfg = {
-        "experiment": draw(st.sampled_from(cli.EXPERIMENTS)),
+        "experiment": experiment,
         "domain": {"d": d, "m": draw(st.integers(2, 5)),
                    "L": draw(st.sampled_from([0.5, 1.0, 2.0]))},
         "exponents": {"p": p, "q": p + draw(st.floats(0, 3))},
@@ -739,29 +799,37 @@ def _configs(draw):
         "kernel": {"variant": "hilbert"} if d == 1 else {"variant": "riesz",
                                                          "j": draw(st.integers(1, 2))},
         "seeds": draw(st.lists(st.integers(0, 9), max_size=2)),
-        "params": draw(_PARAMS),
+        "params": draw(st.fixed_dictionaries({}, optional=_PARAMS.get(experiment, {}))),
     }
+    if draw(st.booleans()):
+        numbers = [path for path in _paths(cfg) if type(_get(cfg, path)) in (int, float)]
+        for path in draw(st.lists(st.sampled_from(numbers), min_size=1, max_size=2)):
+            value = _get(cfg, path)
+            _get(cfg, path[:-1])[path[-1]] = draw(
+                st.sampled_from([True, False, value + 0.5, str(value)])
+                if type(value) is int else st.just(str(value)))
+        return cfg, True
     for _ in range(draw(st.integers(0, 2))):
         path = draw(st.sampled_from(list(_paths(cfg))))
         value = draw(_JSON)
         if not path:
             cfg = value
             continue
-        node = cfg
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
-    return cfg
+        _get(cfg, path[:-1])[path[-1]] = value
+    return cfg, False
 
 
-@settings(max_examples=80, deadline=None, derandomize=True,
+@settings(max_examples=120, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
-@given(cfg=_configs())
-def test_random_configs_exit_with_a_status_never_a_traceback(cfg):
+@given(case=_configs())
+def test_random_configs_exit_with_a_status_never_a_traceback(case):
+    cfg, swapped = case
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            assert cli.run(cfg, out_dir=tmp) in (0, 1, 2, 3)
+            status = cli.run(cfg, out_dir=tmp)
+    assert status in (0, 1, 2, 3)
+    assert status == 2 or not swapped  # every key of the config is read typed
 
 
 _SWEEP_BASES = [

@@ -190,7 +190,7 @@ class TestSymbols:
         dom = LatticeDomain(1, 5, 1.0)
         spec = [
             {"kind": "coordinate", "coefficient": 1.0},
-            {"kind": "coordinate", "coefficient": [0.0, 1.0]},
+            {"kind": "coordinate", "coefficient": 1j},
         ]
         b = sample_symbol(dom, spec)
         assert b.is_complex

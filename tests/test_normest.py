@@ -214,7 +214,7 @@ def test_probe_riesz_diagonal_shift():
 
 def test_sweep_rows_and_window(dom, unit, b_log, hilbert_op):
     mids = dom.midpoints()[0]
-    bump = sample_symbol(dom, [{"kind": "bump", "center": 0.0, "radius": 0.5}])
+    bump = sample_symbol(dom, [{"kind": "bump", "center": (0.0,), "radius": 0.5}])
     family = [
         ("log", b_log),
         ("xbump", SampledFunction(dom, mids * bump.values)),
@@ -307,7 +307,7 @@ def test_compactness_dichotomy(m8):
     dom, unit8, kernel = m8
     setup = ExponentSetup(p=2.0, q=2.0, d=1)
     eps = [2**-1, 2**-2, 2**-3, 2**-4, 2**-5]
-    smooth = sample_symbol(dom, [{"kind": "bump", "center": 0.0, "radius": 0.5}])
+    smooth = sample_symbol(dom, [{"kind": "bump", "center": (0.0,), "radius": 0.5}])
     blog = SampledFunction(dom, np.log(np.abs(dom.midpoints()[0])))
     rep_s = normest.compactness_profile(smooth, kernel, setup, eps, unit8, unit8)
     rep_l = normest.compactness_profile(blog, kernel, setup, eps, unit8, unit8)
@@ -472,14 +472,47 @@ def test_capped_counts_the_restarts_still_moving(kind, d):
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_ascent_ends_when_every_image_vanishes(d):
-    # a constant symbol's star operator is zero on every row, and the star
-    # tables cannot take an empty batch
+    # a constant symbol's star operator is zero on every row
     dom = LatticeDomain(d=d, m=6 if d == 1 else 3, L=1.0)
     b = SampledFunction(dom, np.full(dom.shape, 1.5))
     star = normest._SparseStar(b, sparse.cz_augment(b, dyadic.cube(dom, 0, (0,) * d)))
     unit = make_weight(dom, {"kind": "unit"})
     est = normest.opnorm_estimate(star, 2.0, unit, 3.0, unit, budget=3)
     assert (est.value, est.iterations, est.capped, est.witness) == (0.0, 3, 0, None)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_sparse_star_takes_an_empty_batch(d):
+    # an empty (0, N) batch in, one out, as from the commutator
+    dom = LatticeDomain(d=d, m=6 if d == 1 else 3, L=1.0)
+    b = sample_symbol(dom, {"kind": "log_abs"})
+    star = normest._SparseStar(b, sparse.cz_augment(b, dyadic.cube(dom, 0, (0,) * d)))
+    kernel = ops.make_kernel("hilbert") if d == 1 else ops.make_kernel("riesz", {"j": 1})
+    comm = ops.Commutator(b, ops.Convolution(kernel, dom))
+    empty = np.zeros((0, dom.n**d))
+    for run, want in ((star.apply, comm.apply), (star.adjoint, comm.adjoint)):
+        assert run(empty).shape == want(empty).shape == (0, dom.n**d)
+
+
+def test_compactness_profile_estimates_each_kept_family_once(monkeypatch):
+    # at d=1 m=6 the log family has 3 entries; k = 2 and k = 4 keep the same
+    # 2 of them and k = 8 none, so two sparse-star ascents give all four tails
+    dom = LatticeDomain(d=1, m=6, L=1.0)
+    unit = make_weight(dom, {"kind": "unit"})
+    b = sample_symbol(dom, {"kind": "log_abs"})
+    family = sparse.cz_augment(b, dyadic.cube(dom, 0, (0,)))
+    k_list = (1.0, 2.0, 4.0, 8.0)
+    kept = [sparse.split_family(family, k) for k in k_list]
+    fresh = tuple(normest.opnorm_estimate(normest._SparseStar(b, f), 2.0, unit, 3.0, unit,
+                                          budget=2).value if len(f) else 0.0 for f in kept)
+    ops_run = []
+    estimate = normest.opnorm_estimate
+    monkeypatch.setattr(normest, "opnorm_estimate",
+                        lambda op, *a, **kw: ops_run.append(op) or estimate(op, *a, **kw))
+    rep = normest.compactness_profile(b, ops.make_kernel("hilbert"), ExponentSetup(2.0, 3.0, 1),
+                                      (0.5,), unit, unit, k_list=k_list, budget=2)
+    assert rep.sparse_tail_norms == fresh
+    assert sum(isinstance(op, normest._SparseStar) for op in ops_run) == 2
 
 
 def test_capped_is_zero_when_every_restart_converges():
@@ -513,10 +546,10 @@ def _symbol(draw, dom):
         if kind == "abs_power":
             term["exponent"] = draw(st.floats(0.1, 1.0))
         if kind == "bump":
-            term["center"] = draw(st.floats(-0.5, 0.5))
+            term["center"] = (draw(st.floats(-0.5, 0.5)),)
             term["radius"] = draw(st.floats(0.2, 0.8))
         if complex_symbol:
-            term["coefficient"] = [draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))]
+            term["coefficient"] = complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
         terms.append(term)
     return sample_symbol(dom, terms)
 

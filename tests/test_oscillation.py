@@ -342,6 +342,26 @@ def assert_same_witness(got, want):
     assert got.oscillations == want.oscillations
 
 
+def test_large_scale_search_evaluates_each_strip_once(monkeypatch):
+    # the searcher hands its osc(b; E) on: at d=1 m=12 with the bench weights
+    # the 11 pairs take 12 oscillation calls, not 22
+    dom = LatticeDomain(d=1, m=12, L=1.0)
+    setup = ExponentSetup(2.0, 4.0, 1)
+    nu = bloom_weight(make_weight(dom, {"kind": "power", "beta": 0.3}),
+                      make_weight(dom, {"kind": "logsmooth", "amplitude": 0.6, "modes": 3,
+                                        "seed": 0}), setup)
+    b = sample_symbol(dom, {"kind": "log_abs"})
+    report = osc.bmo_norm(b, nu, setup.alpha)
+    want = vmo_witness_objects(b, nu, setup.alpha, mode="large-scale")
+    masks = []
+    evaluate = osc.oscillation
+    monkeypatch.setattr(osc, "oscillation",
+                        lambda b, mask, **kw: masks.append(mask.tobytes()) or evaluate(b, mask, **kw))
+    got = osc.vmo_witness(b, report, nu, setup.alpha, mode="large-scale")
+    assert_same_witness(got, want)
+    assert len(got) == 11 and len(masks) == len(set(masks)) == 12
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     lattice=st.sampled_from([(1, 5), (1, 7), (1, 8), (2, 3), (2, 4), (2, 5)]),
