@@ -74,6 +74,13 @@ def _number(value) -> float:
     return float(value)
 
 
+def _string(value) -> str:
+    """A JSON string."""
+    if not isinstance(value, str):
+        raise TypeError(f"need a string, got {value!r}")
+    return value
+
+
 def _list(reader):
     """A reader of a JSON list whose entries `reader` takes, as a tuple."""
     def read(value):
@@ -131,6 +138,7 @@ _TERMS = {
     "log_abs": _COEFFICIENT,
     "bump": {**_COEFFICIENT, "center": (_numbers, [0.0]), "radius": (_number, 1.0)},
 }
+_SYMBOL = {"id": (_string, None), "terms": (_list(lambda term: term), None)}  # each term: _TERMS
 _PARAMS = {  # one table per experiment
     "weights-check": {},
     "bloom-verify": {},
@@ -284,17 +292,13 @@ def _build_context(cfg: dict) -> RunContext:
     if not isinstance(symbol_specs, list):
         raise ConfigError("symbols must be a list")
     for i, entry in enumerate(symbol_specs):
-        if not isinstance(entry, dict) or "id" not in entry or "terms" not in entry:
-            raise ConfigError(f"symbols[{i}] needs an 'id' and 'terms'")
-        sid = str(entry["id"])
+        entry = _read(entry, _SYMBOL, f"symbols[{i}]")
+        sid = entry["id"]
         if sid in seen:
             raise ConfigError(f"duplicate symbol id {sid!r}")
         seen.add(sid)
-        terms = entry["terms"]
-        if not isinstance(terms, list):
-            raise ConfigError(f"symbols[{i}].terms must be a list")
         terms = [_read(t, _TERMS, f"symbols[{i}].terms[{j}]", tag="kind")
-                 for j, t in enumerate(terms)]
+                 for j, t in enumerate(entry["terms"])]
         symbols.append((sid, _made(f"bad symbol {sid!r}", sample_symbol, domain, terms)))
     if experiment in _NEED_SYMBOLS and not symbols:
         raise ConfigError(f"experiment {experiment} needs at least one symbol")
@@ -779,8 +783,9 @@ def _point_config(cfg: dict, axis: str, value) -> dict:
         for key in ("p", "q") if axis == "pq" else (axis,):
             point.setdefault("exponents", {})[key] = _value(_number, value, f"exponents.{key}")
     else:  # symbol
+        value = _value(_string, value, "sweep symbol")
         keep = [s for s in point.get("symbols") or []
-                if isinstance(s, dict) and str(s.get("id")) == str(value)]
+                if isinstance(s, dict) and s.get("id") == value]
         if not keep:
             raise ConfigError(f"sweep symbol {value!r} not among config symbols")
         point["symbols"] = keep

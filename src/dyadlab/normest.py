@@ -42,7 +42,7 @@ import numpy as np
 
 from dyadlab import dyadic, oscillation, sparse
 from dyadlab.lattice import SampledFunction
-from dyadlab.operators import (  # noqa: F401  (commutator_matrix: public dense oracle)
+from dyadlab.operators import (  # noqa: F401  (commutator_matrix: bench/tests imports it here)
     Commutator,
     KernelSpec,
     NumericalError,
@@ -440,7 +440,8 @@ def _probe_cube_for(b: SampledFunction, generation: int = 3):
 def bmo_vs_norm_sweep(symbols, op: Operator, mu: Weight, lam: Weight,
                       setup: ExponentSetup, budget: int = 8,
                       probe_generation: int = 3) -> list:
-    """One row per symbol: oscillation norm, commutator norm, probe, ratios.
+    """One row per (id, symbol) pair: oscillation norm, commutator norm,
+    probe, ratios.
 
     `op` is the kernel operator T (any backend); each commutator [b, T] is
     applied, never formed.  Ratio columns divide by zero as 0 (constant
@@ -448,13 +449,9 @@ def bmo_vs_norm_sweep(symbols, op: Operator, mu: Weight, lam: Weight,
     than killing the sweep.  `capped` counts the ascent restarts that ran
     out of steps.
     """
-    if isinstance(symbols, dict):
-        items = list(symbols.items())
-    else:
-        items = list(symbols)
     nu = bloom_weight(mu, lam, setup)
     rows = []
-    for name, b in items:
+    for name, b in symbols:
         bmo = oscillation.bmo_norm(b, nu, setup.alpha).supremum
         est = opnorm_estimate(Commutator(b, op), setup.p, mu, setup.q, lam, budget=budget)
         cube = _probe_cube_for(b, probe_generation)
@@ -474,26 +471,6 @@ def bmo_vs_norm_sweep(symbols, op: Operator, mu: Weight, lam: Weight,
             "capped": est.capped,
         })
     return rows
-
-
-class _SparseStar(Operator):
-    """f -> sum_Q <|b - <b>_Q| f>_Q 1_Q over a family: sparse_apply("star")
-    with sparse_apply("adjoint") as its adjoint, a whole batch per call.
-    The |b - <b>_Q| tables are built once, at construction."""
-
-    def __init__(self, b: SampledFunction, family: sparse.SparseFamily):
-        self.domain = b.domain
-        self._tables = list(sparse._deviation_tables(family, b))
-
-    def _apply(self, x):
-        return self._run("star", x)
-
-    def _adjoint(self, x):
-        return self._run("adjoint", x)
-
-    def _run(self, kind, x):
-        grid = x.reshape(x.shape[:-1] + self.domain.shape)
-        return sparse._apply_tables(kind, grid, self.domain, self._tables).reshape(x.shape)
 
 
 @dataclass
@@ -544,8 +521,8 @@ def compactness_profile(b: SampledFunction, kernel: KernelSpec, setup: ExponentS
             continue
         key = kept.entries.tobytes()
         if key not in estimates:
-            estimates[key] = opnorm_estimate(_SparseStar(b, kept), setup.p, mu, setup.q, lam,
-                                             budget=budget)
+            estimates[key] = opnorm_estimate(sparse.SparseStar(b, kept), setup.p, mu, setup.q,
+                                             lam, budget=budget)
         est = estimates[key]
         sparse_tails.append(est.value)
         if est.capped:

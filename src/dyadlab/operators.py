@@ -1,24 +1,25 @@
 """Discretized singular integral operators and their commutators.
 
 An operator is a linear map on the cells of one lattice domain, given as
-an apply/adjoint pair on flat cell arrays (Operator).  A kernel K(x, y)
-acts as sum_j K(x_i, x_j) window(|x_i - x_j|) h^d f_j over the lattice
-midpoints, with the j = i term left out.  For antisymmetric kernels the
-dropped diagonal is the principal value: the p.v. integral over a cell
-centered at x vanishes by symmetry.  For general kernels it is a
-declared O(h) bias.
+an apply/adjoint pair on flat cell arrays (Operator).  A kernel is a
+function K(z) of the offset z = x - y, and it acts as
+sum_j K(x_i - x_j) window(|x_i - x_j|) h^d f_j over the lattice
+midpoints, with the j = i term left out.  For odd kernels the dropped
+diagonal is the principal value: the p.v. integral over a cell centered
+at x vanishes by symmetry.  For general kernels it is a declared O(h)
+bias.
 
-Two backends realize a kernel.  Convolution serves the translation-
-invariant named kernels (Hilbert, Riesz): it stores the stencil
+Convolution is the one runtime backend.  It stores the stencil
 K(o h) window(|o h|) h^d over the offsets o in (-n, n)^d and applies it
 through one FFT pair on a circulant embedding (Chan & Ng, SIAM Review
 1996), in O(N log N) time and O(N) memory.  The circulant is sized to
 the stencil's support: side 2n per axis at full support, less when a
 window cuts the stencil off, as it does for the eps-split residual.
-OperatorMatrix is the dense matrix A[i, j]; it serves custom kernels and
-is the oracle the fast paths are tested against.  Commutators
-[b, T] f = b Tf - T(bf) and the compact/residual split are composites
-over either backend, so neither needs an N x N array.
+Commutators [b, T] f = b Tf - T(bf) and the compact/residual split are
+composites over it, so no N x N array is ever formed.  OperatorMatrix,
+the dense matrix A[i, j] (assemble, commutator_matrix, decompose), is
+the reference backend the fast paths are tested against; nothing else
+builds one.
 
 Smooth cutoffs use a single C^1 profile: value 1 inside radius a, 0
 outside radius b, and cos^2(pi (t - a) / (2 (b - a))) on the ramp, whose
@@ -46,9 +47,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from dyadlab.lattice import LatticeDomain, SampledFunction
-
-# Dense assembly guard: n^(2d) matrix entries.
-MAX_MATRIX_ENTRIES = 2**26
 
 _SIZE_SAMPLE_PAIRS = 10_000
 
@@ -97,58 +95,52 @@ def annulus(r: float, s: float) -> Callable:
 class KernelSpec:
     variant: str
     d: int
-    evaluator: Callable  # (x, y) arrays of shape (..., d) -> values (...)
+    evaluator: Callable  # offsets z = x - y of shape (..., d) -> values K(z) (...)
     size_constant: float
-    antisymmetric: bool
-    translation_invariant: bool = False  # K(x, y) = K(x - y, 0): Convolution applies
-
-    def __call__(self, x, y):
-        return self.evaluator(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
 
-def _hilbert_eval(x, y):
-    diff = x[..., 0] - y[..., 0]
+def _hilbert_eval(z):
     with np.errstate(divide="ignore", invalid="ignore"):
-        return 1.0 / diff
+        return 1.0 / z[..., 0]
 
 
 def _riesz_eval(axis):
-    def evaluate(x, y):
-        diff = x - y
-        dist = np.sqrt(np.sum(diff**2, axis=-1))
+    def evaluate(z):
+        dist = np.sqrt(np.sum(z**2, axis=-1))
         with np.errstate(divide="ignore", invalid="ignore"):
-            return diff[..., axis] / dist**3
+            return z[..., axis] / dist**3
     return evaluate
 
 
 def _sample_size_bound(evaluator, c, d, domain, rng):
+    """Check |K(z)| <= C |z|^-d at the offsets z = x - y of random pairs."""
     pts = rng.uniform(-domain.L, domain.L, size=(2, _SIZE_SAMPLE_PAIRS, d))
-    x, y = pts[0], pts[1]
-    dist = np.sqrt(np.sum((x - y) ** 2, axis=-1))
+    z = pts[0] - pts[1]
+    dist = np.sqrt(np.sum(z**2, axis=-1))
     keep = dist > 1e-9
-    x, y, dist = x[keep], y[keep], dist[keep]
-    vals = np.abs(np.asarray(evaluator(x, y), dtype=float))
+    z, dist = z[keep], dist[keep]
+    vals = np.abs(np.asarray(evaluator(z), dtype=float))
     bound = c * dist ** (-d)
     bad = vals > bound * (1.0 + 1e-9)
     if np.any(bad):
         k = int(np.argmax(vals[bad] / bound[bad]))
-        wx, wy = x[bad][k], y[bad][k]
         raise ValueError(
-            f"size bound violated: |K({tuple(wx)}, {tuple(wy)})| = {vals[bad][k]:.6g} "
-            f"> {bound[bad][k]:.6g} = C |x-y|^-d with C = {c}"
+            f"size bound violated: |K({tuple(z[bad][k])})| = {vals[bad][k]:.6g} "
+            f"> {bound[bad][k]:.6g} = C |z|^-d with C = {c}"
         )
 
 
 def make_kernel(variant: str, params: Optional[dict] = None) -> KernelSpec:
     """Build a KernelSpec.
 
-    variant "hilbert" (d=1, K = 1/(x-y)) and "riesz" (d=2, component j of
-    (x-y)/|x-y|^3, params {"j": 1 or 2}) carry exact size constants.
-    variant "custom" takes params {"evaluator", "C", "domain", optional
-    "antisymmetric", "d"}; the size bound |K| <= C |x-y|^{-d} is
-    spot-checked on random pairs and a violation raises with the witness
-    pair.  Providing "domain" for the named variants
-    runs the same check on them.  Params are taken as typed, not cast.
+    variant "hilbert" (d=1, K(z) = 1/z) and "riesz" (d=2, component j of
+    z/|z|^3, params {"j": 1 or 2}) carry exact size constants.  variant
+    "custom" takes params {"evaluator", "C", "domain", optional "d"}, the
+    evaluator a function of the offset z = x - y; the size bound
+    |K(z)| <= C |z|^{-d} is spot-checked on random pairs and a violation
+    raises with the witness pair.  Providing "domain" for the named
+    variants runs the same check on them.  Params are taken as typed, not
+    cast.
     """
     params = dict(params or {})
     domain = params.pop("domain", None)
@@ -158,7 +150,7 @@ def make_kernel(variant: str, params: Optional[dict] = None) -> KernelSpec:
         d = params.pop("d", 1)
         if d != 1:
             raise ValueError("hilbert kernel is one-dimensional")
-        spec = KernelSpec("hilbert", 1, _hilbert_eval, 1.0, True, translation_invariant=True)
+        spec = KernelSpec("hilbert", 1, _hilbert_eval, 1.0)
     elif variant == "riesz":
         d = params.pop("d", 2)
         if d != 2:
@@ -166,17 +158,15 @@ def make_kernel(variant: str, params: Optional[dict] = None) -> KernelSpec:
         j = params.pop("j")
         if j not in (1, 2):
             raise ValueError("riesz component j must be 1 or 2")
-        spec = KernelSpec(f"riesz_{j}", 2, _riesz_eval(j - 1), 1.0, True,
-                          translation_invariant=True)
+        spec = KernelSpec(f"riesz_{j}", 2, _riesz_eval(j - 1), 1.0)
     elif variant == "custom":
         if domain is None:
             raise ValueError("custom kernels need a domain for the size-bound check")
         evaluator = params.pop("evaluator")
         c = params.pop("C")
         d = params.pop("d", domain.d)
-        antisym = params.pop("antisymmetric", False)
         _sample_size_bound(evaluator, c, d, domain, rng)
-        spec = KernelSpec("custom", d, evaluator, c, antisym)
+        spec = KernelSpec("custom", d, evaluator, c)
     else:
         raise ValueError(f"unknown kernel variant {variant!r}")
 
@@ -238,35 +228,6 @@ class Operator:
         return fn(f)
 
 
-@dataclass
-class OperatorMatrix(Operator):
-    """Dense backend: the N x N matrix; immutable after assembly.  A batch
-    goes through as stacked matrix-vector products, which round as a lone
-    row does (one matrix-matrix product would not)."""
-
-    domain: LatticeDomain
-    matrix: np.ndarray
-
-    @property
-    def is_complex(self) -> bool:
-        return np.iscomplexobj(self.matrix)
-
-    @property
-    def is_zero(self) -> bool:
-        return not np.any(self.matrix)
-
-    def _apply(self, x):
-        return np.matmul(self.matrix, x[..., None])[..., 0]
-
-    def _adjoint(self, x):
-        m = self.matrix.conj() if self.is_complex else self.matrix
-        return np.matmul(m.T, x[..., None])[..., 0]
-
-    def block(self, rows, cols) -> np.ndarray:
-        """Entries A[rows[i], cols[j]]."""
-        return self.matrix[np.ix_(rows, cols)]
-
-
 def _midpoint_table(domain: LatticeDomain) -> np.ndarray:
     return np.stack([m.reshape(-1) for m in domain.midpoints()], axis=-1)
 
@@ -295,9 +256,9 @@ def _smooth_length(k: int) -> int:
 
 
 class Convolution(Operator):
-    """FFT backend for a translation-invariant kernel and a radial window.
+    """FFT backend for a kernel and a radial window.
 
-    `stencil[o + n - 1]` is K(o h, 0) window(|o h|) h^d for the offsets o
+    `stencil[o + n - 1]` is K(o h) window(|o h|) h^d for the offsets o
     in (-n, n)^d, with 0 at o = 0.  With w the largest |o_i| at which it
     is nonzero, it sits in a circulant of side M per axis: the smallest
     2,3,5-smooth length >= n + w, but 2n when w = n - 1, so a full
@@ -314,15 +275,13 @@ class Convolution(Operator):
     """
 
     def __init__(self, kernel: KernelSpec, domain: LatticeDomain, window=None):
-        if not kernel.translation_invariant:
-            raise ValueError(f"kernel {kernel.variant!r} is not translation invariant")
         if domain.d != kernel.d:
             raise ValueError(f"kernel is d={kernel.d}, domain is d={domain.d}")
         n, d = domain.n, domain.d
         axis = np.arange(1 - n, n) * domain.h
         z = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.asarray(kernel.evaluator(z, np.zeros(d)), dtype=float)
+            vals = np.asarray(kernel.evaluator(z), dtype=float)
             if window is not None:
                 vals = vals * _window_factor(window, np.sqrt(np.sum(z**2, axis=-1)))
         vals[~np.isfinite(vals)] = 0.0
@@ -414,45 +373,6 @@ class Commutator(Operator):
         return t[1] - self._b_conj * t[0]
 
 
-def assemble(kernel: KernelSpec, domain: LatticeDomain, window=None) -> OperatorMatrix:
-    """Dense matrix K(x_i, x_j) window(|x_i - x_j|) h^d, zero diagonal.
-
-    window: None, a Bump, an (r, s) annulus pair, or a callable on distances.
-    """
-    if domain.d != kernel.d:
-        raise ValueError(f"kernel is d={kernel.d}, domain is d={domain.d}")
-    size = domain.n**domain.d
-    if size * size > MAX_MATRIX_ENTRIES:
-        raise ValueError(
-            f"dense assembly needs {size * size} entries > {MAX_MATRIX_ENTRIES}"
-        )
-    pts = _midpoint_table(domain)
-    a = np.empty((size, size))
-    block = max(1, 2**22 // size)
-    for lo in range(0, size, block):
-        hi = min(lo + block, size)
-        x = pts[lo:hi, None, :]
-        y = pts[None, :, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.asarray(kernel.evaluator(x, y), dtype=float)
-            if window is not None:
-                dist = np.sqrt(np.sum((x - y) ** 2, axis=-1))
-                vals = vals * _window_factor(window, dist)
-        vals[~np.isfinite(vals)] = 0.0
-        a[lo:hi] = vals
-    np.fill_diagonal(a, 0.0)
-    a *= domain.cell_volume
-    return OperatorMatrix(domain, a)
-
-
-def commutator_matrix(b: SampledFunction, op: OperatorMatrix) -> OperatorMatrix:
-    """[b, T] as a dense matrix: entrywise (b(x_i) - b(x_j)) A[i, j]."""
-    if b.domain != op.domain:
-        raise ValueError("domain mismatch")
-    bv = b.values.reshape(-1)
-    return OperatorMatrix(op.domain, op.matrix * (bv[:, None] - bv[None, :]))
-
-
 # -- compact/residual splitting ------------------------------------------------
 
 
@@ -499,7 +419,7 @@ def _split_windows(domain: LatticeDomain, eps: float):
 
 
 def split(kernel: KernelSpec, domain: LatticeDomain, eps: float):
-    """Matrix-free form of decompose: (compact, residual), summing to T.
+    """The eps-split of T as two operators (compact, residual) summing to T.
 
     The compact part is chi T_W(chi f), with T_W the kernel windowed by
     the annulus phi(S) - phi(eps), S = 10/eps; the residual is
@@ -507,13 +427,10 @@ def split(kernel: KernelSpec, domain: LatticeDomain, eps: float):
     complementary terms exactly when the outer window phi(S) is 1 at
     every offset two cells of supp(chi) can have.  This is checked on the
     window over the bounding box of those offsets, and a failure raises
-    NumericalError.  Kernels that are not translation invariant get
-    decompose's dense split.
+    NumericalError.  decompose is its dense reference.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("need 0 < eps < 1")
-    if not kernel.translation_invariant:
-        return decompose(kernel, domain, eps)
     chi, outer = _split_windows(domain, eps)
     support = np.argwhere(chi.reshape(domain.shape) > 0.0)
     if support.size:
@@ -533,46 +450,6 @@ def split(kernel: KernelSpec, domain: LatticeDomain, eps: float):
         # The residual is T - W, whose stencil vanishes beyond |o h| >= eps.
         return compact, Convolution._from_stencil(domain, base.stencil - windowed.stencil)
     return compact, SplitPart(chi, windowed, base)
-
-
-def decompose(kernel: KernelSpec, domain: LatticeDomain, eps: float):
-    """Split T into a compactly windowed part and a residual, densely.
-
-    With r = eps, R = 1/eps, S = 10 R, and chi = phi(R) evaluated at the
-    midpoint positions, the compact part applies chi, the kernel windowed by
-    the annulus [phi(S) - phi(r)](|x - y|), then chi again.  The residual
-    collects the four complementary terms.  Because the annulus window is
-    exactly 1 wherever both chi factors are nonzero and |x - y| <= S/2, the
-    two parts sum back to the unwindowed matrix; that identity is checked
-    entrywise and raises NumericalError when it breaks.  This is the
-    oracle of split.
-    """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("need 0 < eps < 1")
-    r = eps
-    base = assemble(kernel, domain)
-    a = base.matrix
-    pts = _midpoint_table(domain)
-    chi, outer_win = _split_windows(domain, eps)
-    outer = 1.0 - chi
-
-    dist = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
-    inner_win = phi(r).value(dist)
-    mid_win = outer_win.value(dist) - inner_win
-
-    core = chi[:, None] * a * chi[None, :]
-    compact = core * mid_win
-    residual = (
-        core * inner_win
-        + outer[:, None] * a * outer[None, :]
-        + outer[:, None] * a * chi[None, :]
-        + chi[:, None] * a * outer[None, :]
-    )
-    scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-    gap = float(np.max(np.abs(compact + residual - a))) if a.size else 0.0
-    if gap > 1e-12 * scale:
-        raise NumericalError(f"splitting identity broke: {gap:g}")
-    return OperatorMatrix(domain, compact), OperatorMatrix(domain, residual)
 
 
 # -- truncation comparison -----------------------------------------------------
@@ -620,8 +497,8 @@ def truncation_comparison(kernel: KernelSpec, r: float,
     if r < 2.0 * dom.h:
         raise ValueError(f"annulus unresolved: r = {r} < 2h = {2 * dom.h}")
     smooth = phi(r)
-    hard = assemble(kernel, dom, window=lambda t: (t >= r).astype(float))
-    soft = assemble(kernel, dom, window=lambda t: 1.0 - smooth.value(t))
+    hard = Convolution(kernel, dom, window=lambda t: (t >= r).astype(float))
+    soft = Convolution(kernel, dom, window=lambda t: 1.0 - smooth.value(t))
     gap = np.abs(hard.apply(f).values - soft.apply(f).values)
     box = _box_maximal(f, r)
     c_cmp = kernel.size_constant * 4.0**dom.d
@@ -632,3 +509,119 @@ def truncation_comparison(kernel: KernelSpec, r: float,
         ratios = np.where(gap > 0.0, gap / bound, 0.0)
     worst = float(np.max(ratios)) if ratios.size else 0.0
     return TruncationReport(r, c_cmp, gap, box, worst, ok)
+
+
+# -- dense reference backend ---------------------------------------------------
+# The fast paths are tested against these; nothing in the package builds them.
+
+# Dense assembly guard: n^(2d) matrix entries.
+MAX_MATRIX_ENTRIES = 2**26
+
+
+@dataclass
+class OperatorMatrix(Operator):
+    """Dense reference backend: the N x N matrix; immutable after assembly.
+    A batch goes through as stacked matrix-vector products, which round as
+    a lone row does (one matrix-matrix product would not)."""
+
+    domain: LatticeDomain
+    matrix: np.ndarray
+
+    @property
+    def is_complex(self) -> bool:
+        return np.iscomplexobj(self.matrix)
+
+    @property
+    def is_zero(self) -> bool:
+        return not np.any(self.matrix)
+
+    def _apply(self, x):
+        return np.matmul(self.matrix, x[..., None])[..., 0]
+
+    def _adjoint(self, x):
+        m = self.matrix.conj() if self.is_complex else self.matrix
+        return np.matmul(m.T, x[..., None])[..., 0]
+
+    def block(self, rows, cols) -> np.ndarray:
+        """Entries A[rows[i], cols[j]]."""
+        return self.matrix[np.ix_(rows, cols)]
+
+
+def assemble(kernel: KernelSpec, domain: LatticeDomain, window=None) -> OperatorMatrix:
+    """Dense matrix K(x_i - x_j) window(|x_i - x_j|) h^d, zero diagonal.
+
+    window: None, a Bump, an (r, s) annulus pair, or a callable on distances.
+    """
+    if domain.d != kernel.d:
+        raise ValueError(f"kernel is d={kernel.d}, domain is d={domain.d}")
+    size = domain.n**domain.d
+    if size * size > MAX_MATRIX_ENTRIES:
+        raise ValueError(
+            f"dense assembly needs {size * size} entries > {MAX_MATRIX_ENTRIES}"
+        )
+    pts = _midpoint_table(domain)
+    a = np.empty((size, size))
+    block = max(1, 2**22 // size)
+    for lo in range(0, size, block):
+        hi = min(lo + block, size)
+        x = pts[lo:hi, None, :]
+        y = pts[None, :, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = x - y
+            vals = np.asarray(kernel.evaluator(z), dtype=float)
+            if window is not None:
+                dist = np.sqrt(np.sum(z**2, axis=-1))
+                vals = vals * _window_factor(window, dist)
+        vals[~np.isfinite(vals)] = 0.0
+        a[lo:hi] = vals
+    np.fill_diagonal(a, 0.0)
+    a *= domain.cell_volume
+    return OperatorMatrix(domain, a)
+
+
+def commutator_matrix(b: SampledFunction, op: OperatorMatrix) -> OperatorMatrix:
+    """[b, T] as a dense matrix: entrywise (b(x_i) - b(x_j)) A[i, j]."""
+    if b.domain != op.domain:
+        raise ValueError("domain mismatch")
+    bv = b.values.reshape(-1)
+    return OperatorMatrix(op.domain, op.matrix * (bv[:, None] - bv[None, :]))
+
+
+def decompose(kernel: KernelSpec, domain: LatticeDomain, eps: float):
+    """Split T into a compactly windowed part and a residual, densely.
+
+    With r = eps, R = 1/eps, S = 10 R, and chi = phi(R) evaluated at the
+    midpoint positions, the compact part applies chi, the kernel windowed by
+    the annulus [phi(S) - phi(r)](|x - y|), then chi again.  The residual
+    collects the four complementary terms.  Because the annulus window is
+    exactly 1 wherever both chi factors are nonzero and |x - y| <= S/2, the
+    two parts sum back to the unwindowed matrix; that identity is checked
+    entrywise and raises NumericalError when it breaks.  This is the
+    dense reference of split.
+    """
+    if not 0.0 < eps < 1.0:
+        raise ValueError("need 0 < eps < 1")
+    r = eps
+    base = assemble(kernel, domain)
+    a = base.matrix
+    pts = _midpoint_table(domain)
+    chi, outer_win = _split_windows(domain, eps)
+    outer = 1.0 - chi
+
+    dist = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
+    inner_win = phi(r).value(dist)
+    mid_win = outer_win.value(dist) - inner_win
+
+    core = chi[:, None] * a * chi[None, :]
+    compact = core * mid_win
+    residual = (
+        core * inner_win
+        + outer[:, None] * a * outer[None, :]
+        + outer[:, None] * a * chi[None, :]
+        + chi[:, None] * a * outer[None, :]
+    )
+    scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
+    gap = float(np.max(np.abs(compact + residual - a))) if a.size else 0.0
+    if gap > 1e-12 * scale:
+        raise NumericalError(f"splitting identity broke: {gap:g}")
+    return OperatorMatrix(domain, compact), OperatorMatrix(domain, residual)

@@ -7,12 +7,15 @@ cells cells[offsets[i]:offsets[i + 1]].  Gamma-sparsity means the E's
 are pairwise disjoint and each keeps strictly more than a gamma
 fraction of its cube, in integer cell counts.
 
-The model operators add, coarse to fine, a count table of the family's
-generation-j cubes times cube means off dyadic._generation_blocks.  The
-stopping cubes over a cell are nested and were selected coarse to fine,
-so each cell sums its entries in selection order, as an entry loop does.
-The checks (augmentation_ratio, oscillation.jn_verify) read the family's
-own cubes only (_gather_blocks), times the same count tables.
+The sparse star operator of a symbol b over a family is one Operator,
+SparseStar, an apply/adjoint pair like the kernel operators, so the
+norm solvers take it as they take a commutator.  It adds, coarse to
+fine, a count table of the family's generation-j cubes times cube means
+off dyadic._generation_blocks.  The stopping cubes over a cell are
+nested and were selected coarse to fine, so each cell sums its entries
+in selection order, as an entry loop does.  The checks
+(augmentation_ratio, oscillation.jn_verify) read the family's own cubes
+only (_gather_blocks), times the same count tables.
 
 cz_augment runs the stopping-time recursion for a symbol b: from an
 active cube Q with base = <|b - <b>_Q|>_Q, the children-maximal subcubes
@@ -66,6 +69,7 @@ import numpy as np
 from dyadlab import dyadic
 from dyadlab.dyadic import _generation_blocks, _generation_mean, _split
 from dyadlab.lattice import LatticeDomain, SampledFunction
+from dyadlab.operators import Operator
 from dyadlab.weights import Weight
 
 LAMBDA = 2.0
@@ -216,8 +220,8 @@ def augmentation_ratio(
 ) -> float:
     """Worst cell ratio |b - <b>_root| / sum_Q <|b - <b>_Q|>_Q 1_Q.
 
-    The denominator is sparse_apply("star") of the constant 1, count
-    times base on the family's own cubes only; cz_augment keeps the
+    The denominator is SparseStar applied to the constant 1, count times
+    base on the family's own cubes only; cz_augment keeps the
     ratio below cz_constant(d).  Cells where both sides vanish
     contribute 0; a nonzero numerator over an empty denominator yields
     inf, which is a genuine domination failure.
@@ -245,60 +249,50 @@ def augmentation_ratio(
 # -- sparse model operators --------------------------------------------------
 
 
-def sparse_apply(
-    kind: str,
-    f: SampledFunction,
-    family: SparseFamily,
-    b: SampledFunction,
-) -> SampledFunction:
-    """The sparse model operators, one generation table at a time.
+class SparseStar(Operator):
+    """The sparse star operator of b over a family, as an Operator:
 
-    star:    sum <|b - <b>_Q| f>_Q 1_Q
-    adjoint: sum |b - <b>_Q| <f>_Q 1_Q   (adjoint of star under the real
-             pairing)
-    """
-    if f.domain != family.domain:
-        raise ValueError("domain mismatch")
-    return SampledFunction(f.domain, _table_apply(kind, f.values, family, b))
+    apply:   f -> sum_Q <|b - <b>_Q| f>_Q 1_Q
+    adjoint: f -> sum_Q |b - <b>_Q| <f>_Q 1_Q   (under the real pairing)
 
+    The |b - <b>_Q| tables, one per generation j < m of the family, are
+    built once, at construction; a one-cell cube (j = m) has
+    |b - <b>_Q| = 0, so its terms would add zero.  Each call adds the
+    generation tables coarse to fine, a whole batch at once, each row
+    bitwise as it would alone; the result is complex unless every row is
+    real."""
 
-def _table_apply(kind, values, family, b) -> np.ndarray:
-    """sparse_apply on cell values whose leading axes are a batch; each row
-    is bitwise the single-row result."""
-    return _apply_tables(kind, values, family.domain, _deviation_tables(family, b))
+    def __init__(self, b: SampledFunction, family: SparseFamily):
+        if b.domain != family.domain:
+            raise ValueError("domain mismatch")
+        dom = self.domain = b.domain
+        self._tables = []  # (j, count, |b - <b>_Q| on the cells of each generation-j Q)
+        for j, count in family._counts:
+            if j == dom.m:
+                continue
+            b_mean = _generation_blocks(b.values, j, dom.d).mean(axis=-1)
+            dev = np.abs(_split(b.values, j, dom.d) - _split(b_mean, j, dom.d))
+            self._tables.append((j, count, dev.reshape(dom.shape)))
 
+    def _apply(self, x):
+        return self._run(x, adjoint=False)
 
-def _deviation_tables(family: SparseFamily, b: SampledFunction):
-    """Yield (j, count, |b - <b>_Q| on the cells of each generation-j cube Q)
-    per generation j < m of the family, coarse to fine; one table at a time,
-    so a single apply holds no more than one.  A one-cell cube (j = m) has
-    |b - <b>_Q| = 0, so its terms would add zero."""
-    if b.domain != family.domain:
-        raise ValueError("domain mismatch")
-    dom = family.domain
-    for j, count in family._counts:
-        if j == dom.m:
-            continue
-        b_mean = _generation_blocks(b.values, j, dom.d).mean(axis=-1)
-        dev = np.abs(_split(b.values, j, dom.d) - _split(b_mean, j, dom.d))
-        yield j, count, dev.reshape(dom.shape)
+    def _adjoint(self, x):
+        return self._run(x, adjoint=True)
 
-
-def _apply_tables(kind, values, dom, tables) -> np.ndarray:
-    """The model operator off _deviation_tables; complex unless every row
-    is real."""
-    if kind not in ("star", "adjoint"):
-        raise ValueError(f"unknown sparse operator kind {kind!r}")
-    is_complex = np.iscomplexobj(values)
-    out = np.zeros(values.shape, dtype=complex if is_complex else float)
-    for j, count, dev in tables if values.size else ():  # an empty batch has no blocks
-        g = dev * values if kind == "star" else values
-        mean = _generation_blocks(g, j, dom.d).mean(axis=-1)  # <g>_Q per generation-j cube
-        cells, term = _split(out, j, dom.d), _split(count * mean, j, dom.d)
-        cells += _split(dev, j, dom.d) * term if kind == "adjoint" else term
-    if is_complex and np.all(out.imag == 0.0):
-        out = out.real
-    return out
+    def _run(self, x, adjoint):
+        dom = self.domain
+        values = x.reshape(x.shape[:-1] + dom.shape)
+        is_complex = np.iscomplexobj(values)
+        out = np.zeros(values.shape, dtype=complex if is_complex else float)
+        for j, count, dev in self._tables if values.size else ():  # an empty batch has no blocks
+            g = values if adjoint else dev * values
+            mean = _generation_blocks(g, j, dom.d).mean(axis=-1)  # <g>_Q per generation-j cube
+            cells, term = _split(out, j, dom.d), _split(count * mean, j, dom.d)
+            cells += _split(dev, j, dom.d) * term if adjoint else term
+        if is_complex and np.all(out.imag == 0.0):
+            out = out.real
+        return out.reshape(x.shape)
 
 
 def split_family(family: SparseFamily, k: float) -> SparseFamily:

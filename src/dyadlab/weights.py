@@ -144,9 +144,9 @@ def as_weight(f: SampledFunction, tag: str = "weight", spec: dict | None = None)
 
 
 def make_weight(domain: LatticeDomain, spec: dict) -> Weight:
-    """Catalog weights: unit, |x|^beta, or a seeded log-smooth sample.  The
-    spec's values are taken as typed (beta and amplitude floats, modes and
-    seed ints), not cast."""
+    """Catalog weights: unit, |x|^beta, or a seeded log-smooth sample of at
+    most 2^m modes (one per cell per axis).  The spec's values are taken
+    as typed (beta and amplitude floats, modes and seed ints), not cast."""
     spec = dict(spec)
     kind = spec.get("kind")
     if kind not in _WEIGHT_KINDS:
@@ -163,6 +163,9 @@ def make_weight(domain: LatticeDomain, spec: dict) -> Weight:
     else:
         amplitude = spec.get("amplitude", 0.5)
         modes = spec.get("modes", 3)
+        if not 0 <= modes <= domain.n:  # each mode costs a pass over the cells
+            raise ValueError(f"logsmooth modes must be in [0, 2^m] = [0, {domain.n}] "
+                             f"at m = {domain.m}, got {modes}")
         seed = spec.get("seed", 0)
         rng = np.random.default_rng(seed)
         logw = np.zeros(domain.shape)

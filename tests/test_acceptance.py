@@ -234,7 +234,7 @@ def test_c07_norm_equivalence_window(dom10, unit10):
     for m in (8, 9, 10):
         dom = dom10 if m == 10 else LatticeDomain(d=1, m=m, L=1.0)
         unit = unit10 if m == 10 else make_weight(dom, {"kind": "unit"})
-        op = ops.assemble(ops.make_kernel("hilbert"), dom)
+        op = ops.Convolution(ops.make_kernel("hilbert"), dom)
         for row in normest.bmo_vs_norm_sweep(symbol_family(dom), op, unit, unit, setup):
             seen.append(row["norm_over_bmo"])
             ok = ok and window[0] <= row["norm_over_bmo"] <= window[1]
@@ -255,7 +255,7 @@ def test_c08_fractional_norms(unit10):
         b = SampledFunction(dom, np.abs(dom.midpoints()[0]) ** 0.25)
         bmos.append(oscillation.bmo_norm(b, bloom_weight(unit, unit, setup),
                                          setup.alpha).supremum)
-        comm = ops.commutator_matrix(b, ops.assemble(ops.make_kernel("hilbert"), dom))
+        comm = ops.Commutator(b, ops.Convolution(ops.make_kernel("hilbert"), dom))
         norms.append(normest.opnorm_estimate(comm, 2.0, unit, 4.0, unit).value)
     ok = max(bmos) <= 1.05 * min(bmos)
     ok = ok and norms[0] <= norms[1] * (1 + 1e-9) and norms[1] <= norms[2] * (1 + 1e-9)
@@ -313,12 +313,10 @@ def test_c11_decomposition_and_truncation(dom10):
     kernels = [
         (ops.make_kernel("hilbert"), dom10),
         (ops.make_kernel("custom", {
-            "evaluator": lambda x, y: 0.5 / (x[..., 0] - y[..., 0]),
-            "C": 0.5, "domain": dom10, "antisymmetric": True}), dom10),
+            "evaluator": lambda z: 0.5 / z[..., 0], "C": 0.5, "domain": dom10}), dom10),
         (ops.make_kernel("custom", {
-            "evaluator": lambda x, y: np.sign(x[..., 0] - y[..., 0])
-            / np.abs(x[..., 0] - y[..., 0]),
-            "C": 1.0, "domain": dom10, "antisymmetric": True}), dom10),
+            "evaluator": lambda z: np.sign(z[..., 0]) / np.abs(z[..., 0]),
+            "C": 1.0, "domain": dom10}), dom10),
         (ops.make_kernel("riesz", {"j": 1}), dom2),
         (ops.make_kernel("riesz", {"j": 2}), dom2),
     ]
@@ -327,9 +325,11 @@ def test_c11_decomposition_and_truncation(dom10):
     for kernel, dom in kernels:
         base = ops.assemble(kernel, dom).matrix
         scale = max(1.0, float(np.max(np.abs(base))))
+        basis = np.eye(dom.n**dom.d)
         for eps in (0.125, 0.25, 0.5):
-            t_c, t_eps = ops.decompose(kernel, dom, eps)
-            gap = float(np.max(np.abs(t_c.matrix + t_eps.matrix - base)))
+            # row i of part.apply(basis) is column i of the part
+            t_c, t_eps = (part.apply(basis).T for part in ops.split(kernel, dom, eps))
+            gap = float(np.max(np.abs(t_c + t_eps - base)))
             worst_gap = max(worst_gap, gap / scale)
             ok = ok and gap <= 1e-12 * scale
     hilbert = kernels[0][0]

@@ -117,6 +117,24 @@ def test_overflowing_weight_spec_exits_2(tmp_path, capsys, experiment):
     assert "bad weight spec" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment, modes, status", [
+    ("bmo-compute", -1, 2), ("bmo-compute", 0, 0), ("bmo-compute", 2**5, 0),
+    ("bmo-compute", 2**5 + 1, 2),
+    ("weights-check", 2**4, 0), ("weights-check", 2**4 + 1, 2),  # resampled at m - 1
+])
+def test_logsmooth_modes_outside_zero_to_cells_per_axis_exit_2(tmp_path, capsys, experiment,
+                                                                  modes, status):
+    cfg = {"experiment": experiment, "domain": {"d": 1, "m": 5}, "symbols": log_symbols(),
+           "weights": {"lambda": {"kind": "logsmooth", "modes": modes}}}
+    if experiment == "weights-check":
+        del cfg["symbols"]
+    assert cli.run(cfg, out_dir=tmp_path / "out") == status
+    err = capsys.readouterr().err
+    assert ("logsmooth modes must be in [0, 2^m]" in err) == bool(status)
+    if status and experiment == "bmo-compute":
+        assert "weights.lambda: logsmooth modes" in err
+
+
 _INTEGER_PARAM_BASES = {
     "commutator-sweep": {"domain": {"d": 1, "m": 5}, "kernel": {"variant": "hilbert"}},
     "compactness-profile": {"domain": {"d": 1, "m": 5}, "kernel": {"variant": "hilbert"},
@@ -185,6 +203,8 @@ def _typed_case(path, value):
     ("symbols[0].terms[0].exponent", "0.5", None),
     ("symbols[0].terms[0].axis", 0.7, None),
     ("symbols[0].terms[0].exponent", 0.5, "log_abs"),
+    ("symbols[0].id", 1, None),
+    ("symbols[0].temrs", [], None),  # a misspelled key beside terms
 ])
 def test_config_values_are_read_typed_and_refused_naming_the_key(tmp_path, capsys, path,
                                                                   value, kind):

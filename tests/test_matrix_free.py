@@ -1,8 +1,9 @@
 """Matrix-free operators and the Lanczos norm path against their dense oracles.
 
-Each fast path is compared on random inputs with the dense construction it
-replaces: Convolution with assemble, Commutator with commutator_matrix,
-split with decompose, and the GKL top singular value with np.linalg.svd.
+Each fast path is compared on random inputs with its dense reference:
+Convolution with assemble, Commutator with commutator_matrix, split with
+decompose, and the GKL top singular value with np.linalg.svd, for the
+named kernels and for random odd and even custom kernels.
 Tolerances are relative to a scale that bounds every output entry, so
 cancellation in b Tf - T(bf) cannot hide behind a small entry.
 """
@@ -250,14 +251,45 @@ def test_split_needs_eps_in_unit_interval():
         ops.split(ops.make_kernel("hilbert"), dom, 1.0)
 
 
-def test_convolution_refuses_custom_kernels():
-    dom = LatticeDomain(d=1, m=4, L=1.0)
-    custom = ops.make_kernel("custom", {"evaluator": lambda x, y: 0.5 / (x[..., 0] - y[..., 0]),
-                                        "C": 0.5, "domain": dom})
-    with pytest.raises(ValueError, match="translation invariant"):
-        ops.Convolution(custom, dom)
-    compact, _ = ops.split(custom, dom, 0.5)  # custom kernels split densely
-    assert isinstance(compact, ops.OperatorMatrix)
+@st.composite
+def offset_kernels(draw, dom):
+    """A custom kernel s(z) (a + c cos(w |z|)) / |z|^d of the offset z:
+    odd with s(z) = z_i / |z|, even with s(z) = 1 or, at d = 2,
+    (z_1^2 - z_2^2) / |z|^2; |s| <= 1 gives the size constant |a| + |c|."""
+    a, c, w = draw(st.floats(-2, 2)), draw(st.floats(-2, 2)), draw(st.floats(0, 20))
+    shape = draw(st.sampled_from(("odd", "even", "even-quadrupole")))
+    axis = draw(st.integers(0, dom.d - 1))
+
+    def evaluator(z):
+        r = np.sqrt(np.sum(z**2, axis=-1))
+        if shape == "odd":
+            s = z[..., axis] / r
+        elif shape == "even" or dom.d == 1:
+            s = 1.0
+        else:
+            s = (z[..., 0] ** 2 - z[..., 1] ** 2) / r**2
+        return s * (a + c * np.cos(w * r)) / r**dom.d
+
+    return ops.make_kernel("custom", {"evaluator": evaluator, "C": abs(a) + abs(c),
+                                      "domain": dom})
+
+
+@SETTINGS
+@given(data=st.data())
+def test_offset_kernels_run_on_convolution_and_split(data):
+    dom, _ = data.draw(lattices(max_m=(7, 3)))
+    kernel = data.draw(offset_kernels(dom))
+    dense = ops.assemble(kernel, dom).matrix
+    conv = ops.Convolution(kernel, dom)
+    f = cells(data.draw, dom, data.draw(st.booleans()))
+    scale = 1e-12 * bound(dense, f)
+    assert np.max(np.abs(conv.apply(f) - dense @ f)) <= scale
+    assert np.max(np.abs(conv.adjoint(f) - dense.T @ f)) <= scale
+    eps = data.draw(st.floats(0.05, 0.95))
+    for fast, slow in zip(ops.split(kernel, dom, eps), ops.decompose(kernel, dom, eps)):
+        assert isinstance(fast, (ops.Convolution, ops.SplitPart))
+        assert np.max(np.abs(fast.apply(f) - slow.matrix @ f)) <= scale
+        assert np.max(np.abs(fast.adjoint(f) - slow.matrix.T @ f)) <= scale
 
 
 _BROKEN_SPLIT = """

@@ -231,7 +231,7 @@ def test_sweep_rows_and_window(dom, unit, b_log, hilbert_op):
 
 def test_sweep_constant_symbol_all_zero(dom, unit, hilbert_op):
     rows = normest.bmo_vs_norm_sweep(
-        {"const": SampledFunction(dom, np.full(dom.n, 3.0))},
+        [("const", SampledFunction(dom, np.full(dom.n, 3.0)))],
         hilbert_op, unit, unit, ExponentSetup(p=2.0, q=2.0, d=1))
     row = rows[0]
     assert row["bmo"] == 0.0 and row["norm"] == 0.0
@@ -287,7 +287,7 @@ def test_sparse_tail_operator_matches_dense_star(dom, b_log):
     root = dyadic.cube(dom, 1, (1,))
     fam = sparse.cz_augment(b_log, root)
     mat = dense_star(b_log, fam)
-    star = normest._SparseStar(b_log, fam)
+    star = sparse.SparseStar(b_log, fam)
     rng = np.random.default_rng(6)
     f = rng.standard_normal(dom.n) + 1j * rng.standard_normal(dom.n)
     np.testing.assert_allclose(star.apply(f), mat @ f, atol=1e-12)
@@ -428,7 +428,7 @@ def ascent_operator(kind, d, complex_symbol):
         return ops.commutator_matrix(b, ops.assemble(kernel, dom))
     if kind == "sparse":
         root = dyadic.cube(dom, 0, (0,) * d)
-        return normest._SparseStar(b, sparse.cz_augment(b, root))
+        return sparse.SparseStar(b, sparse.cz_augment(b, root))
     return _Gated(dom)
 
 
@@ -475,7 +475,7 @@ def test_ascent_ends_when_every_image_vanishes(d):
     # a constant symbol's star operator is zero on every row
     dom = LatticeDomain(d=d, m=6 if d == 1 else 3, L=1.0)
     b = SampledFunction(dom, np.full(dom.shape, 1.5))
-    star = normest._SparseStar(b, sparse.cz_augment(b, dyadic.cube(dom, 0, (0,) * d)))
+    star = sparse.SparseStar(b, sparse.cz_augment(b, dyadic.cube(dom, 0, (0,) * d)))
     unit = make_weight(dom, {"kind": "unit"})
     est = normest.opnorm_estimate(star, 2.0, unit, 3.0, unit, budget=3)
     assert (est.value, est.iterations, est.capped, est.witness) == (0.0, 3, 0, None)
@@ -486,7 +486,7 @@ def test_sparse_star_takes_an_empty_batch(d):
     # an empty (0, N) batch in, one out, as from the commutator
     dom = LatticeDomain(d=d, m=6 if d == 1 else 3, L=1.0)
     b = sample_symbol(dom, {"kind": "log_abs"})
-    star = normest._SparseStar(b, sparse.cz_augment(b, dyadic.cube(dom, 0, (0,) * d)))
+    star = sparse.SparseStar(b, sparse.cz_augment(b, dyadic.cube(dom, 0, (0,) * d)))
     kernel = ops.make_kernel("hilbert") if d == 1 else ops.make_kernel("riesz", {"j": 1})
     comm = ops.Commutator(b, ops.Convolution(kernel, dom))
     empty = np.zeros((0, dom.n**d))
@@ -503,7 +503,7 @@ def test_compactness_profile_estimates_each_kept_family_once(monkeypatch):
     family = sparse.cz_augment(b, dyadic.cube(dom, 0, (0,)))
     k_list = (1.0, 2.0, 4.0, 8.0)
     kept = [sparse.split_family(family, k) for k in k_list]
-    fresh = tuple(normest.opnorm_estimate(normest._SparseStar(b, f), 2.0, unit, 3.0, unit,
+    fresh = tuple(normest.opnorm_estimate(sparse.SparseStar(b, f), 2.0, unit, 3.0, unit,
                                           budget=2).value if len(f) else 0.0 for f in kept)
     ops_run = []
     estimate = normest.opnorm_estimate
@@ -512,7 +512,7 @@ def test_compactness_profile_estimates_each_kept_family_once(monkeypatch):
     rep = normest.compactness_profile(b, ops.make_kernel("hilbert"), ExponentSetup(2.0, 3.0, 1),
                                       (0.5,), unit, unit, k_list=k_list, budget=2)
     assert rep.sparse_tail_norms == fresh
-    assert sum(isinstance(op, normest._SparseStar) for op in ops_run) == 2
+    assert sum(isinstance(op, sparse.SparseStar) for op in ops_run) == 2
 
 
 def test_capped_is_zero_when_every_restart_converges():
@@ -570,7 +570,7 @@ def test_mixed_ascent_never_ends_below_the_plain_ascent(data):
     elif kind == "split":
         op = ops.Commutator(b, ops.split(kernel, dom, data.draw(st.floats(0.1, 0.9)))[1])
     else:
-        op = normest._SparseStar(b, sparse.cz_augment(b, dyadic.cube(dom, 0, (0,) * d)))
+        op = sparse.SparseStar(b, sparse.cz_augment(b, dyadic.cube(dom, 0, (0,) * d)))
     mu, lam = _weight(data.draw, dom), _weight(data.draw, dom)
     q = data.draw(st.floats(2.0, 5.0, exclude_min=True))
     budget, seed = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 999))

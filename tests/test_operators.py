@@ -61,13 +61,13 @@ def test_partition_of_unity_exact():
 
 
 def test_hilbert_point_value(hilbert):
-    assert hilbert(np.array([[2.0]]), np.array([[0.0]]))[0] == 0.5
-    assert hilbert.antisymmetric
+    z = np.array([[2.0], [-2.0]])
+    assert hilbert.evaluator(z).tolist() == [0.5, -0.5]
 
 
 def test_riesz_point_value(riesz1):
-    x, y = np.array([[1.0, 0.0]]), np.array([[0.0, 0.0]])
-    assert riesz1(x, y)[0] == 1.0
+    z = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    assert riesz1.evaluator(z).tolist() == [1.0, -1.0]
 
 
 def test_kernel_variant_guards():
@@ -82,13 +82,12 @@ def test_kernel_variant_guards():
 
 
 def test_custom_size_bound_witness(dom):
-    def loud(x, y):
-        return 2.0 / (x[..., 0] - y[..., 0])
+    def loud(z):
+        return 2.0 / z[..., 0]
 
     with pytest.raises(ValueError, match="size bound violated"):
         ops.make_kernel("custom", {"evaluator": loud, "C": 1.0, "domain": dom})
-    spec = ops.make_kernel("custom", {"evaluator": loud, "C": 2.0, "domain": dom,
-                                      "antisymmetric": True})
+    spec = ops.make_kernel("custom", {"evaluator": loud, "C": 2.0, "domain": dom})
     assert spec.size_constant == 2.0
 
 
@@ -137,10 +136,11 @@ def test_hilbert_log_quadrature():
 
 
 def test_custom_matches_named_assembly(hilbert_op, dom):
-    twin = ops.make_kernel("custom", {
-        "evaluator": lambda x, y: 1.0 / (x[..., 0] - y[..., 0]),
-        "C": 1.0, "domain": dom, "antisymmetric": True})
+    twin = ops.make_kernel("custom", {"evaluator": lambda z: 1.0 / z[..., 0],
+                                      "C": 1.0, "domain": dom})
     assert np.array_equal(ops.assemble(twin, dom).matrix, hilbert_op.matrix)
+    assert np.array_equal(ops.Convolution(twin, dom).stencil,
+                          ops.Convolution(ops.make_kernel("hilbert"), dom).stencil)
 
 
 def test_apply_domain_mismatch(hilbert_op):

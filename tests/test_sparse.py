@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyadlab import cli, dyadic, normest, sparse
+from dyadlab import cli, dyadic, sparse
 from dyadlab import oscillation as osc
 from dyadlab.lattice import LatticeDomain, SampledFunction, sample_symbol
 from dyadlab.weights import make_weight
@@ -401,35 +401,30 @@ def test_star_with_constant_symbol_vanishes(dom):
     fam = family(dom, [dyadic.cube(dom, 1, (1,))])
     b = SampledFunction(dom, np.full(dom.n, 4.0))
     f = SampledFunction(dom, np.sin(dom.midpoints()[0]))
-    out = sparse.sparse_apply("star", f, fam, b=b)
+    out = sparse.SparseStar(b, fam).apply(f)
     assert np.all(out.values == 0.0)
 
 
 def test_star_adjoint_duality(dom, unit_root):
     b = SampledFunction(dom, np.log(np.abs(dom.midpoints()[0])))
     fam = sparse.cz_augment(b, unit_root)
+    star = sparse.SparseStar(b, fam)
     for seed in range(100):
         rng = np.random.default_rng(seed)
         f = SampledFunction(dom, rng.standard_normal(dom.n))
         g = SampledFunction(dom, rng.standard_normal(dom.n))
-        lhs = np.sum(sparse.sparse_apply("adjoint", f, fam, b=b).values * g.values)
-        rhs = np.sum(f.values * sparse.sparse_apply("star", g, fam, b=b).values)
+        lhs = np.sum(star.adjoint(f).values * g.values)
+        rhs = np.sum(f.values * star.apply(g).values)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
-
-
-def test_apply_rejects_bad_kind(dom):
-    fam = family(dom, [dyadic.cube(dom, 1, (1,))])
-    f = SampledFunction(dom, np.ones(dom.n))
-    with pytest.raises(ValueError):
-        sparse.sparse_apply("nonsense", f, fam, b=f)
 
 
 # -- table path vs the per-entry loops ------------------------------------------
 
 
-def sparse_apply_oracle(kind, f, dom, pairs, b):
-    """The per-entry loop sparse_apply ran before it read generation tables:
-    each (cube, core) pair adds its term to the cube's cells in turn."""
+def sparse_star_oracle(kind, f, dom, pairs, b):
+    """The per-entry loop of the star operator ("star") and its adjoint
+    before they read generation tables: each (cube, core) pair adds its
+    term to the cube's cells in turn."""
     f_flat = f.values.reshape(-1)
     b_flat = b.values.reshape(-1)
     out = np.zeros(f_flat.size, dtype=complex)
@@ -461,12 +456,12 @@ def augmentation_ratio_oracle(b, root, pairs):
 
 
 def augmentation_ratio_star_route(b, root, fam):
-    """augmentation_ratio with its denominator from sparse_apply("star") of 1."""
+    """augmentation_ratio with its denominator from SparseStar applied to 1."""
     b_flat = b.values.reshape(-1)
     root_cells = root.flat_cells()
     numer = np.abs(b_flat[root_cells] - b_flat[root_cells].mean())
     ones = SampledFunction(b.domain, np.ones(b.domain.shape))
-    denom = sparse.sparse_apply("star", ones, fam, b=b).values.reshape(-1)[root_cells]
+    denom = sparse.SparseStar(b, fam).apply(ones).values.reshape(-1)[root_cells]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = numer / denom
     ratio[numer == 0.0] = 0.0
@@ -493,10 +488,11 @@ def assert_apply_matches(fam, pairs, b, rng, exact):
     dom = b.domain
     f = SampledFunction(dom, rng.standard_normal(dom.shape) + 1j * rng.standard_normal(dom.shape))
     real_f = SampledFunction(dom, f.values.real.copy())
+    star = sparse.SparseStar(b, fam)
     for g in (f, real_f):
-        for kind in ("star", "adjoint"):
-            got = sparse.sparse_apply(kind, g, fam, b=b).values
-            want = sparse_apply_oracle(kind, g, dom, pairs, b=b)
+        for kind, run in (("star", star.apply), ("adjoint", star.adjoint)):
+            got = run(g).values
+            want = sparse_star_oracle(kind, g, dom, pairs, b=b)
             assert got.dtype == want.dtype
             if exact:
                 np.testing.assert_array_equal(got, want)
@@ -535,19 +531,15 @@ def test_batched_tables_match_single_rows(case, seed, rows):
     rng = np.random.default_rng(seed)
     batch = rng.standard_normal((rows,) + dom.shape) + 1j * rng.standard_normal((rows,) + dom.shape)
     batch[0] = batch[0].real  # a real row riding in a complex batch
+    star = sparse.SparseStar(b, fam)
     for values in (batch, batch.real.copy()):
-        for kind in ("star", "adjoint"):
-            got = sparse._table_apply(kind, values, fam, b=b)
-            assert got.shape == values.shape
+        flat = values.reshape(rows, -1)
+        for run in (star.apply, star.adjoint):
+            got = run(flat)
+            assert got.shape == flat.shape
             for row, out in zip(values, got):
-                one = sparse.sparse_apply(kind, SampledFunction(dom, row), fam, b=b)
-                np.testing.assert_array_equal(out, one.values)
-    star = normest._SparseStar(b, fam)
-    flat = batch.reshape(rows, -1)
-    for run, kind in ((star.apply, "star"), (star.adjoint, "adjoint")):
-        for row, out in zip(batch, run(flat)):
-            one = sparse.sparse_apply(kind, SampledFunction(dom, row), fam, b=b)
-            np.testing.assert_array_equal(out, one.values.reshape(-1))
+                one = run(SampledFunction(dom, row))
+                np.testing.assert_array_equal(out, one.values.reshape(-1))
 
 
 @st.composite
@@ -743,12 +735,12 @@ def test_lattice_mismatch_is_refused():
     for args in ((f[big], w[big]), (f[small], w[big]), (f[big], w[small])):
         with pytest.raises(ValueError, match="domain mismatch"):
             sparse.carleson_constant(*args, 2.0, fam)
-    for kind in ("star", "adjoint"):
-        for args in ((f[big], b[small]), (f[small], b[big]), (f[big], b[big])):
-            with pytest.raises(ValueError, match="domain mismatch"):
-                sparse.sparse_apply(kind, args[0], fam, b=args[1])
+    star = sparse.SparseStar(b[small], fam)
+    for run in (star.apply, star.adjoint):
+        with pytest.raises(ValueError, match="domain mismatch"):
+            run(f[big])
     with pytest.raises(ValueError, match="domain mismatch"):
-        normest._SparseStar(b[big], fam)
+        sparse.SparseStar(b[big], fam)
 
 
 def test_almost_orthogonality_disjoint_exact(dom):
