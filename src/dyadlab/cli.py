@@ -167,6 +167,8 @@ _NEED_SYMBOLS = frozenset(
      "vmo-witness"}
 )
 _NEED_KERNEL = frozenset({"commutator-sweep", "compactness-profile"})
+# the membership surrogate resamples each weight at m - 1
+_COARSEN_WEIGHTS = frozenset({"weights-check", "bloom-verify"})
 
 
 @dataclass
@@ -283,6 +285,12 @@ def _build_context(cfg: dict) -> RunContext:
     setup = _made("exponents", ExponentSetup, d=domain.d,
                   **_read(cfg.get("exponents"), _EXPONENTS, "exponents"))
     weights = _read(cfg.get("weights"), _WEIGHT_SLOTS, "weights")
+    for slot, spec in weights.items():
+        if (experiment in _COARSEN_WEIGHTS and spec["kind"] == "logsmooth"
+                and spec["modes"] > domain.n // 2):
+            raise ConfigError(f"weights.{slot}.modes: {experiment} resamples the weight at "
+                              f"m - 1, so logsmooth modes must be <= 2^(m-1) = "
+                              f"{domain.n // 2} at m = {domain.m}, got {spec['modes']}")
     mu, lam = (_made(f"bad weight spec weights.{slot}", make_weight, domain, weights[slot])
                for slot in ("mu", "lambda"))
 
@@ -825,6 +833,8 @@ def sweep(config, out_dir=None, seed=None, workers=None) -> int:
         try:
             point_cfg = _point_config(cfg, axis, value)
             tag = _point_tag(axis, value)
+            if any(c in tag for c in "/\\\0"):
+                raise ConfigError(f"point directory {tag!r} is not a single path component")
             if tag in tags:
                 raise ConfigError(f"point directory {tag} is taken by an earlier point")
             tags.add(tag)

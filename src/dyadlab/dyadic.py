@@ -1,9 +1,9 @@
 """The dyadic grid of the lattice domain and its cubes.
 
 Generations run j = 0 (whole domain) through j = m (single cells); the
-generation-j cube (j, index) is the lattice-aligned box whose axis-k
-side starts at -L + index[k] * ell, ell = width / 2^j.  Every
-experiment runs on this one grid.
+generation-j cube (j, index) is the block of 2^(m-j) cells per axis
+whose axis-k side starts at -L + index[k] * ell, ell = width / 2^j.
+Every experiment runs on this one grid.
 
 A cube family is held as its per-generation tables: entry [index] of
 the generation-j table belongs to cube (j, index), and no DyadicCube is
@@ -25,16 +25,18 @@ pyramid: each generation's sums, built up from the cells (a cube adds its
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from dyadlab.lattice import Box, LatticeDomain, SampledFunction
+from dyadlab.lattice import LatticeDomain, SampledFunction
 
 
 @dataclass(frozen=True)
 class DyadicCube:
+    """One named cube of the grid; it resolves to cells by cell_span or
+    flat_cells, and a region handed to oscillation is its flat cells."""
+
     domain: LatticeDomain
     generation: int
     index: tuple[int, ...]
@@ -42,15 +44,6 @@ class DyadicCube:
     @property
     def sidelength(self) -> float:
         return self.domain.width * 2.0 ** (-self.generation)
-
-    @property
-    def volume(self) -> float:
-        return self.sidelength**self.domain.d
-
-    def box(self) -> Box:
-        dom, ell = self.domain, self.sidelength
-        lo = tuple(-dom.L + k * ell for k in self.index)
-        return Box(lo, tuple(min(a + ell, dom.L) for a in lo))
 
     def cell_span(self) -> tuple[tuple[int, int], ...]:
         """Per-axis half-open cell ranges."""
@@ -66,20 +59,6 @@ class DyadicCube:
         rows = np.arange(span[0][0], span[0][1], dtype=np.int64)
         cols = np.arange(span[1][0], span[1][1], dtype=np.int64)
         return (rows[:, None] * n + cols[None, :]).reshape(-1)
-
-    def parent(self) -> "DyadicCube":
-        if self.generation == 0:
-            raise ValueError("generation-0 cube has no parent")
-        return DyadicCube(self.domain, self.generation - 1, tuple(k // 2 for k in self.index))
-
-    def children(self) -> list["DyadicCube"]:
-        if self.generation >= self.domain.m:
-            return []
-        return [
-            DyadicCube(self.domain, self.generation + 1,
-                       tuple(2 * k + o for k, o in zip(self.index, offs)))
-            for offs in itertools.product((0, 1), repeat=self.domain.d)
-        ]
 
     def contains_cube(self, other: "DyadicCube") -> bool:
         if self.domain != other.domain or other.generation < self.generation:

@@ -12,25 +12,18 @@ Conventions shared by every module in the package:
   are integrals of that piecewise-constant function, so quadrature
   identities (additivity, exactness on indicators) hold exactly rather
   than approximately.
-* The integral over a box is a weighted sum of cell values: box_cells
-  resolves the box to the cells it meets and their overlap volumes, so
-  endpoint cells of a misaligned box contribute fractionally and the
-  integral of the piecewise-constant function stays exact.  Boxes are
-  half-open.  A box split into aligned halves recombines to the unsplit
-  value at the 1e-12 relative level.
+* A region is a set of whole cells, named by flat indices in row-major
+  order over `shape`; dyadic.DyadicCube.flat_cells gives a cube's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 # Total cell count guard.  Dense per-cell state beyond this is unusable.
 MAX_CELLS = 2**28
-# Snap tolerance for box endpoints, in units of h.
-_ALIGN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -89,79 +82,6 @@ class LatticeDomain:
             raise ValueError("cannot coarsen below m = 2")
         return LatticeDomain(self.d, self.m - 1, self.L)
 
-    def grid_coord(self, x: float, axis_tol: float = _ALIGN_TOL) -> float:
-        """Map a coordinate to cell units in [0, n], snapping near-integers."""
-        g = (x + self.L) / self.h
-        r = round(g)
-        if abs(g - r) <= axis_tol:
-            g = float(r)
-        if g < 0.0 or g > self.n:
-            raise ValueError(f"coordinate {x} outside [-L, L]")
-        return g
-
-    def cell_span(self, box: "Box") -> tuple[tuple[int, int], ...]:
-        """Integer cell ranges of a lattice-aligned box; rejects misaligned ones."""
-        spans = []
-        for ax in range(self.d):
-            g0 = self.grid_coord(box.lo[ax])
-            g1 = self.grid_coord(box.hi[ax])
-            if g0 != int(g0) or g1 != int(g1):
-                raise ValueError(f"box {box} is not lattice-aligned on axis {ax}")
-            spans.append((int(g0), int(g1)))
-        return tuple(spans)
-
-
-@dataclass(frozen=True)
-class Box:
-    """Half-open axis-aligned box, one (lo, hi) pair per axis."""
-
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.lo) != len(self.hi) or not self.lo:
-            raise ValueError("lo and hi must be non-empty and of equal length")
-        for a, b in zip(self.lo, self.hi):
-            if not (np.isfinite(a) and np.isfinite(b) and a < b):
-                raise ValueError(f"need finite lo < hi per axis, got {self.lo}, {self.hi}")
-
-    @property
-    def d(self) -> int:
-        return len(self.lo)
-
-    @property
-    def volume(self) -> float:
-        out = 1.0
-        for a, b in zip(self.lo, self.hi):
-            out *= b - a
-        return out
-
-    @staticmethod
-    def interval(lo: float, hi: float) -> "Box":
-        return Box((lo,), (hi,))
-
-    @staticmethod
-    def from_cells(domain: LatticeDomain, spans: Sequence[tuple[int, int]]) -> "Box":
-        lo = tuple(-domain.L + s[0] * domain.h for s in spans)
-        hi = tuple(-domain.L + s[1] * domain.h for s in spans)
-        return Box(lo, hi)
-
-
-def box_cells(domain: LatticeDomain, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices of the cells the box [lo, hi) meets, with the volume of
-    each cell's overlap with the box."""
-    idx = np.zeros(1, dtype=np.int64)
-    vol = np.ones(1)
-    for ax in range(domain.d):
-        g0 = domain.grid_coord(lo[ax])
-        g1 = domain.grid_coord(hi[ax])
-        k = np.arange(int(np.floor(g0)), min(int(np.ceil(g1)), domain.n))
-        w = np.minimum(k + 1.0, g1) - np.maximum(k, g0)
-        keep = w > 0.0
-        idx = (idx[:, None] * domain.n + k[keep][None, :]).reshape(-1)
-        vol = (vol[:, None] * (w[keep] * domain.h)[None, :]).reshape(-1)
-    return idx, vol
-
 
 class SampledFunction:
     """Cell values on a LatticeDomain."""
@@ -182,17 +102,6 @@ class SampledFunction:
 
     def abs(self) -> "SampledFunction":
         return SampledFunction(self.domain, np.abs(self.values))
-
-
-def indicator(domain: LatticeDomain, box: Box) -> SampledFunction:
-    """Indicator of a lattice-aligned box as a sampled function."""
-    spans = domain.cell_span(box)
-    values = np.zeros(domain.shape)
-    if domain.d == 1:
-        values[spans[0][0] : spans[0][1]] = 1.0
-    else:
-        values[spans[0][0] : spans[0][1], spans[1][0] : spans[1][1]] = 1.0
-    return SampledFunction(domain, values)
 
 
 # -- symbol catalog ---------------------------------------------------------

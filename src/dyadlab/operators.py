@@ -232,14 +232,6 @@ def _midpoint_table(domain: LatticeDomain) -> np.ndarray:
     return np.stack([m.reshape(-1) for m in domain.midpoints()], axis=-1)
 
 
-def _window_factor(window, dist):
-    if isinstance(window, Bump):
-        return window.value(dist)
-    if isinstance(window, tuple):
-        return annulus(*window)(dist)
-    return window(dist)
-
-
 def _smooth_length(k: int) -> int:
     """Smallest 2^a 3^b 5^c >= k, a length the FFT factors into short passes."""
     best, p5 = 2 * k, 1
@@ -271,7 +263,7 @@ class Convolution(Operator):
     inverse irfft only on the n output rows.  Complex inputs go through
     as their real and imaginary parts in the same batch.
 
-    window: None, a Bump, an (r, s) annulus pair, or a callable on distances.
+    window: None, or a callable on distances such as annulus(r, s).
     """
 
     def __init__(self, kernel: KernelSpec, domain: LatticeDomain, window=None):
@@ -283,7 +275,7 @@ class Convolution(Operator):
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = np.asarray(kernel.evaluator(z), dtype=float)
             if window is not None:
-                vals = vals * _window_factor(window, np.sqrt(np.sum(z**2, axis=-1)))
+                vals = vals * window(np.sqrt(np.sum(z**2, axis=-1)))
         vals[~np.isfinite(vals)] = 0.0
         vals[(n - 1,) * d] = 0.0
         self._embed(domain, vals * domain.cell_volume)
@@ -443,7 +435,7 @@ def split(kernel: KernelSpec, domain: LatticeDomain, eps: float):
                 f"splitting identity broke: outer window {float(np.min(window)):g} "
                 f"< 1 across supp(chi)"
             )
-    windowed = Convolution(kernel, domain, window=(eps, 10.0 / eps))
+    windowed = Convolution(kernel, domain, window=annulus(eps, 10.0 / eps))
     base = Convolution(kernel, domain)
     compact = SplitPart(chi, windowed, None)
     if np.all(chi == 1.0):
@@ -550,7 +542,7 @@ class OperatorMatrix(Operator):
 def assemble(kernel: KernelSpec, domain: LatticeDomain, window=None) -> OperatorMatrix:
     """Dense matrix K(x_i - x_j) window(|x_i - x_j|) h^d, zero diagonal.
 
-    window: None, a Bump, an (r, s) annulus pair, or a callable on distances.
+    window: None, or a callable on distances such as annulus(r, s).
     """
     if domain.d != kernel.d:
         raise ValueError(f"kernel is d={kernel.d}, domain is d={domain.d}")
@@ -570,8 +562,7 @@ def assemble(kernel: KernelSpec, domain: LatticeDomain, window=None) -> Operator
             z = x - y
             vals = np.asarray(kernel.evaluator(z), dtype=float)
             if window is not None:
-                dist = np.sqrt(np.sum(z**2, axis=-1))
-                vals = vals * _window_factor(window, dist)
+                vals = vals * window(np.sqrt(np.sum(z**2, axis=-1)))
         vals[~np.isfinite(vals)] = 0.0
         a[lo:hi] = vals
     np.fill_diagonal(a, 0.0)

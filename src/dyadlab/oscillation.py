@@ -1,7 +1,8 @@
-"""Weighted mean-oscillation functionals over cubes and cell sets.
+"""Weighted mean-oscillation functionals over cell sets and cube families.
 
-For a weight nu, an exponent alpha >= 0 and a region E (a cube or any
-cell set), the basic functional is
+For a weight nu, an exponent alpha >= 0 and a region E, given as its
+flat cell indices (a cube's are DyadicCube.flat_cells), the basic
+functional is
 
     osc(b; E) = nu(E)^{-alpha/d} * (1/nu(E)) * integral_E |b - <b>_E|,
 
@@ -48,34 +49,12 @@ import numpy as np
 
 from dyadlab import dyadic, sparse
 from dyadlab.dyadic import _cube_distance_table, _split
-from dyadlab.lattice import Box, LatticeDomain, SampledFunction, box_cells
+from dyadlab.lattice import LatticeDomain, SampledFunction
 from dyadlab.weights import ExponentSetup, Weight
 
 _GEN_FLOOR_CELLS = 4  # profile curves stop at cubes of side 4h
 PROFILE_RADII = (0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75)  # distance curve, in units of L
 ESCAPE_RADIUS = 0.75  # far-away witnesses must reach this distance, in units of L
-
-
-# -- region resolution -------------------------------------------------------
-
-
-def region_cells(domain: LatticeDomain, region) -> tuple[np.ndarray, np.ndarray]:
-    """Resolve a region to (flat cell indices, per-cell volume weights)."""
-    if isinstance(region, dyadic.DyadicCube):
-        if region.domain != domain:
-            raise ValueError("domain mismatch")
-        idx = region.flat_cells()
-        return idx, np.full(idx.size, domain.cell_volume)
-    if isinstance(region, Box):
-        return box_cells(domain, region.lo, region.hi)
-    arr = np.asarray(region)
-    if arr.dtype == bool:
-        idx = np.flatnonzero(arr.reshape(-1))
-    else:
-        idx = arr.reshape(-1).astype(np.int64)
-    if idx.size == 0:
-        raise ValueError("empty region")
-    return idx, np.full(idx.size, domain.cell_volume)
 
 
 def _check_exponents(alpha: float, r: float) -> None:
@@ -88,17 +67,29 @@ def _check_exponents(alpha: float, r: float) -> None:
 
 def oscillation(
     b: SampledFunction,
-    region,
+    cells,
     nu: Weight | None = None,
     alpha: float = 0.0,
     r: float = 1.0,
 ) -> float:
-    """osc_r(b; region) for a cube, box, or cell set; exact on the lattice."""
+    """osc_r(b; E) for the cell set E with the given flat indices; exact
+    on the lattice.  The indices must be a nonempty, strictly increasing
+    integer array inside [0, N)."""
     _check_exponents(alpha, r)
     dom = b.domain
     if nu is not None and nu.domain != dom:
         raise ValueError("nu must live on the domain of b")
-    idx, w = region_cells(dom, region)
+    idx = np.asarray(cells)
+    if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
+        raise ValueError(f"cells must be a flat integer array, got {idx.dtype} "
+                         f"of shape {idx.shape}")
+    if idx.size == 0:
+        raise ValueError("empty region")
+    if np.any(idx[1:] <= idx[:-1]):
+        raise ValueError("cells must be strictly increasing: sorted, without repeats")
+    if idx[0] < 0 or idx[-1] >= dom.n**dom.d:
+        raise ValueError(f"cells must lie in [0, {dom.n**dom.d}), got {idx[0]} .. {idx[-1]}")
+    w = np.full(idx.size, dom.cell_volume)
     bv = b.values.reshape(-1)[idx]
     vol = float(w.sum())
     mean = np.sum(w * bv) / vol
@@ -436,9 +427,10 @@ def jn_verify(
         dev = np.abs(rows - rows.mean(axis=1, keepdims=True)).sum(axis=1) * dom.cell_volume
         osc1 = w_mass ** (-alpha / dom.d) * (dev / w_mass)
         total += float(np.sum(count[tuple(index.T)] * osc1**r * w_mass**exponent))
-    w_root = float(w.values.reshape(-1)[root.flat_cells()].sum()) * dom.cell_volume
+    root_cells = root.flat_cells()
+    w_root = float(w.values.reshape(-1)[root_cells].sum()) * dom.cell_volume
     sparse_bound = (total / w_root**exponent) ** (1.0 / r)
-    root_r = oscillation(b, root, nu=w, alpha=alpha, r=r)
+    root_r = oscillation(b, root_cells, nu=w, alpha=alpha, r=r)
     # degenerate symbols: 0 <= C * 0 holds, report neutral ratios
     if one_norm > 0.0:
         ratio = r_norm / one_norm

@@ -6,6 +6,7 @@ import math
 import numpy as np
 
 from dyadlab import dyadic
+from dyadlab.lattice import SampledFunction
 from dyadlab.oscillation import ESCAPE_RADIUS, WitnessFamily, bmo_norm, oscillation
 
 
@@ -26,11 +27,41 @@ def core_arrays(family):
     return [family.cells[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
+def volume(cube):
+    """Lebesgue measure of the cube."""
+    return cube.sidelength**cube.domain.d
+
+
+def parent(cube):
+    """The generation j - 1 cube that holds a generation-j cube."""
+    if cube.generation == 0:
+        raise ValueError("generation-0 cube has no parent")
+    return dyadic.cube(cube.domain, cube.generation - 1, [k // 2 for k in cube.index])
+
+
+def children(cube):
+    """The 2^d generation j + 1 cubes of a generation-j cube, none at j = m."""
+    if cube.generation >= cube.domain.m:
+        return []
+    return [dyadic.cube(cube.domain, cube.generation + 1,
+                        [2 * k + o for k, o in zip(cube.index, offs)])
+            for offs in itertools.product((0, 1), repeat=cube.domain.d)]
+
+
+def indicator(cube):
+    """1 on the cube's cells, 0 elsewhere."""
+    values = np.zeros(cube.domain.n**cube.domain.d)
+    values[cube.flat_cells()] = 1.0
+    return SampledFunction(cube.domain, values.reshape(cube.domain.shape))
+
+
 def dist_to_origin(cube):
-    """Euclidean distance from the origin to the closed cube, from its box:
-    the oracle of dyadic._cube_distance_table."""
-    box, sq = cube.box(), 0.0
-    for a, b in zip(box.lo, box.hi):
+    """Euclidean distance from the origin to the closed cube, from its
+    corners: the oracle of dyadic._cube_distance_table."""
+    dom, ell, sq = cube.domain, cube.sidelength, 0.0
+    for k in cube.index:
+        a = -dom.L + k * ell
+        b = min(a + ell, dom.L)
         if a > 0:
             sq += a * a
         elif b < 0:
@@ -63,7 +94,7 @@ def _verify_entries(b, nu, alpha, r, c0, picked):
 
 def _witness_small(b, nu, alpha, r, c0, cands, theta, min_pairs):
     # big first; deterministic tie-break by generation and index
-    cands = sorted(cands, key=lambda t: (-t[0].volume, t[0].generation, t[0].index))
+    cands = sorted(cands, key=lambda t: (-volume(t[0]), t[0].generation, t[0].index))
     inv_theta = math.ceil(1.0 / theta)
     for inv in (inv_theta, 2 * inv_theta):
         accepted = []  # [cube, cells, removed cell count]
@@ -120,7 +151,7 @@ def _witness_far(b, nu, alpha, r, c0, cands, min_pairs):
 
 
 def _witness_large(b, nu, alpha, r, c0, cands, min_pairs):
-    cands = sorted(cands, key=lambda t: (t[0].volume, t[0].generation, t[0].index))
+    cands = sorted(cands, key=lambda t: (volume(t[0]), t[0].generation, t[0].index))
     picked = []
     used = np.empty(0, dtype=np.int64)
     last_vol = None
@@ -129,9 +160,9 @@ def _witness_large(b, nu, alpha, r, c0, cands, min_pairs):
         if last_vol is None:
             picked.append((cube, cells))
             used = cells
-            last_vol = cube.volume
+            last_vol = volume(cube)
             continue
-        if cube.volume < 2.0 * last_vol:
+        if volume(cube) < 2.0 * last_vol:
             continue
         mask = np.setdiff1d(cells, used)
         if 2 * mask.size < cells.size:
@@ -140,7 +171,7 @@ def _witness_large(b, nu, alpha, r, c0, cands, min_pairs):
             continue
         picked.append((cube, mask))
         used = np.union1d(used, cells)
-        last_vol = cube.volume
+        last_vol = volume(cube)
     entries, oscs = _verify_entries(b, nu, alpha, r, c0, picked)
     if len(entries) >= min_pairs:
         return WitnessFamily("large-scale", c0, entries, oscs)

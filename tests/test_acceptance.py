@@ -13,7 +13,7 @@ import pytest
 
 from dyadlab import dyadic, normest, oscillation, sparse
 from dyadlab import operators as ops
-from dyadlab.lattice import Box, LatticeDomain, SampledFunction, indicator, sample_symbol
+from dyadlab.lattice import LatticeDomain, SampledFunction, sample_symbol
 from dyadlab.weights import (
     ExponentSetup,
     apq_characteristic,
@@ -21,7 +21,7 @@ from dyadlab.weights import (
     bloom_weight,
     make_weight,
 )
-from oracles import core_arrays
+from oracles import core_arrays, indicator, parent, volume
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = ""):
@@ -157,7 +157,7 @@ def test_c04_cz_augmentation(dom10):
         ok = ok and sparse.is_sparse(fam).ok and ratio <= bound
     # Hand-run check: a half indicator never selects, one entry, ratio 1.
     unit_root = dyadic.cube(dom10, 1, (1,))
-    half = indicator(dom10, Box((0.0,), (0.5,)))
+    half = indicator(dyadic.cube(dom10, 2, (2,)))  # [0, 1/2)
     fam = sparse.cz_augment(half, unit_root)
     ok = ok and len(fam.entries) == 1
     ok = ok and np.array_equal(core_arrays(fam)[0], unit_root.flat_cells())
@@ -211,13 +211,14 @@ def test_c05_john_nirenberg(dom10, unit10):
 def test_c06_oscillation_anchors(dom10):
     mids = dom10.midpoints()[0]
     x = SampledFunction(dom10, mids.copy())
-    exact = oscillation.oscillation(x, Box((0.0,), (1.0,)))
+    exact = oscillation.oscillation(x, dyadic.cube(dom10, 1, (1,)).flat_cells())  # [0, 1)
     ok = exact == 0.25
     blog = SampledFunction(dom10, np.log(np.abs(mids)))
     target = 2.0 / np.e
     worst = 0.0
-    for t in (1.0, 0.5, 0.25):
-        val = oscillation.oscillation(blog, Box((0.0,), (t,)))
+    for gen in (1, 2, 3):  # [0, t) for t = 1, 1/2, 1/4
+        anchor = dyadic.cube(dom10, gen, (2 ** (gen - 1),))
+        val = oscillation.oscillation(blog, anchor.flat_cells())
         worst = max(worst, abs(val - target) / target)
     ok = ok and worst <= 0.02
     _verdict(6, "oscillation anchors", ok,
@@ -297,11 +298,11 @@ def test_c10_maximal_domination():
             lhs = np.zeros(dom.n**d)
             q = r_cube
             while True:
-                lhs[q.flat_cells()] += r_cube.volume / q.volume
+                lhs[q.flat_cells()] += volume(r_cube) / volume(q)
                 if q.generation == 0:
                     break
-                q = q.parent()
-            mf = dyadic.dyadic_maximal(indicator(dom, r_cube.box())).values.reshape(-1)
+                q = parent(q)
+            mf = dyadic.dyadic_maximal(indicator(r_cube)).values.reshape(-1)
             ok = ok and bool(np.all(lhs <= c_m * mf))  # cell-exact, no slack
             worst = max(worst, float(np.max(lhs / np.maximum(c_m * mf, 1e-300))))
     _verdict(10, "ancestor-sum vs maximal function", ok,

@@ -120,19 +120,25 @@ def test_overflowing_weight_spec_exits_2(tmp_path, capsys, experiment):
 @pytest.mark.parametrize("experiment, modes, status", [
     ("bmo-compute", -1, 2), ("bmo-compute", 0, 0), ("bmo-compute", 2**5, 0),
     ("bmo-compute", 2**5 + 1, 2),
-    ("weights-check", 2**4, 0), ("weights-check", 2**4 + 1, 2),  # resampled at m - 1
+    # the membership surrogate resamples at m - 1: refused when the config is read
+    ("weights-check", 2**4, 0), ("weights-check", 2**4 + 1, 2), ("weights-check", 2**5, 2),
+    ("bloom-verify", 2**4, 0), ("bloom-verify", 2**5, 2),
 ])
 def test_logsmooth_modes_outside_zero_to_cells_per_axis_exit_2(tmp_path, capsys, experiment,
                                                                   modes, status):
     cfg = {"experiment": experiment, "domain": {"d": 1, "m": 5}, "symbols": log_symbols(),
            "weights": {"lambda": {"kind": "logsmooth", "modes": modes}}}
-    if experiment == "weights-check":
+    if experiment != "bmo-compute":
         del cfg["symbols"]
     assert cli.run(cfg, out_dir=tmp_path / "out") == status
     err = capsys.readouterr().err
-    assert ("logsmooth modes must be in [0, 2^m]" in err) == bool(status)
-    if status and experiment == "bmo-compute":
-        assert "weights.lambda: logsmooth modes" in err
+    if experiment == "bmo-compute":
+        assert ("logsmooth modes must be in [0, 2^m]" in err) == bool(status)
+        if status:
+            assert "weights.lambda: logsmooth modes" in err
+    else:
+        named = "weights.lambda.modes" in err and "<= 2^(m-1) = 16 at m = 5" in err
+        assert named == bool(status)
 
 
 _INTEGER_PARAM_BASES = {
@@ -626,6 +632,26 @@ def test_sweep_point_that_cannot_be_written_is_a_config_error_row(tmp_path):
     assert rows[1][2].startswith(f"cannot create output dir {out / 'm-5'}: ")
     assert rows[0][3:] == rows[1][3:] == [""] * (len(rows[0]) - 3)
     assert (out / "m-6" / "bmo.csv").is_file()
+
+
+@pytest.mark.parametrize("escape", ["x/../../../esc", "x\\..\\esc", "x\0y"])
+def test_sweep_point_naming_a_path_is_a_config_error_row(tmp_path, escape):
+    # a symbol id with a separator would put the point's files outside out/,
+    # and one with a null byte stopped the sweep with a traceback
+    symbols = [{"id": sid, "terms": [{"kind": "log_abs"}]} for sid in ("log", escape)]
+    cfg = {
+        "experiment": "bmo-compute",
+        "domain": {"d": 1, "m": 4},
+        "symbols": symbols,
+        "sweep": {"axis": "symbol", "values": [escape, "log"]},
+    }
+    out = tmp_path / "a" / "b" / "c" / "out"
+    assert cli.sweep(cfg, out_dir=out, workers=1) == 1
+    _, rows = read_csv(out / "sweep.csv")
+    assert [r[1] for r in rows] == ["config-error", "ok"]
+    assert "is not a single path component" in rows[0][2]
+    assert (out / "symbol-log" / "bmo.csv").is_file()
+    assert all(out in p.parents for p in tmp_path.rglob("*") if p.is_file())
 
 
 def test_unwritable_sweep_csv_exits_2(tmp_path, capsys):

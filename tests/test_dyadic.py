@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from dyadlab import dyadic
 from dyadlab.dyadic import _generation_mean, dyadic_maximal
-from dyadlab.lattice import Box, LatticeDomain, SampledFunction, indicator
-from dyadlab.oscillation import _cube_distance_table, region_cells
-from oracles import dist_to_origin, enumerate_cubes
+from dyadlab.lattice import LatticeDomain, SampledFunction
+from dyadlab.oscillation import _cube_distance_table
+from oracles import children, dist_to_origin, enumerate_cubes, indicator, parent, volume
 
 
 def random_function(domain, seed):
@@ -17,14 +17,14 @@ def random_function(domain, seed):
     return SampledFunction(domain, rng.standard_normal(domain.shape))
 
 
-def integral(f, region):
-    """Integral of f over a cube or box through its cells and overlap volumes."""
-    idx, w = region_cells(f.domain, region)
-    return np.sum(w * f.values.reshape(-1)[idx])
+def integral(f, cube):
+    """Integral of f over a cube: its cell values times the cell volume."""
+    idx = cube.flat_cells()
+    return np.sum(np.full(idx.size, f.domain.cell_volume) * f.values.reshape(-1)[idx])
 
 
 def whole_domain(dom):
-    return Box((-dom.L,) * dom.d, (dom.L,) * dom.d)
+    return dyadic.cube(dom, 0, (0,) * dom.d)
 
 
 class TestGridGeometry:
@@ -52,10 +52,10 @@ class TestGridGeometry:
         f = random_function(dom, 5)
         cube = dyadic.cube(dom, 2, (1,))
         whole = integral(f, cube)
-        parts = sum(integral(f, ch) for ch in cube.children())
+        parts = sum(integral(f, ch) for ch in children(cube))
         assert parts == pytest.approx(whole, rel=1e-11, abs=1e-13)
-        for ch in cube.children():
-            assert ch.parent() == cube
+        for ch in children(cube):
+            assert parent(ch) == cube
             assert cube.contains_cube(ch)
 
     def test_dist_to_origin(self):
@@ -118,7 +118,7 @@ class TestMaximal:
     def test_indicator_value_on_cube(self):
         dom = LatticeDomain(1, 6, 1.0)
         cube = dyadic.cube(dom, 3, (2,))
-        f = indicator(dom, cube.box())
+        f = indicator(cube)
         mf = dyadic_maximal(f)
         cells = cube.flat_cells()
         assert np.allclose(mf.values[cells], 1.0)
@@ -138,12 +138,12 @@ class TestMaximal:
                 cube = r_cube
                 while True:
                     flat = np.zeros(dom.n**d)
-                    flat[cube.flat_cells()] = r_cube.volume / cube.volume
+                    flat[cube.flat_cells()] = volume(r_cube) / volume(cube)
                     lhs += flat.reshape(dom.shape)
                     if cube.generation == 0:
                         break
-                    cube = cube.parent()
-                m_ind = dyadic_maximal(indicator(dom, r_cube.box()))
+                    cube = parent(cube)
+                m_ind = dyadic_maximal(indicator(r_cube))
                 assert np.all(lhs <= cm * m_ind.values + 1e-12)
 
 
@@ -155,7 +155,7 @@ class TestAverages:
             table = _generation_mean(f.values, j)
             for idx in itertools.product(range(2**j), repeat=2):
                 cube = dyadic.cube(dom, j, idx)
-                average = integral(f, cube) / cube.volume
+                average = integral(f, cube) / volume(cube)
                 assert average == pytest.approx(table[idx], rel=1e-11)
 
     @pytest.mark.parametrize("d,m", [(1, 5), (2, 4)])

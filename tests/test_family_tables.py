@@ -1,6 +1,6 @@
 """Canonical cube families read off per-generation tables agree with a
 per-cube oracle over enumerate_cubes: oscillation() per cube, and cell
-sums over region_cells for the two-weight and A_{p,q} values."""
+sums over flat_cells for the two-weight and A_{p,q} values."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -15,9 +15,9 @@ REL = 1e-11
 
 
 def cube_cells(f, cube):
-    """(overlap volumes, cell values) of f on one cube."""
-    idx, w = osc.region_cells(f.domain, cube)
-    return w, f.values.reshape(-1)[idx]
+    """(cell volumes, cell values) of f on one cube."""
+    idx = cube.flat_cells()
+    return np.full(idx.size, f.domain.cell_volume), f.values.reshape(-1)[idx]
 
 
 def two_weight_value(b, cube, mu, lam, setup):
@@ -115,7 +115,7 @@ def test_canonical_tables_match_object_path(case):
 
     frac = osc.bmo_norm(b, nu=mu, alpha=alpha, r=r)
     assert "cubes" not in vars(frac)  # key rows are built only when read
-    close(frac.values, [osc.oscillation(b, c, nu=mu, alpha=alpha, r=r) for c in cubes])
+    close(frac.values, [osc.oscillation(b, c.flat_cells(), nu=mu, alpha=alpha, r=r) for c in cubes])
     assert np.array_equal(frac.cubes, keys)
 
     two = osc.two_weight_norm(b, mu, lam, setup)
@@ -139,7 +139,7 @@ def test_jn_subtree_norms_match_per_cube_oscillation(case, data):
     rep = osc.jn_verify(b, mu, 2.0, r, alpha, root)
     subtree = [c for c in enumerate_cubes(dom) if root.contains_cube(c)]
     for rr, got in ((r, rep.r_norm), (1.0, rep.one_norm)):
-        want = max(osc.oscillation(b, c, nu=mu, alpha=alpha, r=rr) for c in subtree)
+        want = max(osc.oscillation(b, c.flat_cells(), nu=mu, alpha=alpha, r=rr) for c in subtree)
         close(got, want)
 
 

@@ -45,8 +45,8 @@ def windows(draw, dom):
     a = draw(st.floats(0.0, width))
     b = a + draw(st.floats(dom.h / 4, width))
     if kind == "bump":
-        return ops.Bump(a, b)
-    return (a + dom.h / 8, b + dom.h / 8)
+        return ops.Bump(a, b).value
+    return ops.annulus(a + dom.h / 8, b + dom.h / 8)
 
 
 def cells(draw, dom, complex_values):
@@ -157,7 +157,7 @@ def test_short_stencils_match_dense_assembly(data):
     w = data.draw(st.sampled_from((0, 1, 2, 3)) | st.integers(0, dom.n - 1))
     w = min(w, dom.n - 1)
     b = (w + data.draw(st.floats(0.25, 0.75))) * dom.h
-    window = ops.Bump(data.draw(st.floats(0.0, 0.9)) * b, b)
+    window = ops.Bump(data.draw(st.floats(0.0, 0.9)) * b, b).value
     dense = ops.assemble(kernel, dom, window=window).matrix
     conv = ops.Convolution(kernel, dom, window=window)
     f = cells(data.draw, dom, data.draw(st.booleans()))

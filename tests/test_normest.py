@@ -12,7 +12,7 @@ from dyadlab import operators as ops
 from dyadlab.lattice import LatticeDomain, SampledFunction, sample_symbol
 from dyadlab.weights import ExponentSetup, make_weight
 
-from oracles import ascent_ratio, lp_norm, plain_ascent, start_vectors
+from oracles import ascent_ratio, lp_norm, plain_ascent, start_vectors, volume
 from test_matrix_free import _weight
 
 
@@ -279,7 +279,7 @@ def dense_star(b, family):
     for cube in family.cubes():
         cells = cube.flat_cells()
         dev = np.abs(flat[cells] - flat[cells].mean())
-        out[np.ix_(cells, cells)] += dev[None, :] * (dom.cell_volume / cube.volume)
+        out[np.ix_(cells, cells)] += dev[None, :] * (dom.cell_volume / volume(cube))
     return out
 
 

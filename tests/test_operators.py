@@ -116,13 +116,13 @@ def test_constant_input_center_cells(hilbert_op, dom):
 
 def test_far_annulus_zero_matrix(hilbert, dom):
     # annulus support starts at r/2, so r = 2 * diameter kills every pair
-    far = ops.assemble(hilbert, dom, window=(4.0, 8.0))
+    far = ops.assemble(hilbert, dom, window=ops.annulus(4.0, 8.0))
     assert np.all(far.matrix == 0.0)
 
 
 def test_window_monotone_in_outer_radius(hilbert, dom):
-    small = ops.assemble(hilbert, dom, window=(0.25, 0.5))
-    large = ops.assemble(hilbert, dom, window=(0.25, 1.0))
+    small = ops.assemble(hilbert, dom, window=ops.annulus(0.25, 0.5))
+    large = ops.assemble(hilbert, dom, window=ops.annulus(0.25, 1.0))
     assert np.all(np.abs(large.matrix) >= np.abs(small.matrix) - 1e-15)
 
 

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadlab import dyadic, oscillation as osc
-from dyadlab.lattice import Box, LatticeDomain, SampledFunction, sample_symbol
+from dyadlab.lattice import LatticeDomain, SampledFunction, sample_symbol
 from dyadlab.weights import ExponentSetup, bloom_weight, make_weight
-from oracles import vmo_witness_objects
+from oracles import vmo_witness_objects, volume
 
 TWO_OVER_E = 2.0 / math.e
 
@@ -32,35 +32,36 @@ def test_constant_symbol_is_null(dom):
     w = make_weight(dom, {"kind": "power", "beta": 0.5})
     Q = dyadic.cube(dom, 3, (5,))
     for r in (1.0, 2.0):
-        assert osc.oscillation(b, Q, nu=w, alpha=0.2, r=r) == 0.0
+        assert osc.oscillation(b, Q.flat_cells(), nu=w, alpha=0.2, r=r) == 0.0
 
 
 def test_coordinate_symbol_quarter(dom):
     # midpoint sampling integrates |x - 1/2| exactly on [0,1)
     b = SampledFunction(dom, dom.midpoints()[0].copy())
     Q = dyadic.cube(dom, 1, (1,))
-    assert osc.oscillation(b, Q) == pytest.approx(0.25, abs=1e-14)
+    assert osc.oscillation(b, Q.flat_cells()) == pytest.approx(0.25, abs=1e-14)
 
 
 @pytest.mark.parametrize("t,gen", [(1.0, 1), (0.5, 2), (0.25, 3)])
 def test_log_anchor_scale_invariant(dom, logx, t, gen):
     Q = dyadic.cube(dom, gen, (2 ** (gen - 1),))
-    value = osc.oscillation(logx, Q)
+    value = osc.oscillation(logx, Q.flat_cells())
     assert abs(value - TWO_OVER_E) / TWO_OVER_E < 0.02
 
 
 def test_unit_weight_reduces_to_length_normalization(logx, dom):
     alpha = 0.3
     Q = dyadic.cube(dom, 2, (3,))
-    plain = osc.oscillation(logx, Q, alpha=0.0)
-    scaled = osc.oscillation(logx, Q, alpha=alpha)
+    plain = osc.oscillation(logx, Q.flat_cells(), alpha=0.0)
+    scaled = osc.oscillation(logx, Q.flat_cells(), alpha=alpha)
     assert scaled == pytest.approx(Q.sidelength**-alpha * plain, rel=1e-12)
 
 
 def test_r_monotonicity(dom, logx):
     w = make_weight(logx.domain, {"kind": "power", "beta": 0.5})
     Q = dyadic.cube(dom, 1, (1,))
-    values = [osc.oscillation(logx, Q, nu=w, alpha=0.1, r=r) for r in (1.0, 1.5, 2.0, 3.0)]
+    values = [osc.oscillation(logx, Q.flat_cells(), nu=w, alpha=0.1, r=r)
+              for r in (1.0, 1.5, 2.0, 3.0)]
     for lo, hi in zip(values, values[1:]):
         assert hi >= lo * (1.0 - 1e-12)
 
@@ -68,11 +69,11 @@ def test_r_monotonicity(dom, logx):
 def test_rejects_bad_parameters(dom, logx):
     Q = dyadic.cube(dom, 1, (1,))
     with pytest.raises(ValueError):
-        osc.oscillation(logx, Q, alpha=-0.1)
+        osc.oscillation(logx, Q.flat_cells(), alpha=-0.1)
     with pytest.raises(ValueError):
-        osc.oscillation(logx, Q, r=0.5)
-    with pytest.raises(ValueError):
-        osc.oscillation(logx, np.zeros(logx.domain.n, dtype=bool))
+        osc.oscillation(logx, Q.flat_cells(), r=0.5)
+    with pytest.raises(ValueError, match="empty region"):
+        osc.oscillation(logx, np.array([], dtype=np.int64))
 
 
 def test_bmo_norm_rejects_negative_alpha_on_every_family_path():
@@ -85,23 +86,27 @@ def test_bmo_norm_rejects_negative_alpha_on_every_family_path():
 @pytest.mark.parametrize("m", [6, 10])
 def test_cube_from_another_lattice_is_refused(m):
     # An m = 6 cube names the wrong cells of an m = 8 lattice; an m = 10
-    # one indexes past its end.
+    # one indexes past its end.  jn_verify is the one functional here that
+    # takes a cube.
     dom8 = LatticeDomain(d=1, m=8, L=1.0)
     b = SampledFunction(dom8, np.log(np.abs(dom8.midpoints()[0])))
     cube = dyadic.cube(LatticeDomain(d=1, m=m, L=1.0), 3, (4,))
     with pytest.raises(ValueError, match="domain mismatch"):
-        osc.region_cells(dom8, cube)
-    with pytest.raises(ValueError, match="domain mismatch"):
-        osc.oscillation(b, cube)
+        osc.jn_verify(b, make_weight(dom8, {"kind": "unit"}), p=2.0, r=2.0, alpha=0.0,
+                      root=cube)
 
 
-def test_region_forms_agree(dom, logx):
-    Q = dyadic.cube(dom, 2, (3,))
-    by_cube = osc.oscillation(logx, Q)
-    by_mask = osc.oscillation(logx, Q.flat_cells())
-    by_box = osc.oscillation(logx, Q.box())
-    assert by_mask == pytest.approx(by_cube, rel=1e-14)
-    assert by_box == pytest.approx(by_cube, rel=1e-14)
+@pytest.mark.parametrize("cells, message", [
+    ([-1, 0], "must lie in"),           # would read cell 15
+    ([0.7, 1.9], "integer"),            # would truncate to cells 0 and 1
+    ([0, 0, 1], "strictly increasing"),  # would count cell 0 twice
+    ([16], "must lie in"),              # would raise IndexError
+])
+def test_cell_sets_off_the_lattice_are_refused(cells, message):
+    dom = LatticeDomain(d=1, m=4, L=1.0)
+    x = SampledFunction(dom, dom.midpoints()[0].copy())
+    with pytest.raises(ValueError, match=message):
+        osc.oscillation(x, cells)
 
 
 @settings(max_examples=25, deadline=None)
@@ -115,11 +120,12 @@ def test_shift_invariance_and_scaling(re, im, t):
     rng = np.random.default_rng(11)
     b = SampledFunction(dom, rng.standard_normal(dom.n) + 1j * rng.standard_normal(dom.n))
     Q = dyadic.cube(dom, 1, (1,))
-    base = osc.oscillation(b, Q)
+    base = osc.oscillation(b, Q.flat_cells())
     shifted = SampledFunction(dom, b.values + complex(re, im))
-    assert osc.oscillation(shifted, Q) == pytest.approx(base, rel=1e-12, abs=1e-12)
+    assert osc.oscillation(shifted, Q.flat_cells()) == pytest.approx(base, rel=1e-12, abs=1e-12)
     scaled = SampledFunction(dom, t * b.values)
-    assert osc.oscillation(scaled, Q) == pytest.approx(abs(t) * base, rel=1e-12, abs=1e-12)
+    assert osc.oscillation(scaled, Q.flat_cells()) == pytest.approx(abs(t) * base, rel=1e-12,
+                                                                   abs=1e-12)
 
 
 # -- norms --------------------------------------------------------------------
@@ -284,7 +290,7 @@ def test_far_away_witness_for_boundary_comb(dom12):
 def test_large_scale_witness_for_log(log12):
     fam = osc.vmo_witness(log12, osc.bmo_norm(log12), c0=0.5, mode="large-scale")
     assert fam is not None and len(fam) >= 2
-    vols = [cube.volume for cube, _ in fam.entries]
+    vols = [volume(cube) for cube, _ in fam.entries]
     assert vols == sorted(vols)
     allcells = np.concatenate([mask for _, mask in fam.entries])
     assert np.unique(allcells).size == allcells.size

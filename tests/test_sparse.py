@@ -12,7 +12,7 @@ from dyadlab import cli, dyadic, sparse
 from dyadlab import oscillation as osc
 from dyadlab.lattice import LatticeDomain, SampledFunction, sample_symbol
 from dyadlab.weights import make_weight
-from oracles import core_arrays, dist_to_origin, enumerate_cubes
+from oracles import children, core_arrays, dist_to_origin, enumerate_cubes
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +60,7 @@ def test_disjoint_full_cores_are_sparse(dom):
 
 def test_nested_full_cores_violate(dom):
     big = dyadic.cube(dom, 2, (1,))
-    small = big.children()[0]
+    small = children(big)[0]
     fam = family(dom, [big, small])
     verdict = sparse.is_sparse(fam)
     assert not verdict.ok
@@ -145,7 +145,7 @@ def test_cz_two_dimensional_domination():
 
 
 def cz_augment_oracle(b, root):
-    """Reference stopping-time family: the DyadicCube.children() stack walk
+    """Reference stopping-time family: the oracles.children stack walk
     cz_augment had before it read subcube means off generation tables.
     Returns (cube, core) pairs in queue order."""
     m = b.domain.m
@@ -160,13 +160,13 @@ def cz_augment_oracle(b, root):
         base = dev[cells].mean()
         selected = []
         if base > 0.0 and cube.generation < m:
-            stack = list(cube.children())
+            stack = children(cube)
             while stack:
                 child = stack.pop()
                 if dev[child.flat_cells()].mean() > sparse.LAMBDA * base:
                     selected.append(child)
                 elif child.generation < m:
-                    stack.extend(child.children())
+                    stack.extend(children(child))
         if selected:
             removed = np.concatenate([p.flat_cells() for p in selected])
             core = np.setdiff1d(cells, removed)
@@ -594,7 +594,7 @@ def test_hand_made_family_verdicts_match_entry_loop(case, seed):
 def test_hand_made_verdicts_escape_thin_intersect():
     dom = LatticeDomain(d=2, m=3, L=1.0)
     big, other = dyadic.cube(dom, 1, (0, 1)), dyadic.cube(dom, 1, (1, 0))
-    small = big.children()[3]
+    small = children(big)[3]
     cells = big.flat_cells()
     cases = {
         "core leaves its cube": [(big, np.sort(np.append(cells[1:], other.flat_cells()[0])))],
@@ -620,7 +620,7 @@ def jn_sparse_bound_loop(b, w, r, alpha, root):
     for cube in sparse.cz_augment(b, root).cubes():
         cells = cube.flat_cells()
         w_mass = float(w_flat[cells].sum()) * dom.cell_volume
-        total += osc.oscillation(b, cube, nu=w, alpha=alpha, r=1.0) ** r * w_mass**exponent
+        total += osc.oscillation(b, cells, nu=w, alpha=alpha, r=1.0) ** r * w_mass**exponent
         magnitude = 2.0 * float(np.abs(b_flat[cells]).sum()) * dom.cell_volume / w_mass
         scale += (w_mass ** (-alpha / dom.d) * magnitude) ** r * w_mass**exponent
     w_root = float(w_flat[root.flat_cells()].sum()) * dom.cell_volume
@@ -758,7 +758,7 @@ def test_almost_orthogonality_disjoint_exact(dom):
 
 def test_almost_orthogonality_preconditions(dom):
     big = dyadic.cube(dom, 2, (1,))
-    small = big.children()[1]
+    small = children(big)[1]
     fam = family(dom, [big, small],
                  [np.setdiff1d(big.flat_cells(), small.flat_cells()), small.flat_cells()])
     # support violation
