@@ -12,8 +12,8 @@ hard assertion passed (1 on assertion failure with the first failure
 echoed, 2 on an unusable config, 3 on a numerical failure such as a
 solver missing its tolerance).  `sweep` repeats the experiment along one
 axis -- m, p, q, pq, or symbol -- one row per point with row-level
-status; points run concurrently under a worker cap but every file is
-written from the coordinating thread.
+status; points run one after another, each through `run`'s own step, and
+each writes its files when it finishes.
 
 A result table is a set of columns (numpy arrays, lists or tuples), and
 the CSV format is defined per column: a float column is written with 17
@@ -68,9 +68,12 @@ def _integer(value) -> int:
 
 
 def _number(value) -> float:
-    """A JSON number, as a float: strings and booleans are refused."""
+    """A finite JSON number, as a float: strings, booleans, NaN and
+    infinities are refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"need a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"need a finite number, got {value!r}")
     return float(value)
 
 
@@ -139,22 +142,7 @@ _TERMS = {
     "bump": {**_COEFFICIENT, "center": (_numbers, [0.0]), "radius": (_number, 1.0)},
 }
 _SYMBOL = {"id": (_string, None), "terms": (_list(lambda term: term), None)}  # each term: _TERMS
-_PARAMS = {  # one table per experiment
-    "weights-check": {},
-    "bloom-verify": {},
-    "bmo-compute": {"r": (_number, 1.0)},
-    "jn-verify": {"r": (_number, 2.0)},
-    "sparse-dominate": {},
-    "commutator-sweep": {"budget": (_positive(_integer), 8), "probe_generation": (_integer, 3)},
-    "compactness-profile": {"eps_list": (_numbers, [0.5, 0.25, 0.125, 0.0625, 0.03125]),
-                            "k_list": (_list(_positive(_number)), [1.0, 2.0, 4.0, 8.0]),
-                            "budget": (_positive(_integer), 8)},
-    "vmo-witness": {"r": (_number, 1.0), "c0": (_number, 0.5), "theta": (_number, 0.125),
-                    "mode": (_choice(None, "small-scale", "far-away", "large-scale"), None),
-                    "min_pairs": (_positive(_integer), 2)},
-}
-
-EXPERIMENTS = tuple(_PARAMS)
+# each experiment's params table is in EXPERIMENTS, after the experiments
 SWEEP_AXES = ("m", "p", "q", "pq", "symbol")
 # each value is read at its point, by the reader of the key the axis sets
 _SWEEP = {"axis": (_choice(*SWEEP_AXES), None), "values": (_list(lambda value: value), None)}
@@ -162,13 +150,6 @@ _KNOWN_KEYS = frozenset(
     {"schema", "experiment", "domain", "exponents", "weights", "symbols",
      "kernel", "seeds", "params", "out", "sweep"}
 )
-_NEED_SYMBOLS = frozenset(
-    {"bmo-compute", "jn-verify", "commutator-sweep", "compactness-profile",
-     "vmo-witness"}
-)
-_NEED_KERNEL = frozenset({"commutator-sweep", "compactness-profile"})
-# the membership surrogate resamples each weight at m - 1
-_COARSEN_WEIGHTS = frozenset({"weights-check", "bloom-verify"})
 
 
 @dataclass
@@ -202,35 +183,28 @@ def _assertion(name: str, ok: bool, hard: bool = True, detail: str = "") -> dict
     return {"name": name, "ok": bool(ok), "hard": hard, "detail": detail}
 
 
-def _load(config) -> dict:
+def _load(config, seed=None) -> dict:
+    """A fresh dict of the config (a mapping, or the path of a JSON file),
+    its seed list replaced by `seed` if one is given."""
     if isinstance(config, dict):
-        return copy.deepcopy(config)
-    if not isinstance(config, (str, os.PathLike)):
+        cfg = copy.deepcopy(config)
+    elif isinstance(config, (str, os.PathLike)):
+        path = Path(config)
+        try:
+            text = path.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        try:
+            cfg = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        if not isinstance(cfg, dict):
+            raise ConfigError("config root must be a JSON object")
+    else:
         raise ConfigError(f"config must be a mapping or a path, got {type(config).__name__}")
-    path = Path(config)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
+    if seed is not None:
+        cfg["seeds"] = [_value(_integer, seed, "seed")]
     return cfg
-
-
-def _reject_non_finite(value, path: str) -> None:
-    """ConfigError naming the key path of the first NaN or infinity."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{path} must be a finite number, got {value}")
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _reject_non_finite(item, f"{path}.{key}" if path else str(key))
-    elif isinstance(value, (list, tuple)):
-        for i, item in enumerate(value):
-            _reject_non_finite(item, f"{path}[{i}]")
 
 
 def _value(reader, value, path: str):
@@ -275,18 +249,18 @@ def _build_context(cfg: dict) -> RunContext:
     key table; ConfigError on anything off."""
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a mapping")
-    _reject_non_finite(cfg, "")
     unknown = set(cfg) - _KNOWN_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     _value(_choice(SCHEMA_VERSION), cfg.get("schema", SCHEMA_VERSION), "schema")
     experiment = _value(_choice(*EXPERIMENTS), cfg.get("experiment"), "experiment")
+    _, params, needs = EXPERIMENTS[experiment]
     domain = _made("domain", LatticeDomain, **_read(cfg.get("domain"), _DOMAIN, "domain"))
     setup = _made("exponents", ExponentSetup, d=domain.d,
                   **_read(cfg.get("exponents"), _EXPONENTS, "exponents"))
     weights = _read(cfg.get("weights"), _WEIGHT_SLOTS, "weights")
     for slot, spec in weights.items():
-        if (experiment in _COARSEN_WEIGHTS and spec["kind"] == "logsmooth"
+        if ("coarse-weights" in needs and spec["kind"] == "logsmooth"
                 and spec["modes"] > domain.n // 2):
             raise ConfigError(f"weights.{slot}.modes: {experiment} resamples the weight at "
                               f"m - 1, so logsmooth modes must be <= 2^(m-1) = "
@@ -308,7 +282,7 @@ def _build_context(cfg: dict) -> RunContext:
         terms = [_read(t, _TERMS, f"symbols[{i}].terms[{j}]", tag="kind")
                  for j, t in enumerate(entry["terms"])]
         symbols.append((sid, _made(f"bad symbol {sid!r}", sample_symbol, domain, terms)))
-    if experiment in _NEED_SYMBOLS and not symbols:
+    if "symbols" in needs and not symbols:
         raise ConfigError(f"experiment {experiment} needs at least one symbol")
 
     kernel = None
@@ -318,7 +292,7 @@ def _build_context(cfg: dict) -> RunContext:
         if kernel.d != domain.d:
             raise ConfigError(f"kernel {kernel.variant!r} lives at d={kernel.d}, "
                               f"domain has d={domain.d}")
-    if experiment in _NEED_KERNEL and kernel is None:
+    if "kernel" in needs and kernel is None:
         raise ConfigError(f"experiment {experiment} needs a kernel")
 
     return RunContext(
@@ -330,7 +304,7 @@ def _build_context(cfg: dict) -> RunContext:
         symbols=symbols,
         kernel=kernel,
         seeds=_value(_list(_integer), cfg.get("seeds", [0]), "seeds"),
-        params=_read(cfg.get("params"), _PARAMS[experiment], "params"),
+        params=_read(cfg.get("params"), params, "params"),
     )
 
 
@@ -604,15 +578,31 @@ def _exp_vmo_witness(ctx: RunContext) -> ExperimentResult:
     )
 
 
-_EXPERIMENT_FUNCS = {
-    "weights-check": _exp_weights_check,
-    "bloom-verify": _exp_bloom_verify,
-    "bmo-compute": _exp_bmo_compute,
-    "jn-verify": _exp_jn_verify,
-    "sparse-dominate": _exp_sparse_dominate,
-    "commutator-sweep": _exp_commutator_sweep,
-    "compactness-profile": _exp_compactness_profile,
-    "vmo-witness": _exp_vmo_witness,
+# id -> (function, params key table, needs).  A need is "symbols" (at least one),
+# "kernel", or "coarse-weights": the membership surrogate resamples each weight at
+# m - 1, so a logsmooth weight may have at most 2^(m-1) modes.
+EXPERIMENTS = {
+    "weights-check": (_exp_weights_check, {}, ("coarse-weights",)),
+    "bloom-verify": (_exp_bloom_verify, {}, ("coarse-weights",)),
+    "bmo-compute": (_exp_bmo_compute, {"r": (_number, 1.0)}, ("symbols",)),
+    "jn-verify": (_exp_jn_verify, {"r": (_number, 2.0)}, ("symbols",)),
+    "sparse-dominate": (_exp_sparse_dominate, {}, ()),
+    "commutator-sweep": (
+        _exp_commutator_sweep,
+        {"budget": (_positive(_integer), 8), "probe_generation": (_integer, 3)},
+        ("symbols", "kernel")),
+    "compactness-profile": (
+        _exp_compactness_profile,
+        {"eps_list": (_numbers, [0.5, 0.25, 0.125, 0.0625, 0.03125]),
+         "k_list": (_list(_positive(_number)), [1.0, 2.0, 4.0, 8.0]),
+         "budget": (_positive(_integer), 8)},
+        ("symbols", "kernel")),
+    "vmo-witness": (
+        _exp_vmo_witness,
+        {"r": (_number, 1.0), "c0": (_number, 0.5), "theta": (_number, 0.125),
+         "mode": (_choice(None, "small-scale", "far-away", "large-scale"), None),
+         "min_pairs": (_positive(_integer), 2)},
+        ("symbols",)),
 }
 
 
@@ -728,27 +718,35 @@ def emit_report(experiment: str, result: ExperimentResult, out_dir: Path,
 
 
 def _resolve_out(cfg: dict, out_dir, default_leaf: str) -> Path:
+    """`out_dir` if given, else the config's `out`.  `out` is read as a
+    string either way; absent, null or empty, it is runs/<default_leaf>."""
+    out = cfg.get("out")
+    out = "" if out is None else _value(_string, out, "out")
     if out_dir is not None:
         return Path(out_dir)
-    if cfg.get("out"):
-        return Path(cfg["out"])
-    return Path("runs") / default_leaf
+    return Path(out) if out else Path("runs") / default_leaf
 
 
 # -- run / sweep ---------------------------------------------------------------
+
+
+def _execute(cfg: dict, out_dir, echo: dict):
+    """Build a loaded config's context, run its experiment and write its
+    report, with `echo` as the summary's config, to `out_dir` (None: the
+    config's `out`); returns (result, output directory, written files).
+    `run` and every sweep point go through here."""
+    ctx = _build_context(cfg)
+    out = _resolve_out(cfg, out_dir, ctx.experiment)
+    result = EXPERIMENTS[ctx.experiment][0](ctx)
+    return result, out, emit_report(ctx.experiment, result, out, echo)
 
 
 def run(config, out_dir=None, seed=None) -> int:
     """Execute one experiment; 0 pass / 1 hard-assertion failure / 2 bad config /
     3 numerical failure (a solver or identity check, never the config)."""
     try:
-        cfg = _load(config)
-        if seed is not None:
-            cfg["seeds"] = [int(seed)]
-        ctx = _build_context(cfg)
-        result = _EXPERIMENT_FUNCS[ctx.experiment](ctx)
-        out = _resolve_out(cfg, out_dir, ctx.experiment)
-        files = emit_report(ctx.experiment, result, out, cfg)
+        cfg = _load(config, seed)
+        result, out, files = _execute(cfg, out_dir, cfg)
     except ValueError as exc:
         # ConfigError and library-level rejections (bad eps lists,
         # degenerate probes, ...) are configuration mistakes, not
@@ -770,13 +768,6 @@ def run(config, out_dir=None, seed=None) -> int:
         print(f"first failure: {first['name']}: {first['detail']}", file=sys.stderr)
         return 1
     return 0
-
-
-def _worker_cap(workers, n_points: int) -> int:
-    cap = 4 if workers is None else int(workers)
-    if cap < 1:
-        raise ConfigError("worker cap must be >= 1")
-    return min(cap, max(1, n_points))
 
 
 def _point_config(cfg: dict, axis: str, value) -> dict:
@@ -807,28 +798,21 @@ def _point_tag(axis: str, value) -> str:
     return f"{axis}-{value}"
 
 
-def _run_point(point_cfg: dict):
-    ctx = _build_context(point_cfg)
-    return _EXPERIMENT_FUNCS[ctx.experiment](ctx)
-
-
-def sweep(config, out_dir=None, seed=None, workers=None) -> int:
-    """Repeat the configured experiment along one axis, one row per point."""
+def sweep(config, out_dir=None, seed=None) -> int:
+    """Repeat the configured experiment along one axis, one point after
+    another through `run`'s step, one row per point."""
     try:
-        cfg = _load(config)
-        if seed is not None:
-            cfg["seeds"] = [int(seed)]
+        cfg = _load(config, seed)
         spec = _read(cfg.get("sweep"), _SWEEP, "sweep")
         axis, values = spec["axis"], spec["values"]
         experiment = _value(_choice(*EXPERIMENTS), cfg.get("experiment"), "experiment")
-        cap = _worker_cap(workers, len(values))
         out = _resolve_out(cfg, out_dir, f"sweep-{experiment}")
         out.mkdir(parents=True, exist_ok=True)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    points, tags = [], set()
+    outcomes, tags = [], set()  # (value, status, detail, result or None)
     for value in values:
         try:
             point_cfg = _point_config(cfg, axis, value)
@@ -838,28 +822,18 @@ def sweep(config, out_dir=None, seed=None, workers=None) -> int:
             if tag in tags:
                 raise ConfigError(f"point directory {tag} is taken by an earlier point")
             tags.add(tag)
-            points.append((value, point_cfg, None))
         except (TypeError, ValueError) as exc:  # ConfigError included
-            points.append((value, None, str(exc)))
-
-    from concurrent.futures import ThreadPoolExecutor  # only a sweep needs it
-
-    outcomes = []
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        futures = [None if point_cfg is None else pool.submit(_run_point, point_cfg)
-                   for _, point_cfg, _ in points]
-        for (value, point_cfg, err), future in zip(points, futures):
-            if future is None:
-                outcomes.append((value, "config-error", err, None))
-                continue
-            try:
-                outcomes.append((value, "ok", "", future.result()))
-            except ValueError as exc:  # ConfigError included
-                outcomes.append((value, "config-error", str(exc), None))
-            except NumericalError as exc:
-                outcomes.append((value, "numerical-error", str(exc), None))
-            except Exception as exc:  # row-level status, not a crashed sweep
-                outcomes.append((value, "error", f"{type(exc).__name__}: {exc}", None))
+            outcomes.append((value, "config-error", str(exc), None))
+            continue
+        try:
+            result = _execute(point_cfg, out / tag, {"axis": axis, "value": value})[0]
+            outcomes.append((value, "ok", "", result))
+        except ValueError as exc:  # ConfigError included, an unwritable point too
+            outcomes.append((value, "config-error", str(exc), None))
+        except NumericalError as exc:
+            outcomes.append((value, "numerical-error", str(exc), None))
+        except Exception as exc:  # row-level status, not a crashed sweep
+            outcomes.append((value, "error", f"{type(exc).__name__}: {exc}", None))
 
     headline_keys = sorted(
         {k for _, _, _, res in outcomes if res is not None for k in res.headline}
@@ -875,13 +849,6 @@ def sweep(config, out_dir=None, seed=None, workers=None) -> int:
         passed = sum(1 for a in res.assertions if a["hard"] and a["ok"])
         status = "ok" if failed == 0 else "assertion-failed"
         any_bad = any_bad or failed > 0
-        try:
-            emit_report(cfg["experiment"], res, out / _point_tag(axis, value),
-                        {"axis": axis, "value": value})
-        except ConfigError as exc:  # the point's files could not be written
-            rows.append((value, "config-error", str(exc), "", "", *[""] * len(headline_keys)))
-            any_bad = True
-            continue
         rows.append((value, status, detail, passed, failed,
                      *[res.headline.get(k, "") for k in headline_keys]))
 
@@ -908,12 +875,10 @@ def main(argv=None) -> int:
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--seed", type=int, default=None,
                         help="replace the config seed list with this one seed")
-        sp.add_argument("--workers", type=int, default=None,
-                        help="sweep worker cap")
     args = parser.parse_args(argv)
     if args.command == "run":
         return run(args.config, out_dir=args.out, seed=args.seed)
-    return sweep(args.config, out_dir=args.out, seed=args.seed, workers=args.workers)
+    return sweep(args.config, out_dir=args.out, seed=args.seed)
 
 
 if __name__ == "__main__":

@@ -100,9 +100,6 @@ class SampledFunction:
     def is_complex(self) -> bool:
         return np.iscomplexobj(self.values)
 
-    def abs(self) -> "SampledFunction":
-        return SampledFunction(self.domain, np.abs(self.values))
-
 
 # -- symbol catalog ---------------------------------------------------------
 

@@ -17,9 +17,8 @@ the stencil's support: side 2n per axis at full support, less when a
 window cuts the stencil off, as it does for the eps-split residual.
 Commutators [b, T] f = b Tf - T(bf) and the compact/residual split are
 composites over it, so no N x N array is ever formed.  OperatorMatrix,
-the dense matrix A[i, j] (assemble, commutator_matrix, decompose), is
-the reference backend the fast paths are tested against; nothing else
-builds one.
+the dense matrix A[i, j] (assemble, commutator_matrix), is the reference
+backend the fast paths are tested against; nothing else builds one.
 
 Smooth cutoffs use a single C^1 profile: value 1 inside radius a, 0
 outside radius b, and cos^2(pi (t - a) / (2 (b - a))) on the ramp, whose
@@ -61,10 +60,6 @@ class Bump:
     def __post_init__(self):
         if not (0.0 <= self.a < self.b):
             raise ValueError(f"need 0 <= a < b, got a={self.a}, b={self.b}")
-
-    @property
-    def lipschitz(self) -> float:
-        return np.pi / (2.0 * (self.b - self.a))
 
     def value(self, t):
         t = np.abs(np.asarray(t, dtype=float))
@@ -415,11 +410,11 @@ def split(kernel: KernelSpec, domain: LatticeDomain, eps: float):
 
     The compact part is chi T_W(chi f), with T_W the kernel windowed by
     the annulus phi(S) - phi(eps), S = 10/eps; the residual is
-    Tf - chi T_W(chi f).  That residual equals decompose's four
-    complementary terms exactly when the outer window phi(S) is 1 at
-    every offset two cells of supp(chi) can have.  This is checked on the
-    window over the bounding box of those offsets, and a failure raises
-    NumericalError.  decompose is its dense reference.
+    Tf - chi T_W(chi f).  That residual equals the four complementary
+    terms (chi T chi windowed by phi(eps), and the three with a factor
+    1 - chi) exactly when the outer window phi(S) is 1 at every offset two
+    cells of supp(chi) can have.  This is checked on the window over the
+    bounding box of those offsets, and a failure raises NumericalError.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("need 0 < eps < 1")
@@ -576,43 +571,3 @@ def commutator_matrix(b: SampledFunction, op: OperatorMatrix) -> OperatorMatrix:
         raise ValueError("domain mismatch")
     bv = b.values.reshape(-1)
     return OperatorMatrix(op.domain, op.matrix * (bv[:, None] - bv[None, :]))
-
-
-def decompose(kernel: KernelSpec, domain: LatticeDomain, eps: float):
-    """Split T into a compactly windowed part and a residual, densely.
-
-    With r = eps, R = 1/eps, S = 10 R, and chi = phi(R) evaluated at the
-    midpoint positions, the compact part applies chi, the kernel windowed by
-    the annulus [phi(S) - phi(r)](|x - y|), then chi again.  The residual
-    collects the four complementary terms.  Because the annulus window is
-    exactly 1 wherever both chi factors are nonzero and |x - y| <= S/2, the
-    two parts sum back to the unwindowed matrix; that identity is checked
-    entrywise and raises NumericalError when it breaks.  This is the
-    dense reference of split.
-    """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("need 0 < eps < 1")
-    r = eps
-    base = assemble(kernel, domain)
-    a = base.matrix
-    pts = _midpoint_table(domain)
-    chi, outer_win = _split_windows(domain, eps)
-    outer = 1.0 - chi
-
-    dist = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
-    inner_win = phi(r).value(dist)
-    mid_win = outer_win.value(dist) - inner_win
-
-    core = chi[:, None] * a * chi[None, :]
-    compact = core * mid_win
-    residual = (
-        core * inner_win
-        + outer[:, None] * a * outer[None, :]
-        + outer[:, None] * a * chi[None, :]
-        + chi[:, None] * a * outer[None, :]
-    )
-    scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-    gap = float(np.max(np.abs(compact + residual - a))) if a.size else 0.0
-    if gap > 1e-12 * scale:
-        raise NumericalError(f"splitting identity broke: {gap:g}")
-    return OperatorMatrix(domain, compact), OperatorMatrix(domain, residual)

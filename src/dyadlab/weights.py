@@ -104,7 +104,6 @@ class Weight:
     domain: LatticeDomain
     values: np.ndarray
     log_values: np.ndarray
-    tag: str = "weight"
     spec: tuple | None = None
 
     def function(self) -> SampledFunction:
@@ -125,22 +124,16 @@ class Weight:
         if self.spec is not None:
             return make_weight(coarse, dict(self.spec))
         cv = dyadic._generation_mean(self.values, coarse.m)
-        return as_weight(SampledFunction(coarse, cv), tag=self.tag + "+coarse")
+        return as_weight(SampledFunction(coarse, cv))
 
 
-def as_weight(f: SampledFunction, tag: str = "weight", spec: dict | None = None) -> Weight:
+def as_weight(f: SampledFunction) -> Weight:
     values = np.real(f.values)
     if np.iscomplexobj(f.values) and np.any(f.values.imag != 0.0):
         raise ValueError("weights must be real")
     if np.any(values <= 0.0) or not np.all(np.isfinite(values)):
         raise ValueError("weights must be strictly positive and finite")
-    return Weight(
-        f.domain,
-        values.astype(np.float64),
-        np.log(values).astype(np.float64),
-        tag=tag,
-        spec=tuple(sorted(spec.items())) if spec is not None else None,
-    )
+    return Weight(f.domain, values.astype(np.float64), np.log(values).astype(np.float64))
 
 
 def make_weight(domain: LatticeDomain, spec: dict) -> Weight:
@@ -183,7 +176,7 @@ def make_weight(domain: LatticeDomain, spec: dict) -> Weight:
         values = np.exp(logw)
     if not (np.all(np.isfinite(values)) and np.all(values > 0.0)):
         raise ValueError(f"weight {tag} leaves the floating-point range")
-    return Weight(domain, values, logw, tag=tag, spec=tuple(sorted(spec.items())))
+    return Weight(domain, values, logw, spec=tuple(sorted(spec.items())))
 
 
 def _family_averages(f: SampledFunction) -> np.ndarray:
@@ -228,7 +221,7 @@ def bloom_weight(mu: Weight, lam: Weight, setup: ExponentSetup) -> Weight:
         raise ValueError("setup dimension does not match the weights")
     e = setup.bloom_exponent
     logs = e * (mu.log_values - lam.log_values)
-    return Weight(mu.domain, np.exp(logs), logs, tag=f"bloom({mu.tag},{lam.tag})")
+    return Weight(mu.domain, np.exp(logs), logs)
 
 
 def membership_surrogate(w: Weight, p: float) -> dict:
@@ -306,7 +299,7 @@ def bloom_sandwich_report(
     mu_char = membership["mu"]["characteristic"]
     lam_char = membership["lam"]["characteristic"]
     half_log = (mu.log_values - lam.log_values) / 2.0
-    nu_root = Weight(mu.domain, np.exp(half_log), half_log, tag="bloom^(1/s)")
+    nu_root = Weight(mu.domain, np.exp(half_log), half_log)
     s = setup.s
     inter = apq_characteristic(nu_root, nu_root, s, s).supremum
     if not membership["mu"]["ok"] or not membership["lam"]["ok"]:

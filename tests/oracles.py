@@ -6,6 +6,7 @@ import math
 import numpy as np
 
 from dyadlab import dyadic
+from dyadlab import operators as ops
 from dyadlab.lattice import SampledFunction
 from dyadlab.oscillation import ESCAPE_RADIUS, WitnessFamily, bmo_norm, oscillation
 
@@ -67,6 +68,46 @@ def dist_to_origin(cube):
         elif b < 0:
             sq += b * b
     return float(np.sqrt(sq))
+
+
+def decompose(kernel, domain, eps):
+    """Split T into a compactly windowed part and a residual, densely: the
+    oracle of operators.split.
+
+    With r = eps, R = 1/eps, S = 10 R, and chi = phi(R) evaluated at the
+    midpoint positions, the compact part applies chi, the kernel windowed by
+    the annulus [phi(S) - phi(r)](|x - y|), then chi again.  The residual
+    collects the four complementary terms.  Because the annulus window is
+    exactly 1 wherever both chi factors are nonzero and |x - y| <= S/2, the
+    two parts sum back to the unwindowed matrix; that identity is checked
+    entrywise and raises NumericalError when it breaks.
+    """
+    if not 0.0 < eps < 1.0:
+        raise ValueError("need 0 < eps < 1")
+    r = eps
+    base = ops.assemble(kernel, domain)
+    a = base.matrix
+    pts = ops._midpoint_table(domain)
+    chi, outer_win = ops._split_windows(domain, eps)
+    outer = 1.0 - chi
+
+    dist = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
+    inner_win = ops.phi(r).value(dist)
+    mid_win = outer_win.value(dist) - inner_win
+
+    core = chi[:, None] * a * chi[None, :]
+    compact = core * mid_win
+    residual = (
+        core * inner_win
+        + outer[:, None] * a * outer[None, :]
+        + outer[:, None] * a * chi[None, :]
+        + chi[:, None] * a * outer[None, :]
+    )
+    scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
+    gap = float(np.max(np.abs(compact + residual - a))) if a.size else 0.0
+    if gap > 1e-12 * scale:
+        raise ops.NumericalError(f"splitting identity broke: {gap:g}")
+    return ops.OperatorMatrix(domain, compact), ops.OperatorMatrix(domain, residual)
 
 
 # The object-based witness search: the oracle of oscillation.vmo_witness.

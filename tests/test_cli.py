@@ -311,6 +311,47 @@ def test_dict_config_and_seed_override(tmp_path):
     assert "seeds" not in cfg or cfg["seeds"] == [0, 1]  # caller's dict untouched
 
 
+@pytest.mark.parametrize("seed", [1.9, True, "3"])
+def test_seed_override_takes_only_an_integer(tmp_path, capsys, seed):
+    cfg = {"experiment": "sparse-dominate", "domain": {"d": 1, "m": 4}}
+    assert cli.run(cfg, out_dir=tmp_path / "run", seed=seed) == 2
+    assert capsys.readouterr().err.startswith("config error: seed: need an integer")
+    cfg["sweep"] = {"axis": "m", "values": [4]}
+    assert cli.sweep(cfg, out_dir=tmp_path / "sweep", seed=seed) == 2
+    assert capsys.readouterr().err.startswith("config error: seed: need an integer")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("out", [5, 0, False, ["a"], {"dir": "a"}])
+def test_out_that_is_not_a_string_exits_2_naming_it(tmp_path, monkeypatch, capsys, out):
+    monkeypatch.chdir(tmp_path)
+    cfg = {"experiment": "bmo-compute", "domain": {"d": 1, "m": 4}, "symbols": log_symbols(),
+           "out": out}
+    assert cli.run(cfg) == 2
+    assert cli.run(cfg, out_dir=tmp_path / "given") == 2  # read even where out_dir wins
+    assert cli.sweep(dict(cfg, sweep={"axis": "m", "values": [4]})) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3 and all(line.startswith("config error: out: ") for line in err)
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("out, run_dir, sweep_dir", [
+    ({}, "runs/bmo-compute", "runs/sweep-bmo-compute"),
+    ({"out": None}, "runs/bmo-compute", "runs/sweep-bmo-compute"),
+    ({"out": ""}, "runs/bmo-compute", "runs/sweep-bmo-compute"),
+    ({"out": "mine"}, "mine", "mine"),
+])
+def test_out_names_the_output_directory(tmp_path, monkeypatch, out, run_dir, sweep_dir):
+    monkeypatch.chdir(tmp_path)
+    cfg = {"experiment": "bmo-compute", "domain": {"d": 1, "m": 4}, "symbols": log_symbols(),
+           **out}
+    assert cli.run(cfg) == 0
+    assert cli.sweep(dict(cfg, sweep={"axis": "m", "values": [4]})) == 0
+    assert (tmp_path / run_dir / "bmo.csv").is_file()
+    assert (tmp_path / sweep_dir / "sweep.csv").is_file()
+    assert (tmp_path / sweep_dir / "m-4" / "bmo.csv").is_file()
+
+
 def test_commutator_sweep_probe_below_norm(tmp_path):
     cfg = {
         "experiment": "commutator-sweep",
@@ -538,7 +579,8 @@ def test_hard_failure_exits_1_with_detail(tmp_path, monkeypatch, capsys):
         tables={"t": (("a",), [(1.0,)])},
         assertions=[cli._assertion("doomed", False, detail="threshold crossed")],
     )
-    monkeypatch.setitem(cli._EXPERIMENT_FUNCS, "bmo-compute", lambda ctx: result)
+    _, params, needs = cli.EXPERIMENTS["bmo-compute"]
+    monkeypatch.setitem(cli.EXPERIMENTS, "bmo-compute", (lambda ctx: result, params, needs))
     cfg = {"experiment": "bmo-compute", "symbols": log_symbols()}
     assert cli.run(cfg, out_dir=tmp_path / "out") == 1
     err = capsys.readouterr().err
@@ -625,7 +667,7 @@ def test_sweep_point_that_cannot_be_written_is_a_config_error_row(tmp_path):
     out = tmp_path / "out"
     (out / "m-4" / "summary.json").mkdir(parents=True)  # the file cannot be written
     (out / "m-5").write_text("", encoding="utf-8")  # the directory cannot be made
-    assert cli.sweep(cfg, out_dir=out, workers=1) == 1
+    assert cli.sweep(cfg, out_dir=out) == 1
     _, rows = read_csv(out / "sweep.csv")
     assert [r[1] for r in rows] == ["config-error", "config-error", "ok"]
     assert rows[0][2].startswith(f"cannot write {out / 'm-4' / 'summary.json'}: ")
@@ -646,7 +688,7 @@ def test_sweep_point_naming_a_path_is_a_config_error_row(tmp_path, escape):
         "sweep": {"axis": "symbol", "values": [escape, "log"]},
     }
     out = tmp_path / "a" / "b" / "c" / "out"
-    assert cli.sweep(cfg, out_dir=out, workers=1) == 1
+    assert cli.sweep(cfg, out_dir=out) == 1
     _, rows = read_csv(out / "sweep.csv")
     assert [r[1] for r in rows] == ["config-error", "ok"]
     assert "is not a single path component" in rows[0][2]
@@ -663,7 +705,7 @@ def test_unwritable_sweep_csv_exits_2(tmp_path, capsys):
     }
     out = tmp_path / "out"
     (out / "sweep.csv").mkdir(parents=True)
-    assert cli.sweep(cfg, out_dir=out, workers=1) == 2
+    assert cli.sweep(cfg, out_dir=out) == 2
     assert capsys.readouterr().err.startswith(f"config error: cannot write {out / 'sweep.csv'}: ")
 
 
@@ -727,18 +769,6 @@ def test_sweep_bad_axis_exits_2(tmp_path):
         "sweep": {"axis": "banana", "values": [1]},
     }
     assert cli.sweep(cfg, out_dir=tmp_path / "out") == 2
-
-
-def test_sweep_determinism_across_worker_counts(tmp_path):
-    cfg = {
-        "experiment": "bmo-compute",
-        "symbols": log_symbols(),
-        "sweep": {"axis": "m", "values": [6, 7, 8]},
-    }
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert cli.sweep(cfg, out_dir=out_a, workers=1) == 0
-    assert cli.sweep(cfg, out_dir=out_b, workers=3) == 0
-    assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
 
 
 # -- entry point ---------------------------------------------------------------
@@ -828,13 +858,16 @@ def _get(cfg, path):
 def _configs(draw):
     """A config that reaches the experiments (m <= 5), then either up to two
     of its values (the whole config included) swapped for arbitrary JSON,
-    or one or two of its numbers, in any section, swapped for a value of
-    the wrong type: a boolean, a fraction or a string for an integer, a
-    string for a float.  Returns the config and whether a type was swapped."""
+    or one or two of its numbers and strings, in any section, swapped for a
+    value of the wrong type: a boolean, a fraction or a string for an
+    integer, a string for a float, a number for a string (`out`, symbol
+    ids, kinds and variants).  Returns the config and whether a type was
+    swapped."""
     d = draw(st.integers(1, 2))
     p = draw(st.floats(1.05, 4))
-    experiment = draw(st.sampled_from(cli.EXPERIMENTS))
+    experiment = draw(st.sampled_from(sorted(cli.EXPERIMENTS)))
     cfg = {
+        "out": "runs/fuzz",  # read, though out_dir overrides it
         "experiment": experiment,
         "domain": {"d": d, "m": draw(st.integers(2, 5)),
                    "L": draw(st.sampled_from([0.5, 1.0, 2.0]))},
@@ -848,12 +881,13 @@ def _configs(draw):
         "params": draw(st.fixed_dictionaries({}, optional=_PARAMS.get(experiment, {}))),
     }
     if draw(st.booleans()):
-        numbers = [path for path in _paths(cfg) if type(_get(cfg, path)) in (int, float)]
-        for path in draw(st.lists(st.sampled_from(numbers), min_size=1, max_size=2)):
+        leaves = [path for path in _paths(cfg) if type(_get(cfg, path)) in (int, float, str)]
+        for path in draw(st.lists(st.sampled_from(leaves), min_size=1, max_size=2,
+                                  unique=True)):
             value = _get(cfg, path)
             _get(cfg, path[:-1])[path[-1]] = draw(
-                st.sampled_from([True, False, value + 0.5, str(value)])
-                if type(value) is int else st.just(str(value)))
+                st.sampled_from([True, False, value + 0.5, str(value)]) if type(value) is int
+                else st.just(0.5) if type(value) is str else st.just(str(value)))
         return cfg, True
     for _ in range(draw(st.integers(0, 2))):
         path = draw(st.sampled_from(list(_paths(cfg))))
@@ -916,7 +950,7 @@ def test_random_sweeps_exit_with_a_status_and_one_directory_per_point(cfg):
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            status = cli.sweep(cfg, out_dir=tmp, workers=1)
+            status = cli.sweep(cfg, out_dir=tmp)
         assert status in (0, 1, 2)
         if status == 2:
             return

@@ -20,6 +20,7 @@ from dyadlab import normest
 from dyadlab import operators as ops
 from dyadlab.lattice import LatticeDomain, SampledFunction
 from dyadlab.weights import make_weight
+from oracles import decompose
 
 SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -102,7 +103,7 @@ def test_commutator_and_split_match_dense(data):
     assert np.max(np.abs(comm.adjoint(f) - dense.conj().T @ f)) <= 1e-12 * scale
 
     eps = data.draw(st.floats(0.05, 0.95))
-    for fast, slow in zip(ops.split(kernel, dom, eps), ops.decompose(kernel, dom, eps)):
+    for fast, slow in zip(ops.split(kernel, dom, eps), decompose(kernel, dom, eps)):
         assert np.max(np.abs(fast.apply(f) - slow.matrix @ f)) <= 1e-12 * bound(base.matrix, f)
         adj = slow.matrix.T
         assert np.max(np.abs(fast.adjoint(f) - adj @ f)) <= 1e-12 * bound(base.matrix, f)
@@ -226,7 +227,7 @@ def test_split_residual_branches_match_decompose(d, eps, spectra):
         assert isinstance(residual, ops.SplitPart) and len(residual._spectra) == 2
     base = ops.assemble(kernel, dom).matrix
     scale = max(bound(base, row) for row in f)
-    for fast, slow in zip((compact, residual), ops.decompose(kernel, dom, eps)):
+    for fast, slow in zip((compact, residual), decompose(kernel, dom, eps)):
         for run, matrix in ((fast.apply, slow.matrix), (fast.adjoint, slow.matrix.T)):
             batch = run(f)
             assert np.max(np.abs(batch - f @ matrix.T)) <= 1e-12 * scale
@@ -239,7 +240,7 @@ def test_split_reads_windows_off_a_wide_domain():
     kernel = ops.make_kernel("hilbert")
     f = np.random.default_rng(5).standard_normal(dom.n)
     compact, residual = ops.split(kernel, dom, 0.25)
-    t_c, t_eps = ops.decompose(kernel, dom, 0.25)
+    t_c, t_eps = decompose(kernel, dom, 0.25)
     scale = float(np.abs(ops.assemble(kernel, dom).matrix).sum(axis=1).max())
     np.testing.assert_allclose(compact.apply(f), t_c.matrix @ f, atol=1e-12 * scale)
     np.testing.assert_allclose(residual.apply(f), t_eps.matrix @ f, atol=1e-12 * scale)
@@ -286,7 +287,7 @@ def test_offset_kernels_run_on_convolution_and_split(data):
     assert np.max(np.abs(conv.apply(f) - dense @ f)) <= scale
     assert np.max(np.abs(conv.adjoint(f) - dense.T @ f)) <= scale
     eps = data.draw(st.floats(0.05, 0.95))
-    for fast, slow in zip(ops.split(kernel, dom, eps), ops.decompose(kernel, dom, eps)):
+    for fast, slow in zip(ops.split(kernel, dom, eps), decompose(kernel, dom, eps)):
         assert isinstance(fast, (ops.Convolution, ops.SplitPart))
         assert np.max(np.abs(fast.apply(f) - slow.matrix @ f)) <= scale
         assert np.max(np.abs(fast.adjoint(f) - slow.matrix.T @ f)) <= scale
