@@ -253,6 +253,13 @@ def _build_context(cfg: dict) -> RunContext:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     _value(_choice(SCHEMA_VERSION), cfg.get("schema", SCHEMA_VERSION), "schema")
+    if cfg.get("sweep") is not None:  # run only echoes it, but reads it as sweep would
+        spec = _read(cfg["sweep"], _SWEEP, "sweep")
+        for i, value in enumerate(spec["values"]):
+            try:
+                _axis_value(spec["axis"], value)
+            except ConfigError as exc:
+                raise ConfigError(f"sweep.values[{i}]: {exc}") from exc
     experiment = _value(_choice(*EXPERIMENTS), cfg.get("experiment"), "experiment")
     _, params, needs = EXPERIMENTS[experiment]
     domain = _made("domain", LatticeDomain, **_read(cfg.get("domain"), _DOMAIN, "domain"))
@@ -394,6 +401,7 @@ def _exp_bmo_compute(ctx: RunContext) -> ExperimentResult:
                        detail=f"sup = {rep.supremum:.6g}")
         )
         headline[f"bmo_{sid}"] = rep.supremum
+        del rep  # before the next symbol's pass
     return ExperimentResult(
         tables={"bmo": (("symbol", "mode", "bmo", "argmax_generation",
                          "argmax_index"), list(zip(*rows)))},
@@ -548,6 +556,7 @@ def _exp_vmo_witness(ctx: RunContext) -> ExperimentResult:
         )
         distance_rows.extend((sid, rad, d) for rad, d in zip(prof.radii, prof.distance))
         witness = oscillation.vmo_witness(b, report, nu, alpha, **ctx.params)
+        del report  # before the next symbol's pass
         if witness is None:
             witness_rows.append((sid, "none", "", "", "", "", ""))
             flags.append(f"no-witness:{sid}")
@@ -635,12 +644,12 @@ def _quoted(cells: list) -> list:
 
 
 def _column_cells(column):
-    """The `%` code and the cell lists of one column.  A float array is
-    written with `%.17g`, an int array with `%d`, and a 2-D int array of key
-    rows (one row per cell) with one `%d` per entry, joined by `_`.  A bool
-    array, and a list (or tuple), get `%s`: a list of strings is taken as
-    it is, any other list goes cell by cell through `_fmt`, and the strings
-    are then quoted by `_quoted`."""
+    """The `%` code and the cell lists of one column, or of a chunk of one.
+    A float array is written with `%.17g`, an int array with `%d`, and a 2-D
+    int array of key rows (one row per cell) with one `%d` per entry, joined
+    by `_`.  A bool array, and a list (or tuple), get `%s`: a list of strings
+    is taken as it is, any other list goes cell by cell through `_fmt`, and
+    the strings are then quoted by `_quoted`."""
     if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
         if column.ndim == 2:
             return "_".join(["%d"] * column.shape[1]), column.T.tolist()
@@ -655,22 +664,22 @@ def _column_cells(column):
 
 def _table_text(columns):
     """The CSV lines of equal-length columns through one row template, one
-    `%` code per column, in chunks of `_CHUNK_ROWS` rows."""
-    codes, cells = [], []
-    for column in columns:
-        code, lists = _column_cells(column)
-        codes.append(code)
-        cells += lists
-    if len(set(map(len, cells))) > 1:
+    `%` code per column.  The columns are converted `_CHUNK_ROWS` rows at a
+    time: each chunk's cells are formatted, quoted and written before the
+    next chunk's are made, so a long table never holds all its cells as
+    Python objects at once."""
+    if len(set(map(len, columns))) > 1:
         raise ValueError("table columns differ in length")
-    if not cells:  # no columns, no rows
-        return
-    if codes == ["%s"] and "" in cells[0]:  # csv writes a lone empty field as ""
-        cells = [['""' if c == "" else c for c in cells[0]]]
-    template = ",".join(codes) + "\n"
-    for start in range(0, len(cells[0]), _CHUNK_ROWS):
-        chunk = [c[start:start + _CHUNK_ROWS] for c in cells]
-        yield "".join(map(template.__mod__, zip(*chunk)))
+    for start in range(0, len(columns[0]) if columns else 0, _CHUNK_ROWS):
+        codes, cells = [], []
+        for column in columns:
+            code, lists = _column_cells(column[start:start + _CHUNK_ROWS])
+            codes.append(code)
+            cells += lists
+        if codes == ["%s"] and "" in cells[0]:  # csv writes a lone empty field as ""
+            cells = [['""' if c == "" else c for c in cells[0]]]
+        template = ",".join(codes) + "\n"
+        yield "".join(map(template.__mod__, zip(*cells)))
 
 
 def _write_table(path: Path, header, columns) -> None:
@@ -770,19 +779,30 @@ def run(config, out_dir=None, seed=None) -> int:
     return 0
 
 
+def _axis_value(axis: str, value):
+    """A sweep value read by the reader of the key its axis sets: domain.m
+    an integer (an integral float such as 6.0 names the m = 6 point), the
+    exponents a finite number, a symbol id a string."""
+    if axis == "m":
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        return _value(_integer, value, "domain.m")
+    if axis == "symbol":
+        return _value(_string, value, "sweep symbol")
+    return _value(_number, value, "exponents.q" if axis == "q" else "exponents.p")
+
+
 def _point_config(cfg: dict, axis: str, value) -> dict:
     point = copy.deepcopy(cfg)
     point.pop("sweep", None)
     point.pop("out", None)
+    value = _axis_value(axis, value)
     if axis == "m":
-        if isinstance(value, float) and value.is_integer():  # 6.0 names the m = 6 point
-            value = int(value)
-        point.setdefault("domain", {})["m"] = _value(_integer, value, "domain.m")
+        point.setdefault("domain", {})["m"] = value
     elif axis != "symbol":  # p, q or pq
         for key in ("p", "q") if axis == "pq" else (axis,):
-            point.setdefault("exponents", {})[key] = _value(_number, value, f"exponents.{key}")
+            point.setdefault("exponents", {})[key] = value
     else:  # symbol
-        value = _value(_string, value, "sweep symbol")
         keep = [s for s in point.get("symbols") or []
                 if isinstance(s, dict) and s.get("id") == value]
         if not keep:

@@ -113,9 +113,15 @@ def _deviation_sums(values: np.ndarray, nu_values, d: int, rs) -> list[np.ndarra
     """Family vectors, one per r in rs, of a block's sums over every dyadic
     subcube Q of |b - <b>_Q| (r = 1), else (|b - <b>_Q| / nu)^r nu.  Each
     generation's buffer is summed for r = 1, then raised in place, so one
-    deviation pass serves both exponents; r = 1 comes first in rs."""
+    deviation pass serves both exponents; r = 1 comes first in rs.
+
+    The first family is written into the buffer of the means pyramid:
+    generation j's means are read before its sums overwrite them, and the
+    finer generations are still means.  A complex b has complex means, so
+    its first family gets a buffer of its own."""
     means = dyadic._pyramid(values, d, means=True)
-    sums = [np.empty(means.shape[-1]) for _ in rs]
+    first = np.empty(means.shape[-1]) if np.iscomplexobj(means) else means
+    sums = [first] + [np.empty(means.shape[-1]) for _ in rs[1:]]
     levels = [dyadic._levels(vec, d) for vec in sums]
     dev = np.empty(values.shape)
     diff = np.empty(values.shape, values.dtype) if np.iscomplexobj(values) else dev
@@ -135,11 +141,14 @@ def _oscillation_families(
     values: np.ndarray, nu_values, dom: LatticeDomain, alpha: float, rs
 ) -> list[np.ndarray]:
     """osc_r over every dyadic subcube of a block of b (and of nu; None:
-    unweighted), one family vector per r in rs, computed in place."""
+    unweighted), one family vector per r in rs, computed in place: each
+    family starts as its deviation sums (the first in the means pyramid's
+    buffer), and the nu-mass pyramid is built after that pass, so the
+    means and the masses are never held at once."""
     nu_values = np.ones(values.shape) if nu_values is None else nu_values
+    out = _deviation_sums(values, nu_values, dom.d, rs)
     mass = dyadic._pyramid(nu_values, dom.d)
     mass *= dom.cell_volume
-    out = _deviation_sums(values, nu_values, dom.d, rs)
     for r, vec in zip(rs, out):
         vec *= dom.cell_volume
         vec /= mass

@@ -21,9 +21,11 @@ Exponent conventions, for 1 < p <= q < infinity:
 * With s = 2/(1 + alpha/d), nu^{1/s} = (mu/lambda)^{1/2} and
   [nu^{1/s}]_{A_{s,s}} <= ([mu]_{A_{p,p}} [lambda]_{A_{q,q}})^{1/2}.
 
-Weights are stored with their logarithms and all powers are formed in
-log space; powered values above 1e300 are clipped and flagged rather
-than raised, so near-divergent reports stay readable.
+Weights are stored as their logarithms, and all powers are formed in
+log space; a weight's values are computed on first read (exp of the
+logs) and kept, and a run that only takes powers never forms them.
+Powered values above 1e300 are clipped and flagged rather than raised,
+so near-divergent reports stay readable.
 
 Membership in A_{p,p} has no finite-resolution criterion, so the
 surrogate used throughout is: the characteristic is finite at the
@@ -34,6 +36,7 @@ surrogate fails.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -98,13 +101,18 @@ class ExponentSetup:
 
 @dataclass(frozen=True, eq=False)
 class Weight:
-    """Positive cell weight; powers are taken in log space.  Weights
-    compare by identity: their fields are arrays."""
+    """Positive cell weight, held as its logarithms; powers are taken in
+    log space, and `values` is computed on first read.  Weights compare
+    by identity: their fields are arrays."""
 
     domain: LatticeDomain
-    values: np.ndarray
     log_values: np.ndarray
     spec: tuple | None = None
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """exp(log_values), computed on first read and kept."""
+        return np.exp(self.log_values)
 
     def function(self) -> SampledFunction:
         return SampledFunction(self.domain, self.values)
@@ -133,7 +141,9 @@ def as_weight(f: SampledFunction) -> Weight:
         raise ValueError("weights must be real")
     if np.any(values <= 0.0) or not np.all(np.isfinite(values)):
         raise ValueError("weights must be strictly positive and finite")
-    return Weight(f.domain, values.astype(np.float64), np.log(values).astype(np.float64))
+    w = Weight(f.domain, np.log(values).astype(np.float64))
+    w.__dict__["values"] = values.astype(np.float64)  # as given, not exp(log(values))
+    return w
 
 
 def make_weight(domain: LatticeDomain, spec: dict) -> Weight:
@@ -172,11 +182,13 @@ def make_weight(domain: LatticeDomain, spec: dict) -> Weight:
                 proj = axes[0] * np.cos(theta) + axes[1] * np.sin(theta)
             logw = logw + a * np.cos(np.pi * k * proj / domain.L + phase)
         tag = f"logsmooth[{seed}]"
+    # exp is monotone, so the two ends bound every value (a NaN log reaches
+    # both through min and max); values are computed on first read
     with np.errstate(over="ignore"):  # the check below names the weight
-        values = np.exp(logw)
-    if not (np.all(np.isfinite(values)) and np.all(values > 0.0)):
+        ends = np.exp([np.min(logw), np.max(logw)])
+    if not (np.all(np.isfinite(ends)) and np.all(ends > 0.0)):
         raise ValueError(f"weight {tag} leaves the floating-point range")
-    return Weight(domain, values, logw, spec=tuple(sorted(spec.items())))
+    return Weight(domain, logw, spec=tuple(sorted(spec.items())))
 
 
 def _family_averages(f: SampledFunction) -> np.ndarray:
@@ -220,8 +232,7 @@ def bloom_weight(mu: Weight, lam: Weight, setup: ExponentSetup) -> Weight:
     if mu.domain.d != setup.d:
         raise ValueError("setup dimension does not match the weights")
     e = setup.bloom_exponent
-    logs = e * (mu.log_values - lam.log_values)
-    return Weight(mu.domain, np.exp(logs), logs)
+    return Weight(mu.domain, e * (mu.log_values - lam.log_values))
 
 
 def membership_surrogate(w: Weight, p: float) -> dict:
@@ -298,8 +309,7 @@ def bloom_sandwich_report(
     membership = {"mu": mu_member, "lam": lam_member}
     mu_char = membership["mu"]["characteristic"]
     lam_char = membership["lam"]["characteristic"]
-    half_log = (mu.log_values - lam.log_values) / 2.0
-    nu_root = Weight(mu.domain, np.exp(half_log), half_log)
+    nu_root = Weight(mu.domain, (mu.log_values - lam.log_values) / 2.0)
     s = setup.s
     inter = apq_characteristic(nu_root, nu_root, s, s).supremum
     if not membership["mu"]["ok"] or not membership["lam"]["ok"]:

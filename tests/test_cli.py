@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -115,6 +116,16 @@ def test_overflowing_weight_spec_exits_2(tmp_path, capsys, experiment):
         warnings.simplefilter("error", RuntimeWarning)
         assert cli.run(cfg, out_dir=tmp_path / "out") == 2
     assert "bad weight spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", ["weights-check", "bmo-compute"])
+def test_underflowing_weight_spec_exits_2(tmp_path, capsys, experiment):
+    # |x|^200 is below the smallest double near the origin at d = 2, m = 7
+    cfg = {"experiment": experiment, "domain": {"d": 2, "m": 7}, "symbols": log_symbols(),
+           "weights": {"lambda": {"kind": "power", "beta": 200.0}}}
+    assert cli.run(cfg, out_dir=tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "bad weight spec weights.lambda" in err and "power[200]" in err
 
 
 @pytest.mark.parametrize("experiment, modes, status", [
@@ -771,6 +782,32 @@ def test_sweep_bad_axis_exits_2(tmp_path):
     assert cli.sweep(cfg, out_dir=tmp_path / "out") == 2
 
 
+@pytest.mark.parametrize("section, named", [
+    (5, "sweep must be a mapping"),
+    ({"axis": "banana", "values": [1]}, "sweep.axis"),
+    ({"axis": "m", "values": 4}, "sweep.values"),
+    ({"axis": "p", "values": [math.nan]}, "sweep.values[0]: exponents.p"),
+    ({"axis": "pq", "values": [2.0, "x"]}, "sweep.values[1]: exponents.p"),
+    ({"axis": "m", "values": [4, 4.5]}, "sweep.values[1]: domain.m"),
+    ({"axis": "symbol", "values": [1]}, "sweep.values[0]: sweep symbol"),
+])
+def test_run_refuses_a_sweep_section_that_sweep_would(tmp_path, capsys, section, named):
+    cfg = {"experiment": "bmo-compute", "domain": {"d": 1, "m": 4},
+           "symbols": log_symbols(), "sweep": section}
+    assert cli.run(cfg, out_dir=tmp_path / "out") == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_echoes_a_well_formed_sweep_section(tmp_path):
+    section = {"axis": "m", "values": [4, 6.0]}
+    cfg = {"experiment": "bmo-compute", "domain": {"d": 1, "m": 4},
+           "symbols": log_symbols(), "sweep": section}
+    assert cli.run(cfg, out_dir=tmp_path / "out") == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))
+    assert summary["config"]["sweep"] == section
+
+
 # -- entry point ---------------------------------------------------------------
 
 
@@ -1019,11 +1056,17 @@ def _tables(draw):
     return header, columns
 
 
+# chunks of 1-3 rows put chunk boundaries inside the drawn tables (of at most 6
+# rows), so a quoted cell, a lone empty field or a cell type can first turn up in
+# a later chunk
+_CHUNKS = st.sampled_from([1, 2, 3, cli._CHUNK_ROWS])
+
+
 @settings(max_examples=300, deadline=None)
-@given(table=_tables())
-def test_column_writer_matches_the_row_path(table):
+@given(table=_tables(), chunk=_CHUNKS)
+def test_column_writer_matches_the_row_path(table, chunk):
     header, columns = table
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_CHUNK_ROWS", chunk):
         old, new = f"{tmp}/rows.csv", f"{tmp}/columns.csv"
         _write_rows(old, header, zip(*columns))
         cli._write_table(new, header, columns)
@@ -1052,10 +1095,10 @@ def _tables_with_key_rows(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(table=_tables_with_key_rows())
-def test_key_row_columns_match_joined_strings_on_the_row_path(table):
+@given(table=_tables_with_key_rows(), chunk=_CHUNKS)
+def test_key_row_columns_match_joined_strings_on_the_row_path(table, chunk):
     header, columns, joined = table
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_CHUNK_ROWS", chunk):
         old, new = f"{tmp}/rows.csv", f"{tmp}/columns.csv"
         _write_rows(old, header, zip(*joined))
         cli._write_table(new, header, columns)

@@ -2,6 +2,7 @@
 r-power comparison."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -174,6 +175,32 @@ def test_norm_triangle_inequality(dom, logx):
     n2 = osc.bmo_norm(b2).supremum
     nc = osc.bmo_norm(combo).supremum
     assert nc <= n1 + n2 + 1e-12
+
+
+def _traced_peak(fn):
+    """fn() and the peak bytes numpy and Python allocated while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_family_pass_working_set_stays_within_budget():
+    """The family pass holds the means pyramid (which the first family
+    overwrites), the further families, one deviation buffer and the
+    nu-mass pyramid, never all at once; budgets in family vectors."""
+    dom = LatticeDomain(d=2, m=7, L=1.0)
+    b = sample_symbol(dom, [{"kind": "log_abs"}])
+    setup = ExponentSetup(2.0, 4.0, 2)
+    nu = bloom_weight(make_weight(dom, {"kind": "power", "beta": 0.3}),
+                      make_weight(dom, {"kind": "logsmooth", "amplitude": 0.6}), setup)
+    nu_values = nu.values  # read before tracing: the pass's own arrays are measured
+    report, peak = _traced_peak(lambda: osc.bmo_norm(b, nu, setup.alpha))
+    assert peak <= 3.5 * report.values.nbytes
+    families, peak = _traced_peak(lambda: osc._oscillation_families(
+        b.values, nu_values, dom, setup.alpha, (1.0, 2.0)))
+    assert peak <= 4.5 * families[0].nbytes
 
 
 # -- profiles -----------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -106,7 +107,7 @@ class TestCharacteristic:
         w = make_weight(dom, {"kind": "logsmooth", "seed": 11})
         p = 2.0
         # [w]_{A_p} = apq(w^{1/p}, w^{1/p}, p, p)^p
-        root = Weight(dom, np.exp(w.log_values / p), w.log_values / p)
+        root = Weight(dom, w.log_values / p)
         sup = apq_characteristic(root, root, p, p).supremum ** p
         # classical A_2 form: <w> <w^{-1}> per cube
         best = 0.0
@@ -239,3 +240,33 @@ class TestWeightType:
         w = as_weight(SampledFunction(dom, rng.uniform(1.0, 2.0, dom.shape)))
         coarse = w.coarsen()
         assert np.allclose(coarse.values, w.values.reshape(-1, 2).mean(axis=1))
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "unit"}, {"kind": "power", "beta": -0.7},
+        {"kind": "logsmooth", "amplitude": 3.0, "modes": 5, "seed": 4},
+    ])
+    def test_values_are_exp_of_the_logs_on_first_read(self, spec):
+        dom = LatticeDomain(2, 5, 1.0)
+        w = make_weight(dom, spec)
+        assert "values" not in vars(w)
+        first = w.values
+        assert first.tobytes() == np.exp(w.log_values).tobytes()
+        assert w.values is first
+
+    def test_as_weight_keeps_the_values_it_was_given(self):
+        dom = LatticeDomain(1, 8, 1.0)
+        rng = np.random.default_rng(3)
+        f = SampledFunction(dom, rng.uniform(1e5, 1e6, dom.shape))
+        w = as_weight(f)
+        assert w.values.tobytes() == f.values.tobytes()
+        assert not np.array_equal(np.exp(w.log_values), f.values)  # exp(log(v)) drifts
+
+    @pytest.mark.parametrize("spec, tag", [
+        ({"kind": "power", "beta": 200.0}, "power[200]"),  # underflows to 0 near the origin
+        ({"kind": "power", "beta": -200.0}, "power[-200]"),  # overflows there
+        ({"kind": "power", "beta": math.nan}, "power[nan]"),
+    ])
+    def test_make_weight_refuses_values_outside_the_float_range(self, spec, tag):
+        dom = LatticeDomain(2, 7, 1.0)
+        with pytest.raises(ValueError, match=re.escape(f"weight {tag} leaves")):
+            make_weight(dom, spec)
