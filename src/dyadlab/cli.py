@@ -139,7 +139,8 @@ _TERMS = {
     "coordinate": {**_COEFFICIENT, "axis": (_integer, 0)},
     "abs_power": {**_COEFFICIENT, "exponent": (_number, 1.0)},
     "log_abs": _COEFFICIENT,
-    "bump": {**_COEFFICIENT, "center": (_numbers, [0.0]), "radius": (_number, 1.0)},
+    "bump": {**_COEFFICIENT, "center": (lambda v: v if v is None else _numbers(v), None),
+             "radius": (_number, 1.0)},  # center None: the origin
 }
 _SYMBOL = {"id": (_string, None), "terms": (_list(lambda term: term), None)}  # each term: _TERMS
 # each experiment's params table is in EXPERIMENTS, after the experiments
@@ -288,7 +289,7 @@ def _build_context(cfg: dict) -> RunContext:
         seen.add(sid)
         terms = [_read(t, _TERMS, f"symbols[{i}].terms[{j}]", tag="kind")
                  for j, t in enumerate(entry["terms"])]
-        symbols.append((sid, _made(f"bad symbol {sid!r}", sample_symbol, domain, terms)))
+        symbols.append((sid, _made(f"symbols[{i}] ({sid!r})", sample_symbol, domain, terms)))
     if "symbols" in needs and not symbols:
         raise ConfigError(f"experiment {experiment} needs at least one symbol")
 

@@ -52,13 +52,8 @@ class DyadicCube:
 
     def flat_cells(self) -> np.ndarray:
         """Flat cell indices, sorted."""
-        span = self.cell_span()
-        n = self.domain.n
-        if self.domain.d == 1:
-            return np.arange(span[0][0], span[0][1], dtype=np.int64)
-        rows = np.arange(span[0][0], span[0][1], dtype=np.int64)
-        cols = np.arange(span[1][0], span[1][1], dtype=np.int64)
-        return (rows[:, None] * n + cols[None, :]).reshape(-1)
+        ranges = np.ix_(*(np.arange(lo, hi, dtype=np.int64) for lo, hi in self.cell_span()))
+        return np.ravel_multi_index(ranges, self.domain.shape).reshape(-1)
 
     def contains_cube(self, other: "DyadicCube") -> bool:
         if self.domain != other.domain or other.generation < self.generation:
@@ -135,7 +130,7 @@ def _cube_distance_table(dom: LatticeDomain, generation: int) -> np.ndarray:
     ell = dom.width * 2.0**-generation
     lo = -dom.L + np.arange(2**generation) * ell
     dist = np.maximum(np.maximum(lo, -(lo + ell)), 0.0)
-    return dist if dom.d == 1 else np.sqrt(dist[:, None] ** 2 + dist[None, :] ** 2)
+    return np.sqrt(sum(x**2 for x in np.ix_(*(dist,) * dom.d)))
 
 
 def _split(arr: np.ndarray, generation: int, d: int) -> np.ndarray:
@@ -149,31 +144,39 @@ def _generation_mean(arr: np.ndarray, generation: int, d: int | None = None) -> 
     """Table of a block's means over its generation-j subcubes (d: all axes
     by default), reduced directly from the cells."""
     d = arr.ndim if d is None else d
-    return _split(arr, generation, d).mean(axis=-1 if d == 1 else (-3, -1))
+    return _split(arr, generation, d).mean(axis=tuple(range(1 - 2 * d, 0, 2)))
 
 
-def _generation_blocks(arr: np.ndarray, generation: int, d: int) -> np.ndarray:
+def _generation_blocks(arr: np.ndarray, generation: int, d: int,
+                       index: np.ndarray | None = None) -> np.ndarray:
     """Row [index] lists the cells of a block's subcube (j, index) in
     flat_cells order: a last-axis sum is bitwise a per-cube sum over
-    flat_cells (unlike _generation_mean, whose order is canonical)."""
-    grid = _split(arr, generation, d)
-    if d == 1:
-        return grid
-    return grid.swapaxes(-3, -2).reshape(grid.shape[:-4] + (2**generation,) * 2 + (-1,))
+    flat_cells (unlike _generation_mean, whose order is canonical).
+    Given `index` (the index columns of key rows), it returns only those
+    cubes' rows, in that order, gathered before the reshape (which copies
+    the whole block at d > 1)."""
+    lead = arr.ndim - d  # batch axes, then the split view's cube axes, then its cell axes
+    axes = (*range(lead), *range(lead, lead + 2 * d, 2), *range(lead + 1, lead + 2 * d, 2))
+    grid = _split(arr, generation, d).transpose(axes)
+    if index is not None:
+        grid = grid[(..., *index.T) + (slice(None),) * d]
+    return grid.reshape(grid.shape[: grid.ndim - d] + (-1,))
 
 
 def _block_sums(arr: np.ndarray, generation: int, d: int) -> np.ndarray:
     """Table of a block's sums over its generation-j subcubes: large cubes
-    reshape-sum their contiguous cell axis, small ones halve (each cube the
+    reshape-sum their contiguous cell axes, small ones halve (each cube the
     strided sum of its 2^d children); at the cells, the block itself."""
     cells = arr.shape[-1] >> generation
     if cells >= 32:  # the faster of the two from here up (measured at d = 2, m = 9)
-        sums = _split(arr, generation, d).sum(axis=-1)
-        return sums if d == 1 else sums.sum(axis=-2)
+        sums = _split(arr, generation, d)
+        for axis in range(-1, -d - 1, -1):
+            sums = sums.sum(axis=axis)
+        return sums
     for _ in range(cells.bit_length() - 1):
-        arr = arr[..., 0::2] + arr[..., 1::2]
-        if d == 2:
-            arr = arr[..., 0::2, :] + arr[..., 1::2, :]
+        for tail in range(d):
+            rest = (slice(None),) * tail
+            arr = arr[(..., slice(0, None, 2), *rest)] + arr[(..., slice(1, None, 2), *rest)]
     return arr
 
 

@@ -70,8 +70,7 @@ class LatticeDomain:
 
     def axis_grids(self) -> tuple[np.ndarray, ...]:
         """Midpoint coordinates, one array per axis, that broadcast to `shape`."""
-        mids = self.axis_midpoints()
-        return (mids,) if self.d == 1 else (mids[:, None], mids[None, :])
+        return np.ix_(*(self.axis_midpoints(),) * self.d)
 
     def midpoints(self) -> tuple[np.ndarray, ...]:
         """Midpoint coordinate arrays, one per axis, each of shape `shape`."""
@@ -114,7 +113,7 @@ class SymbolTerm:
     coefficient: complex = 1.0 + 0.0j
     exponent: float = 1.0
     axis: int = 0
-    center: tuple[float, ...] = (0.0,)
+    center: tuple[float, ...] | None = None  # None: the origin
     radius: float = 1.0
 
     def __post_init__(self):
@@ -160,7 +159,9 @@ def _eval_term(domain: LatticeDomain, term: SymbolTerm) -> np.ndarray:
     if term.kind == "log_abs":
         return np.log(r)
     # bump: C-infinity, == 1 at the center, supported on |x - c| < radius
-    center = term.center if len(term.center) == domain.d else term.center + (0.0,) * (domain.d - len(term.center))
+    center = (0.0,) * domain.d if term.center is None else term.center
+    if len(center) != domain.d:
+        raise ValueError(f"bump center needs d = {domain.d} entries, got {len(center)}")
     s2 = sum((x - c) ** 2 for x, c in zip(axes, center)) / term.radius**2
     out = np.zeros(domain.shape)
     inside = s2 < 1.0

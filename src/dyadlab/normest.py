@@ -418,10 +418,11 @@ def _probe_cube_for(b: SampledFunction, generation: int = 3):
     """Canonical cube maximizing mean oscillation among those whose partner fits.
 
     The oscillations <|b - <b>_Q|>_Q of one generation come as a table
-    over dyadic._generation_blocks, so every entry is summed in the same
-    order as a per-cube reduction over flat_cells.  Mirror cubes of a
-    symmetric symbol can differ in the last bits; the first maximum in
-    np.ndindex order wins.
+    of dyadic._generation_blocks rows (the resolver the stopping families
+    gather through), so every entry is summed in the same order as a
+    per-cube reduction over flat_cells.  Mirror cubes of a symmetric
+    symbol can differ in the last bits; the first maximum in np.ndindex
+    order wins.
     """
     dom = b.domain
     if not 0 <= generation <= dom.m:

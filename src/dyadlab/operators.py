@@ -253,10 +253,10 @@ class Convolution(Operator):
     what keeps the wrapped stencil off the n kept outputs, so the cropped
     circular convolution of the zero-padded input is the lattice sum
     exactly: one FFT pair per call, the adjoint through the conjugate
-    spectrum (the stencil is real).  At d = 2 the transforms skip the
-    zero rows: the last-axis rfft runs on the n input rows, and the
-    inverse irfft only on the n output rows.  Complex inputs go through
-    as their real and imaginary parts in the same batch.
+    spectrum (the stencil is real).  The transforms skip zero rows on every
+    axis but the last: the last-axis rfft runs on the n input rows, and
+    each other axis keeps its n output rows after its inverse.  Complex
+    inputs go through as their real and imaginary parts in the same batch.
 
     window: None, or a callable on distances such as annulus(r, s).
     """
@@ -313,14 +313,14 @@ class Convolution(Operator):
         if np.iscomplexobj(x):
             parts = self._convolve(np.stack([x.real, x.imag]), spectrum, side)
             return parts[0] + 1j * parts[1]
-        n = self.domain.n
-        grid = x.reshape(x.shape[:-1] + self.domain.shape)
-        if self.domain.d == 1:
-            out = np.fft.irfft(np.fft.rfft(grid, side) * spectrum, side)
-        else:
-            freq = np.fft.fft(np.fft.rfft(grid, side), side, axis=-2) * spectrum
-            out = np.fft.irfft(np.fft.ifft(freq, axis=-2)[..., :n, :], side)
-        return out[..., :n].reshape(x.shape)
+        n, d = self.domain.n, self.domain.d
+        freq = np.fft.rfft(x.reshape(x.shape[:-1] + self.domain.shape), side)
+        for axis in range(-2, -d - 1, -1):
+            freq = np.fft.fft(freq, side, axis=axis)
+        freq = freq * spectrum
+        for axis in range(-d, -1):  # each inverse keeps the n output rows of its axis
+            freq = np.fft.ifft(freq, axis=axis)[(..., slice(0, n)) + (slice(None),) * (-1 - axis)]
+        return np.fft.irfft(freq, side)[..., :n].reshape(x.shape)
 
     def block(self, rows, cols) -> np.ndarray:
         """Entries T[rows[i], cols[j]], read off the stencil."""

@@ -431,8 +431,8 @@ def jn_verify(
     total = 0.0
     for j, count in family._counts:  # osc_1 of the family's generation-j cubes
         index = np.argwhere(count)
-        rows = sparse._gather_blocks(b.values, j, index)
-        w_mass = sparse._gather_blocks(w.values, j, index).sum(axis=1) * dom.cell_volume
+        rows = dyadic._generation_blocks(b.values, j, dom.d, index)
+        w_mass = dyadic._generation_blocks(w.values, j, dom.d, index).sum(axis=1) * dom.cell_volume
         dev = np.abs(rows - rows.mean(axis=1, keepdims=True)).sum(axis=1) * dom.cell_volume
         osc1 = w_mass ** (-alpha / dom.d) * (dev / w_mass)
         total += float(np.sum(count[tuple(index.T)] * osc1**r * w_mass**exponent))

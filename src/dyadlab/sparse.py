@@ -15,7 +15,8 @@ off dyadic._generation_blocks.  The stopping cubes over a cell are
 nested and were selected coarse to fine, so each cell sums its entries
 in selection order, as an entry loop does.  The checks
 (augmentation_ratio, oscillation.jn_verify) read the family's own cubes
-only (_gather_blocks), times the same count tables.
+only (dyadic._generation_blocks given their key rows), times the same
+count tables.
 
 cz_augment runs the stopping-time recursion for a symbol b: from an
 active cube Q with base = <|b - <b>_Q|>_Q, the children-maximal subcubes
@@ -32,12 +33,13 @@ w + 1 ordered by parent position in wave w, then generation offset k,
 then raveled index; the entries are the waves concatenated in that
 order.  Each wave is handled as one batch per generation present, as
 int key rows, with no DyadicCube built: a batch gathers only its own
-cubes' cells from a view of b, and computes their flat cell ids from the
-cube corners; one stable argsort on the owner puts every kept cell in
-entry order.  A wave's cubes are pairwise disjoint (maximal selected
-cubes inside pairwise disjoint parents), so each per-cell temporary of a
-wave (gathered values, |b - <b>_Q|, cell ids) spans at most the domain
-once, and a batch's work is proportional to its cubes' cells.
+cubes' rows, of b and of the flat cell ids, through
+dyadic._generation_blocks; one stable argsort on the owner puts every
+kept cell in entry order.  A wave's cubes are pairwise disjoint (maximal
+selected cubes inside pairwise disjoint parents), so each per-cell
+temporary of a wave (gathered values, |b - <b>_Q|, cell ids) spans at
+most the domain once, and a batch's work is proportional to its cubes'
+cells.
 
 The pointwise domination constant.  For a cell x in Q0 let
 Q0 = Q^0 ) Q^1 ) ... ) Q^K be the stopping cubes containing x.  Any
@@ -126,7 +128,7 @@ def is_sparse(family: SparseFamily, gamma: float = 0.5) -> SparseVerdict:
     shift = dom.m - family.entries[:, 0]
     cell_shift = shift[owner]
     escapes = np.zeros(cells.size, dtype=bool)
-    for axis, coord in enumerate((cells // dom.n, cells % dom.n) if dom.d == 2 else (cells,)):
+    for axis, coord in enumerate(np.unravel_index(cells, dom.shape)):
         escapes |= coord >> cell_shift != family.entries[owner, 1 + axis]
     leaves = np.bincount(owner[escapes], minlength=size) > 0
     thin = sizes <= gamma * 2 ** (dom.d * shift)  # strict, in integer cell counts
@@ -157,7 +159,7 @@ def cz_augment(b: SampledFunction, root: dyadic.DyadicCube) -> SparseFamily:
         raise ValueError("domain mismatch")
     dom = b.domain
     m, d = dom.m, dom.d
-    strides = dom.n ** np.arange(d - 1, -1, -1)  # flat cell = coordinates @ strides
+    cell_ids = np.arange(b.values.size).reshape(dom.shape)
     gens = np.array([root.generation], dtype=np.int64)
     index = np.array([root.index], dtype=np.int64)
     keys, kept, owner = [], [], []
@@ -167,7 +169,7 @@ def cz_augment(b: SampledFunction, root: dyadic.DyadicCube) -> SparseFamily:
         for j in np.flatnonzero(np.bincount(gens)).tolist():
             pos = np.flatnonzero(gens == j)
             side = 2 ** (m - j)  # cells per axis of a generation-j cube
-            flat = _gather_blocks(b.values, j, index[pos])
+            flat = _generation_blocks(b.values, j, d, index[pos])
             dev = np.abs(flat - flat.mean(axis=1, keepdims=True))
             base = dev.mean(axis=1)
             dev = dev.reshape((pos.size,) + (side,) * d)
@@ -184,10 +186,8 @@ def cz_augment(b: SampledFunction, root: dyadic.DyadicCube) -> SparseFamily:
                 child_gens.append(np.full(row.size, j + k, dtype=np.int64))
                 child_index.append(index[pos[row]] * 2**k + np.stack(offset, axis=1))
                 covered |= hit
-            local = sum(np.ix_(*(np.arange(side) * s for s in strides))).reshape(-1)
-            corner = index[pos] * side @ strides
             row, cell = np.nonzero(~covered.reshape(pos.size, -1))
-            kept.append(corner[row] + local[cell])
+            kept.append(_generation_blocks(cell_ids, j, d, index[pos])[row, cell])
             owner.append(start + pos[row])
         keys.append(np.column_stack([gens, index]))
         start += gens.size
@@ -202,17 +202,6 @@ def cz_augment(b: SampledFunction, root: dyadic.DyadicCube) -> SparseFamily:
     offsets = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=start))))
     cells = np.concatenate(kept)[np.argsort(owner, kind="stable")]
     return SparseFamily(dom, np.concatenate(keys), cells, offsets)
-
-
-def _gather_blocks(values: np.ndarray, generation: int, index: np.ndarray) -> np.ndarray:
-    """Each generation-j cube of `index` (a column per axis) as a row of
-    its cell values in flat_cells order, gathered from a view: reshaping
-    the swapped view itself would copy the whole domain at d = 2."""
-    side = values.shape[-1] >> generation
-    blocks = values.reshape((2**generation, side) * values.ndim)
-    if values.ndim == 2:
-        blocks = blocks.swapaxes(1, 2)
-    return blocks[tuple(index.T)].reshape(len(index), -1)
 
 
 def augmentation_ratio(
@@ -232,7 +221,7 @@ def augmentation_ratio(
     denom = np.zeros(dom.shape)
     for j, count in family._counts:
         index = np.argwhere(count)
-        flat = _gather_blocks(b.values, j, index)
+        flat = _generation_blocks(b.values, j, dom.d, index)
         table = count.astype(float)  # 0.0 off the family: adding it is exact
         table[tuple(index.T)] *= np.abs(flat - flat.mean(axis=1, keepdims=True)).mean(axis=1)
         cells = _split(denom, j, dom.d)

@@ -170,6 +170,9 @@ def make_weight(domain: LatticeDomain, spec: dict) -> Weight:
             raise ValueError(f"logsmooth modes must be in [0, 2^m] = [0, {domain.n}] "
                              f"at m = {domain.m}, got {modes}")
         seed = spec.get("seed", 0)
+        tag = f"logsmooth[{seed}]"
+        if not math.isfinite(2.0 * amplitude):  # the width of the uniform draws below
+            raise ValueError(f"weight {tag} amplitude {amplitude!r}: 2 * amplitude is not finite")
         rng = np.random.default_rng(seed)
         logw = np.zeros(domain.shape)
         for k in range(1, modes + 1):
@@ -181,7 +184,6 @@ def make_weight(domain: LatticeDomain, spec: dict) -> Weight:
                 theta = rng.uniform(0.0, 2.0 * np.pi)
                 proj = axes[0] * np.cos(theta) + axes[1] * np.sin(theta)
             logw = logw + a * np.cos(np.pi * k * proj / domain.L + phase)
-        tag = f"logsmooth[{seed}]"
     # exp is monotone, so the two ends bound every value (a NaN log reaches
     # both through min and max); values are computed on first read
     with np.errstate(over="ignore"):  # the check below names the weight

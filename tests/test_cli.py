@@ -118,6 +118,22 @@ def test_overflowing_weight_spec_exits_2(tmp_path, capsys, experiment):
     assert "bad weight spec" in capsys.readouterr().err
 
 
+def test_logsmooth_amplitude_past_the_draw_range_exits_2(tmp_path, capsys):
+    cfg = {"experiment": "weights-check", "domain": {"d": 1, "m": 4},
+           "weights": {"mu": {"kind": "logsmooth", "amplitude": 1e308}}}
+    assert cli.run(cfg, out_dir=tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "bad weight spec weights.mu" in err and "logsmooth[0]" in err
+
+
+@pytest.mark.parametrize("center", [[0.1, 0.2, 0.3], [0.1]])
+def test_bump_center_of_another_length_than_d_exits_2(tmp_path, capsys, center):
+    cfg = {"experiment": "bmo-compute", "domain": {"d": 2, "m": 4},
+           "symbols": [{"id": "b", "terms": [{"kind": "bump", "center": center}]}]}
+    assert cli.run(cfg, out_dir=tmp_path / "out") == 2
+    assert "symbols[0]" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("experiment", ["weights-check", "bmo-compute"])
 def test_underflowing_weight_spec_exits_2(tmp_path, capsys, experiment):
     # |x|^200 is below the smallest double near the origin at d = 2, m = 7

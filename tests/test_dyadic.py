@@ -203,3 +203,33 @@ def test_pyramid_matches_generation_means(d, m, lead, kind, seed):
         np.testing.assert_array_equal(mean, level / cells)  # an exact scale
     for row in itertools.product(*map(range, lead)):
         np.testing.assert_array_equal(sums[row], dyadic._pyramid(arr[row], d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from((1, 2)),
+    m=st.integers(2, 6),
+    data=st.data(),
+    lead=st.sampled_from(((), (3,))),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_generation_blocks_rows_are_the_cubes_flat_cells(d, m, data, lead, seed):
+    dom = LatticeDomain(d, m, 1.0)
+    j = data.draw(st.integers(0, m))
+    rng = np.random.default_rng(seed)
+    arr = rng.standard_normal(lead + dom.shape)
+    index = rng.integers(0, 2**j, size=(data.draw(st.integers(1, 5)), d))
+    table = dyadic._generation_blocks(arr, j, d)
+    rows = dyadic._generation_blocks(arr, j, d, index)
+    assert table.shape == lead + (2**j,) * d + (2 ** (d * (m - j)),)
+    assert rows.shape == lead + (len(index), 2 ** (d * (m - j)))
+    flat = arr.reshape(lead + (-1,))
+    for i, key in enumerate(index):
+        cube = dyadic.cube(dom, j, key)
+        cells = cube.flat_cells()
+        mask = np.zeros(dom.shape, dtype=bool)
+        mask[tuple(slice(lo, hi) for lo, hi in cube.cell_span())] = True
+        np.testing.assert_array_equal(cells, np.flatnonzero(mask))
+        want = flat[..., cells]
+        assert table[(..., *key, slice(None))].tobytes() == want.tobytes()
+        assert rows[..., i, :].tobytes() == want.tobytes()

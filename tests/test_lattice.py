@@ -53,6 +53,15 @@ class TestSymbols:
         assert np.all(b.values[outside] == 0.0)
         assert b.values.max() == pytest.approx(1.0, abs=1e-3)
 
+    def test_bump_center_has_exactly_d_entries(self):
+        dom = LatticeDomain(2, 4, 1.0)
+        origin = sample_symbol(dom, {"kind": "bump", "radius": 0.5})
+        explicit = sample_symbol(dom, {"kind": "bump", "center": [0.0, 0.0], "radius": 0.5})
+        assert origin.values.tobytes() == explicit.values.tobytes()
+        for center in ([0.1], (0.1,), [0.1, 0.2, 0.3], []):
+            with pytest.raises(ValueError, match="bump center needs d = 2 entries"):
+                sample_symbol(dom, {"kind": "bump", "center": center, "radius": 0.5})
+
     def test_complex_combination(self):
         dom = LatticeDomain(1, 5, 1.0)
         spec = [

@@ -185,17 +185,22 @@ def test_chi_one_residual_circulant_shrinks_with_eps():
     assert sides == [1280, 1152, 1125, 1080, 1080]
 
 
-@pytest.mark.parametrize("side", [8, 9, 12, 15, 16, 20])
-def test_pruned_2d_transforms_match_the_full_pair_bitwise(side):
-    dom = LatticeDomain(d=2, m=3, L=1.0)
-    conv = ops.Convolution(ops.make_kernel("riesz", {"j": 1}), dom)
+_SIDES = [8, 9, 12, 15, 16, 20]
+
+
+@pytest.mark.parametrize("d, side", [(2, side) for side in _SIDES] + [(1, side) for side in _SIDES],
+                         ids=[str(side) for side in _SIDES] + [f"d1-{side}" for side in _SIDES])
+def test_pruned_2d_transforms_match_the_full_pair_bitwise(d, side):
+    dom = LatticeDomain(d=d, m=3, L=1.0)
+    kernel = ops.make_kernel("hilbert") if d == 1 else ops.make_kernel("riesz", {"j": 1})
+    conv = ops.Convolution(kernel, dom)
     rng = np.random.default_rng(side)
-    spectrum = rng.standard_normal((side, side // 2 + 1)) + 1j * rng.standard_normal(
-        (side, side // 2 + 1))
-    x = rng.standard_normal((3, dom.n**2))
-    s, axes = (side, side), (-2, -1)
-    full = np.fft.irfftn(np.fft.rfftn(x.reshape(3, dom.n, dom.n), s=s, axes=axes) * spectrum,
-                         s=s, axes=axes)[:, :dom.n, :dom.n]
+    freq = (side,) * (d - 1) + (side // 2 + 1,)
+    spectrum = rng.standard_normal(freq) + 1j * rng.standard_normal(freq)
+    x = rng.standard_normal((3, dom.n**d))
+    s, axes = (side,) * d, tuple(range(-d, 0))
+    full = np.fft.irfftn(np.fft.rfftn(x.reshape((3,) + dom.shape), s=s, axes=axes) * spectrum,
+                         s=s, axes=axes)[(slice(None),) + (slice(0, dom.n),) * d]
     np.testing.assert_array_equal(conv._convolve(x, spectrum, side), full.reshape(3, -1))
 
 

@@ -546,7 +546,7 @@ def _symbol(draw, dom):
         if kind == "abs_power":
             term["exponent"] = draw(st.floats(0.1, 1.0))
         if kind == "bump":
-            term["center"] = (draw(st.floats(-0.5, 0.5)),)
+            term["center"] = (draw(st.floats(-0.5, 0.5)),) + (0.0,) * (dom.d - 1)
             term["radius"] = draw(st.floats(0.2, 0.8))
         if complex_symbol:
             term["coefficient"] = complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))

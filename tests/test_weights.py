@@ -270,3 +270,9 @@ class TestWeightType:
         dom = LatticeDomain(2, 7, 1.0)
         with pytest.raises(ValueError, match=re.escape(f"weight {tag} leaves")):
             make_weight(dom, spec)
+
+    @pytest.mark.parametrize("amplitude", [1e308, -1e308, math.inf])
+    def test_logsmooth_amplitude_whose_draw_width_overflows_is_refused(self, amplitude):
+        dom = LatticeDomain(1, 4, 1.0)
+        with pytest.raises(ValueError, match=re.escape("weight logsmooth[2] amplitude")):
+            make_weight(dom, {"kind": "logsmooth", "amplitude": amplitude, "seed": 2})
