@@ -12,19 +12,21 @@ value per canonical cube, position i belonging to row i of
 canonical_keys ((generation, index) order).  family_cube maps a position to
 its cube by arithmetic, so a report builds no key rows unless its
 `cubes` are read.  Stopping-time families (sparse.SparseFamily) name
-their cubes by key rows (generation, index...); a DyadicCube is built
-from a single row (key_cube) where one is needed.
+their cubes by key rows (generation, index...), in key order too; a
+DyadicCube is built from a single row (key_cube) where one is needed.
 
 Table helpers act on a square cell block, the trailing d axes of an
 array (the domain, or one cube's cells); leading axes are a batch, each
-row bitwise its own call.  Every whole-family table comes from one
-pyramid: each generation's sums, built up from the cells (a cube adds its
-2^d children), coarse to fine in one family vector (canonical_keys order).
+row bitwise its own call.  Every whole-family table, and every subcube
+table of a batch of stopping cubes, comes from one pyramid: each
+generation's sums, built up from the cells (a cube adds its 2^d
+children), coarse to fine in one family vector (canonical_keys order).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,8 +131,11 @@ def _cube_distance_table(dom: LatticeDomain, generation: int) -> np.ndarray:
     entry [index] belongs to cube (j, index)."""
     ell = dom.width * 2.0**-generation
     lo = -dom.L + np.arange(2**generation) * ell
-    dist = np.maximum(np.maximum(lo, -(lo + ell)), 0.0)
-    return np.sqrt(sum(x**2 for x in np.ix_(*(dist,) * dom.d)))
+    # A power of two near 1 / ell (capped for a subnormal ell): scaling by
+    # it is exact, and the squares stay in range.
+    scale = math.ldexp(1.0, min(-math.frexp(ell)[1], 1023))
+    dist = np.maximum(np.maximum(lo, -(lo + ell)), 0.0) * scale
+    return np.sqrt(sum(x**2 for x in np.ix_(*(dist,) * dom.d))) / scale
 
 
 def _split(arr: np.ndarray, generation: int, d: int) -> np.ndarray:
@@ -140,18 +145,11 @@ def _split(arr: np.ndarray, generation: int, d: int) -> np.ndarray:
     return arr.reshape(arr.shape[: arr.ndim - d] + (g, arr.shape[-1] // g) * d)
 
 
-def _generation_mean(arr: np.ndarray, generation: int, d: int | None = None) -> np.ndarray:
-    """Table of a block's means over its generation-j subcubes (d: all axes
-    by default), reduced directly from the cells."""
-    d = arr.ndim if d is None else d
-    return _split(arr, generation, d).mean(axis=tuple(range(1 - 2 * d, 0, 2)))
-
-
 def _generation_blocks(arr: np.ndarray, generation: int, d: int,
                        index: np.ndarray | None = None) -> np.ndarray:
     """Row [index] lists the cells of a block's subcube (j, index) in
     flat_cells order: a last-axis sum is bitwise a per-cube sum over
-    flat_cells (unlike _generation_mean, whose order is canonical).
+    flat_cells.
     Given `index` (the index columns of key rows), it returns only those
     cubes' rows, in that order, gathered before the reshape (which copies
     the whole block at d > 1)."""

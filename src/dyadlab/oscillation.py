@@ -50,6 +50,7 @@ import numpy as np
 from dyadlab import dyadic, sparse
 from dyadlab.dyadic import _cube_distance_table, _split
 from dyadlab.lattice import LatticeDomain, SampledFunction
+from dyadlab.operators import NumericalError
 from dyadlab.weights import ExponentSetup, Weight
 
 _GEN_FLOOR_CELLS = 4  # profile curves stop at cubes of side 4h
@@ -415,7 +416,9 @@ def jn_verify(
         ( w(Q0)^{-(1+alpha*r/d)} * sum_S osc_1(b;Q)^r w(Q)^{1+alpha*r/d} )^{1/r}.
 
     The sum reads the family's own cubes a generation at a time, as rows
-    of cell values, not one oscillation() call per cube.
+    of cell values, not one oscillation() call per cube.  A mass power
+    w(Q)^{1+alpha*r/d} (the root's among them) or a bound that leaves the
+    floating-point range raises NumericalError naming it.
     """
     dom = b.domain
     p_prime = p / (p - 1.0)
@@ -435,10 +438,18 @@ def jn_verify(
         w_mass = dyadic._generation_blocks(w.values, j, dom.d, index).sum(axis=1) * dom.cell_volume
         dev = np.abs(rows - rows.mean(axis=1, keepdims=True)).sum(axis=1) * dom.cell_volume
         osc1 = w_mass ** (-alpha / dom.d) * (dev / w_mass)
-        total += float(np.sum(count[tuple(index.T)] * osc1**r * w_mass**exponent))
+        with np.errstate(over="ignore", under="ignore"):
+            mass_power = w_mass**exponent
+        if not np.all(np.isfinite(mass_power) & (mass_power > 0.0)):
+            raise NumericalError(f"mass power w(Q)^{exponent:g} of a generation-{j} family cube "
+                                 "leaves the floating-point range")
+        total += float(np.sum(count[tuple(index.T)] * osc1**r * mass_power))
     root_cells = root.flat_cells()
     w_root = float(w.values.reshape(-1)[root_cells].sum()) * dom.cell_volume
-    sparse_bound = (total / w_root**exponent) ** (1.0 / r)
+    sparse_bound = (total / w_root**exponent) ** (1.0 / r)  # the root is a family cube
+    if not math.isfinite(sparse_bound):
+        raise NumericalError(f"family sum {total:g} over w(Q0)^{exponent:g} "
+                             "leaves the floating-point range")
     root_r = oscillation(b, root_cells, nu=w, alpha=alpha, r=r)
     # degenerate symbols: 0 <= C * 0 holds, report neutral ratios
     if one_norm > 0.0:

@@ -1,19 +1,19 @@
 """Sparse cube families and sparse model operators.
 
 A family holds `entries`, key rows (generation, index...) of cubes Q_i
-in selection order (as in dyadic.canonical_keys), and its cores in
-compressed sparse row form: E_i, a subset of Q_i, is the sorted flat
-cells cells[offsets[i]:offsets[i + 1]].  Gamma-sparsity means the E's
-are pairwise disjoint and each keeps strictly more than a gamma
-fraction of its cube, in integer cell counts.
+in key order ((generation, index) order, as in dyadic.canonical_keys),
+and its cores in compressed sparse row form: E_i, a subset of Q_i, is
+the sorted flat cells cells[offsets[i]:offsets[i + 1]].  Gamma-sparsity
+means the E's are pairwise disjoint and each keeps strictly more than a
+gamma fraction of its cube, in integer cell counts.
 
 The sparse star operator of a symbol b over a family is one Operator,
 SparseStar, an apply/adjoint pair like the kernel operators, so the
 norm solvers take it as they take a commutator.  It adds, coarse to
 fine, a count table of the family's generation-j cubes times cube means
 off dyadic._generation_blocks.  The stopping cubes over a cell are
-nested and were selected coarse to fine, so each cell sums its entries
-in selection order, as an entry loop does.  The checks
+nested, and key order lists them coarse to fine, so each cell sums its
+entries in key order, as an entry loop does.  The checks
 (augmentation_ratio, oscillation.jn_verify) read the family's own cubes
 only (dyadic._generation_blocks given their key rows), times the same
 count tables.
@@ -25,20 +25,19 @@ E_Q keeps the rest of Q.  Chebyshev gives sum |P| <= |Q| / LAMBDA, so
 LAMBDA = 2 makes the output 1/2-sparse (strictly: selection uses a
 strict threshold, and constant-on-Q symbols select nothing at all).
 
-The recursion runs in breadth-first waves: wave 0 is the root, and wave
-w + 1 holds the cubes selected below the cubes of wave w.  A FIFO queue
-that pops a cube and appends its selected cubes in (generation, index)
-order pops all of wave w before any of wave w + 1, and it appends wave
-w + 1 ordered by parent position in wave w, then generation offset k,
-then raveled index; the entries are the waves concatenated in that
-order.  Each wave is handled as one batch per generation present, as
-int key rows, with no DyadicCube built: a batch gathers only its own
-cubes' rows, of b and of the flat cell ids, through
-dyadic._generation_blocks; one stable argsort on the owner puts every
-kept cell in entry order.  A wave's cubes are pairwise disjoint (maximal
-selected cubes inside pairwise disjoint parents), so each per-cell
-temporary of a wave (gathered values, |b - <b>_Q|, cell ids) spans at
-most the domain once, and a batch's work is proportional to its cubes'
+The recursion runs as one pass over the generations, coarse to fine.
+Only a coarser stopping cube selects a cube, so when the pass reaches
+generation j all of that generation's stopping cubes are known.  Each
+is selected once, by its nearest coarser stopping cube, so they are
+distinct cubes of one generation, hence pairwise disjoint, and one
+lexsort puts them in key order.  They form one batch, as int key rows,
+with no DyadicCube built: the batch gathers only its own cubes' rows,
+of b and of the flat cell ids, through dyadic._generation_blocks, and
+reads every subcube sum of |b - <b>_Q| off one dyadic._pyramid.  Its
+hits join the stopping cubes of their own (finer) generations, and its
+cores come out in entry order.  Each per-cell temporary of a batch
+(gathered values, |b - <b>_Q|, its pyramid, cell ids) spans at most
+twice the domain, and a batch's work is proportional to its cubes'
 cells.
 
 The pointwise domination constant.  For a cell x in Q0 let
@@ -69,7 +68,7 @@ from functools import cached_property
 import numpy as np
 
 from dyadlab import dyadic
-from dyadlab.dyadic import _generation_blocks, _generation_mean, _split
+from dyadlab.dyadic import _generation_blocks, _levels, _pyramid, _split
 from dyadlab.lattice import LatticeDomain, SampledFunction
 from dyadlab.operators import Operator
 from dyadlab.weights import Weight
@@ -103,7 +102,7 @@ class SparseFamily:
         return tables
 
     def cubes(self) -> list:
-        """The entries' cubes as DyadicCube objects, in selection order."""
+        """The entries' cubes as DyadicCube objects, in key order."""
         return [dyadic.key_cube(self.domain, key) for key in self.entries]
 
 
@@ -147,61 +146,50 @@ def is_sparse(family: SparseFamily, gamma: float = 0.5) -> SparseVerdict:
 def cz_augment(b: SampledFunction, root: dyadic.DyadicCube) -> SparseFamily:
     """Stopping-time family for b below root; 1/2-sparse by construction.
 
-    Runs one wave at a time (module docstring): each generation present
-    in a wave gathers its cubes' cell blocks into one batch, takes each
-    row's mean, |b - <b>_Q| and base, and reads the subcube means of
-    |b - <b>_Q| off batched generation tables, coarse to fine.  A subcube
-    is selected when its mean exceeds LAMBDA * base and no selected cube
-    lies above it; E_Q keeps the cells under no selected cube.  The
-    entries come out in the order of a FIFO queue fed in (generation,
-    index) order from each stopping cube."""
+    Runs one generation at a time, coarse to fine (module docstring): the
+    generation's stopping cubes, in key order, gather their cell blocks
+    into one batch, take each row's mean, |b - <b>_Q| and base, and read
+    every subcube sum of |b - <b>_Q| off one pyramid.  A subcube P is
+    selected when its mean, the sum times 2^-d(m - gen(P)), exceeds
+    LAMBDA * base, its cube is active and no selected cube lies above
+    it; E_Q keeps the cells under no selected cube.  The scale is a power
+    of two, so the mean rounds as a division by the cell count does, even
+    for subnormal sums.  The entries come out in key order."""
     if root.domain != b.domain:
         raise ValueError("domain mismatch")
     dom = b.domain
     m, d = dom.m, dom.d
     cell_ids = np.arange(b.values.size).reshape(dom.shape)
-    gens = np.array([root.generation], dtype=np.int64)
-    index = np.array([root.index], dtype=np.int64)
-    keys, kept, owner = [], [], []
-    start = 0  # entry position of the wave's first cube
-    while gens.size:
-        parents, child_gens, child_index = [], [], []
-        for j in np.flatnonzero(np.bincount(gens)).tolist():
-            pos = np.flatnonzero(gens == j)
-            side = 2 ** (m - j)  # cells per axis of a generation-j cube
-            flat = _generation_blocks(b.values, j, d, index[pos])
-            dev = np.abs(flat - flat.mean(axis=1, keepdims=True))
-            base = dev.mean(axis=1)
-            dev = dev.reshape((pos.size,) + (side,) * d)
-            row_shape = (pos.size,) + (1,) * d
-            active = (base > 0.0).reshape(row_shape)
-            bound = (LAMBDA * base).reshape(row_shape)
-            covered = np.zeros(row_shape, dtype=bool)  # subcubes under a selected cube
-            for k in range(1, m - j + 1):
-                for ax in range(1, d + 1):
-                    covered = covered.repeat(2, axis=ax)
-                hit = (_generation_mean(dev, k, d) > bound) & active & ~covered
-                row, *offset = np.nonzero(hit)
-                parents.append(pos[row])
-                child_gens.append(np.full(row.size, j + k, dtype=np.int64))
-                child_index.append(index[pos[row]] * 2**k + np.stack(offset, axis=1))
-                covered |= hit
-            row, cell = np.nonzero(~covered.reshape(pos.size, -1))
-            kept.append(_generation_blocks(cell_ids, j, d, index[pos])[row, cell])
-            owner.append(start + pos[row])
-        keys.append(np.column_stack([gens, index]))
-        start += gens.size
-        if not parents:  # every cube of the wave is a single cell
-            break
-        # Queue order of the next wave: by parent, then k, then raveled
-        # index, which is each parent's hit order above.
-        order = np.argsort(np.concatenate(parents), kind="stable")
-        gens = np.concatenate(child_gens)[order]
-        index = np.concatenate(child_index)[order]
-    owner = np.concatenate(owner)
-    offsets = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=start))))
-    cells = np.concatenate(kept)[np.argsort(owner, kind="stable")]
-    return SparseFamily(dom, np.concatenate(keys), cells, offsets)
+    stops = [[np.empty((0, d), dtype=np.int64)] for _ in range(m + 1)]  # index rows by generation
+    stops[root.generation].append(np.array([root.index], dtype=np.int64))
+    keys, kept, sizes = [], [], []
+    for j in range(root.generation, m + 1):
+        index = np.concatenate(stops[j])
+        if not index.size:
+            continue
+        index = index[np.lexsort(index.T[::-1])]  # key order; all known, pairwise disjoint
+        count, side = len(index), 2 ** (m - j)  # cubes, cells per axis of each
+        flat = _generation_blocks(b.values, j, d, index)
+        dev = np.abs(flat - flat.mean(axis=1, keepdims=True))
+        base = dev.mean(axis=1)
+        sums = _levels(_pyramid(dev.reshape((count,) + (side,) * d), d), d)
+        row_shape = (count,) + (1,) * d
+        active = (base > 0.0).reshape(row_shape)
+        bound = (LAMBDA * base).reshape(row_shape)
+        covered = np.zeros(row_shape, dtype=bool)  # subcubes under a selected cube
+        for k in range(1, m - j + 1):
+            for ax in range(1, d + 1):
+                covered = covered.repeat(2, axis=ax)
+            hit = (sums[k] * 2.0 ** (d * (j + k - m)) > bound) & active & ~covered
+            row, *offset = np.nonzero(hit)
+            stops[j + k].append(index[row] * 2**k + np.stack(offset, axis=1))
+            covered |= hit
+        row, cell = np.nonzero(~covered.reshape(count, -1))
+        kept.append(_generation_blocks(cell_ids, j, d, index)[row, cell])
+        sizes.append(np.bincount(row, minlength=count))
+        keys.append(np.column_stack([np.full(count, j, dtype=np.int64), index]))
+    offsets = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
+    return SparseFamily(dom, np.concatenate(keys), np.concatenate(kept), offsets)
 
 
 def augmentation_ratio(

@@ -131,7 +131,7 @@ class Weight:
         coarse = self.domain.coarsen()
         if self.spec is not None:
             return make_weight(coarse, dict(self.spec))
-        cv = dyadic._generation_mean(self.values, coarse.m)
+        cv = dyadic._block_sums(self.values, coarse.m, coarse.d) * 2.0**-coarse.d
         return as_weight(SampledFunction(coarse, cv))
 
 

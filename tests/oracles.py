@@ -21,6 +21,14 @@ def enumerate_cubes(domain):
     ]
 
 
+def generation_mean(arr, generation, d=None):
+    """Table of a block's means over its generation-j subcubes (d: all axes
+    by default), reduced directly from the cells: the oracle of the
+    dyadic._pyramid levels."""
+    d = arr.ndim if d is None else d
+    return dyadic._split(arr, generation, d).mean(axis=tuple(range(1 - 2 * d, 0, 2)))
+
+
 def core_arrays(family):
     """A sparse family's cores, one array each: core i is
     cells[offsets[i]:offsets[i + 1]]."""

@@ -572,6 +572,24 @@ def test_numerical_failure_exits_3_without_traceback(tmp_path, monkeypatch, caps
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("d,m,L", [(2, 4, 1e-160), (1, 6, 1e-300), (2, 4, 3e153), (1, 4, 1e300)])
+def test_jn_verify_mass_power_out_of_float_range_exits_3(tmp_path, capsys, d, m, L):
+    # p = 2, q = 3 raise each family cube's mass to the power 4/3, which
+    # leaves the floating-point range at these side lengths
+    cfg = {
+        "experiment": "jn-verify",
+        "domain": {"d": d, "m": m, "L": L},
+        "exponents": {"p": 2.0, "q": 3.0},
+        "weights": {"mu": {"kind": "unit"}, "lambda": {"kind": "unit"}},
+        "symbols": [{"id": "x", "terms": [{"kind": "coordinate"}]}],
+    }
+    with np.errstate(all="ignore"):
+        assert cli.run(cfg, out_dir=tmp_path / "out") == 3
+    err = capsys.readouterr().err
+    assert "numerical error: mass power" in err
+    assert "Traceback" not in err
+
+
 def test_sweep_reports_numerical_failure_as_its_own_status(tmp_path, monkeypatch):
     drift_gkl(monkeypatch)
     cfg = {

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadlab import dyadic
-from dyadlab.dyadic import _generation_mean, dyadic_maximal
+from dyadlab.dyadic import dyadic_maximal
 from dyadlab.lattice import LatticeDomain, SampledFunction
 from dyadlab.oscillation import _cube_distance_table
-from oracles import children, dist_to_origin, enumerate_cubes, indicator, parent, volume
+from oracles import (children, dist_to_origin, enumerate_cubes, generation_mean, indicator,
+                     parent, volume)
 
 
 def random_function(domain, seed):
@@ -79,6 +81,20 @@ class TestGridGeometry:
             want = dist_to_origin(cube)
             assert _cube_distance_table(dom, cube.generation)[cube.index] == want
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("L", [1e-315, 1e-300, 1e-160, 1e160, 1e300])
+    def test_distance_table_matches_hypot_at_extreme_side_lengths(self, d, L):
+        # squared distances would leave the normal float range here; at
+        # L = 1e-315 the cube sides are subnormal
+        dom = LatticeDomain(d, 3, L)
+        for j in range(dom.m + 1):
+            ell = dom.width * 2.0**-j
+            table = _cube_distance_table(dom, j)
+            for index in itertools.product(range(2**j), repeat=d):
+                lo = [-L + k * ell for k in index]
+                want = math.hypot(*(max(a, -(a + ell), 0.0) for a in lo))
+                assert abs(table[index] - want) <= math.ulp(want)
+
 
 class TestEnumerate:
     def test_counts_1d(self):
@@ -94,7 +110,7 @@ class TestMaximal:
         dom = f.domain
         out = np.zeros(dom.shape)
         for j in range(dom.m + 1):
-            avg = _generation_mean(np.abs(f.values), j)
+            avg = generation_mean(np.abs(f.values), j)
             cells = 2 ** (dom.m - j)
             if dom.d == 1:
                 out = np.maximum(out, np.repeat(avg, cells))
@@ -152,7 +168,7 @@ class TestAverages:
         dom = LatticeDomain(2, 3, 1.0)
         f = random_function(dom, 23)
         for j in (0, 1, 3):
-            table = _generation_mean(f.values, j)
+            table = generation_mean(f.values, j)
             for idx in itertools.product(range(2**j), repeat=2):
                 cube = dyadic.cube(dom, j, idx)
                 average = integral(f, cube) / volume(cube)
@@ -163,10 +179,10 @@ class TestAverages:
         rng = np.random.default_rng(31 + d)
         batch = rng.standard_normal((2, 3) + (2**m,) * d)
         for j in range(m + 1):
-            got = _generation_mean(batch, j, d)
+            got = generation_mean(batch, j, d)
             assert got.shape == (2, 3) + (2**j,) * d
             for lead in itertools.product(range(2), range(3)):
-                np.testing.assert_array_equal(got[lead], _generation_mean(batch[lead], j))
+                np.testing.assert_array_equal(got[lead], generation_mean(batch[lead], j))
 
 
 @settings(max_examples=60, deadline=None)
@@ -193,12 +209,12 @@ def test_pyramid_matches_generation_means(d, m, lead, kind, seed):
     assert len(levels) == m + 1
     for j, (level, mean) in enumerate(zip(levels, dyadic._levels(means, d))):
         cells = 2 ** (d * (m - j))
-        want = _generation_mean(arr, j, d) * cells
+        want = generation_mean(arr, j, d) * cells
         for got in (level, dyadic._block_sums(arr, j, d)):
             if kind == "integer":
                 np.testing.assert_array_equal(got, want)
             else:
-                scale = _generation_mean(np.abs(arr), j, d) * cells
+                scale = generation_mean(np.abs(arr), j, d) * cells
                 assert np.all(np.abs(got - want) <= 1e-13 * scale)
         np.testing.assert_array_equal(mean, level / cells)  # an exact scale
     for row in itertools.product(*map(range, lead)):

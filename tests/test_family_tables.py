@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dyadlab import dyadic, oscillation as osc
 from dyadlab.lattice import LatticeDomain, SampledFunction
 from dyadlab.weights import ExponentSetup, _family_averages, apq_characteristic, make_weight
-from oracles import enumerate_cubes
+from oracles import enumerate_cubes, generation_mean
 
 REL = 1e-11
 
@@ -54,26 +54,26 @@ def spread(dom, table, j):
 
 
 def fractional_reference(dom, b, nu, alpha, r):
-    """osc_r per cube off per-generation dyadic._generation_mean tables."""
+    """osc_r per cube off per-generation generation_mean tables."""
     tables = []
     for j in range(dom.m + 1):
         vol = (dom.width * 2.0**-j) ** dom.d
-        dev = np.abs(b - spread(dom, dyadic._generation_mean(b, j), j))
-        nu_mass = dyadic._generation_mean(nu, j) * vol
-        integral = dyadic._generation_mean((dev / nu) ** r * nu, j) * vol
+        dev = np.abs(b - spread(dom, generation_mean(b, j), j))
+        nu_mass = generation_mean(nu, j) * vol
+        integral = generation_mean((dev / nu) ** r * nu, j) * vol
         tables.append(nu_mass ** (-alpha / dom.d) * (integral / nu_mass) ** (1.0 / r))
     return np.concatenate([table.ravel() for table in tables])
 
 
 def two_weight_reference(dom, b, mu_p, lam_q, setup):
-    """Two-weight value per cube off per-generation dyadic._generation_mean tables."""
+    """Two-weight value per cube off per-generation generation_mean tables."""
     tables = []
     for j in range(dom.m + 1):
         vol = (dom.width * 2.0**-j) ** dom.d
-        dev = np.abs(b - spread(dom, dyadic._generation_mean(b, j), j))
-        mass = (dyadic._generation_mean(mu_p, j) * vol) ** (1.0 / setup.p) * (
-            dyadic._generation_mean(lam_q, j) * vol) ** (1.0 / setup.q_prime)
-        tables.append(dyadic._generation_mean(dev, j) * vol / mass)
+        dev = np.abs(b - spread(dom, generation_mean(b, j), j))
+        mass = (generation_mean(mu_p, j) * vol) ** (1.0 / setup.p) * (
+            generation_mean(lam_q, j) * vol) ** (1.0 / setup.q_prime)
+        tables.append(generation_mean(dev, j) * vol / mass)
     return np.concatenate([table.ravel() for table in tables])
 
 
@@ -155,5 +155,5 @@ def test_pyramid_families_match_generation_means(case):
     close(osc.two_weight_norm(b, mu, lam, setup).values,
           two_weight_reference(dom, b.values, mu_p, lam_q, setup), rel=1e-13)
     close(_family_averages(mu.function()),
-          np.concatenate([dyadic._generation_mean(mu.values, j).ravel()
+          np.concatenate([generation_mean(mu.values, j).ravel()
                           for j in range(dom.m + 1)]), rel=1e-13)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from dyadlab import dyadic, oscillation as osc
 from dyadlab.lattice import LatticeDomain, SampledFunction, sample_symbol
+from dyadlab.operators import NumericalError
 from dyadlab.weights import ExponentSetup, bloom_weight, make_weight
 from oracles import vmo_witness_objects, volume
 
@@ -471,6 +472,18 @@ def test_jn_rejects_r_beyond_dual_exponent(dom, logx):
     with pytest.raises(ValueError):
         osc.jn_verify(logx, w, p=2.0, r=2.5, alpha=0.0,
                       root=dyadic.cube(dom, 1, (1,)))
+
+
+@pytest.mark.parametrize("L", [1e-300, 1e300])
+def test_jn_mass_power_out_of_float_range_raises_numerical_error(L):
+    # alpha = 1/6 and r = 2 raise w(Q) to the power 4/3, which underflows
+    # at L = 1e-300 (the cell volume itself is a normal float) and overflows
+    # at L = 1e300
+    dom = LatticeDomain(d=1, m=6, L=L)
+    b = sample_symbol(dom, {"kind": "coordinate"})
+    w = make_weight(dom, {"kind": "unit"})
+    with pytest.raises(NumericalError, match="mass power"), np.errstate(all="ignore"):
+        osc.jn_verify(b, w, p=2.0, r=2.0, alpha=1.0 / 6.0, root=dyadic.cube(dom, 1, (1,)))
 
 
 def test_jn_rejects_root_or_weight_off_the_symbol_domain(dom, logx):

@@ -12,7 +12,7 @@ from dyadlab import cli, dyadic, sparse
 from dyadlab import oscillation as osc
 from dyadlab.lattice import LatticeDomain, SampledFunction, sample_symbol
 from dyadlab.weights import make_weight
-from oracles import children, core_arrays, dist_to_origin, enumerate_cubes
+from oracles import children, core_arrays, dist_to_origin, enumerate_cubes, generation_mean
 
 
 @pytest.fixture(scope="module")
@@ -207,7 +207,7 @@ def cz_augment_lists(b, root):
             for k in range(1, m - j + 1):
                 for ax in range(1, d + 1):
                     covered = covered.repeat(2, axis=ax)
-                hit = (dyadic._generation_mean(dev, k, d) > bound) & active & ~covered
+                hit = (generation_mean(dev, k, d) > bound) & active & ~covered
                 row, *offset = np.nonzero(hit)
                 parents.append(pos[row])
                 child_gens.append(np.full(row.size, j + k, dtype=np.int64))
@@ -264,8 +264,8 @@ def broadcast_generation(dom, table, j):
 
 def multiscale_values(dom, rng):
     """Random levels at every generation with heavy-tailed amplitudes: one
-    wave holds stopping cubes of several generations, and a cube's selected
-    subcubes lie several generations down."""
+    generation's stopping cubes come from parents of several generations,
+    and a cube's selected subcubes lie several generations down."""
     return sum(
         broadcast_generation(dom, rng.standard_normal((2**j,) * dom.d), j)
         * rng.exponential() ** 3
@@ -306,8 +306,9 @@ def cz_cases(draw):
 
 def fixed_cz_cases():
     """Deterministic cz_augment inputs beyond cz_cases, with the root at
-    generation 0: deeper families, multiscale symbols whose waves must be
-    reordered into queue order, and a base that underflows to 0."""
+    generation 0: deeper families, multiscale symbols whose stopping cubes
+    of one generation come from parents of several generations, and a
+    base that underflows to 0."""
     cases = {}
     dom = LatticeDomain(d=2, m=7, L=1.0)
     for seed in range(1000, 1004):  # about 1.7k entries each
@@ -315,8 +316,8 @@ def fixed_cz_cases():
     # the family compactness-profile splits
     dom = LatticeDomain(d=1, m=10, L=1.0)
     cases["log-1d"] = sample_symbol(dom, {"kind": "log_abs"})
-    # several of these seeds queue a wave whose parents differ in generation
-    # or select at more than one depth
+    # several of these seeds select one generation's stopping cubes from
+    # parents of different generations, or select at more than one depth
     for d, m, seeds in ((1, 10, range(20)), (2, 6, range(10))):
         dom = LatticeDomain(d=d, m=m, L=1.0)
         for seed in seeds:
@@ -329,15 +330,21 @@ def fixed_cz_cases():
 
 
 def assert_matches_walk_oracle(b, root):
+    """cz_augment against the queue walk and the wave implementation, each
+    sorted into key order, which cz_augment lists its entries in."""
     fam = sparse.cz_augment(b, root)
-    want = cz_augment_oracle(b, root)
+    keys = [tuple(key) for key in fam.entries.tolist()]
+    assert keys == sorted(keys)
+    want = sorted(cz_augment_oracle(b, root), key=lambda pair: (pair[0].generation, pair[0].index))
     assert fam.entries.dtype == np.int64
     assert fam.cubes() == [cube for cube, _ in want]
-    for got, (_, core) in zip(core_arrays(fam), want):
+    for got, (_, core) in zip(core_arrays(fam), want, strict=True):
         assert got.dtype == core.dtype
         np.testing.assert_array_equal(got, core)
     # the flat family against the list-of-cores implementation
     entries, cores = cz_augment_lists(b, root)
+    order = np.lexsort(entries.T[::-1])
+    entries, cores = entries[order], [cores[i] for i in order]
     np.testing.assert_array_equal(fam.entries, entries)
     assert fam.cells.dtype == fam.offsets.dtype == np.int64
     assert fam.offsets.size == len(entries) + 1 and fam.offsets[0] == 0
@@ -392,6 +399,30 @@ def test_augmentation_ratio_matches_local_oracle(dom, unit_root):
         fam = sparse.cz_augment(b, unit_root)
         lib = sparse.augmentation_ratio(b, unit_root, fam)
         assert lib == pytest.approx(domination_ratio(b, unit_root, fam), rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=cz_cases(), seed=st.integers(0, 2**32 - 1), k=st.sampled_from((0.25, 1.0, 2.0)))
+def test_entry_order_is_unobservable(case, seed, k):
+    """Permuting a family's entries, each core moving with its entry,
+    changes no operator, ratio, verdict or split, bitwise."""
+    b, root = case
+    dom, fam = b.domain, sparse.cz_augment(b, root)
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(len(fam))
+    cubes, cores = fam.cubes(), core_arrays(fam)
+    shuffled = family(dom, [cubes[i] for i in perm], [cores[i] for i in perm])
+    rows = (3, dom.n**dom.d)
+    batch = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+    star, star_shuffled = sparse.SparseStar(b, fam), sparse.SparseStar(b, shuffled)
+    for x in (batch, batch.real.copy()):
+        np.testing.assert_array_equal(star_shuffled.apply(x), star.apply(x))
+        np.testing.assert_array_equal(star_shuffled.adjoint(x), star.adjoint(x))
+    assert sparse.augmentation_ratio(b, root, shuffled) == sparse.augmentation_ratio(b, root, fam)
+    assert sparse.is_sparse(shuffled).ok == sparse.is_sparse(fam).ok
+    kept, kept_shuffled = sparse.split_family(fam, k), sparse.split_family(shuffled, k)
+    assert {tuple(key) for key in kept_shuffled.entries.tolist()} == {
+        tuple(key) for key in kept.entries.tolist()}
 
 
 # -- model operators ----------------------------------------------------------
