@@ -37,9 +37,10 @@ from pathlib import Path
 import numpy as np
 
 from dyadlab import dyadic, normest, oscillation, sparse
-from dyadlab.lattice import LatticeDomain, SampledFunction, sample_symbol
+from dyadlab.lattice import _TERM_KEYS, LatticeDomain, SampledFunction, sample_symbol
 from dyadlab.operators import Convolution, NumericalError, make_kernel
 from dyadlab.weights import (
+    _WEIGHT_KEYS,
     ExponentSetup,
     apq_characteristic,
     bloom_sandwich_report,
@@ -123,26 +124,17 @@ def _choice(*options):
 
 
 # key -> (reader, default); an absent key reads its default through the reader.  A
-# catalog section has a table per kind, picked by its "kind" (a kernel's "variant").
+# catalog section is read through a (catalog, readers) pair: the catalog maps each
+# kind to its keys and defaults (the library's own, for weights and symbol terms),
+# and `readers` maps each key name to its reader.
 _DOMAIN = {"d": (_choice(1, 2), 1), "m": (_integer, 8), "L": (_number, 1.0)}
 _EXPONENTS = {"p": (_number, 2.0), "q": (_number, 2.0)}
-_WEIGHTS = {
-    "unit": {},
-    "power": {"beta": (_number, 0.0)},
-    "logsmooth": {"amplitude": (_number, 0.5), "modes": (_integer, 3), "seed": (_integer, 0)},
-}
-_WEIGHT_SLOTS = {"mu": (_WEIGHTS, {"kind": "unit"}), "lambda": (_WEIGHTS, {"kind": "unit"})}
-_KERNELS = {"hilbert": {}, "riesz": {"j": (_choice(1, 2), None)}}  # the reader refuses None
-_COEFFICIENT = {"coefficient": (_coefficient, 1.0)}
-_TERMS = {
-    "constant": _COEFFICIENT,
-    "coordinate": {**_COEFFICIENT, "axis": (_integer, 0)},
-    "abs_power": {**_COEFFICIENT, "exponent": (_number, 1.0)},
-    "log_abs": _COEFFICIENT,
-    "bump": {**_COEFFICIENT, "center": (lambda v: v if v is None else _numbers(v), None),
-             "radius": (_number, 1.0)},  # center None: the origin
-}
-_SYMBOL = {"id": (_string, None), "terms": (_list(lambda term: term), None)}  # each term: _TERMS
+_WEIGHTS = {"beta": _number, "amplitude": _number, "modes": _integer, "seed": _integer}
+_WEIGHT_SLOTS = dict.fromkeys(("mu", "lambda"), ((_WEIGHT_KEYS, _WEIGHTS), {"kind": "unit"}))
+_KERNELS = ({"hilbert": {}, "riesz": {"j": None}}, {"j": _choice(1, 2)})  # j: None refused
+_TERMS = {"coefficient": _coefficient, "axis": _integer, "exponent": _number,
+          "center": lambda v: v if v is None else _numbers(v), "radius": _number}
+_SYMBOL = {"id": (_string, None), "terms": (_list(lambda term: term), None)}  # each: _TERMS
 # each experiment's params table is in EXPERIMENTS, after the experiments
 SWEEP_AXES = ("m", "p", "q", "pq", "symbol")
 # each value is read at its point, by the reader of the key the axis sets
@@ -209,9 +201,9 @@ def _load(config, seed=None) -> dict:
 
 
 def _value(reader, value, path: str):
-    """One value through its reader, or a catalog spec through its kind
-    tables; a refused value is a ConfigError naming its dotted key."""
-    if isinstance(reader, dict):
+    """One value through its reader, a catalog spec through its (catalog,
+    readers) pair; a refused value is a ConfigError naming its dotted key."""
+    if isinstance(reader, tuple):
         return _read(value, reader, path, tag="kind")
     try:
         return reader(value)
@@ -219,17 +211,19 @@ def _value(reader, value, path: str):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _read(spec, table: dict, path: str, tag: str = "") -> dict:
+def _read(spec, table, path: str, tag: str = "") -> dict:
     """Every key of `table` read from the mapping `spec` (null reads as
-    empty), an absent key as its default.  With a `tag`, `table` holds a
-    table per kind, and `spec[tag]` names the one read.  A key outside the
-    table is a ConfigError naming it."""
+    empty), an absent key as its default.  With a `tag`, `table` is a
+    (catalog, readers) pair, and `spec[tag]` names the kind whose keys are
+    read.  A key outside the table is a ConfigError naming it."""
     spec = {} if spec is None else spec
     if not isinstance(spec, dict):
         raise ConfigError(f"{path} must be a mapping, got {type(spec).__name__}")
     if tag:
-        kind = _value(_choice(*table), spec.get(tag), f"{path}.{tag}")
-        table = {tag: (_choice(kind), kind), **table[kind]}
+        catalog, readers = table
+        kind = _value(_choice(*catalog), spec.get(tag), f"{path}.{tag}")
+        table = {tag: (_choice(kind), kind),
+                 **{key: (readers[key], default) for key, default in catalog[kind].items()}}
     for key in spec:
         if key not in table:
             raise ConfigError(f"{path}.{key}: unknown key; {path} takes {sorted(table)}")
@@ -277,17 +271,15 @@ def _build_context(cfg: dict) -> RunContext:
                for slot in ("mu", "lambda"))
 
     symbols = []
-    seen = set()
     symbol_specs = cfg.get("symbols") or []
     if not isinstance(symbol_specs, list):
         raise ConfigError("symbols must be a list")
     for i, entry in enumerate(symbol_specs):
         entry = _read(entry, _SYMBOL, f"symbols[{i}]")
         sid = entry["id"]
-        if sid in seen:
+        if sid in dict(symbols):
             raise ConfigError(f"duplicate symbol id {sid!r}")
-        seen.add(sid)
-        terms = [_read(t, _TERMS, f"symbols[{i}].terms[{j}]", tag="kind")
+        terms = [_read(t, (_TERM_KEYS, _TERMS), f"symbols[{i}].terms[{j}]", tag="kind")
                  for j, t in enumerate(entry["terms"])]
         symbols.append((sid, _made(f"symbols[{i}] ({sid!r})", sample_symbol, domain, terms)))
     if "symbols" in needs and not symbols:

@@ -14,6 +14,9 @@ Conventions shared by every module in the package:
   than approximately.
 * A region is a set of whole cells, named by flat indices in row-major
   order over `shape`; dyadic.DyadicCube.flat_cells gives a cube's.
+* A catalog spec (a symbol term here, a weight in weights) is a mapping
+  with a "kind", read through one table of kinds, keys and defaults: an
+  unknown kind, or a key its kind does not take, is a ValueError.
 """
 
 from __future__ import annotations
@@ -100,69 +103,54 @@ class SampledFunction:
         return np.iscomplexobj(self.values)
 
 
-# -- symbol catalog ---------------------------------------------------------
+# -- catalogs ------------------------------------------------------------------
 
-_SYMBOL_KINDS = ("constant", "coordinate", "abs_power", "log_abs", "bump")
-
-
-@dataclass(frozen=True)
-class SymbolTerm:
-    """One catalog term; a symbol is a finite sum of terms."""
-
-    kind: str
-    coefficient: complex = 1.0 + 0.0j
-    exponent: float = 1.0
-    axis: int = 0
-    center: tuple[float, ...] | None = None  # None: the origin
-    radius: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in _SYMBOL_KINDS:
-            raise ValueError(f"unknown symbol kind {self.kind!r}")
-        if self.kind == "bump" and self.radius <= 0:
-            raise ValueError("bump radius must be positive")
+# Symbol terms: kind -> {key: default}.  A symbol is a finite sum of terms.
+_TERM_KEYS = {
+    "constant": {"coefficient": 1.0},
+    "coordinate": {"coefficient": 1.0, "axis": 0},
+    "abs_power": {"coefficient": 1.0, "exponent": 1.0},
+    "log_abs": {"coefficient": 1.0},
+    "bump": {"coefficient": 1.0, "center": None, "radius": 1.0},  # center None: the origin
+}
 
 
-def parse_symbol(spec) -> tuple[SymbolTerm, ...]:
-    """Normalize a symbol spec (term, mapping of SymbolTerm fields, or a
-    sequence of either) to terms.  Values are taken as typed, not cast: a
-    complex coefficient, a float exponent and radius, an int axis, a tuple
-    center."""
-    if isinstance(spec, (SymbolTerm, dict)):
-        spec = [spec]
-    terms = []
-    for item in spec:
-        if not isinstance(item, SymbolTerm):
-            unknown = set(item) - set(SymbolTerm.__dataclass_fields__)
-            if unknown:
-                raise ValueError(f"unknown symbol keys {sorted(unknown)}")
-            item = SymbolTerm(**item)
-        terms.append(item)
-    if not terms:
-        raise ValueError("empty symbol spec")
-    return tuple(terms)
+def _catalog_spec(catalog: dict, spec, what: str) -> tuple[str, dict]:
+    """(kind, every key of that kind) of a mapping `spec` read through
+    `catalog` (kind -> {key: default}); an absent key reads its default."""
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in catalog:
+        raise ValueError(f"unknown {what} kind {kind!r}")
+    keys = catalog[kind]
+    for key in spec:
+        if key != "kind" and key not in keys:
+            raise ValueError(f"{what} kind {kind!r} takes no key {key!r}; it takes {sorted(keys)}")
+    return kind, {key: spec.get(key, default) for key, default in keys.items()}
 
 
-def _eval_term(domain: LatticeDomain, term: SymbolTerm) -> np.ndarray:
+def _eval_term(domain: LatticeDomain, kind: str, **values) -> np.ndarray:
     axes = domain.axis_grids()
-    if term.kind == "constant":
+    if kind == "constant":
         return np.ones(domain.shape)
-    if term.kind == "coordinate":
-        if not (0 <= term.axis < domain.d):
-            raise ValueError(f"axis {term.axis} out of range for d={domain.d}")
-        return np.broadcast_to(axes[term.axis], domain.shape).copy()
+    if kind == "coordinate":
+        if not (0 <= values["axis"] < domain.d):
+            raise ValueError(f"axis {values['axis']} out of range for d={domain.d}")
+        return np.broadcast_to(axes[values["axis"]], domain.shape).copy()
     r = np.sqrt(sum(x**2 for x in axes))
-    if term.kind == "abs_power":
-        if term.exponent <= -domain.d / 2.0:
-            raise ValueError(f"abs_power exponent must exceed -d/2, got {term.exponent}")
-        return r**term.exponent
-    if term.kind == "log_abs":
+    if kind == "abs_power":
+        if values["exponent"] <= -domain.d / 2.0:
+            raise ValueError(f"abs_power exponent must exceed -d/2, got {values['exponent']}")
+        return r ** values["exponent"]
+    if kind == "log_abs":
         return np.log(r)
     # bump: C-infinity, == 1 at the center, supported on |x - c| < radius
-    center = (0.0,) * domain.d if term.center is None else term.center
+    center, radius = values["center"], values["radius"]
+    if radius <= 0:
+        raise ValueError("bump radius must be positive")
+    center = (0.0,) * domain.d if center is None else center
     if len(center) != domain.d:
         raise ValueError(f"bump center needs d = {domain.d} entries, got {len(center)}")
-    s2 = sum((x - c) ** 2 for x, c in zip(axes, center)) / term.radius**2
+    s2 = sum((x - c) ** 2 for x, c in zip(axes, center)) / radius**2
     out = np.zeros(domain.shape)
     inside = s2 < 1.0
     out[inside] = np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
@@ -170,11 +158,17 @@ def _eval_term(domain: LatticeDomain, term: SymbolTerm) -> np.ndarray:
 
 
 def sample_symbol(domain: LatticeDomain, spec) -> SampledFunction:
-    """Sample a catalog symbol (finite complex combination of terms)."""
-    terms = parse_symbol(spec)
-    real = all(term.coefficient.imag == 0.0 for term in terms)  # then no complex temporaries
-    total = sum((t.coefficient.real if real else t.coefficient) * _eval_term(domain, t)
-                for t in terms)
+    """Sample a catalog symbol: one term, or a list of terms summed, each
+    read through _TERM_KEYS.  Values are taken as typed, not cast: a real or
+    complex coefficient, a float exponent and radius, an int axis, a
+    sequence of d numbers as center."""
+    terms = [_catalog_spec(_TERM_KEYS, term, "symbol")
+             for term in ([spec] if isinstance(spec, dict) else spec)]
+    if not terms:
+        raise ValueError("empty symbol spec")
+    real = all(v["coefficient"].imag == 0.0 for _, v in terms)  # then no complex temporaries
+    total = sum((values["coefficient"].real if real else values["coefficient"])
+                * _eval_term(domain, kind, **values) for kind, values in terms)
     if not np.all(np.isfinite(total)):
         raise ValueError("symbol evaluates to a non-finite value at a midpoint")
     if not real and np.all(total.imag == 0.0):

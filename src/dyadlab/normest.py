@@ -182,14 +182,14 @@ def opnorm_estimate(op: Operator, p: float, mu: Weight, q: float, lam: Weight,
     start vector drawn from `seed`) at p = q = 2; otherwise the best of
     `budget` duality-map ascents.  The ascents run as one (budget, N)
     batch: restart i starts from the i-th start vector drawn from `seed`,
-    steps only while its ratio moves by more than 1e-13 (relative) and its
-    image and gradient are nonzero, for at most `iterations` steps, and
-    converged rows leave the batch.  Each step computes the plain duality
-    step and mixes it with the row's previous plain step (memory-1
-    Anderson); the mixed iterate is applied, and a row whose ratio it does
-    not raise by more than 1e-13 (relative) applies the plain step instead
-    and clears its history.  Every kept iterate is a vector whose ratio
-    was computed from its own image.  `iterations` in the estimate counts
+    steps only while its ratio moves by more than ASCENT_TOL times itself
+    and its image and gradient are nonzero, for at most `iterations`
+    steps, and converged rows leave the batch.  Each step computes the
+    plain duality step and mixes it with the row's previous plain step
+    (memory-1 Anderson); the mixed iterate is applied, and a row whose
+    ratio it does not raise by more than ASCENT_TOL times itself applies
+    the plain step instead and clears its history.  Both tests are
+    relative, so c*A takes the same steps as A.  `iterations` counts
     row-steps, one per restart per step whether or not the mixed iterate
     was kept, and `capped` the restarts still moving when the step budget
     ran out; the first best restart supplies the witness.  method "svd" or
@@ -285,13 +285,13 @@ def opnorm_estimate(op: Operator, p: float, mu: Weight, q: float, lam: Weight,
         # more than the stop tolerance (or is nan) gives way to the plain
         # step, and the row's history is cleared; only a plain step can stop
         # a row, so a stalled mixing step never ends an ascent early
-        rejected = mixed & ~(cur - prev > ASCENT_TOL * np.maximum(cur, 1.0))
+        rejected = mixed & ~(cur - prev > ASCENT_TOL * cur)
         back = np.flatnonzero(rejected)
         if back.size:
             x[back] = plain[back]
             img[back] = op.apply(plain[back])
             cur[back] = _image_ratio(plain[back], img[back], p, q, muv, lamv, vol)
-        converged = np.abs(cur - prev) <= ASCENT_TOL * np.maximum(cur, 1.0)
+        converged = np.abs(cur - prev) <= ASCENT_TOL * cur
         prev, has_last = cur, ~rejected
         if converged.any():
             leave(~converged)
@@ -438,6 +438,17 @@ def _probe_cube_for(b: SampledFunction, generation: int = 3):
     return dyadic.cube(dom, generation, index)
 
 
+def _reported_norm(op: Operator, setup: ExponentSetup, mu: Weight, lam: Weight,
+                   budget: int) -> NormEstimate:
+    """opnorm_estimate of `op` as an experiment reports it: a zero estimate
+    of an operator that does not vanish on a random vector lost its image
+    to underflow (a ratio > 0 read 0), and raises NumericalError."""
+    est = opnorm_estimate(op, setup.p, mu, setup.q, lam, budget=budget)
+    if est.value == 0.0 and np.any(op.apply(np.random.default_rng(0).standard_normal(op.size))):
+        raise NumericalError("norm ratio of a nonzero operator image underflows to 0")
+    return est
+
+
 def bmo_vs_norm_sweep(symbols, op: Operator, mu: Weight, lam: Weight,
                       setup: ExponentSetup, budget: int = 8,
                       probe_generation: int = 3) -> list:
@@ -454,7 +465,7 @@ def bmo_vs_norm_sweep(symbols, op: Operator, mu: Weight, lam: Weight,
     rows = []
     for name, b in symbols:
         bmo = oscillation.bmo_norm(b, nu, setup.alpha).supremum
-        est = opnorm_estimate(Commutator(b, op), setup.p, mu, setup.q, lam, budget=budget)
+        est = _reported_norm(Commutator(b, op), setup, mu, lam, budget)
         cube = _probe_cube_for(b, probe_generation)
         try:
             if cube is None:
@@ -506,8 +517,7 @@ def compactness_profile(b: SampledFunction, kernel: KernelSpec, setup: ExponentS
     flags = set()
     for eps in eps_list:
         _, residual = split(kernel, dom, eps)
-        est = opnorm_estimate(Commutator(b, residual), setup.p, mu, setup.q, lam,
-                              budget=budget)
+        est = _reported_norm(Commutator(b, residual), setup, mu, lam, budget)
         tails.append(est.value)
         if est.capped:
             flags.add("ascent-cap")
@@ -522,8 +532,7 @@ def compactness_profile(b: SampledFunction, kernel: KernelSpec, setup: ExponentS
             continue
         key = kept.entries.tobytes()
         if key not in estimates:
-            estimates[key] = opnorm_estimate(sparse.SparseStar(b, kept), setup.p, mu, setup.q,
-                                             lam, budget=budget)
+            estimates[key] = _reported_norm(sparse.SparseStar(b, kept), setup, mu, lam, budget)
         est = estimates[key]
         sparse_tails.append(est.value)
         if est.capped:

@@ -170,7 +170,10 @@ def bmo_norm(
     """sup_Q osc_r(b; Q) over the canonical cubes; unweighted without nu."""
     _check_exponents(alpha, r)
     nu_values = None if nu is None else nu.values
-    (values,) = _oscillation_families(b.values, nu_values, b.domain, alpha, (r,))
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names it
+        (values,) = _oscillation_families(b.values, nu_values, b.domain, alpha, (r,))
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(f"osc_{r:g} of a canonical cube leaves the floating-point range")
     return dyadic.FamilyReport(b.domain, values)
 
 
@@ -417,8 +420,8 @@ def jn_verify(
 
     The sum reads the family's own cubes a generation at a time, as rows
     of cell values, not one oscillation() call per cube.  A mass power
-    w(Q)^{1+alpha*r/d} (the root's among them) or a bound that leaves the
-    floating-point range raises NumericalError naming it.
+    w(Q)^{1+alpha*r/d} (the root's among them), a bound, or an r-norm
+    that leaves the floating-point range raises NumericalError naming it.
     """
     dom = b.domain
     p_prime = p / (p - 1.0)
@@ -451,6 +454,8 @@ def jn_verify(
         raise NumericalError(f"family sum {total:g} over w(Q0)^{exponent:g} "
                              "leaves the floating-point range")
     root_r = oscillation(b, root_cells, nu=w, alpha=alpha, r=r)
+    if one_norm > 0.0 and r_norm == 0.0:  # osc_r >= osc_1 cube by cube
+        raise NumericalError(f"r-oscillation norm underflows to 0 (r = {r:g}, 1-norm {one_norm:g})")
     # degenerate symbols: 0 <= C * 0 holds, report neutral ratios
     if one_norm > 0.0:
         ratio = r_norm / one_norm

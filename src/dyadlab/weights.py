@@ -21,11 +21,12 @@ Exponent conventions, for 1 < p <= q < infinity:
 * With s = 2/(1 + alpha/d), nu^{1/s} = (mu/lambda)^{1/2} and
   [nu^{1/s}]_{A_{s,s}} <= ([mu]_{A_{p,p}} [lambda]_{A_{q,q}})^{1/2}.
 
-Weights are stored as their logarithms, and all powers are formed in
-log space; a weight's values are computed on first read (exp of the
-logs) and kept, and a run that only takes powers never forms them.
-Powered values above 1e300 are clipped and flagged rather than raised,
-so near-divergent reports stay readable.
+Catalog weights are specs read through _WEIGHT_KEYS, as lattice reads
+symbol terms.  Weights are stored as their logarithms, and all powers
+are formed in log space; a weight's values are computed on first read
+(exp of the logs) and kept, and a run that only takes powers never
+forms them.  Powered values above 1e300 are clipped and flagged rather
+than raised, so near-divergent reports stay readable.
 
 Membership in A_{p,p} has no finite-resolution criterion, so the
 surrogate used throughout is: the characteristic is finite at the
@@ -43,12 +44,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from dyadlab import dyadic
-from dyadlab.lattice import LatticeDomain, SampledFunction
+from dyadlab.lattice import LatticeDomain, SampledFunction, _catalog_spec
 
 _CLIP = 1e300
 _LOG_CLIP = math.log(_CLIP)
 
-_WEIGHT_KINDS = ("unit", "power", "logsmooth")
+# the weight catalog: kind -> {key: default}, read as lattice reads symbol terms
+_WEIGHT_KEYS = {"unit": {}, "power": {"beta": 0.0},
+                "logsmooth": {"amplitude": 0.5, "modes": 3, "seed": 0}}
 
 MEMBERSHIP_DRIFT = 0.10  # relative drift the surrogate allows under one coarsening
 
@@ -147,29 +150,24 @@ def as_weight(f: SampledFunction) -> Weight:
 
 
 def make_weight(domain: LatticeDomain, spec: dict) -> Weight:
-    """Catalog weights: unit, |x|^beta, or a seeded log-smooth sample of at
-    most 2^m modes (one per cell per axis).  The spec's values are taken
-    as typed (beta and amplitude floats, modes and seed ints), not cast."""
-    spec = dict(spec)
-    kind = spec.get("kind")
-    if kind not in _WEIGHT_KINDS:
-        raise ValueError(f"unknown weight kind {kind!r}")
+    """Catalog weights, the spec read through _WEIGHT_KEYS: unit, |x|^beta, or
+    a seeded log-smooth sample of at most 2^m modes (one per cell per axis).
+    Values are taken as typed (float beta, amplitude; int modes, seed)."""
+    kind, values = _catalog_spec(_WEIGHT_KEYS, spec, "weight")
     axes = domain.axis_grids()
     if kind == "unit":
         logw = np.zeros(domain.shape)
         tag = "unit"
     elif kind == "power":
-        beta = spec.get("beta", 0.0)
+        beta = values["beta"]
         r = np.sqrt(sum(x**2 for x in axes))
         logw = beta * np.log(r)
         tag = f"power[{beta:g}]"
     else:
-        amplitude = spec.get("amplitude", 0.5)
-        modes = spec.get("modes", 3)
+        amplitude, modes, seed = values["amplitude"], values["modes"], values["seed"]
         if not 0 <= modes <= domain.n:  # each mode costs a pass over the cells
             raise ValueError(f"logsmooth modes must be in [0, 2^m] = [0, {domain.n}] "
                              f"at m = {domain.m}, got {modes}")
-        seed = spec.get("seed", 0)
         tag = f"logsmooth[{seed}]"
         if not math.isfinite(2.0 * amplitude):  # the width of the uniform draws below
             raise ValueError(f"weight {tag} amplitude {amplitude!r}: 2 * amplitude is not finite")
@@ -190,7 +188,7 @@ def make_weight(domain: LatticeDomain, spec: dict) -> Weight:
         ends = np.exp([np.min(logw), np.max(logw)])
     if not (np.all(np.isfinite(ends)) and np.all(ends > 0.0)):
         raise ValueError(f"weight {tag} leaves the floating-point range")
-    return Weight(domain, logw, spec=tuple(sorted(spec.items())))
+    return Weight(domain, logw, spec=tuple(sorted({"kind": kind, **values}.items())))
 
 
 def _family_averages(f: SampledFunction) -> np.ndarray:

@@ -295,7 +295,7 @@ def plain_ascent(op, p, mu, q, lam, budget, iterations, seed):
             flat = flat / lp_norm(flat, p, muv, vol)
             image = op.apply(flat)
             cur = ascent_ratio(flat, image, p, q, muv, lamv, vol)
-            if abs(cur - prev) <= 1e-13 * max(cur, 1.0):
+            if abs(cur - prev) <= 1e-13 * cur:
                 break
             prev = cur
         val = ascent_ratio(flat, image, p, q, muv, lamv, vol)

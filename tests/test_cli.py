@@ -590,6 +590,29 @@ def test_jn_verify_mass_power_out_of_float_range_exits_3(tmp_path, capsys, d, m,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("experiment, m, L, quantity", [
+    ("commutator-sweep", 6, 1e-160, "norm ratio"),  # the ascent's image norm underflows
+    ("compactness-profile", 8, 1e-160, "norm ratio"),
+    ("jn-verify", 4, 1e-160, "r-oscillation norm"),  # (|b - <b>|)^2 underflows
+    ("bmo-compute", 4, 1e300, "osc_1"),  # the cube oscillations overflow
+])
+def test_range_failure_exits_3(tmp_path, capsys, experiment, m, L, quantity):
+    cfg = {
+        "experiment": experiment,
+        "domain": {"d": 1, "m": m, "L": L},
+        "exponents": {"p": 2.0, "q": 3.0},
+        "weights": {"mu": {"kind": "unit"}, "lambda": {"kind": "unit"}},
+        "symbols": [{"id": "x", "terms": [{"kind": "coordinate"}]}],
+    }
+    if experiment in ("commutator-sweep", "compactness-profile"):
+        cfg["kernel"] = {"variant": "hilbert"}
+    with np.errstate(all="ignore"):
+        assert cli.run(cfg, out_dir=tmp_path / "out") == 3
+    err = capsys.readouterr().err
+    assert f"numerical error: {quantity}" in err
+    assert "Traceback" not in err
+
+
 def test_sweep_reports_numerical_failure_as_its_own_status(tmp_path, monkeypatch):
     drift_gkl(monkeypatch)
     cfg = {

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dyadlab.lattice import LatticeDomain, parse_symbol, sample_symbol
+from dyadlab.lattice import LatticeDomain, sample_symbol
 
 
 class TestDomain:
@@ -74,7 +74,17 @@ class TestSymbols:
         assert np.allclose(b.values, x + 1j * x)
 
     def test_unknown_kind_rejected(self):
+        dom = LatticeDomain(1, 5, 1.0)
         with pytest.raises(ValueError):
-            parse_symbol({"kind": "sawtooth"})
+            sample_symbol(dom, {"kind": "sawtooth"})
         with pytest.raises(ValueError):
-            parse_symbol([{"kind": "log_abs", "frequency": 3}])
+            sample_symbol(dom, [{"kind": "log_abs", "frequency": 3}])
+
+    @pytest.mark.parametrize("term, key", [
+        ({"kind": "log_abs", "exponent": 2.0}, "exponent"),  # log_abs has no exponent
+        ({"kind": "constant", "radius": 0.5}, "radius"),
+    ])
+    def test_key_outside_its_kind_rejected(self, term, key):
+        dom = LatticeDomain(1, 5, 1.0)
+        with pytest.raises(ValueError, match=f"kind '{term['kind']}' takes no key '{key}'"):
+            sample_symbol(dom, term)

@@ -385,11 +385,11 @@ def ascent_oracle(op, p, mu, q, lam, budget, iterations, seed):
             image = op.apply(flat)
             cur = ascent_ratio(flat, image, p, q, muv, lamv, vol)
             history = (resid, plain)
-            if mixed and not cur - prev > 1e-13 * max(cur, 1.0):
+            if mixed and not cur - prev > 1e-13 * cur:
                 flat, history = plain, None
                 image = op.apply(flat)
                 cur = ascent_ratio(flat, image, p, q, muv, lamv, vol)
-            if abs(cur - prev) <= 1e-13 * max(cur, 1.0):
+            if abs(cur - prev) <= 1e-13 * cur:
                 break
             prev = cur
         val = ascent_ratio(flat, image, p, q, muv, lamv, vol)

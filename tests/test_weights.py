@@ -276,3 +276,9 @@ class TestWeightType:
         dom = LatticeDomain(1, 4, 1.0)
         with pytest.raises(ValueError, match=re.escape("weight logsmooth[2] amplitude")):
             make_weight(dom, {"kind": "logsmooth", "amplitude": amplitude, "seed": 2})
+
+    def test_unknown_key_rejected_not_defaulted(self):
+        # a misspelt beta would otherwise read beta = 0, the unit weight
+        dom = LatticeDomain(1, 5, 1.0)
+        with pytest.raises(ValueError, match="kind 'power' takes no key 'bta'"):
+            make_weight(dom, {"kind": "power", "bta": 0.3})
