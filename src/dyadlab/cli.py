@@ -591,13 +591,14 @@ EXPERIMENTS = {
     "sparse-dominate": (_exp_sparse_dominate, {}, ()),
     "commutator-sweep": (
         _exp_commutator_sweep,
-        {"budget": (_positive(_integer), 8), "probe_generation": (_integer, 3)},
+        {"budget": (_positive(_integer), normest.ASCENT_RESTARTS),
+         "probe_generation": (_integer, 3)},
         ("symbols", "kernel")),
     "compactness-profile": (
         _exp_compactness_profile,
         {"eps_list": (_numbers, [0.5, 0.25, 0.125, 0.0625, 0.03125]),
          "k_list": (_list(_positive(_number)), [1.0, 2.0, 4.0, 8.0]),
-         "budget": (_positive(_integer), 8)},
+         "budget": (_positive(_integer), normest.ASCENT_RESTARTS)},
         ("symbols", "kernel")),
     "vmo-witness": (
         _exp_vmo_witness,

@@ -9,19 +9,26 @@ computes it by Golub-Kahan-Lanczos bidiagonalization (Golub & Kahan
 |M* u - sigma v| falls to GKL_TOL * sigma.  Every other exponent pair
 runs a multi-start ascent on the norm ratio, Boyd's p-norm power method
 (Higham 1992), whose fixed points are the stationary points of the
-Lagrangian.  The iterates are Anderson-mixed with memory 1 (Walker & Ni
+Lagrangian.  Restart 0 is informed, as Higham chose start vectors for
+Boyd's iteration: it starts from the p = q = 2 witness of the same
+operator and weights, the top right singular vector of D_lam A D_mu^{-1}
+(by GKL from the first seeded draw) times D_mu^{-1}.  The random restarts
+follow it.  The iterates are Anderson-mixed with memory 1 (Walker & Ni
 2011): from the plain step g_k and its residual f_k = g_k - x_k, the next
 iterate is g_k - gamma (g_k - g_{k-1}), gamma = <df, f_k> / <df, df> with
 df = f_k - f_{k-1}, renormalized.  A mixed iterate is kept only when its
 own ratio beats the previous one by more than the stop tolerance;
 otherwise the row takes the plain step and forgets its history, so the
 ratio never falls and only a plain step can stop a row.  The restarts
-run as one batch through the operator: restart i starts from the i-th
-draw of the seeded generator, and a row leaves the batch once its ratio
-settles or its image or gradient vanishes, so every restart ends bitwise
-where it would alone.  The returned value is always a certified lower
-bound: a witness function attaining it is part of the estimate and is
-re-checked on return, and a drift raises NumericalError.
+run as one batch through the operator: random restart i starts from the
+i-th draw of the seeded generator, and a row leaves the batch once its
+ratio settles or its image or gradient vanishes, so every restart ends
+bitwise where it would alone.  The ascent is scale-safe: a row whose
+image, gradient or norm sum would leave the float range is scaled by an
+exact power of two first, and a row in range keeps its bits.  The
+returned value is always a certified lower bound: a witness function
+attaining it is part of the estimate and is re-checked on return, and a
+drift raises NumericalError.
 
 The separation probe pairs a cube Q with its shift by 3 sidelengths,
 where the Hilbert/Riesz kernels are sign-definite: testing the
@@ -35,6 +42,7 @@ away) gets the probe refused rather than a bogus certificate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -52,13 +60,17 @@ from dyadlab.operators import (  # noqa: F401  (commutator_matrix: bench/tests i
 )
 from dyadlab.weights import ExponentSetup, Weight, bloom_weight
 
-ASCENT_RESTARTS = 32
+ASCENT_RESTARTS = 3  # random restarts after the informed one
 ASCENT_ITERATIONS = 200
 ASCENT_TOL = 1e-13  # relative move of the ratio that ends an ascent
 GKL_TOL = 1e-14
 GKL_MAX_STEPS = 256
 WITNESS_TOL = 1e-10
 PROBE_FLOOR = 0.05  # least pairing share of the oscillation mass a probe must reach
+# binary exponent a power of a row's entries may reach unscaled: the
+# margin to the float range leaves room for the weights and for a sum of
+# up to 2^20 terms
+_EXP_LIMIT = 900
 
 
 class ProbeRefused(ValueError):
@@ -77,12 +89,46 @@ class NormEstimate:
     capped: int = 0  # ascent restarts still moving when `iterations` ran out
 
 
+def _times_pow2(a: np.ndarray, e: int) -> np.ndarray:
+    """a * 2**e, exactly: two factors, each in the float range."""
+    half = e // 2
+    return a * math.ldexp(1.0, half) * math.ldexp(1.0, e - half)
+
+
+def _unit_rows(batch: np.ndarray, top: np.ndarray, power: float) -> np.ndarray:
+    """`batch` (2-d) with each row whose largest modulus `top`, raised to
+    `power`, would pass 2**+-_EXP_LIMIT scaled into [0.5, 1) by a power of
+    two; every other row keeps its bits, and an all-in-range batch is
+    returned as it came."""
+    exps = [math.frexp(t)[1] for t in top.tolist()]
+    out = [i for i, e in enumerate(exps) if abs(e) * power > _EXP_LIMIT]
+    if not out:
+        return batch
+    batch = batch.copy()
+    for i in out:
+        batch[i] = _times_pow2(batch[i], -exps[i])
+    return batch
+
+
 def _flat_norm(flat: np.ndarray, p: float, wvals: np.ndarray, cell_volume: float) -> np.ndarray:
     """|f|_{p,w} of each row of `flat` (leading axes are a batch).  The root
     is a scalar pow per row: numpy's vectorized pow can differ from C pow in
-    the last bit, and a row must not depend on the batch it rides in."""
-    sums = np.sum((np.abs(flat) * wvals) ** p, axis=-1) * cell_volume
-    return np.reshape([float(s) ** (1.0 / p) for s in np.ravel(sums)], sums.shape)
+    the last bit, and a row must not depend on the batch it rides in.  A row
+    whose sum is 0 or passes 2**+-_EXP_LIMIT is summed again with its terms
+    scaled into [0.5, 1) by a power of two, and its root scaled back."""
+    mags = np.abs(flat) * wvals
+    with np.errstate(over="ignore"):  # an overflowing row is summed again below
+        sums = np.sum(mags**p, axis=-1) * cell_volume
+    roots = sums.reshape(-1).tolist()
+    for i, total in enumerate(roots):
+        if 2.0**-_EXP_LIMIT < total < 2.0**_EXP_LIMIT:
+            roots[i] = total ** (1.0 / p)
+        else:
+            row = mags.reshape(-1, mags.shape[-1])[i]
+            e = math.frexp(float(np.max(row)))[1]
+            total = float(np.sum(_times_pow2(row, -e) ** p) * cell_volume)
+            roots[i] = math.ldexp(total ** (1.0 / p), e)
+    return np.reshape(roots, sums.shape)
 
 
 def _image_ratio(flat, image, p, q, muv, lamv, vol) -> np.ndarray:
@@ -131,10 +177,10 @@ def _gkl_top(apply, adjoint, start: np.ndarray):
     beta_k v_{k+1} e_k^T with both bases fully reorthogonalized (two
     Gram-Schmidt passes).  The top Ritz triple (sigma, U_k p, V_k q) of B_k
     has M V_k q = sigma U_k p exactly and residual |M* U_k p - sigma V_k q|
-    = beta_k |p_k|.  Returns (sigma, v, residual, steps); a step that
-    loses all new direction (alpha or beta 0) ends in an invariant pair.
-    Raises NumericalError when the residual stays above GKL_TOL * sigma
-    after GKL_MAX_STEPS steps.
+    = beta_k |p_k|.  Returns (sigma, v, residual, steps, settled); a step
+    that loses all new direction (alpha or beta 0) ends in an invariant
+    pair.  `settled` is False when the residual stays above GKL_TOL * sigma
+    after GKL_MAX_STEPS steps, and (sigma, v) are then the last Ritz pair.
     """
     n = start.size
     steps = min(GKL_MAX_STEPS, n)
@@ -159,12 +205,10 @@ def _gkl_top(apply, adjoint, start: np.ndarray):
         left, sing, right_h = np.linalg.svd(b)
         sigma = float(sing[0])
         residual = float(betas[k] * abs(left[k, 0]))
-        if residual <= GKL_TOL * sigma or alphas[k] == 0.0 or betas[k] == 0.0:
-            return sigma, right_h[0] @ vs[: k + 1], residual, k + 1
-    raise NumericalError(
-        f"Lanczos bidiagonalization missed residual {GKL_TOL:g} * sigma "
-        f"in {steps} steps (residual {residual:.3g}, sigma {sigma:.6g})"
-    )
+        settled = residual <= GKL_TOL * sigma or alphas[k] == 0.0 or betas[k] == 0.0
+        if settled:
+            break
+    return sigma, right_h[0] @ vs[: k + 1], residual, k + 1, settled
 
 
 def _reorthogonalize(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -180,21 +224,27 @@ def opnorm_estimate(op: Operator, p: float, mu: Weight, q: float, lam: Weight,
 
     Exact (largest singular value of D_lam A D_mu^{-1}, by GKL from a
     start vector drawn from `seed`) at p = q = 2; otherwise the best of
-    `budget` duality-map ascents.  The ascents run as one (budget, N)
-    batch: restart i starts from the i-th start vector drawn from `seed`,
-    steps only while its ratio moves by more than ASCENT_TOL times itself
-    and its image and gradient are nonzero, for at most `iterations`
-    steps, and converged rows leave the batch.  Each step computes the
-    plain duality step and mixes it with the row's previous plain step
-    (memory-1 Anderson); the mixed iterate is applied, and a row whose
-    ratio it does not raise by more than ASCENT_TOL times itself applies
-    the plain step instead and clears its history.  Both tests are
-    relative, so c*A takes the same steps as A.  `iterations` counts
-    row-steps, one per restart per step whether or not the mixed iterate
-    was kept, and `capped` the restarts still moving when the step budget
-    ran out; the first best restart supplies the witness.  method "svd" or
-    "ascent" forces a path (svd only exists at p = q = 2); "auto" picks.
-    The operator is only applied, never formed.
+    1 + `budget` duality-map ascents.  Restart 0 is informed: it starts
+    from that GKL witness of the same operator and weights (right singular
+    vector times D_mu^{-1}, GKL from the first draw; the last Ritz vector
+    if GKL misses GKL_TOL).  Random restart i starts from the i-th vector
+    drawn from `seed`, as it would without the informed start.  The ascents
+    run as one (1 + budget, N) batch: each restart steps only while its
+    ratio moves by more than ASCENT_TOL times itself and its image and
+    gradient are nonzero, for at most `iterations` steps, and converged
+    rows leave the batch.  Each step computes the plain duality step and
+    mixes it with the row's previous plain step (memory-1 Anderson); the
+    mixed iterate is applied, and a row whose ratio it does not raise by
+    more than ASCENT_TOL times itself applies the plain step instead and
+    clears its history.  Both tests are relative, so c*A takes the same
+    steps as A; a row whose image, gradient or norm sums would leave the
+    float range is first scaled by an exact power of two, so a tiny or
+    huge A keeps its norm.  `iterations` counts row-steps, one per restart
+    per step whether or not the mixed iterate was kept, and `capped` the
+    restarts still moving when the step budget ran out; the first best
+    restart supplies the witness.  method "svd" or "ascent" forces a path
+    (svd only exists at p = q = 2); "auto" picks.  The operator is only
+    applied, never formed.
     """
     if not (1.0 < p <= q < np.inf):
         raise ValueError(f"need 1 < p <= q < inf, got ({p}, {q})")
@@ -223,13 +273,18 @@ def opnorm_estimate(op: Operator, p: float, mu: Weight, q: float, lam: Weight,
         flat = rng.standard_normal(size)
         return flat + 1j * rng.standard_normal(size) if op.is_complex else flat
 
+    inv_mu = 1.0 / muv
+
+    def top_right(start):  # GKL on D_lam A D_mu^{-1}
+        return _gkl_top(lambda x: lamv * op.apply(inv_mu * x),
+                        lambda y: inv_mu * op.adjoint(lamv * y), start)
+
     if use_svd:
-        inv_mu = 1.0 / muv
-        value, right, residual, steps = _gkl_top(
-            lambda x: lamv * op.apply(inv_mu * x),
-            lambda y: inv_mu * op.adjoint(lamv * y),
-            start_vector(),
-        )
+        value, right, residual, steps, settled = top_right(start_vector())
+        if not settled:
+            raise NumericalError(
+                f"Lanczos bidiagonalization missed residual {GKL_TOL:g} * sigma "
+                f"in {steps} steps (residual {residual:.3g}, sigma {value:.6g})")
         flat = right * inv_mu
         ratio = _ratio(op, flat, p, q, muv, lamv, vol)
         if abs(ratio - value) > WITNESS_TOL * max(value, 1e-300):
@@ -240,13 +295,14 @@ def opnorm_estimate(op: Operator, p: float, mu: Weight, q: float, lam: Weight,
     lam_q = lamv**q
     mu_p = muv**p
     inv_p1 = 1.0 / (p - 1.0)
-    flats = np.stack([start_vector() for _ in range(budget)])
+    draws = [start_vector() for _ in range(budget)]
+    flats = np.stack([top_right(draws[0])[1] * inv_mu, *draws])
     images = op.apply(flats)
     # the rows still ascending: restart index, iterate x, its image and
     # ratio, and the row's last plain step g with its residual g - x
-    rows, x, img, prev = np.arange(budget), flats, images, np.zeros(budget)
+    rows, x, img, prev = np.arange(len(flats)), flats, images, np.zeros(len(flats))
     g_last = f_last = np.zeros_like(flats)
-    has_last = np.zeros(budget, dtype=bool)
+    has_last = np.zeros(len(flats), dtype=bool)
 
     def leave(stay):  # rows off `stay` leave the batch where they stand
         nonlocal rows, x, img, prev, g_last, f_last, has_last
@@ -260,21 +316,28 @@ def opnorm_estimate(op: Operator, p: float, mu: Weight, q: float, lam: Weight,
             break
         used += rows.size
         mag = np.abs(img)
-        live = np.any(mag, axis=-1)  # a zero image or gradient stops its row
+        top = np.max(mag, axis=-1)
+        live = top != 0.0  # a zero image or gradient stops its row
         if not live.all():
             leave(live)
             if not rows.size:  # no operator sees an empty batch
                 break
-            mag = mag[live]
-        grad = op.adjoint(lam_q * mag ** (q - 2.0) * img)
+            mag, top = mag[live], top[live]
+        # the gradient scales like the q-th power of the image, and the
+        # plain step like the 1/(p-1)-th power of the gradient
+        src = _unit_rows(img, top, q)
+        if src is not img:
+            mag = np.abs(src)
+        grad = op.adjoint(lam_q * mag ** (q - 2.0) * src)
         gm = np.abs(grad)
-        live = np.any(gm, axis=-1)
+        top = np.max(gm, axis=-1)
+        live = top != 0.0
         if not live.all():
             leave(live)
             if not rows.size:
                 break
-            grad, gm = grad[live], gm[live]
-        plain = np.sign(grad) * (gm / mu_p) ** inv_p1
+            grad, gm, top = grad[live], gm[live], top[live]
+        plain = np.sign(grad) * (_unit_rows(gm, top, inv_p1) / mu_p) ** inv_p1
         plain = plain / _flat_norm(plain, p, muv, vol)[:, None]
         resid = plain - x
         x, mixed = _anderson_mix(plain, resid, g_last, f_last, has_last, p, muv, vol)
@@ -450,7 +513,7 @@ def _reported_norm(op: Operator, setup: ExponentSetup, mu: Weight, lam: Weight,
 
 
 def bmo_vs_norm_sweep(symbols, op: Operator, mu: Weight, lam: Weight,
-                      setup: ExponentSetup, budget: int = 8,
+                      setup: ExponentSetup, budget: int = ASCENT_RESTARTS,
                       probe_generation: int = 3) -> list:
     """One row per (id, symbol) pair: oscillation norm, commutator norm,
     probe, ratios.
@@ -497,7 +560,7 @@ class CompactnessReport:
 def compactness_profile(b: SampledFunction, kernel: KernelSpec, setup: ExponentSetup,
                         eps_list: Sequence[float], mu: Weight, lam: Weight,
                         k_list: Sequence[float] = (1.0, 2.0, 4.0, 8.0),
-                        budget: int = 8) -> CompactnessReport:
+                        budget: int = ASCENT_RESTARTS) -> CompactnessReport:
     """Residual commutator norms along shrinking eps, plus sparse tails.
 
     For each eps the kernel is split and |[b, T_residual]| estimated; a

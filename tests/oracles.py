@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from dyadlab import dyadic
+from dyadlab import dyadic, normest
 from dyadlab import operators as ops
 from dyadlab.lattice import SampledFunction
 from dyadlab.oscillation import ESCAPE_RADIUS, WitnessFamily, bmo_norm, oscillation
@@ -248,9 +248,32 @@ def vmo_witness_objects(b, nu=None, alpha=0.0, c0=0.5, mode=None, r=1.0, theta=0
 # a time: the ascent normest.opnorm_estimate ran before Anderson mixing.
 
 
+EXP_LIMIT = 900  # binary exponent a power of a vector's entries may reach unscaled
+
+
+def times_pow2(flat, e):
+    """flat * 2**e, exactly (two factors, each in the float range)."""
+    half = e // 2
+    return flat * math.ldexp(1.0, half) * math.ldexp(1.0, e - half)
+
+
+def unit_scaled(flat, top, power):
+    """`flat` scaled by the power of two that brings its largest modulus
+    `top` into [0.5, 1) when top**power would pass 2**+-EXP_LIMIT, else
+    `flat` itself."""
+    e = math.frexp(top)[1]
+    return times_pow2(flat, -e) if abs(e) * power > EXP_LIMIT else flat
+
+
 def lp_norm(flat, p, wvals, vol):
-    """|f|_{p,w} of one vector."""
-    return float(np.sum((np.abs(flat) * wvals) ** p) * vol) ** (1.0 / p)
+    """|f|_{p,w} of one vector; a sum outside 2**+-EXP_LIMIT (or 0) is
+    taken again from the terms scaled so that the largest is in [0.5, 1)."""
+    mags = np.abs(flat) * wvals
+    total = float(np.sum(mags**p) * vol)
+    if 2.0**-EXP_LIMIT < total < 2.0**EXP_LIMIT:
+        return total ** (1.0 / p)
+    e = math.frexp(float(np.max(mags)))[1]
+    return math.ldexp(float(np.sum(times_pow2(mags, -e) ** p) * vol) ** (1.0 / p), e)
 
 
 def ascent_ratio(flat, image, p, q, muv, lamv, vol):
@@ -261,12 +284,22 @@ def ascent_ratio(flat, image, p, q, muv, lamv, vol):
     return lp_norm(image, q, lamv, vol) / den
 
 
-def start_vectors(op, budget, seed):
-    """The ascent's start vectors, drawn in order from `seed`."""
+def start_vectors(op, budget, seed, weights=None):
+    """The ascent's start vectors: `budget` draws in order from `seed`,
+    after the informed start when `weights` = (mu, lam) is given: the top
+    right singular vector of D_lam A D_mu^{-1} by GKL from the first draw,
+    times D_mu^{-1}."""
     rng = np.random.default_rng(seed)
+    draws = []
     for _ in range(budget):
         flat = rng.standard_normal(op.size)
-        yield flat + 1j * rng.standard_normal(op.size) if op.is_complex else flat
+        draws.append(flat + 1j * rng.standard_normal(op.size) if op.is_complex else flat)
+    if weights is None:
+        return draws
+    inv_mu, lamv = 1.0 / weights[0].values.reshape(-1), weights[1].values.reshape(-1)
+    _, right, _, _, _ = normest._gkl_top(lambda x: lamv * op.apply(inv_mu * x),
+                                         lambda y: inv_mu * op.adjoint(lamv * y), draws[0])
+    return [right * inv_mu] + draws
 
 
 def plain_ascent(op, p, mu, q, lam, budget, iterations, seed):

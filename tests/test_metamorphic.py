@@ -35,10 +35,11 @@ def scaled():
     return measure
 
 
-@pytest.mark.parametrize("c", [1e-12, 1e-6, 2.0, 1e6])
+@pytest.mark.parametrize("c", [1e-150, 1e-12, 1e-6, 2.0, 1e6])
 def test_scaling_the_symbol_scales_norm_and_bmo_by_its_modulus(scaled, c):
     # the ascent's stop and accept rules are relative, so they take the
-    # same steps at every scale
+    # same steps at every scale, and a row is scaled by a power of two where
+    # its q-th powers would leave the float range, as they do at c = 1e-150
     want_norm, want_bmo = scaled(1.0)
     norm, bmo = scaled(c)
     assert norm == pytest.approx(want_norm, rel=1e-12, abs=0.0)
