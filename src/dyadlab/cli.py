@@ -127,11 +127,11 @@ def _choice(*options):
 # catalog section is read through a (catalog, readers) pair: the catalog maps each
 # kind to its keys and defaults (the library's own, for weights and symbol terms),
 # and `readers` maps each key name to its reader.
-_DOMAIN = {"d": (_choice(1, 2), 1), "m": (_integer, 8), "L": (_number, 1.0)}
+_DOMAIN = {"d": (_positive(_integer), 1), "m": (_integer, 8), "L": (_number, 1.0)}
 _EXPONENTS = {"p": (_number, 2.0), "q": (_number, 2.0)}
 _WEIGHTS = {"beta": _number, "amplitude": _number, "modes": _integer, "seed": _integer}
 _WEIGHT_SLOTS = dict.fromkeys(("mu", "lambda"), ((_WEIGHT_KEYS, _WEIGHTS), {"kind": "unit"}))
-_KERNELS = ({"hilbert": {}, "riesz": {"j": None}}, {"j": _choice(1, 2)})  # j: None refused
+_KERNELS = ({"hilbert": {}, "riesz": {"j": None}}, {"j": _positive(_integer)})  # j: None refused
 _TERMS = {"coefficient": _coefficient, "axis": _integer, "exponent": _number,
           "center": lambda v: v if v is None else _numbers(v), "radius": _number}
 _SYMBOL = {"id": (_string, None), "terms": (_list(lambda term: term), None)}  # each: _TERMS
@@ -288,10 +288,7 @@ def _build_context(cfg: dict) -> RunContext:
     kernel = None
     if cfg.get("kernel") is not None:
         spec = _read(cfg["kernel"], _KERNELS, "kernel", tag="variant")
-        kernel = make_kernel(spec.pop("variant"), spec)
-        if kernel.d != domain.d:
-            raise ConfigError(f"kernel {kernel.variant!r} lives at d={kernel.d}, "
-                              f"domain has d={domain.d}")
+        kernel = _made("kernel", make_kernel, spec.pop("variant"), {**spec, "d": domain.d})
     if "kernel" in needs and kernel is None:
         raise ConfigError(f"experiment {experiment} needs a kernel")
 
@@ -433,6 +430,7 @@ def _exp_jn_verify(ctx: RunContext) -> ExperimentResult:
 
 
 def _random_symbol(domain: LatticeDomain, seed: int) -> SampledFunction:
+    """Seeded: a random walk at d = 1, white noise at d = 2 and d = 3."""
     rng = np.random.default_rng(seed)
     if domain.d == 1:
         vals = np.cumsum(rng.standard_normal(domain.n)) / 32.0

@@ -2,11 +2,12 @@
 
 Conventions shared by every module in the package:
 
-* The domain is the half-open box [-L, L)^d split into n = 2**m equal
-  cells per axis, h = 2*L/n.  Cell k (per axis) is [-L + k*h, -L + (k+1)*h)
-  and carries its midpoint -L + (k + 1/2)*h as sample point.  n is even,
-  so no midpoint ever hits the origin and symbols singular at 0 (log|x|,
-  negative powers of |x|) stay finite on the lattice.
+* The domain is the half-open box [-L, L)^d, 1 <= d <= 3 (bounded here
+  only), split into n = 2**m equal cells per axis, h = 2*L/n.  Cell k
+  (per axis) is [-L + k*h, -L + (k+1)*h) and carries its midpoint
+  -L + (k + 1/2)*h as sample point.  n is even, so no midpoint ever hits
+  the origin and symbols singular at 0 (log|x|, negative powers of |x|)
+  stay finite on the lattice.
 * A sampled function is identified with the piecewise-constant function
   equal to the cell value on each cell.  Integrals, averages and norms
   are integrals of that piecewise-constant function, so quadrature
@@ -38,8 +39,8 @@ class LatticeDomain:
     L: float
 
     def __post_init__(self):
-        if self.d not in (1, 2):
-            raise ValueError(f"d must be 1 or 2, got {self.d}")
+        if not 1 <= self.d <= 3:
+            raise ValueError(f"d must be in [1, 3], got {self.d}")
         if not (2 <= self.m <= 14):
             raise ValueError(f"m must be in [2, 14], got {self.m}")
         if not (np.isfinite(self.L) and self.L > 0):

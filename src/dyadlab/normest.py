@@ -6,7 +6,8 @@ so no solver here needs a matrix.  At p = q = 2 the weighted norm ratio
 equals the top singular value of D_lam A D_mu^{-1} exactly; that path
 computes it by Golub-Kahan-Lanczos bidiagonalization (Golub & Kahan
 1965) with full reorthogonalization, stopped when the Ritz residual
-|M* u - sigma v| falls to GKL_TOL * sigma.  Every other exponent pair
+|M* u - sigma v| falls to GKL_TOL * sigma (scaled by a power of two where
+its squares would leave the float range).  Every other exponent pair
 runs a multi-start ascent on the norm ratio, Boyd's p-norm power method
 (Higham 1992), whose fixed points are the stationary points of the
 Lagrangian.  Restart 0 is informed, as Higham chose start vectors for
@@ -51,6 +52,7 @@ import numpy as np
 from dyadlab import dyadic, oscillation, sparse
 from dyadlab.lattice import SampledFunction
 from dyadlab.operators import (  # noqa: F401  (commutator_matrix: bench/tests imports it here)
+    _EXP_LIMIT,
     Commutator,
     KernelSpec,
     NumericalError,
@@ -67,10 +69,6 @@ GKL_TOL = 1e-14
 GKL_MAX_STEPS = 256
 WITNESS_TOL = 1e-10
 PROBE_FLOOR = 0.05  # least pairing share of the oscillation mass a probe must reach
-# binary exponent a power of a row's entries may reach unscaled: the
-# margin to the float range leaves room for the weights and for a sum of
-# up to 2^20 terms
-_EXP_LIMIT = 900
 
 
 class ProbeRefused(ValueError):
@@ -181,6 +179,9 @@ def _gkl_top(apply, adjoint, start: np.ndarray):
     that loses all new direction (alpha or beta 0) ends in an invariant
     pair.  `settled` is False when the residual stays above GKL_TOL * sigma
     after GKL_MAX_STEPS steps, and (sigma, v) are then the last Ritz pair.
+    Where the squares of its first image would leave the float range, GKL
+    runs on 2^-e M, e that image's binary exponent, and scales sigma and
+    the residual back.  A failed small SVD raises NumericalError.
     """
     n = start.size
     steps = min(GKL_MAX_STEPS, n)
@@ -188,10 +189,15 @@ def _gkl_top(apply, adjoint, start: np.ndarray):
     vs = np.zeros((steps + 1, n), dtype=start.dtype)
     vs[0] = start / np.linalg.norm(start)
     alphas, betas = np.zeros(steps), np.zeros(steps)
+    u = apply(vs[0])
+    e = math.frexp(float(np.max(np.abs(u))))[1]
+    e = e if 2 * abs(e) > _EXP_LIMIT else 0
+    if e:
+        apply, adjoint = (lambda x, f=f: _times_pow2(f(x), -e) for f in (apply, adjoint))
+        u = _times_pow2(u, -e)
     for k in range(steps):
-        u = apply(vs[k])
         if k:
-            u = u - betas[k - 1] * us[k - 1]
+            u = apply(vs[k]) - betas[k - 1] * us[k - 1]
         u = _reorthogonalize(u, us[:k])
         alphas[k] = np.linalg.norm(u)
         if alphas[k] > 0.0:
@@ -202,13 +208,17 @@ def _gkl_top(apply, adjoint, start: np.ndarray):
         if betas[k] > 0.0:
             vs[k + 1] = v / betas[k]
         b = np.diag(alphas[: k + 1]) + np.diag(betas[:k], 1)
-        left, sing, right_h = np.linalg.svd(b)
+        try:
+            left, sing, right_h = np.linalg.svd(b)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"Lanczos bidiagonalization: {exc}") from exc
         sigma = float(sing[0])
         residual = float(betas[k] * abs(left[k, 0]))
         settled = residual <= GKL_TOL * sigma or alphas[k] == 0.0 or betas[k] == 0.0
         if settled:
             break
-    return sigma, right_h[0] @ vs[: k + 1], residual, k + 1, settled
+    return (float(np.ldexp(sigma, e)), right_h[0] @ vs[: k + 1], float(np.ldexp(residual, e)),
+            k + 1, settled)
 
 
 def _reorthogonalize(x: np.ndarray, basis: np.ndarray) -> np.ndarray:

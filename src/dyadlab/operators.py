@@ -2,8 +2,9 @@
 
 An operator is a linear map on the cells of one lattice domain, given as
 an apply/adjoint pair on flat cell arrays (Operator).  A kernel is a
-function K(z) of the offset z = x - y, and it acts as
-sum_j K(x_i - x_j) window(|x_i - x_j|) h^d f_j over the lattice
+function K(z) of the offset z = x - y (the named ones are the Riesz
+family z_j / |z|^{d+1}, 1 <= j <= d, with Hilbert 1/z at d = 1), and it
+acts as sum_j K(x_i - x_j) window(|x_i - x_j|) h^d f_j over the lattice
 midpoints, with the j = i term left out.  For odd kernels the dropped
 diagonal is the principal value: the p.v. integral over a cell centered
 at x vanishes by symmetry.  For general kernels it is a declared O(h)
@@ -40,6 +41,7 @@ is asserted cell-by-cell, not just in the sup.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -86,6 +88,12 @@ def annulus(r: float, s: float) -> Callable:
 # -- kernels -------------------------------------------------------------------
 
 
+class NumericalError(ArithmeticError):
+    """A numerical check failed: a solver missed its tolerance, a witness
+    drifted from its value, or an exact identity broke.  Never a config
+    problem."""
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     variant: str
@@ -94,16 +102,24 @@ class KernelSpec:
     size_constant: float
 
 
-def _hilbert_eval(z):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return 1.0 / z[..., 0]
+# binary exponent a power of a float may reach unscaled (|z|^(d+1) here, a
+# row's powers in normest): the margin to the float range leaves room for
+# the weights and for a sum of up to 2^20 terms
+_EXP_LIMIT = 900
 
 
 def _riesz_eval(axis):
+    """K(z) = z_axis / |z|^(d+1), d = z.shape[-1], homogeneous of degree -d:
+    where |z|^(d+1) would leave the float range, K(2^-e z) 2^-ed is taken
+    instead, e the binary exponent of max |z|."""
     def evaluate(z):
+        d = z.shape[-1]
+        e = math.frexp(float(np.max(np.abs(z), initial=0.0)))[1]
+        e = e if abs(e) * (d + 1) > _EXP_LIMIT else 0
+        z = np.ldexp(z, -e)
         dist = np.sqrt(np.sum(z**2, axis=-1))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return z[..., axis] / dist**3
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return np.ldexp(z[..., axis] / dist ** (d + 1), -e * d)
     return evaluate
 
 
@@ -128,59 +144,58 @@ def _sample_size_bound(evaluator, c, d, domain, rng):
 def make_kernel(variant: str, params: Optional[dict] = None) -> KernelSpec:
     """Build a KernelSpec.
 
-    variant "hilbert" (d=1, K(z) = 1/z) and "riesz" (d=2, component j of
-    z/|z|^3, params {"j": 1 or 2}) carry exact size constants.  variant
-    "custom" takes params {"evaluator", "C", "domain", optional "d"}, the
-    evaluator a function of the offset z = x - y; the size bound
-    |K(z)| <= C |z|^{-d} is spot-checked on random pairs and a violation
-    raises with the witness pair.  Providing "domain" for the named
-    variants runs the same check on them.  Params are taken as typed, not
-    cast.
+    variant "riesz" is the Riesz family K_j(z) = z_j / |z|^{d+1}, params
+    {"j", optional "d" (default 2)} with 1 <= j <= d; "hilbert" is its
+    d = 1 member 1/z (j = 1, d = 1, which it takes as defaults).  Both
+    carry the exact size constant 1.  variant "custom" takes params
+    {"evaluator", "C", "domain", optional "d"}, the evaluator a function
+    of the offset z = x - y; the size bound |K(z)| <= C |z|^{-d} is
+    spot-checked on random pairs and a violation raises with the witness
+    pair.  Params are taken as typed, not cast.
     """
     params = dict(params or {})
-    domain = params.pop("domain", None)
-    rng = np.random.default_rng(7)
-
     if variant == "hilbert":
-        d = params.pop("d", 1)
-        if d != 1:
-            raise ValueError("hilbert kernel is one-dimensional")
-        spec = KernelSpec("hilbert", 1, _hilbert_eval, 1.0)
-    elif variant == "riesz":
-        d = params.pop("d", 2)
-        if d != 2:
-            raise ValueError("riesz kernels live at d=2 here (d=1 has hilbert)")
-        j = params.pop("j")
-        if j not in (1, 2):
-            raise ValueError("riesz component j must be 1 or 2")
-        spec = KernelSpec(f"riesz_{j}", 2, _riesz_eval(j - 1), 1.0)
+        params = {"j": 1, "d": 1, **params}
+        if params["d"] != 1:
+            raise ValueError(f"hilbert is riesz j = 1 at d = 1, got d = {params['d']}")
+    if variant in ("hilbert", "riesz"):
+        j, d = params.pop("j"), params.pop("d", 2)
+        if not 1 <= j <= d:
+            raise ValueError(f"riesz component j must be in [1, d] = [1, {d}], got {j}")
+        spec = KernelSpec("hilbert" if variant == "hilbert" else f"riesz_{j}", d,
+                          _riesz_eval(j - 1), 1.0)
     elif variant == "custom":
+        domain = params.pop("domain", None)
         if domain is None:
             raise ValueError("custom kernels need a domain for the size-bound check")
-        evaluator = params.pop("evaluator")
-        c = params.pop("C")
-        d = params.pop("d", domain.d)
-        _sample_size_bound(evaluator, c, d, domain, rng)
+        evaluator, c, d = params.pop("evaluator"), params.pop("C"), params.pop("d", domain.d)
+        _sample_size_bound(evaluator, c, d, domain, np.random.default_rng(7))
         spec = KernelSpec("custom", d, evaluator, c)
     else:
         raise ValueError(f"unknown kernel variant {variant!r}")
-
     if params:
         raise ValueError(f"unused kernel params: {sorted(params)}")
-    if domain is not None and variant != "custom":
-        if domain.d != spec.d:
-            raise ValueError(f"{variant} kernel needs d={spec.d}, domain has d={domain.d}")
-        _sample_size_bound(spec.evaluator, spec.size_constant, spec.d, domain, rng)
     return spec
 
 
+def _kernel_values(kernel: KernelSpec, z: np.ndarray, window) -> np.ndarray:
+    """K(z) window(|z|) at the offsets z (..., d), 0 at z = 0.  Any other
+    value that is not finite raises NumericalError: a kernel that leaves
+    the float range must not read as a zero operator."""
+    if z.shape[-1] != kernel.d:
+        raise ValueError(f"kernel is d={kernel.d}, domain is d={z.shape[-1]}")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        vals = np.asarray(kernel.evaluator(z), dtype=float)
+        if window is not None:
+            vals = vals * window(np.sqrt(np.sum(z**2, axis=-1)))
+    vals[np.all(z == 0.0, axis=-1)] = 0.0
+    if not np.all(np.isfinite(vals)):
+        bad = tuple(z[~np.isfinite(vals)][0].tolist())
+        raise NumericalError(f"kernel {kernel.variant} leaves the float range at offset {bad}")
+    return vals
+
+
 # -- operators -----------------------------------------------------------------
-
-
-class NumericalError(ArithmeticError):
-    """A numerical check failed: a solver missed its tolerance, a witness
-    drifted from its value, or an exact identity broke.  Never a config
-    problem."""
 
 
 class Operator:
@@ -262,18 +277,9 @@ class Convolution(Operator):
     """
 
     def __init__(self, kernel: KernelSpec, domain: LatticeDomain, window=None):
-        if domain.d != kernel.d:
-            raise ValueError(f"kernel is d={kernel.d}, domain is d={domain.d}")
-        n, d = domain.n, domain.d
-        axis = np.arange(1 - n, n) * domain.h
-        z = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.asarray(kernel.evaluator(z), dtype=float)
-            if window is not None:
-                vals = vals * window(np.sqrt(np.sum(z**2, axis=-1)))
-        vals[~np.isfinite(vals)] = 0.0
-        vals[(n - 1,) * d] = 0.0
-        self._embed(domain, vals * domain.cell_volume)
+        axis = np.arange(1 - domain.n, domain.n) * domain.h
+        z = np.stack(np.meshgrid(*([axis] * domain.d), indexing="ij"), axis=-1)
+        self._embed(domain, _kernel_values(kernel, z, window) * domain.cell_volume)
 
     @classmethod
     def _from_stencil(cls, domain: LatticeDomain, stencil: np.ndarray) -> "Convolution":
@@ -539,8 +545,6 @@ def assemble(kernel: KernelSpec, domain: LatticeDomain, window=None) -> Operator
 
     window: None, or a callable on distances such as annulus(r, s).
     """
-    if domain.d != kernel.d:
-        raise ValueError(f"kernel is d={kernel.d}, domain is d={domain.d}")
     size = domain.n**domain.d
     if size * size > MAX_MATRIX_ENTRIES:
         raise ValueError(
@@ -550,17 +554,7 @@ def assemble(kernel: KernelSpec, domain: LatticeDomain, window=None) -> Operator
     a = np.empty((size, size))
     block = max(1, 2**22 // size)
     for lo in range(0, size, block):
-        hi = min(lo + block, size)
-        x = pts[lo:hi, None, :]
-        y = pts[None, :, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = x - y
-            vals = np.asarray(kernel.evaluator(z), dtype=float)
-            if window is not None:
-                vals = vals * window(np.sqrt(np.sum(z**2, axis=-1)))
-        vals[~np.isfinite(vals)] = 0.0
-        a[lo:hi] = vals
-    np.fill_diagonal(a, 0.0)
+        a[lo:lo + block] = _kernel_values(kernel, pts[lo:lo + block, None] - pts[None], window)
     a *= domain.cell_volume
     return OperatorMatrix(domain, a)
 

@@ -65,8 +65,6 @@ class ExponentSetup:
     d: int
 
     def __post_init__(self):
-        if self.d not in (1, 2):
-            raise ValueError(f"d must be 1 or 2, got {self.d}")
         if not (1.0 < self.p <= self.q < math.inf):
             raise ValueError(f"need 1 < p <= q < inf, got p={self.p}, q={self.q}")
 
@@ -176,11 +174,11 @@ def make_weight(domain: LatticeDomain, spec: dict) -> Weight:
         for k in range(1, modes + 1):
             a = rng.uniform(-amplitude, amplitude) / k
             phase = rng.uniform(0.0, 2.0 * np.pi)
-            if domain.d == 1:
-                proj = axes[0]
-            else:
-                theta = rng.uniform(0.0, 2.0 * np.pi)
-                proj = axes[0] * np.cos(theta) + axes[1] * np.sin(theta)
+            # a unit direction from d - 1 hyperspherical angles: c -> (c cos, c sin)
+            direction = [1.0]
+            for angle in rng.uniform(0.0, 2.0 * np.pi, size=domain.d - 1):
+                direction[-1:] = [direction[-1] * np.cos(angle), direction[-1] * np.sin(angle)]
+            proj = sum(x * u for x, u in zip(axes, direction))
             logw = logw + a * np.cos(np.pi * k * proj / domain.L + phase)
     # exp is monotone, so the two ends bound every value (a NaN log reaches
     # both through min and max); values are computed on first read
@@ -292,10 +290,8 @@ def bloom_sandwich_report(
     canonical cubes, plus the intermediate-weight characteristic bound at
     s = 2/(1 + alpha/d).  [mu] and [lambda] are the characteristics the
     membership surrogates compute."""
-    if mu.domain != lam.domain or mu.domain.d != setup.d:
-        raise ValueError("weights and setup must share domain and dimension")
+    nu = bloom_weight(mu, lam, setup)  # checks the domains and the dimension
     flags = set()
-    nu = bloom_weight(mu, lam, setup)
     p, q = setup.p, setup.q
     if mu.power_overflows(p) or lam.power_overflows(-setup.q_prime):
         flags.add("overflow")

@@ -35,3 +35,14 @@ def test_norm_estimates_carry_the_labels_the_tracer_reads():
     assert ascent.method == "random-restart-ascent"
     dense = normest.commutator_matrix(b, operators.assemble(kernel, dom))
     assert normest.opnorm_estimate(dense, 2.0, unit, 2.0, unit).method == "svd-exact"
+
+
+def test_bench_kernels_still_build():
+    # bench/tests calls make_kernel("hilbert") with no params, and
+    # bench/workloads.py configures {"variant": "riesz", "j": 1} at d = 2
+    assert operators.make_kernel("hilbert").d == 1
+    cfg = {"experiment": "commutator-sweep", "domain": {"d": 2, "m": 4},
+           "kernel": {"variant": "riesz", "j": 1},
+           "symbols": [{"id": "log", "terms": [{"kind": "log_abs"}]}]}
+    kernel = cli._build_context(cfg).kernel
+    assert (kernel.variant, kernel.d) == ("riesz_1", 2)

@@ -249,14 +249,18 @@ def test_config_values_are_read_typed_and_refused_naming_the_key(tmp_path, capsy
     assert path in capsys.readouterr().err
 
 
-def test_kernel_dimension_mismatch_exits_2(tmp_path):
-    cfg = {
-        "experiment": "commutator-sweep",
-        "domain": {"d": 1, "m": 6},
-        "kernel": {"variant": "riesz", "j": 1},
-        "symbols": log_symbols(),
-    }
-    assert cli.run(write_config(tmp_path, cfg), out_dir=tmp_path / "out") == 2
+def test_kernel_dimension_mismatch_exits_2(tmp_path, capsys):
+    # j > d, and hilbert off d = 1 (it is riesz j = 1 at d = 1)
+    for d, kernel in ((1, {"variant": "riesz", "j": 2}), (2, {"variant": "riesz", "j": 3}),
+                      (2, {"variant": "hilbert"})):
+        cfg = {
+            "experiment": "commutator-sweep",
+            "domain": {"d": d, "m": 4},
+            "kernel": kernel,
+            "symbols": log_symbols(),
+        }
+        assert cli.run(write_config(tmp_path, cfg), out_dir=tmp_path / "out") == 2
+        assert "config error: kernel: " in capsys.readouterr().err
 
 
 # -- single runs ---------------------------------------------------------------
@@ -630,6 +634,99 @@ def test_tiny_lattice_norms_are_reported(tmp_path, experiment, m, table):
     norms = [float(row[header.index("norm" if table == "commutator" else "tail_norm")])
              for row in rows]
     assert norms and all(0.0 < v < math.inf for v in norms)
+
+
+def _riesz_norm(tmp_path, L, q):
+    """The commutator-sweep norm of [log|x|, R_1] at d = 2, m = 4, unit weights."""
+    cfg = {
+        "experiment": "commutator-sweep",
+        "domain": {"d": 2, "m": 4, "L": L},
+        "exponents": {"p": 2.0, "q": q},
+        "kernel": {"variant": "riesz", "j": 1},
+        "symbols": log_symbols(),
+    }
+    out = tmp_path / f"out-{L}-{q}"
+    assert cli.run(cfg, out_dir=out) == 0
+    header, rows = read_csv(out / "commutator.csv")
+    return float(rows[0][header.index("norm")])
+
+
+@pytest.mark.parametrize("q", [2.0, 3.0])
+@pytest.mark.parametrize("L", [1e100, 1e150])
+def test_riesz_norm_on_a_huge_lattice_scales_as_L_to_minus_alpha(tmp_path, q, L):
+    # |z|^3 passes the float range at these L, and its stencil must not read 0
+    alpha = 2.0 * (1.0 / 2.0 - 1.0 / q)
+    want = _riesz_norm(tmp_path, 1.0, q) * L**-alpha
+    assert _riesz_norm(tmp_path, L, q) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_riesz_kernel_past_the_float_range_exits_3(tmp_path, capsys):
+    # at d = 2, L = 1e-160, h^2 is subnormal and K ~ h^-2 overflows
+    cfg = {
+        "experiment": "commutator-sweep",
+        "domain": {"d": 2, "m": 4, "L": 1e-160},
+        "kernel": {"variant": "riesz", "j": 1},
+        "symbols": log_symbols(),
+    }
+    assert cli.run(cfg, out_dir=tmp_path / "out") == 3
+    err = capsys.readouterr().err
+    assert "numerical error: kernel riesz_1 leaves the float range" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("q", [2.0, 3.0])
+def test_failed_lanczos_svd_exits_3(tmp_path, monkeypatch, capsys, q):
+    def diverge(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", diverge)
+    cfg = {
+        "experiment": "commutator-sweep",
+        "domain": {"d": 1, "m": 5},
+        "exponents": {"p": 2.0, "q": q},
+        "kernel": {"variant": "hilbert"},
+        "symbols": log_symbols(),
+    }
+    assert cli.run(cfg, out_dir=tmp_path / "out") == 3
+    assert "numerical error: Lanczos bidiagonalization: SVD did not converge" in (
+        capsys.readouterr().err)
+
+
+_D3_SYMBOLS = [
+    {"id": "log", "terms": [{"kind": "log_abs"}]},
+    {"id": "bump", "terms": [{"kind": "bump", "center": [0.2, -0.1, 0.3], "radius": 0.5}]},
+    {"id": "x3", "terms": [{"kind": "coordinate", "axis": 2}]},
+]
+
+
+@pytest.mark.parametrize("experiment", sorted(cli.EXPERIMENTS))
+def test_every_experiment_runs_at_d3(tmp_path, experiment):
+    # alpha = 3 (1/p - 1/q): the exponents meet a d other than 1 or 2
+    cfg = {
+        "experiment": experiment,
+        "domain": {"d": 3, "m": 5 if experiment == "bmo-compute" else 4},
+        "exponents": {"p": 2.0, "q": 3.0},
+        "weights": {"mu": {"kind": "power", "beta": 0.3},
+                    "lambda": {"kind": "logsmooth", "amplitude": 0.6, "modes": 3, "seed": 0}},
+        "symbols": _D3_SYMBOLS,
+        "kernel": {"variant": "riesz", "j": 3},
+        "seeds": [1],
+    }
+    if experiment == "compactness-profile":  # 4h = 0.5 at m = 4
+        cfg.update(symbols=_D3_SYMBOLS[:1], params={"eps_list": [0.5], "k_list": [1.0]})
+    out = tmp_path / "out"
+    assert cli.run(cfg, out_dir=out) == 0
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert summary["hard_failed"] == 0
+    assert summary["hard_passed"] > 0 or experiment == "compactness-profile"
+
+
+@pytest.mark.parametrize("d, named", [(4, "domain: d must be in [1, 3], got 4"),
+                                      (0, "domain.d: need a value > 0")])
+def test_dimension_outside_1_to_3_exits_2_naming_it(tmp_path, capsys, d, named):
+    cfg = {"experiment": "bmo-compute", "domain": {"d": d, "m": 3}, "symbols": log_symbols()}
+    assert cli.run(cfg, out_dir=tmp_path / "out") == 2
+    assert named in capsys.readouterr().err
 
 
 def test_sweep_reports_numerical_failure_as_its_own_status(tmp_path, monkeypatch):

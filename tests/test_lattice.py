@@ -17,8 +17,10 @@ class TestDomain:
                 assert np.all(np.abs(np.round(ratio)) % 2 == 1)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            LatticeDomain(3, 5, 1.0)
+        LatticeDomain(3, 5, 1.0)  # 1 <= d <= 3
+        for d in (0, 4):
+            with pytest.raises(ValueError, match="d must be in"):
+                LatticeDomain(d, 5, 1.0)
         with pytest.raises(ValueError):
             LatticeDomain(1, 1, 1.0)
         with pytest.raises(ValueError):

@@ -74,13 +74,58 @@ def test_riesz_point_value(riesz1):
 
 def test_kernel_variant_guards():
     with pytest.raises(ValueError):
-        ops.make_kernel("riesz", {"j": 1, "d": 1})
+        ops.make_kernel("riesz", {"j": 2, "d": 1})
+    with pytest.raises(ValueError):
+        ops.make_kernel("riesz", {"j": 0, "d": 3})
     with pytest.raises(ValueError):
         ops.make_kernel("hilbert", {"d": 2})
     with pytest.raises(ValueError):
         ops.make_kernel("banach")
     with pytest.raises(ValueError):
         ops.make_kernel("riesz", {"j": 3})
+
+
+@pytest.mark.parametrize("m", [5, 10])
+def test_hilbert_is_riesz_j1_at_d1(m):
+    dom = LatticeDomain(d=1, m=m, L=1.0)
+    hilbert = ops.Convolution(ops.make_kernel("hilbert"), dom).stencil
+    riesz = ops.Convolution(ops.make_kernel("riesz", {"j": 1, "d": 1}), dom).stencil
+    assert np.array_equal(hilbert, riesz)
+    # the lattice offsets at L = 1 are exact, so z / |z|^2 rounds as 1/z does
+    inverse = ops.make_kernel("custom", {"evaluator": lambda z: 1.0 / z[..., 0], "C": 1.0,
+                                         "domain": dom})
+    assert np.array_equal(hilbert, ops.Convolution(inverse, dom).stencil)
+
+
+def test_riesz_components_at_d3():
+    z = np.array([[0.0, 0.0, 2.0], [1.0, -1.0, 1.0]])
+    want = z / (np.sqrt(np.sum(z**2, axis=-1)) ** 4)[:, None]
+    for j in (1, 2, 3):
+        kernel = ops.make_kernel("riesz", {"j": j, "d": 3})
+        assert kernel.d == 3
+        np.testing.assert_array_equal(kernel.evaluator(z), want[:, j - 1])
+
+
+@pytest.mark.parametrize("d, L", [(1, 1e-160), (1, 1e150), (2, 1e150), (2, 1e-100),
+                                  (3, 1e100)])
+def test_riesz_stencil_keeps_its_values_off_the_unit_lattice(d, L):
+    # K(o h) h^d does not depend on h, and the evaluator scales |z|^(d+1)
+    # into the float range where it would leave it
+    kernel = ops.make_kernel("riesz", {"j": 1, "d": d})
+    m = 4 if d == 3 else 5
+    want = ops.Convolution(kernel, LatticeDomain(d=d, m=m, L=1.0)).stencil
+    got = ops.Convolution(kernel, LatticeDomain(d=d, m=m, L=L)).stencil
+    np.testing.assert_allclose(got, want, rtol=4e-15, atol=0.0)  # a few roundings of h
+
+
+def test_kernel_leaving_the_float_range_raises_not_zeroes():
+    # at L = 1e-160, h^2 is subnormal and K ~ h^-2 overflows: a stencil of
+    # zeros would make every commutator vanish
+    dom = LatticeDomain(d=2, m=4, L=1e-160)
+    with pytest.raises(ops.NumericalError, match="kernel riesz_1 leaves the float range"):
+        ops.Convolution(ops.make_kernel("riesz", {"j": 1}), dom)
+    with pytest.raises(ops.NumericalError, match="kernel riesz_2"):
+        ops.assemble(ops.make_kernel("riesz", {"j": 2}), dom)
 
 
 def test_custom_size_bound_witness(dom):

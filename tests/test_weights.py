@@ -282,3 +282,30 @@ class TestWeightType:
         dom = LatticeDomain(1, 5, 1.0)
         with pytest.raises(ValueError, match="kind 'power' takes no key 'bta'"):
             make_weight(dom, {"kind": "power", "bta": 0.3})
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_logsmooth_direction_draws_are_unchanged_at_d_1_and_2(self, d, seed):
+        # the hyperspherical direction draws no angle at d = 1 and one at d = 2,
+        # as the earlier per-d draw did
+        dom = LatticeDomain(d, 6, 1.0)
+        axes = dom.axis_grids()
+        rng = np.random.default_rng(seed)
+        want = np.zeros(dom.shape)
+        for k in range(1, 4):
+            a = rng.uniform(-0.6, 0.6) / k
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            if d == 1:
+                proj = axes[0]
+            else:
+                theta = rng.uniform(0.0, 2.0 * np.pi)
+                proj = axes[0] * np.cos(theta) + axes[1] * np.sin(theta)
+            want = want + a * np.cos(np.pi * k * proj / dom.L + phase)
+        spec = {"kind": "logsmooth", "amplitude": 0.6, "modes": 3, "seed": seed}
+        assert np.array_equal(make_weight(dom, spec).log_values, want)
+
+    def test_logsmooth_at_d3_varies_along_every_axis(self):
+        dom = LatticeDomain(3, 4, 1.0)
+        logw = make_weight(dom, {"kind": "logsmooth", "amplitude": 0.6, "seed": 1}).log_values
+        for axis in range(3):
+            assert np.any(np.diff(logw, axis=axis) != 0.0)
