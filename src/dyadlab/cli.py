@@ -735,10 +735,13 @@ def _execute(cfg: dict, out_dir, echo: dict):
     """Build a loaded config's context, run its experiment and write its
     report, with `echo` as the summary's config, to `out_dir` (None: the
     config's `out`); returns (result, output directory, written files).
-    `run` and every sweep point go through here."""
+    A subnormal cell volume h^d is flagged.  `run` and every sweep point
+    go through here."""
     ctx = _build_context(cfg)
     out = _resolve_out(cfg, out_dir, ctx.experiment)
     result = EXPERIMENTS[ctx.experiment][0](ctx)
+    if 0.0 < ctx.domain.cell_volume < sys.float_info.min:  # h^d has lost bits
+        result.flags.append("subnormal-cell-volume")
     return result, out, emit_report(ctx.experiment, result, out, echo)
 
 

@@ -13,23 +13,26 @@ runs a multi-start ascent on the norm ratio, Boyd's p-norm power method
 Lagrangian.  Restart 0 is informed, as Higham chose start vectors for
 Boyd's iteration: it starts from the p = q = 2 witness of the same
 operator and weights, the top right singular vector of D_lam A D_mu^{-1}
-(by GKL from the first seeded draw) times D_mu^{-1}.  The random restarts
-follow it.  The iterates are Anderson-mixed with memory 1 (Walker & Ni
-2011): from the plain step g_k and its residual f_k = g_k - x_k, the next
-iterate is g_k - gamma (g_k - g_{k-1}), gamma = <df, f_k> / <df, df> with
-df = f_k - f_{k-1}, renormalized.  A mixed iterate is kept only when its
-own ratio beats the previous one by more than the stop tolerance;
-otherwise the row takes the plain step and forgets its history, so the
-ratio never falls and only a plain step can stop a row.  The restarts
-run as one batch through the operator: random restart i starts from the
-i-th draw of the seeded generator, and a row leaves the batch once its
-ratio settles or its image or gradient vanishes, so every restart ends
-bitwise where it would alone.  The ascent is scale-safe: a row whose
-image, gradient or norm sum would leave the float range is scaled by an
-exact power of two first, and a row in range keeps its bits.  The
-returned value is always a certified lower bound: a witness function
-attaining it is part of the estimate and is re-checked on return, and a
-drift raises NumericalError.
+(by GKL from the first seeded draw, stopped at residual SEED_TOL * sigma:
+the start only has to land in the right basin) times D_mu^{-1}.  The
+random restarts follow it.  The iterates are Anderson-mixed with memory 1
+(Walker & Ni 2011): from the plain step g_k and its residual f_k = g_k -
+x_k, the next iterate is g_k - gamma (g_k - g_{k-1}), gamma = <df, f_k> /
+<df, df> with df = f_k - f_{k-1}, renormalized.  A mixed iterate is kept
+only when its own ratio beats the previous one by more than the stop
+tolerance; otherwise the row takes the plain step and forgets its
+history, so the ratio never falls and only a plain step can stop a row.
+Every stepped iterate is divided by its own p-norm, so a step's ratio is
+its image's q-norm alone; the returned value takes both norms.  The
+restarts run as one batch through the operator: random restart i starts
+from the i-th draw of the seeded generator, and a row leaves the batch
+once its ratio settles or its image or gradient vanishes, so every
+restart ends bitwise where it would alone.  The ascent is scale-safe: a
+row whose image, gradient or norm sum would leave the float range is
+scaled by an exact power of two first, and a row in range keeps its
+bits.  The returned value is always a certified lower bound: a witness
+function attaining it is part of the estimate and is re-checked on
+return, and a drift raises NumericalError.
 
 The separation probe pairs a cube Q with its shift by 3 sidelengths,
 where the Hilbert/Riesz kernels are sign-definite: testing the
@@ -66,6 +69,7 @@ ASCENT_RESTARTS = 3  # random restarts after the informed one
 ASCENT_ITERATIONS = 200
 ASCENT_TOL = 1e-13  # relative move of the ratio that ends an ascent
 GKL_TOL = 1e-14
+SEED_TOL = 1e-6  # GKL residual / sigma that ends the informed start's seed
 GKL_MAX_STEPS = 256
 WITNESS_TOL = 1e-10
 PROBE_FLOOR = 0.05  # least pairing share of the oscillation mass a probe must reach
@@ -78,7 +82,7 @@ class ProbeRefused(ValueError):
 @dataclass
 class NormEstimate:
     value: float
-    # svd-exact (top singular value, GKL) | random-restart-ascent | probe
+    # svd-exact (top singular value, GKL) | random-restart-ascent
     method: str
     witness: Optional[SampledFunction]
     iterations: int
@@ -114,19 +118,25 @@ def _flat_norm(flat: np.ndarray, p: float, wvals: np.ndarray, cell_volume: float
     the last bit, and a row must not depend on the batch it rides in.  A row
     whose sum is 0 or passes 2**+-_EXP_LIMIT is summed again with its terms
     scaled into [0.5, 1) by a power of two, and its root scaled back."""
-    mags = np.abs(flat) * wvals
+    powers = np.abs(flat)
+    powers *= wvals
     with np.errstate(over="ignore"):  # an overflowing row is summed again below
-        sums = np.sum(mags**p, axis=-1) * cell_volume
+        # in place; at p = 2 a product, bitwise mags**2.0 (numpy's square)
+        if p == 2.0:
+            np.multiply(powers, powers, out=powers)
+        else:
+            np.power(powers, p, out=powers)
+        sums = powers.sum(axis=-1) * cell_volume
     roots = sums.reshape(-1).tolist()
     for i, total in enumerate(roots):
         if 2.0**-_EXP_LIMIT < total < 2.0**_EXP_LIMIT:
             roots[i] = total ** (1.0 / p)
         else:
-            row = mags.reshape(-1, mags.shape[-1])[i]
+            row = np.abs(flat.reshape(-1, flat.shape[-1])[i]) * wvals
             e = math.frexp(float(np.max(row)))[1]
             total = float(np.sum(_times_pow2(row, -e) ** p) * cell_volume)
             roots[i] = math.ldexp(total ** (1.0 / p), e)
-    return np.reshape(roots, sums.shape)
+    return np.array(roots).reshape(sums.shape)
 
 
 def _image_ratio(flat, image, p, q, muv, lamv, vol) -> np.ndarray:
@@ -135,6 +145,17 @@ def _image_ratio(flat, image, p, q, muv, lamv, vol) -> np.ndarray:
     den = _flat_norm(flat, p, muv, vol)
     num = _flat_norm(image, q, lamv, vol)
     return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+
+
+def _plain_step(grad, gm, top, mu_p, p) -> np.ndarray:
+    """The plain duality step sign(g) (|g| / mu^p)^(1/(p-1)) of each row of
+    `grad` (moduli `gm`, largest `top`), unnormalized, its moduli scaled
+    into range first.  At p = 2 a real g takes it in one pass as g / mu^2:
+    sign(g) (|g| / mu^2)**1 rounds to the same value entry by entry."""
+    if p == 2.0 and not np.iscomplexobj(grad):
+        return _unit_rows(grad, top, 1.0) / mu_p
+    inv_p1 = 1.0 / (p - 1.0)
+    return np.sign(grad) * (_unit_rows(gm, top, inv_p1) / mu_p) ** inv_p1
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -167,7 +188,7 @@ def _ratio(op: Operator, flat, p, q, muv, lamv, vol) -> float:
     return float(_image_ratio(flat, op.apply(flat), p, q, muv, lamv, vol))
 
 
-def _gkl_top(apply, adjoint, start: np.ndarray):
+def _gkl_top(apply, adjoint, start: np.ndarray, tol: float = GKL_TOL):
     """Top singular value and right vector of the map `apply` (adjoint
     `adjoint`) by GKL.
 
@@ -177,16 +198,17 @@ def _gkl_top(apply, adjoint, start: np.ndarray):
     has M V_k q = sigma U_k p exactly and residual |M* U_k p - sigma V_k q|
     = beta_k |p_k|.  Returns (sigma, v, residual, steps, settled); a step
     that loses all new direction (alpha or beta 0) ends in an invariant
-    pair.  `settled` is False when the residual stays above GKL_TOL * sigma
+    pair.  `settled` is False when the residual stays above `tol` * sigma
     after GKL_MAX_STEPS steps, and (sigma, v) are then the last Ritz pair.
+    The bases start at 16 rows and double as the steps need them.
     Where the squares of its first image would leave the float range, GKL
     runs on 2^-e M, e that image's binary exponent, and scales sigma and
     the residual back.  A failed small SVD raises NumericalError.
     """
     n = start.size
     steps = min(GKL_MAX_STEPS, n)
-    us = np.zeros((steps, n), dtype=start.dtype)
-    vs = np.zeros((steps + 1, n), dtype=start.dtype)
+    us = np.zeros((min(16, steps), n), dtype=start.dtype)
+    vs = np.zeros((len(us) + 1, n), dtype=start.dtype)
     vs[0] = start / np.linalg.norm(start)
     alphas, betas = np.zeros(steps), np.zeros(steps)
     u = apply(vs[0])
@@ -196,6 +218,10 @@ def _gkl_top(apply, adjoint, start: np.ndarray):
         apply, adjoint = (lambda x, f=f: _times_pow2(f(x), -e) for f in (apply, adjoint))
         u = _times_pow2(u, -e)
     for k in range(steps):
+        if k == len(us):
+            grow = min(2 * k, steps) - k
+            us = np.concatenate([us, np.zeros((grow, n), us.dtype)])
+            vs = np.concatenate([vs, np.zeros((grow, n), vs.dtype)])
         if k:
             u = apply(vs[k]) - betas[k - 1] * us[k - 1]
         u = _reorthogonalize(u, us[:k])
@@ -214,7 +240,7 @@ def _gkl_top(apply, adjoint, start: np.ndarray):
             raise NumericalError(f"Lanczos bidiagonalization: {exc}") from exc
         sigma = float(sing[0])
         residual = float(betas[k] * abs(left[k, 0]))
-        settled = residual <= GKL_TOL * sigma or alphas[k] == 0.0 or betas[k] == 0.0
+        settled = residual <= tol * sigma or alphas[k] == 0.0 or betas[k] == 0.0
         if settled:
             break
     return (float(np.ldexp(sigma, e)), right_h[0] @ vs[: k + 1], float(np.ldexp(residual, e)),
@@ -235,10 +261,11 @@ def opnorm_estimate(op: Operator, p: float, mu: Weight, q: float, lam: Weight,
     Exact (largest singular value of D_lam A D_mu^{-1}, by GKL from a
     start vector drawn from `seed`) at p = q = 2; otherwise the best of
     1 + `budget` duality-map ascents.  Restart 0 is informed: it starts
-    from that GKL witness of the same operator and weights (right singular
-    vector times D_mu^{-1}, GKL from the first draw; the last Ritz vector
-    if GKL misses GKL_TOL).  Random restart i starts from the i-th vector
-    drawn from `seed`, as it would without the informed start.  The ascents
+    from the GKL witness of the same operator and weights (right singular
+    vector times D_mu^{-1}, GKL from the first draw stopped at residual
+    SEED_TOL * sigma; the last Ritz vector if GKL misses it).  Random
+    restart i starts from the i-th vector drawn from `seed`, as it would
+    without the informed start.  The ascents
     run as one (1 + budget, N) batch: each restart steps only while its
     ratio moves by more than ASCENT_TOL times itself and its image and
     gradient are nonzero, for at most `iterations` steps, and converged
@@ -285,9 +312,9 @@ def opnorm_estimate(op: Operator, p: float, mu: Weight, q: float, lam: Weight,
 
     inv_mu = 1.0 / muv
 
-    def top_right(start):  # GKL on D_lam A D_mu^{-1}
+    def top_right(start, tol=GKL_TOL):  # GKL on D_lam A D_mu^{-1}
         return _gkl_top(lambda x: lamv * op.apply(inv_mu * x),
-                        lambda y: inv_mu * op.adjoint(lamv * y), start)
+                        lambda y: inv_mu * op.adjoint(lamv * y), start, tol)
 
     if use_svd:
         value, right, residual, steps, settled = top_right(start_vector())
@@ -304,9 +331,8 @@ def opnorm_estimate(op: Operator, p: float, mu: Weight, q: float, lam: Weight,
 
     lam_q = lamv**q
     mu_p = muv**p
-    inv_p1 = 1.0 / (p - 1.0)
     draws = [start_vector() for _ in range(budget)]
-    flats = np.stack([top_right(draws[0])[1] * inv_mu, *draws])
+    flats = np.stack([top_right(draws[0], SEED_TOL)[1] * inv_mu, *draws])
     images = op.apply(flats)
     # the rows still ascending: restart index, iterate x, its image and
     # ratio, and the row's last plain step g with its residual g - x
@@ -347,13 +373,15 @@ def opnorm_estimate(op: Operator, p: float, mu: Weight, q: float, lam: Weight,
             if not rows.size:
                 break
             grad, gm, top = grad[live], gm[live], top[live]
-        plain = np.sign(grad) * (_unit_rows(gm, top, inv_p1) / mu_p) ** inv_p1
+        plain = _plain_step(grad, gm, top, mu_p, p)
         plain = plain / _flat_norm(plain, p, muv, vol)[:, None]
         resid = plain - x
         x, mixed = _anderson_mix(plain, resid, g_last, f_last, has_last, p, muv, vol)
         g_last, f_last = plain, resid
         img = op.apply(x)
-        cur = _image_ratio(x, img, p, q, muv, lamv, vol)
+        # every x here is a step divided by its own norm, so the ratio is
+        # the image's norm alone (the returned value takes both norms)
+        cur = _flat_norm(img, q, lamv, vol)
         # safeguard: a mixed iterate that does not raise its row's ratio by
         # more than the stop tolerance (or is nan) gives way to the plain
         # step, and the row's history is cleared; only a plain step can stop
@@ -363,7 +391,7 @@ def opnorm_estimate(op: Operator, p: float, mu: Weight, q: float, lam: Weight,
         if back.size:
             x[back] = plain[back]
             img[back] = op.apply(plain[back])
-            cur[back] = _image_ratio(plain[back], img[back], p, q, muv, lamv, vol)
+            cur[back] = _flat_norm(img[back], q, lamv, vol)
         converged = np.abs(cur - prev) <= ASCENT_TOL * cur
         prev, has_last = cur, ~rejected
         if converged.any():
@@ -474,8 +502,9 @@ def awf_lower_probe(b: SampledFunction, op: Operator, p: float, mu: Weight,
     inv_lam = 1.0 / lamv
     certs = []
     for pairing, inp, out_vals in ((pairing1, g_vals, h_vals), (pairing2, mod_vals, g_vals)):
-        den = (_flat_norm(inp, p, muv, vol) * _flat_norm(out_vals, q_prime, inv_lam, vol))
-        certs.append(pairing / den if den > 0.0 else 0.0)
+        # one norm at a time: their product can overflow on a huge lattice
+        norms = (_flat_norm(inp, p, muv, vol), _flat_norm(out_vals, q_prime, inv_lam, vol))
+        certs.append(pairing / norms[0] / norms[1] if min(norms) > 0.0 else 0.0)
 
     sep = float(np.sqrt(dom.d) * 2.0 * cube.sidelength)
     pair = ProbePair(cube, partner, g, h, sep)

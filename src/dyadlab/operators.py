@@ -356,14 +356,22 @@ class Commutator(Operator):
     def _apply(self, x):
         if self.is_zero:
             return np.zeros(x.shape, np.result_type(x, self._b))
-        t = self._base._apply(np.stack([x, self._b * x]))
+        t = self._base._apply(self._pair(x, self._b))
         return self._b * t[0] - t[1]
 
     def _adjoint(self, x):
         if self.is_zero:
             return np.zeros(x.shape, np.result_type(x, self._b))
-        t = self._base._adjoint(np.stack([x, self._b_conj * x]))
+        t = self._base._adjoint(self._pair(x, self._b_conj))
         return t[1] - self._b_conj * t[0]
+
+    @staticmethod
+    def _pair(x, b):
+        """The batch (x, b x), filled into one buffer."""
+        out = np.empty((2,) + x.shape, np.result_type(x, b))
+        out[0] = x
+        np.multiply(b, x, out=out[1])
+        return out
 
 
 # -- compact/residual splitting ------------------------------------------------

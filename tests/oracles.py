@@ -288,7 +288,7 @@ def start_vectors(op, budget, seed, weights=None):
     """The ascent's start vectors: `budget` draws in order from `seed`,
     after the informed start when `weights` = (mu, lam) is given: the top
     right singular vector of D_lam A D_mu^{-1} by GKL from the first draw,
-    times D_mu^{-1}."""
+    stopped at residual SEED_TOL * sigma, times D_mu^{-1}."""
     rng = np.random.default_rng(seed)
     draws = []
     for _ in range(budget):
@@ -298,7 +298,8 @@ def start_vectors(op, budget, seed, weights=None):
         return draws
     inv_mu, lamv = 1.0 / weights[0].values.reshape(-1), weights[1].values.reshape(-1)
     _, right, _, _, _ = normest._gkl_top(lambda x: lamv * op.apply(inv_mu * x),
-                                         lambda y: inv_mu * op.adjoint(lamv * y), draws[0])
+                                         lambda y: inv_mu * op.adjoint(lamv * y), draws[0],
+                                         normest.SEED_TOL)
     return [right * inv_mu] + draws
 
 

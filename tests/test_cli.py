@@ -660,6 +660,41 @@ def test_riesz_norm_on_a_huge_lattice_scales_as_L_to_minus_alpha(tmp_path, q, L)
     assert _riesz_norm(tmp_path, L, q) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("q", [2.0, 3.0])
+def test_probe_over_norm_on_a_huge_lattice_does_not_read_0(tmp_path, q):
+    # at L = 1e150, q = 3 the product of the probe's two norms overflows
+    # (probe and probe_over_norm read 0); L = 1 is no reference, as its
+    # probe picks the mirror cube
+    def probe_over_norm(L):
+        cfg = {
+            "experiment": "commutator-sweep",
+            "domain": {"d": 2, "m": 4, "L": L},
+            "exponents": {"p": 2.0, "q": q},
+            "kernel": {"variant": "riesz", "j": 1},
+            "symbols": log_symbols(),
+        }
+        out = tmp_path / f"out-{L}"
+        assert cli.run(cfg, out_dir=out) == 0
+        header, rows = read_csv(out / "commutator.csv")
+        return float(rows[0][header.index("probe_over_norm")])
+
+    huge = probe_over_norm(1e150)
+    assert huge > 0.0
+    assert huge == pytest.approx(probe_over_norm(1e100), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("d, flagged", [(2, True), (1, False)])
+def test_subnormal_cell_volume_is_flagged(tmp_path, d, flagged):
+    # at L = 1e-160 the cell volume h^d is subnormal at d = 2 (the bmo
+    # supremum loses bits) and a normal float at d = 1
+    cfg = {"experiment": "bmo-compute", "domain": {"d": d, "m": 4, "L": 1e-160},
+           "symbols": log_symbols()}
+    out = tmp_path / "out"
+    assert cli.run(cfg, out_dir=out) == 0
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert ("subnormal-cell-volume" in summary["flags"]) == flagged
+
+
 def test_riesz_kernel_past_the_float_range_exits_3(tmp_path, capsys):
     # at d = 2, L = 1e-160, h^2 is subnormal and K ~ h^-2 overflows
     cfg = {

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dyadlab import dyadic, normest, sparse
+from dyadlab import cli, dyadic, normest, sparse
 from dyadlab import operators as ops
 from dyadlab.lattice import LatticeDomain, SampledFunction, sample_symbol
 from dyadlab.weights import ExponentSetup, make_weight
@@ -354,7 +354,9 @@ def ascent_rows(op, p, mu, q, lam, budget, iterations, seed, informed=True):
     """The Anderson-mixed ascent as a loop over restarts, one row through
     the operator at a time (the informed start first unless `informed` is
     False): per restart (ratios, steps, witness cells), where `ratios` holds
-    the start's ratio and then the ratio after each step."""
+    the start's ratio and then the ratio after each step.  Every stepped
+    iterate is divided by its own p-norm, so a step's ratio is the image's
+    q-norm alone."""
     muv, lamv = mu.values.reshape(-1), lam.values.reshape(-1)
     vol = op.domain.cell_volume
     lam_q = lamv**q
@@ -388,12 +390,12 @@ def ascent_rows(op, p, mu, q, lam, budget, iterations, seed, informed=True):
                     x = plain - gamma * (plain - g_prev)
                     flat, mixed = x / lp_norm(x, p, muv, vol), True
             image = op.apply(flat)
-            cur = ascent_ratio(flat, image, p, q, muv, lamv, vol)
+            cur = lp_norm(image, q, lamv, vol)
             history = (resid, plain)
             if mixed and not cur - prev > 1e-13 * cur:
                 flat, history = plain, None
                 image = op.apply(flat)
-                cur = ascent_ratio(flat, image, p, q, muv, lamv, vol)
+                cur = lp_norm(image, q, lamv, vol)
             ratios.append(cur)
             if abs(cur - prev) <= 1e-13 * cur:
                 break
@@ -402,14 +404,15 @@ def ascent_rows(op, p, mu, q, lam, budget, iterations, seed, informed=True):
 
 
 def ascent_oracle(op, p, mu, q, lam, budget, iterations, seed, informed=True):
-    """Best restart of ascent_rows: (value, iterations used, witness cells
-    or None)."""
+    """Best restart of ascent_rows by the full ratio of its last iterate,
+    both norms taken: (value, iterations used, witness cells or None)."""
+    muv, lamv = mu.values.reshape(-1), lam.values.reshape(-1)
     best_val, best_flat, used = 0.0, None, 0
-    for ratios, steps, flat in ascent_rows(op, p, mu, q, lam, budget, iterations, seed,
-                                           informed):
+    for _, steps, flat in ascent_rows(op, p, mu, q, lam, budget, iterations, seed, informed):
         used += steps
-        if ratios[-1] > best_val:
-            best_val, best_flat = ratios[-1], flat
+        value = ascent_ratio(flat, op.apply(flat), p, q, muv, lamv, op.domain.cell_volume)
+        if value > best_val:
+            best_val, best_flat = value, flat
     return best_val, used, best_flat
 
 
@@ -689,3 +692,109 @@ def test_default_budget_reaches_the_budget_8_value(case):
     est = normest.opnorm_estimate(op, 2.0, mu, float(q), lam)
     wide = normest.opnorm_estimate(op, 2.0, mu, float(q), lam, budget=8)
     assert est.value >= (1.0 - 1e-9) * wide.value
+
+
+# -- fast paths against their slow forms ---------------------------------------
+
+
+def _pow2_rows(draw, rows, scales):
+    """Seeded real or complex rows, each scaled by a drawn power of two."""
+    rng = np.random.default_rng(draw(st.integers(0, 999)))
+    n = draw(st.integers(1, 64))
+    flat = rng.standard_normal((rows, n))
+    if draw(st.booleans()):
+        flat = flat + 1j * rng.standard_normal((rows, n))
+    exps = draw(st.lists(st.sampled_from(scales) | st.integers(-1000, 1000),
+                         min_size=rows, max_size=rows))
+    return np.stack([normest._times_pow2(row, e) for row, e in zip(flat, exps)]), rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_flat_norm_rows_are_the_power_formula_alone(data):
+    # the in-place powers (at p = 2 a product) are bitwise mags**p, and a
+    # row rides in a batch as it would alone, on the range path too
+    # (|e| * p > 900, or an all-zero row)
+    rows = data.draw(st.integers(1, 5))
+    flat, rng = _pow2_rows(data.draw, rows, (0, 400, -400, 700, -700, 1000, -1000))
+    if data.draw(st.booleans()):
+        flat[data.draw(st.integers(0, rows - 1))] = 0.0
+    wvals = rng.uniform(0.25, 4.0, flat.shape[1])
+    vol = 2.0 ** -data.draw(st.integers(0, 10))
+    p = data.draw(st.sampled_from((2.0, 3.0, 1.5)))
+    batch = normest._flat_norm(flat, p, wvals, vol)
+    for i, row in enumerate(flat):
+        with np.errstate(over="ignore"):  # the oracle's first sum of a huge row overflows
+            alone = lp_norm(row, p, wvals, vol)
+        assert batch[i] == normest._flat_norm(row, p, wvals, vol) == alone
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_real_plain_step_at_p_2_is_the_sign_formula(data):
+    # rows scaled by 2^+-950 take the range path of _unit_rows
+    rows = data.draw(st.integers(1, 4))
+    grad, rng = _pow2_rows(data.draw, rows, (0, 950, -950))
+    grad = grad.real * (rng.random(grad.shape) < 0.8)  # some exact zeros
+    grad[:, 0] = 1.0  # no row vanishes: a zero gradient stops its row first
+    gm = np.abs(grad)
+    top = np.max(gm, axis=-1)
+    mu_p = rng.uniform(0.25, 4.0, grad.shape[1]) ** 2.0
+    slow = np.sign(grad) * (normest._unit_rows(gm, top, 1.0) / mu_p) ** 1.0
+    np.testing.assert_array_equal(normest._plain_step(grad, gm, top, mu_p, 2.0), slow)
+
+
+def test_gkl_grows_its_bases_and_settles_on_the_dense_svd():
+    # 40 singular values within 1% of the top keep GKL going for all 64
+    # steps, past the 16 and 32 basis rows it holds before growing
+    dom = LatticeDomain(d=1, m=6, L=1.0)
+    sing = np.concatenate([1.0 - 1e-2 * np.linspace(0.0, 1.0, 40), np.linspace(0.5, 0.0, 24)])
+    op = ops.OperatorMatrix(dom, np.diag(sing))
+    start = np.random.default_rng(0).standard_normal(dom.n)
+    sigma, _, _, steps, settled = normest._gkl_top(op.apply, op.adjoint, start)
+    top = np.linalg.svd(op.matrix, compute_uv=False)[0]
+    assert settled and steps > 32
+    assert abs(sigma - top) <= 1e-13 * top
+
+
+# -- work counters -------------------------------------------------------------
+
+
+def test_dense_compactness_profile_work_stays_within_its_counts(tmp_path, monkeypatch):
+    # a deterministic guard beside the timed benchmark: the compactness
+    # profile of its dense workload (Hilbert d=1 m=10, p=2, q=3, its
+    # weights at seed 0) may not take more weighted norms, commutator
+    # applies or adjoints, or ascent row-steps than these
+    bounds = {"flat_norm": 827, "apply": 315, "adjoint": 229, "row_steps": 653}
+    counts = dict.fromkeys(bounds, 0)
+
+    def counted(owner, name, key):
+        inner = getattr(owner, name)
+
+        def run(*args, **kwargs):
+            counts[key] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(owner, name, run)
+
+    counted(normest, "_flat_norm", "flat_norm")
+    counted(ops.Commutator, "_apply", "apply")
+    counted(ops.Commutator, "_adjoint", "adjoint")
+    estimate = normest.opnorm_estimate
+
+    def stepped(*args, **kwargs):
+        est = estimate(*args, **kwargs)
+        counts["row_steps"] += est.iterations
+        return est
+    monkeypatch.setattr(normest, "opnorm_estimate", stepped)
+    cfg = {
+        "experiment": "compactness-profile",
+        "domain": {"d": 1, "m": 10, "L": 1.0},
+        "exponents": {"p": 2.0, "q": 3.0},
+        "weights": {"mu": {"kind": "power", "beta": 0.3},
+                    "lambda": {"kind": "logsmooth", "amplitude": 0.6, "modes": 3, "seed": 0}},
+        "symbols": [{"id": "log", "terms": [{"kind": "log_abs"}]},
+                    {"id": "holder", "terms": [{"kind": "abs_power", "exponent": 0.25}]}],
+        "kernel": {"variant": "hilbert"},
+    }
+    assert cli.run(cfg, out_dir=tmp_path / "out") == 0
+    assert all(0 < counts[key] <= bound for key, bound in bounds.items()), counts
