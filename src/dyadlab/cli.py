@@ -508,9 +508,9 @@ def _exp_compactness_profile(ctx: RunContext) -> ExperimentResult:
     if not ctx.params["eps_list"]:
         raise ConfigError("params.eps_list must not be empty")
     tail_rows, sparse_rows, flags, headline = [], [], [], {}
-    for sid, b in ctx.symbols:
-        rep = normest.compactness_profile(b, ctx.kernel, ctx.setup, mu=ctx.mu, lam=ctx.lam,
-                                          **ctx.params)
+    reports = normest.compactness_profile(ctx.symbols, ctx.kernel, ctx.setup, mu=ctx.mu,
+                                          lam=ctx.lam, **ctx.params)
+    for (sid, _), rep in zip(ctx.symbols, reports):
         tail_rows.extend((sid, e, t) for e, t in zip(rep.eps_list, rep.tail_norms))
         sparse_rows.extend((sid, k, t) for k, t in zip(rep.k_list, rep.sparse_tail_norms))
         first, last = rep.tail_norms[0], rep.tail_norms[-1]

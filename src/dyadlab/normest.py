@@ -5,34 +5,12 @@ L^p norm of f*mu.  Operators are apply/adjoint pairs (operators.Operator),
 so no solver here needs a matrix.  At p = q = 2 the weighted norm ratio
 equals the top singular value of D_lam A D_mu^{-1} exactly; that path
 computes it by Golub-Kahan-Lanczos bidiagonalization (Golub & Kahan
-1965) with full reorthogonalization, stopped when the Ritz residual
-|M* u - sigma v| falls to GKL_TOL * sigma (scaled by a power of two where
-its squares would leave the float range).  Every other exponent pair
-runs a multi-start ascent on the norm ratio, Boyd's p-norm power method
-(Higham 1992), whose fixed points are the stationary points of the
-Lagrangian.  Restart 0 is informed, as Higham chose start vectors for
-Boyd's iteration: it starts from the p = q = 2 witness of the same
-operator and weights, the top right singular vector of D_lam A D_mu^{-1}
-(by GKL from the first seeded draw, stopped at residual SEED_TOL * sigma:
-the start only has to land in the right basin) times D_mu^{-1}.  The
-random restarts follow it.  The iterates are Anderson-mixed with memory 1
-(Walker & Ni 2011): from the plain step g_k and its residual f_k = g_k -
-x_k, the next iterate is g_k - gamma (g_k - g_{k-1}), gamma = <df, f_k> /
-<df, df> with df = f_k - f_{k-1}, renormalized.  A mixed iterate is kept
-only when its own ratio beats the previous one by more than the stop
-tolerance; otherwise the row takes the plain step and forgets its
-history, so the ratio never falls and only a plain step can stop a row.
-Every stepped iterate is divided by its own p-norm, so a step's ratio is
-its image's q-norm alone; the returned value takes both norms.  The
-restarts run as one batch through the operator: random restart i starts
-from the i-th draw of the seeded generator, and a row leaves the batch
-once its ratio settles or its image or gradient vanishes, so every
-restart ends bitwise where it would alone.  The ascent is scale-safe: a
-row whose image, gradient or norm sum would leave the float range is
-scaled by an exact power of two first, and a row in range keeps its
-bits.  The returned value is always a certified lower bound: a witness
-function attaining it is part of the estimate and is re-checked on
-return, and a drift raises NumericalError.
+1965, `_gkl_top`).  Every other exponent pair runs a batched multi-start
+duality ascent (`_ascent`: Boyd's p-norm power method, Higham 1992) from
+the p = q = 2 witness of the same operator and weights and from random
+restarts.  The returned value is always a certified lower bound: a
+witness function attaining it is part of the estimate and is re-checked
+on return, and a drift raises NumericalError.
 
 The separation probe pairs a cube Q with its shift by 3 sidelengths,
 where the Hilbert/Riesz kernels are sign-definite: testing the
@@ -60,6 +38,7 @@ from dyadlab.operators import (  # noqa: F401  (commutator_matrix: bench/tests i
     KernelSpec,
     NumericalError,
     Operator,
+    _range_exp,
     commutator_matrix,
     split,
 )
@@ -102,8 +81,8 @@ def _unit_rows(batch: np.ndarray, top: np.ndarray, power: float) -> np.ndarray:
     `power`, would pass 2**+-_EXP_LIMIT scaled into [0.5, 1) by a power of
     two; every other row keeps its bits, and an all-in-range batch is
     returned as it came."""
-    exps = [math.frexp(t)[1] for t in top.tolist()]
-    out = [i for i, e in enumerate(exps) if abs(e) * power > _EXP_LIMIT]
+    exps = [_range_exp(t, power) for t in top.tolist()]
+    out = [i for i, e in enumerate(exps) if e]
     if not out:
         return batch
     batch = batch.copy()
@@ -139,7 +118,7 @@ def _flat_norm(flat: np.ndarray, p: float, wvals: np.ndarray, cell_volume: float
     return np.array(roots).reshape(sums.shape)
 
 
-def _image_ratio(flat, image, p, q, muv, lamv, vol) -> np.ndarray:
+def _ratio(flat, image, p, q, muv, lamv, vol) -> np.ndarray:
     """|image|_{q,lam} / |flat|_{p,mu} per row (0 where flat vanishes), with
     image = A flat already computed."""
     den = _flat_norm(flat, p, muv, vol)
@@ -184,10 +163,6 @@ def _anderson_mix(plain, resid, g_last, f_last, has_last, p, muv, vol):
     return (step if mixed.all() else np.where(mixed[:, None], step, plain)), mixed
 
 
-def _ratio(op: Operator, flat, p, q, muv, lamv, vol) -> float:
-    return float(_image_ratio(flat, op.apply(flat), p, q, muv, lamv, vol))
-
-
 def _gkl_top(apply, adjoint, start: np.ndarray, tol: float = GKL_TOL):
     """Top singular value and right vector of the map `apply` (adjoint
     `adjoint`) by GKL.
@@ -212,8 +187,7 @@ def _gkl_top(apply, adjoint, start: np.ndarray, tol: float = GKL_TOL):
     vs[0] = start / np.linalg.norm(start)
     alphas, betas = np.zeros(steps), np.zeros(steps)
     u = apply(vs[0])
-    e = math.frexp(float(np.max(np.abs(u))))[1]
-    e = e if 2 * abs(e) > _EXP_LIMIT else 0
+    e = _range_exp(float(np.max(np.abs(u))), 2)
     if e:
         apply, adjoint = (lambda x, f=f: _times_pow2(f(x), -e) for f in (apply, adjoint))
         u = _times_pow2(u, -e)
@@ -253,86 +227,39 @@ def _reorthogonalize(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return x
 
 
-def opnorm_estimate(op: Operator, p: float, mu: Weight, q: float, lam: Weight,
-                    budget: int = ASCENT_RESTARTS, iterations: int = ASCENT_ITERATIONS,
-                    seed: int = 0, method: str = "auto") -> NormEstimate:
-    """Lower-bound estimate of |A|_{L^p_mu -> L^q_lam} with attained witness.
+def _ascent(op: Operator, starts, p, q, muv, lamv, vol, iterations):
+    """Best of the duality ascents of `op` from the rows of `starts`:
+    (value, witness cells or None, row-steps, capped).
 
-    Exact (largest singular value of D_lam A D_mu^{-1}, by GKL from a
-    start vector drawn from `seed`) at p = q = 2; otherwise the best of
-    1 + `budget` duality-map ascents.  Restart 0 is informed: it starts
-    from the GKL witness of the same operator and weights (right singular
-    vector times D_mu^{-1}, GKL from the first draw stopped at residual
-    SEED_TOL * sigma; the last Ritz vector if GKL misses it).  Random
-    restart i starts from the i-th vector drawn from `seed`, as it would
-    without the informed start.  The ascents
-    run as one (1 + budget, N) batch: each restart steps only while its
-    ratio moves by more than ASCENT_TOL times itself and its image and
-    gradient are nonzero, for at most `iterations` steps, and converged
-    rows leave the batch.  Each step computes the plain duality step and
-    mixes it with the row's previous plain step (memory-1 Anderson); the
-    mixed iterate is applied, and a row whose ratio it does not raise by
-    more than ASCENT_TOL times itself applies the plain step instead and
-    clears its history.  Both tests are relative, so c*A takes the same
-    steps as A; a row whose image, gradient or norm sums would leave the
-    float range is first scaled by an exact power of two, so a tiny or
-    huge A keeps its norm.  `iterations` counts row-steps, one per restart
-    per step whether or not the mixed iterate was kept, and `capped` the
-    restarts still moving when the step budget ran out; the first best
-    restart supplies the witness.  method "svd" or "ascent" forces a path
-    (svd only exists at p = q = 2); "auto" picks.  The operator is only
-    applied, never formed.
+    Each row runs Boyd's p-norm power method (Higham 1992), whose fixed
+    points are the stationary points of the Lagrangian of the ratio
+    |A x|_{q,lam} / |x|_{p,mu}: from the image's dual vector, gradient
+    g = A*(lam^q |Ax|^(q-2) Ax), the plain step is sign(g) (|g| /
+    mu^p)^(1/(p-1)), divided by its own p-norm.  The iterates are
+    Anderson-mixed with memory 1 (Walker & Ni 2011): from the plain step
+    g_k and its residual f_k = g_k - x_k, the next iterate is g_k - gamma
+    (g_k - g_{k-1}), gamma = <df, f_k> / <df, df> with df = f_k - f_{k-1},
+    renormalized.  A mixed iterate is kept only when its own ratio beats
+    the previous one by more than ASCENT_TOL times itself; otherwise the
+    row takes the plain step and forgets its history, so the ratio never
+    falls and only a plain step can stop a row.  Every stepped iterate has
+    unit p-norm, so a step's ratio is its image's q-norm alone; the
+    returned value takes both norms.
+
+    The rows run as one batch through the operator, for at most
+    `iterations` steps: a row leaves the batch once its ratio moves by at
+    most ASCENT_TOL times itself or its image or gradient vanishes, so
+    every row ends bitwise where it would alone.  Both tests are relative,
+    so c*A takes the same steps as A, and a row whose image, gradient or
+    norm sums would leave the float range is first scaled by an exact
+    power of two, so a tiny or huge A keeps its norm.  Row-steps count one
+    per row per step, whether or not the mixed iterate was kept; `capped`
+    counts the rows still moving when the steps ran out.  The first best
+    row supplies the witness; None when every ratio is 0 (or nan).
     """
-    if not (1.0 < p <= q < np.inf):
-        raise ValueError(f"need 1 < p <= q < inf, got ({p}, {q})")
-    if budget < 1:
-        raise ValueError("budget must allow at least one restart")
-    if mu.domain != op.domain or lam.domain != op.domain:
-        raise ValueError("weights must live on the operator's domain")
-    if method not in ("auto", "svd", "ascent"):
-        raise ValueError(f"unknown method {method!r}")
-    use_svd = p == 2.0 and q == 2.0 and method != "ascent"
-    if method == "svd" and not use_svd:
-        raise ValueError("the svd path exists only at p = q = 2")
-    dom = op.domain
-    muv = mu.values.reshape(-1)
-    lamv = lam.values.reshape(-1)
-    vol = dom.cell_volume
-
-    if op.is_zero:
-        return NormEstimate(0.0, "svd-exact" if use_svd else "random-restart-ascent",
-                            None, 0, zero_operator=True)
-
-    rng = np.random.default_rng(seed)
-    size = op.size
-
-    def start_vector():
-        flat = rng.standard_normal(size)
-        return flat + 1j * rng.standard_normal(size) if op.is_complex else flat
-
-    inv_mu = 1.0 / muv
-
-    def top_right(start, tol=GKL_TOL):  # GKL on D_lam A D_mu^{-1}
-        return _gkl_top(lambda x: lamv * op.apply(inv_mu * x),
-                        lambda y: inv_mu * op.adjoint(lamv * y), start, tol)
-
-    if use_svd:
-        value, right, residual, steps, settled = top_right(start_vector())
-        if not settled:
-            raise NumericalError(
-                f"Lanczos bidiagonalization missed residual {GKL_TOL:g} * sigma "
-                f"in {steps} steps (residual {residual:.3g}, sigma {value:.6g})")
-        flat = right * inv_mu
-        ratio = _ratio(op, flat, p, q, muv, lamv, vol)
-        if abs(ratio - value) > WITNESS_TOL * max(value, 1e-300):
-            raise NumericalError(f"witness ratio {ratio} drifted from sigma {value}")
-        witness = SampledFunction(dom, flat.reshape(dom.shape))
-        return NormEstimate(value, "svd-exact", witness, steps, residual=residual)
-
     lam_q = lamv**q
     mu_p = muv**p
-    draws = [start_vector() for _ in range(budget)]
-    flats = np.stack([top_right(draws[0], SEED_TOL)[1] * inv_mu, *draws])
+    flats = np.stack(starts)
     images = op.apply(flats)
     # the rows still ascending: restart index, iterate x, its image and
     # ratio, and the row's last plain step g with its residual g - x
@@ -340,11 +267,14 @@ def opnorm_estimate(op: Operator, p: float, mu: Weight, q: float, lam: Weight,
     g_last = f_last = np.zeros_like(flats)
     has_last = np.zeros(len(flats), dtype=bool)
 
-    def leave(stay):  # rows off `stay` leave the batch where they stand
+    def leave(stay, *step):  # rows off `stay` leave where they stand; `step` keeps the rest
         nonlocal rows, x, img, prev, g_last, f_last, has_last
+        if stay.all():
+            return step
         flats[rows[~stay]], images[rows[~stay]] = x[~stay], img[~stay]
         rows, x, img, prev, g_last, f_last, has_last = (
             a[stay] for a in (rows, x, img, prev, g_last, f_last, has_last))
+        return [a[stay] for a in step]
 
     used = 0
     for _ in range(iterations):
@@ -353,12 +283,9 @@ def opnorm_estimate(op: Operator, p: float, mu: Weight, q: float, lam: Weight,
         used += rows.size
         mag = np.abs(img)
         top = np.max(mag, axis=-1)
-        live = top != 0.0  # a zero image or gradient stops its row
-        if not live.all():
-            leave(live)
-            if not rows.size:  # no operator sees an empty batch
-                break
-            mag, top = mag[live], top[live]
+        mag, top = leave(top != 0.0, mag, top)  # a zero image stops its row
+        if not rows.size:  # no operator sees an empty batch
+            break
         # the gradient scales like the q-th power of the image, and the
         # plain step like the 1/(p-1)-th power of the gradient
         src = _unit_rows(img, top, q)
@@ -367,25 +294,19 @@ def opnorm_estimate(op: Operator, p: float, mu: Weight, q: float, lam: Weight,
         grad = op.adjoint(lam_q * mag ** (q - 2.0) * src)
         gm = np.abs(grad)
         top = np.max(gm, axis=-1)
-        live = top != 0.0
-        if not live.all():
-            leave(live)
-            if not rows.size:
-                break
-            grad, gm, top = grad[live], gm[live], top[live]
+        grad, gm, top = leave(top != 0.0, grad, gm, top)  # so does a zero gradient
+        if not rows.size:
+            break
         plain = _plain_step(grad, gm, top, mu_p, p)
         plain = plain / _flat_norm(plain, p, muv, vol)[:, None]
         resid = plain - x
         x, mixed = _anderson_mix(plain, resid, g_last, f_last, has_last, p, muv, vol)
         g_last, f_last = plain, resid
         img = op.apply(x)
-        # every x here is a step divided by its own norm, so the ratio is
-        # the image's norm alone (the returned value takes both norms)
         cur = _flat_norm(img, q, lamv, vol)
         # safeguard: a mixed iterate that does not raise its row's ratio by
         # more than the stop tolerance (or is nan) gives way to the plain
-        # step, and the row's history is cleared; only a plain step can stop
-        # a row, so a stalled mixing step never ends an ascent early
+        # step, and the row's history is cleared
         rejected = mixed & ~(cur - prev > ASCENT_TOL * cur)
         back = np.flatnonzero(rejected)
         if back.size:
@@ -394,20 +315,76 @@ def opnorm_estimate(op: Operator, p: float, mu: Weight, q: float, lam: Weight,
             cur[back] = _flat_norm(img[back], q, lamv, vol)
         converged = np.abs(cur - prev) <= ASCENT_TOL * cur
         prev, has_last = cur, ~rejected
-        if converged.any():
-            leave(~converged)
+        leave(~converged)
     flats[rows], images[rows] = x, img  # rows still moving when the steps ran out
-    vals = _image_ratio(flats, images, p, q, muv, lamv, vol)
+    vals = _ratio(flats, images, p, q, muv, lamv, vol)
     vals = np.where(vals > 0.0, vals, 0.0)  # a nan restart never wins
     best = int(np.argmax(vals))
-    if vals[best] == 0.0:
-        return NormEstimate(0.0, "random-restart-ascent", None, used, capped=rows.size)
-    best_val, best_flat = float(vals[best]), flats[best]
-    witness = SampledFunction(dom, best_flat.reshape(dom.shape))
-    check = _ratio(op, best_flat, p, q, muv, lamv, vol)
-    if abs(check - best_val) > WITNESS_TOL * max(best_val, 1e-300):
-        raise NumericalError("ascent witness does not reproduce its value")
-    return NormEstimate(best_val, "random-restart-ascent", witness, used, capped=rows.size)
+    witness = flats[best] if vals[best] > 0.0 else None
+    return float(vals[best]), witness, used, rows.size
+
+
+def opnorm_estimate(op: Operator, p: float, mu: Weight, q: float, lam: Weight,
+                    budget: int = ASCENT_RESTARTS, iterations: int = ASCENT_ITERATIONS,
+                    seed: int = 0) -> NormEstimate:
+    """Lower-bound estimate of |A|_{L^p_mu -> L^q_lam} with attained witness.
+
+    At p = q = 2 it is exact: the largest singular value of D_lam A
+    D_mu^{-1}, by GKL from a start vector drawn from `seed`, with its
+    right singular vector times D_mu^{-1} as witness.  Every other pair
+    takes the best of 1 + `budget` duality ascents (`_ascent`, at most
+    `iterations` steps each).  Restart 0 is informed: it starts from the
+    p = q = 2 witness of the same operator and weights, its GKL from the
+    first draw stopped at residual SEED_TOL * sigma (the last Ritz vector
+    if GKL misses it); random restart i starts from the i-th vector drawn
+    from `seed`.  `iterations` of the estimate counts GKL steps or ascent
+    row-steps.  Either way the witness's ratio must reproduce the value to
+    WITNESS_TOL, or NumericalError.  The operator is only applied, never
+    formed.
+    """
+    if not (1.0 < p <= q < np.inf):
+        raise ValueError(f"need 1 < p <= q < inf, got ({p}, {q})")
+    if budget < 1:
+        raise ValueError("budget must allow at least one restart")
+    if mu.domain != op.domain or lam.domain != op.domain:
+        raise ValueError("weights must live on the operator's domain")
+    exact = p == 2.0 and q == 2.0
+    method = "svd-exact" if exact else "random-restart-ascent"
+    if op.is_zero:
+        return NormEstimate(0.0, method, None, 0, zero_operator=True)
+
+    dom = op.domain
+    muv, lamv = mu.values.reshape(-1), lam.values.reshape(-1)
+    vol = dom.cell_volume
+    rng = np.random.default_rng(seed)
+
+    def start_vector():
+        flat = rng.standard_normal(op.size)
+        return flat + 1j * rng.standard_normal(op.size) if op.is_complex else flat
+
+    draws = [start_vector() for _ in range(1 if exact else budget)]
+    inv_mu = 1.0 / muv
+    # GKL on D_lam A D_mu^{-1}: the answer at p = q = 2, else the informed start
+    value, right, residual, steps, settled = _gkl_top(
+        lambda x: lamv * op.apply(inv_mu * x), lambda y: inv_mu * op.adjoint(lamv * y),
+        draws[0], GKL_TOL if exact else SEED_TOL)
+    if exact:
+        if not settled:
+            raise NumericalError(
+                f"Lanczos bidiagonalization missed residual {GKL_TOL:g} * sigma "
+                f"in {steps} steps (residual {residual:.3g}, sigma {value:.6g})")
+        flat, capped = right * inv_mu, 0
+    else:
+        value, flat, steps, capped = _ascent(op, [right * inv_mu, *draws], p, q, muv, lamv,
+                                             vol, iterations)
+        residual = float("nan")
+        if flat is None:  # every restart's ratio read 0
+            return NormEstimate(0.0, method, None, steps, capped=capped)
+    check = float(_ratio(flat, op.apply(flat), p, q, muv, lamv, vol))
+    if abs(check - value) > WITNESS_TOL * max(value, 1e-300):
+        raise NumericalError(f"witness ratio {check} drifted from its value {value}")
+    witness = SampledFunction(dom, flat.reshape(dom.shape))
+    return NormEstimate(value, method, witness, steps, residual=residual, capped=capped)
 
 
 # -- separation probe ----------------------------------------------------------
@@ -596,49 +573,57 @@ class CompactnessReport:
     flags: set = field(default_factory=set)
 
 
-def compactness_profile(b: SampledFunction, kernel: KernelSpec, setup: ExponentSetup,
+def compactness_profile(symbols, kernel: KernelSpec, setup: ExponentSetup,
                         eps_list: Sequence[float], mu: Weight, lam: Weight,
                         k_list: Sequence[float] = (1.0, 2.0, 4.0, 8.0),
-                        budget: int = ASCENT_RESTARTS) -> CompactnessReport:
-    """Residual commutator norms along shrinking eps, plus sparse tails.
+                        budget: int = ASCENT_RESTARTS) -> list:
+    """Residual commutator norms along shrinking eps, plus sparse tails:
+    one CompactnessReport per (id, symbol) pair, in input order.
 
-    For each eps the kernel is split and |[b, T_residual]| estimated; a
-    vanishing sequence is the compactness signature, a floor is the
-    obstruction.  The companion columns estimate the norm of the sparse
-    star operator restricted to what survives splitting at threshold k.
-    Flag "ascent-cap" means some estimate had restarts that ran out of steps.
+    For each eps the kernel is split once and |[b, T_residual]| estimated
+    for every symbol; a vanishing sequence is the compactness signature, a
+    floor is the obstruction.  The companion columns estimate the norm of
+    the sparse star operator restricted to what survives splitting at
+    threshold k.  Flag "ascent-cap" means some estimate had restarts that
+    ran out of steps.
     """
-    dom = b.domain
+    dom = mu.domain
     eps_list = tuple(float(e) for e in eps_list)
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ValueError("eps-list must be strictly decreasing")
     if eps_list and eps_list[-1] < 4.0 * dom.h:
         raise ValueError(f"eps below resolution floor 4h = {4.0 * dom.h}")
 
-    tails = []
-    flags = set()
+    bs = [b for _, b in symbols]
+    tails, flags = [[] for _ in bs], [set() for _ in bs]
     for eps in eps_list:
         _, residual = split(kernel, dom, eps)
-        est = _reported_norm(Commutator(b, residual), setup, mu, lam, budget)
-        tails.append(est.value)
-        if est.capped:
-            flags.add("ascent-cap")
+        for b, row, flag in zip(bs, tails, flags):
+            est = _reported_norm(Commutator(b, residual), setup, mu, lam, budget)
+            row.append(est.value)
+            if est.capped:
+                flag.add("ascent-cap")
 
     root = dyadic.cube(dom, 0, (0,) * dom.d)
-    family = sparse.cz_augment(b, root)
-    sparse_tails, estimates = [], {}  # one estimate per distinct kept family
-    for k in k_list:
-        kept = sparse.split_family(family, float(k))
-        if len(kept) == 0:
-            sparse_tails.append(0.0)
-            continue
-        key = kept.entries.tobytes()
-        if key not in estimates:
-            estimates[key] = _reported_norm(sparse.SparseStar(b, kept), setup, mu, lam, budget)
-        est = estimates[key]
-        sparse_tails.append(est.value)
-        if est.capped:
-            flags.add("ascent-cap")
-    if len(family) and not sparse_tails:
-        flags.add("no-split-thresholds")
-    return CompactnessReport(eps_list, tuple(tails), tuple(k_list), tuple(sparse_tails), flags)
+    reports = []
+    for b, row, flag in zip(bs, tails, flags):
+        family = sparse.cz_augment(b, root)
+        sparse_tails, estimates = [], {}  # one estimate per distinct kept family
+        for k in k_list:
+            kept = sparse.split_family(family, float(k))
+            if len(kept) == 0:
+                sparse_tails.append(0.0)
+                continue
+            key = kept.entries.tobytes()
+            if key not in estimates:
+                estimates[key] = _reported_norm(sparse.SparseStar(b, kept), setup, mu, lam,
+                                                budget)
+            est = estimates[key]
+            sparse_tails.append(est.value)
+            if est.capped:
+                flag.add("ascent-cap")
+        if len(family) and not sparse_tails:
+            flag.add("no-split-thresholds")
+        reports.append(CompactnessReport(eps_list, tuple(row), tuple(k_list),
+                                         tuple(sparse_tails), flag))
+    return reports

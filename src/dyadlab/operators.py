@@ -108,14 +108,20 @@ class KernelSpec:
 _EXP_LIMIT = 900
 
 
+def _range_exp(modulus: float, power: float) -> int:
+    """The binary exponent e of `modulus` (2^-e modulus is in [0.5, 1))
+    when modulus**power would pass 2**+-_EXP_LIMIT, else 0."""
+    e = math.frexp(modulus)[1]
+    return e if abs(e) * power > _EXP_LIMIT else 0
+
+
 def _riesz_eval(axis):
     """K(z) = z_axis / |z|^(d+1), d = z.shape[-1], homogeneous of degree -d:
     where |z|^(d+1) would leave the float range, K(2^-e z) 2^-ed is taken
     instead, e the binary exponent of max |z|."""
     def evaluate(z):
         d = z.shape[-1]
-        e = math.frexp(float(np.max(np.abs(z), initial=0.0)))[1]
-        e = e if abs(e) * (d + 1) > _EXP_LIMIT else 0
+        e = _range_exp(float(np.max(np.abs(z), initial=0.0)), d + 1)
         z = np.ldexp(z, -e)
         dist = np.sqrt(np.sum(z**2, axis=-1))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -336,12 +342,31 @@ class Convolution(Operator):
         return self.stencil[tuple(ri[:, None] - ci[None, :] + shift for ri, ci in zip(r, c))]
 
 
+def _shift_invariant(values: np.ndarray, stencil: np.ndarray) -> bool:
+    """Whether values(x) = values(x - o) wherever both cells exist, for
+    every offset o at which `stencil` (laid out as in Convolution) is
+    nonzero: compared exactly, nearest offsets first, up to the first that
+    differs."""
+    n = values.shape[0]
+    offsets = np.argwhere(stencil) - (n - 1)
+    for i in np.argsort(np.abs(offsets).sum(axis=1), kind="stable"):
+        o = offsets[i].tolist()
+        here = tuple(slice(k, None) if k >= 0 else slice(None, k) for k in o)
+        there = tuple(slice(None, n - k) if k >= 0 else slice(-k, None) for k in o)
+        if not np.array_equal(values[here], values[there]):
+            return False
+    return True
+
+
 class Commutator(Operator):
     """[b, T] f = b Tf - T(bf), with adjoint T*(conj(b) g) - conj(b) T*g.
 
     The two products of one call pass through T as one batch.  A constant
-    b, or a T that is zero by construction, makes the commutator zero by
-    construction: it returns exact zeros, not the round-off of b Tf - T(bf).
+    b, a T that is zero by construction, or a convolution T whose every
+    stencil offset o leaves b unchanged (b(x) = b(x - o) on the overlap)
+    makes the commutator zero by construction: each of its entries
+    K(x - y)(b(x) - b(y)) is 0, and it returns exact zeros, not the
+    round-off of b Tf - T(bf).
     """
 
     def __init__(self, b: SampledFunction, base: Operator):
@@ -351,7 +376,9 @@ class Commutator(Operator):
         self._b = b.values.reshape(-1)
         self._b_conj = np.conj(self._b)
         self.is_complex = base.is_complex or np.iscomplexobj(self._b)
-        self.is_zero = base.is_zero or bool(np.all(self._b == self._b[0]))
+        self.is_zero = (base.is_zero or bool(np.all(self._b == self._b[0]))
+                        or isinstance(base, Convolution)
+                        and _shift_invariant(self._b.reshape(self.domain.shape), base.stencil))
 
     def _apply(self, x):
         if self.is_zero:

@@ -271,8 +271,8 @@ def test_c09_compactness_dichotomy(dom10, unit10):
     mids = dom10.midpoints()[0]
     smooth = sample_symbol(dom10, {"kind": "bump", "center": (0.0,), "radius": 0.75})
     blog = SampledFunction(dom10, np.log(np.abs(mids)))
-    rep_s = normest.compactness_profile(smooth, kern, setup, eps_list, unit10, unit10)
-    rep_l = normest.compactness_profile(blog, kern, setup, eps_list, unit10, unit10)
+    rep_s, rep_l = normest.compactness_profile([("smooth", smooth), ("log", blog)], kern,
+                                               setup, eps_list, unit10, unit10)
     # Committed fixtures (m=10): smooth tail ratio 0.114, log 0.641;
     # sparse analogs 0.0 and 0.477.  Direction is the claim.
     ok = rep_s.tail_norms[-1] <= 0.25 * rep_s.tail_norms[0]

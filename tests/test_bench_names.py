@@ -1,13 +1,32 @@
-"""The dyadlab names the benchmark harness under bench/ imports.
+"""The dyadlab names the benchmark harness under bench/ imports, and the
+outputs it checks.
 
-The tier-1 suite does not run bench/tests, so a rename in src/ would
-only show once the benchmark runs.  These checks keep in place the
-functions bench/ calls and the norm-path labels bench/tracer.py keys on.
+The tier-1 suite does not run bench/tests, so a rename in src/ or a
+moved output would only show once the benchmark runs.  These checks keep
+in place the functions bench/ calls and the norm-path labels
+bench/tracer.py keys on, and run every benchmark config of the recorded
+seed against its committed reference.
 """
+
+import importlib.util
+from pathlib import Path
 
 import pytest
 
 from dyadlab import cli, lattice, normest, operators, weights
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_module(name):
+    """bench/<name>.py, loaded from its file (bench/ stays off sys.path)."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+compare, workloads = _bench_module("compare"), _bench_module("workloads")
 
 
 @pytest.mark.parametrize("module, name", [
@@ -46,3 +65,13 @@ def test_bench_kernels_still_build():
            "symbols": [{"id": "log", "terms": [{"kind": "log_abs"}]}]}
     kernel = cli._build_context(cfg).kernel
     assert (kernel.variant, kernel.d) == ("riesz_1", 2)
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_bench_configs_reproduce_their_references(tmp_path, workload):
+    # each config's exit code, CSV tables and summary headline against
+    # bench/reference, cell by cell within compare.REL_TOL
+    reference = compare.load_reference(workload)
+    for name, cfg in workloads.configs(workload, workloads.RECORDED_SEED):
+        rc = cli.run(cfg, out_dir=tmp_path / name)
+        assert compare.compare(reference[name], compare.read_output(tmp_path / name, rc)) == []

@@ -92,8 +92,6 @@ def test_estimate_guards(dom, unit):
         normest.opnorm_estimate(op, 3.0, unit, 2.0, unit)  # p > q
     with pytest.raises(ValueError):
         normest.opnorm_estimate(op, 2.0, unit, 2.0, unit, budget=0)
-    with pytest.raises(ValueError):
-        normest.opnorm_estimate(op, 2.0, unit, 3.0, unit, method="svd")
     other = make_weight(LatticeDomain(d=1, m=8, L=1.0), {"kind": "unit"})
     with pytest.raises(ValueError):
         normest.opnorm_estimate(op, 2.0, other, 2.0, unit)
@@ -118,12 +116,15 @@ def test_witness_reproduces_value(dom, unit, log_comm):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_ascent_matches_svd(seed):
+    # the ascent alone, from random draws only: no start knows the weights
     dom64 = LatticeDomain(d=1, m=6, L=1.0)
     mu = make_weight(dom64, {"kind": "power", "beta": 0.5})
     lam = make_weight(dom64, {"kind": "unit"})
     m = plain_op(dom64, np.random.default_rng(seed).standard_normal((64, 64)))
-    sv = normest.opnorm_estimate(m, 2.0, mu, 2.0, lam, method="svd").value
-    asc = normest.opnorm_estimate(m, 2.0, mu, 2.0, lam, method="ascent").value
+    sv = normest.opnorm_estimate(m, 2.0, mu, 2.0, lam).value
+    asc, _, _, _ = normest._ascent(m, start_vectors(m, normest.ASCENT_RESTARTS, 0), 2.0, 2.0,
+                                   mu.values.reshape(-1), lam.values.reshape(-1),
+                                   dom64.cell_volume, normest.ASCENT_ITERATIONS)
     assert asc <= sv * (1.0 + 1e-9)
     assert asc >= sv * 0.99
 
@@ -310,8 +311,8 @@ def test_compactness_dichotomy(m8):
     eps = [2**-1, 2**-2, 2**-3, 2**-4, 2**-5]
     smooth = sample_symbol(dom, [{"kind": "bump", "center": (0.0,), "radius": 0.5}])
     blog = SampledFunction(dom, np.log(np.abs(dom.midpoints()[0])))
-    rep_s = normest.compactness_profile(smooth, kernel, setup, eps, unit8, unit8)
-    rep_l = normest.compactness_profile(blog, kernel, setup, eps, unit8, unit8)
+    rep_s, rep_l = normest.compactness_profile([("smooth", smooth), ("log", blog)], kernel,
+                                               setup, eps, unit8, unit8)
     # committed fixtures: observed 0.123 and 0.436 at this resolution
     assert rep_s.tail_norms[-1] <= 0.25 * rep_s.tail_norms[0]
     assert rep_l.tail_norms[-1] >= 0.4 * rep_l.tail_norms[0]
@@ -322,8 +323,8 @@ def test_compactness_dichotomy(m8):
 
 def test_compactness_constant_symbol(m8):
     dom, unit8, kernel = m8
-    rep = normest.compactness_profile(
-        SampledFunction(dom, np.full(dom.n, 1.5)), kernel,
+    [rep] = normest.compactness_profile(
+        [("c", SampledFunction(dom, np.full(dom.n, 1.5)))], kernel,
         ExponentSetup(p=2.0, q=2.0, d=1), [0.5, 0.25], unit8, unit8)
     assert rep.tail_norms == (0.0, 0.0)
     assert all(v == 0.0 for v in rep.sparse_tail_norms)
@@ -332,8 +333,8 @@ def test_compactness_constant_symbol(m8):
 def test_compactness_flags_capped_ascent(capping):
     dom6, unit6, setup = capping
     b = sample_symbol(dom6, [{"kind": "coordinate"}])
-    rep = normest.compactness_profile(b, ops.make_kernel("hilbert"), setup, (0.5, 0.25),
-                                      unit6, unit6, k_list=(1.0,), budget=8)
+    [rep] = normest.compactness_profile([("x", b)], ops.make_kernel("hilbert"), setup,
+                                        (0.5, 0.25), unit6, unit6, k_list=(1.0,), budget=8)
     assert rep.flags == {"ascent-cap"}
 
 
@@ -342,9 +343,9 @@ def test_compactness_eps_guards(m8):
     b = SampledFunction(dom, dom.midpoints()[0].copy())
     setup = ExponentSetup(p=2.0, q=2.0, d=1)
     with pytest.raises(ValueError, match="decreasing"):
-        normest.compactness_profile(b, kernel, setup, [0.25, 0.5], unit8, unit8)
+        normest.compactness_profile([("x", b)], kernel, setup, [0.25, 0.5], unit8, unit8)
     with pytest.raises(ValueError, match="resolution"):
-        normest.compactness_profile(b, kernel, setup, [0.5, dom.h], unit8, unit8)
+        normest.compactness_profile([("x", b)], kernel, setup, [0.5, dom.h], unit8, unit8)
 
 
 # -- batched ascent against the per-restart loop -------------------------------
@@ -543,8 +544,9 @@ def test_compactness_profile_estimates_each_kept_family_once(monkeypatch):
     estimate = normest.opnorm_estimate
     monkeypatch.setattr(normest, "opnorm_estimate",
                         lambda op, *a, **kw: ops_run.append(op) or estimate(op, *a, **kw))
-    rep = normest.compactness_profile(b, ops.make_kernel("hilbert"), ExponentSetup(2.0, 3.0, 1),
-                                      (0.5,), unit, unit, k_list=k_list, budget=2)
+    [rep] = normest.compactness_profile([("log", b)], ops.make_kernel("hilbert"),
+                                        ExponentSetup(2.0, 3.0, 1), (0.5,), unit, unit,
+                                        k_list=k_list, budget=2)
     assert rep.sparse_tail_norms == fresh
     assert sum(isinstance(op, sparse.SparseStar) for op in ops_run) == 2
 
@@ -632,6 +634,24 @@ def test_informed_ascent_keeps_every_random_restart(data):
         # on the stop rule's scale, a row's ratio never falls
         assert all(b >= a - normest.ASCENT_TOL * b for a, b in zip(ratios, ratios[1:]))
         assert est.value >= ratios[0] - normest.ASCENT_TOL * est.value
+
+
+@pytest.mark.parametrize("q", [2.0, 3.0])
+def test_commutator_with_a_symbol_constant_along_its_stencil_is_zero(q):
+    # a failing example of the property test above: the eps = 0.3125
+    # residual of Riesz j = 2 at d=2 m=3 is nonzero only at the offsets
+    # (0, +-1), along which x_0 is constant, so [x_0, T] is 0 exactly; the
+    # ascent used to climb FFT round-off (images near 1e-16) for all 200
+    # steps, and GKL raised NumericalError at q = 2
+    dom = LatticeDomain(d=2, m=3, L=1.0)
+    residual = ops.split(ops.make_kernel("riesz", {"j": 2}), dom, 0.3125)[1]
+    unit = make_weight(dom, {"kind": "unit"})
+    along = ops.Commutator(sample_symbol(dom, [{"kind": "coordinate", "axis": 0}]), residual)
+    est = normest.opnorm_estimate(along, 2.0, unit, q, unit, budget=1, seed=0)
+    assert (est.zero_operator, est.value, est.iterations) == (True, 0.0, 0)
+    # x_1 changes along (0, +-1): that commutator is not zero
+    across = ops.Commutator(sample_symbol(dom, [{"kind": "coordinate", "axis": 1}]), residual)
+    assert not across.is_zero
 
 
 def test_mixed_ascent_settles_where_the_plain_ascent_caps(capping):
